@@ -67,7 +67,6 @@ from .pseudo_obs import (
     read_sample,
     write_sample,
 )
-from .quadrature import adaptive_simpson, cumulative_integral
 
 __version__ = "0.1.0"
 
@@ -85,14 +84,12 @@ __all__ = [
     "PickandsFunction",
     "PseudoObservations",
     "SpectralModel",
-    "adaptive_simpson",
     "asym_logistic_model",
     "asym_logistic_spectral_density",
     "cauchy_fullplane_model",
     "cauchy_quadrant_model",
     "check_norm_order",
     "column_ranks",
-    "cumulative_integral",
     "empirical_spectral_measure",
     "empirical_spectral_prob",
     "integrated_squared_error",

@@ -112,13 +112,21 @@ def _psi_slope(mu: float, a: np.ndarray) -> float:
     return -float(np.mean(t * t))
 
 
+def _constraint_error(mu: float, value: float) -> float:
+    """Larger of the moment error |Psi| and the mass error |mu Psi|."""
+    return abs(value) * max(1.0, abs(mu))
+
+
 def solve_multiplier(scores, tol: float = SOLVER_TOL, max_iter: int = 200) -> MultiplierSolution:
     """Solve Psi(mu) = 0 for the Lagrange multiplier.
 
     Safeguarded Newton iteration inside a shrinking sign bracket,
     warm-started at the first-order value mean(A) / mean(A^2).  The
-    returned root satisfies ``|Psi(mu)| <= tol`` with the final bracket
-    narrower than ``1e-14 * (1 + |mu|)`` (up to float resolution).
+    returned root satisfies ``max(|Psi|, |mu Psi|) <= tol`` with the
+    final bracket narrower than ``1e-14 * (1 + |mu|)`` (up to float
+    resolution).  Both constraints are then met to ``tol``: the weights
+    give sum(w A) = Psi and sum(w) - 1 = -mu Psi, so |Psi| alone leaves
+    the mass unbounded when |mu| is large.
 
     Raises
     ------
@@ -186,9 +194,10 @@ def solve_multiplier(scores, tol: float = SOLVER_TOL, max_iter: int = 200) -> Mu
             bhi = x
         else:
             break
-        if abs(best_f) <= tol and (bhi - blo) <= WIDTH_TOL * (1.0 + abs(best_x)):
+        converged = _constraint_error(best_x, best_f) <= tol
+        if converged and (bhi - blo) <= WIDTH_TOL * (1.0 + abs(best_x)):
             break
-        if abs(fx) > tol:
+        if _constraint_error(x, fx) > tol:
             slope = _psi_slope(x, a)
             cand = x - fx / slope if slope < 0.0 and math.isfinite(slope) else math.nan
             if not (blo < cand < bhi):

@@ -1,11 +1,20 @@
 """Reference bivariate models with known spectral measures.
 
 Each model packages the exact angular cumulative distribution function
-of its spectral measure (closed form where available, adaptive
-quadrature of the interior density otherwise) together with, where
-supported, an exact sampler for the corresponding bivariate
-distribution.  These are the ground truths the estimators are judged
-against.
+of its spectral measure together with, where supported, an exact
+sampler for the corresponding bivariate distribution.  These are the
+ground truths the estimators are judged against.
+
+Every density here is ||(sin, cos)||_p g(theta) with g free of p, and
+the endpoint atoms do not depend on p.  Each family therefore has a
+closed-form interior cdf Phi_1 under the sum norm, and any other norm
+order follows by one integration by parts,
+
+    Phi_p(theta) = rho(theta) Phi_1(theta) - int_0^theta rho' Phi_1,
+
+with rho = ||(sin, cos)||_p / ||(sin, cos)||_1.  The remaining integrand
+is bounded, so a fixed Gauss-Legendre table sums it; p = 2 and p = inf
+keep direct closed forms where a family has them.
 """
 
 from __future__ import annotations
@@ -18,7 +27,6 @@ import numpy as np
 
 from .lp_geometry import check_norm_order, lp_norm
 from .pseudo_obs import BivariateSample
-from .quadrature import adaptive_simpson, cumulative_integral
 
 __all__ = [
     "SpectralModel",
@@ -35,9 +43,25 @@ __all__ = [
 HALF_PI = math.pi / 2.0
 QUARTER_PI = math.pi / 4.0
 
-#: offset at which integrable endpoint singularities are cut and
-#: replaced by their leading-order analytic contribution
-_EDGE_EPS = 1e-10
+_LEGENDRE = np.polynomial.legendre
+_GL_NODES, _GL_WEIGHTS = _LEGENDRE.leggauss(16)
+#: values at the 16 nodes -> coefficients of the degree-15 Legendre
+#: series through them (discrete orthogonality of the Gauss rule)
+_TO_LEGENDRE = (np.arange(16) + 0.5)[:, None] * _LEGENDRE.legvander(_GL_NODES, 15).T * _GL_WEIGHTS
+
+#: panel knots of the by-parts tables: 32 uniform panels (pi/4, the
+#: max-norm kink, is one of their knots) plus geometric grading toward
+#: both endpoints, where the bounded integrands can be non-smooth
+_GRADED = (HALF_PI / 32.0) * 2.0 ** -np.arange(1, 41)
+_KNOTS = np.sort(np.concatenate([np.linspace(0.0, HALF_PI, 33), _GRADED, HALF_PI - _GRADED]))
+_HALF = 0.5 * np.diff(_KNOTS)
+_MID = _KNOTS[:-1] + _HALF
+#: Gauss-Legendre nodes of the knot panels (one row each) and their weights
+_NODES = _MID[:, None] + _HALF[:, None] * _GL_NODES
+_WEIGHTS = _HALF[:, None] * _GL_WEIGHTS
+
+#: query points per block of a by-parts cdf, bounding the 17 x N series it gathers
+_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -63,10 +87,10 @@ class SpectralModel:
     default_ise_interval : (float, float)
         Angle interval used by the benchmark harness when the caller
         does not choose one.
-    endpoint_power : float or None
-        When the density has integrable algebraic endpoint
-        singularities ``theta**(q-1)``, the exponent q; None for
-        bounded densities.
+
+    The cdf is exact: closed form under the sum norm (and, for some
+    families, under p = 2 and p = inf), by parts from the sum-norm form
+    with a fixed Gauss-Legendre table for every other p.
     """
 
     name: str
@@ -77,7 +101,6 @@ class SpectralModel:
     interior_density: Optional[Callable]
     sampler: Optional[Callable] = field(repr=False, default=None)
     default_ise_interval: tuple = (0.0, HALF_PI)
-    endpoint_power: Optional[float] = None
     _interior_cdf: Callable = field(repr=False, default=None)
 
     @property
@@ -129,53 +152,64 @@ class SpectralModel:
 
 
 # ---------------------------------------------------------------------------
-# quadrature-backed interior cdfs
+# interior cdfs
 
 
-def _quad_interior_cdf(density: Callable, power: Optional[float], tol: float = 1e-9):
-    """Vectorized cumulative integral of an interior density.
-
-    ``power`` is the algebraic order q of integrable endpoint
-    singularities ``K * t**(q-1)``; the mass inside ``_EDGE_EPS`` of an
-    endpoint is then ``density(edge) * eps / q`` to leading order, which
-    is added analytically instead of chasing the singularity with panel
-    refinement.
-    """
-    if power is not None:
-        lo_edge = _EDGE_EPS
-        hi_edge = HALF_PI - _EDGE_EPS
-        left_corr = density(lo_edge) * _EDGE_EPS / power
-        right_corr = density(hi_edge) * _EDGE_EPS / power
+def _norm_ratio(theta, p: float):
+    """rho = ||(sin, cos)||_p / (sin + cos) and its derivative rho'."""
+    s = np.sin(theta)
+    c = np.cos(theta)
+    if math.isinf(p):
+        norm = np.maximum(s, c)
+        slope = np.where(s > c, c, -s)
     else:
-        lo_edge, hi_edge = 0.0, HALF_PI
-        left_corr = right_corr = 0.0
+        norm = lp_norm(s, c, p)
+        slope = c * (s / norm) ** (p - 1.0) - s * (c / norm) ** (p - 1.0)
+    rho = norm / (s + c)
+    return rho, (slope - rho * (c - s)) / (s + c)
+
+
+def _by_parts_cdf(phi1: Callable, p: float) -> Callable:
+    """Interior cdf under the norm order p from the sum-norm one, phi1.
+
+    Phi_p = rho Phi_1 - int_0^theta rho' Phi_1.  The bounded integrand
+    is sampled once at the Gauss-Legendre nodes of every ``_KNOTS``
+    panel and kept as a degree-15 Legendre series per panel; the
+    integral to theta is the prefix sum of the panel totals plus the
+    series' antiderivative in the panel holding theta.
+    """
+    values = _norm_ratio(_NODES, p)[1] * phi1(_NODES)
+    # antiderivative from each panel's left knot, in the local variable x
+    anti = _LEGENDRE.legint(_TO_LEGENDRE @ values.T, lbnd=-1.0) * _HALF
+    table = np.concatenate([[0.0], np.cumsum(_LEGENDRE.legval(1.0, anti))])
 
     def interior_cdf(theta):
         t = np.asarray(theta, dtype=float)
-        flat = np.atleast_1d(t).ravel()
-        uniq, inverse = np.unique(flat, return_inverse=True)
-        clipped = np.clip(uniq, lo_edge, hi_edge)
-        vals = np.asarray(cumulative_integral(density, lo_edge, clipped, tol))
-        if power is not None:
-            # analytic ramp K*t**q through the cut endpoint segments
-            below = np.clip(uniq, 0.0, lo_edge) / lo_edge
-            vals = vals + left_corr * below**power
-            over = (HALF_PI - np.clip(uniq, hi_edge, HALF_PI)) / _EDGE_EPS
-            vals = vals + right_corr * (1.0 - over**power)
-        return vals[inverse].reshape(t.shape)
+        flat = t.reshape(-1)
+        out = np.empty(flat.shape)
+        for lo in range(0, flat.size, _CHUNK):
+            q = flat[lo : lo + _CHUNK]
+            i = np.clip(np.searchsorted(_KNOTS, q, side="right") - 1, 0, _HALF.size - 1)
+            x = (q - _MID[i]) / _HALF[i]
+            integral = table[i] + _LEGENDRE.legval(x, anti[:, i], tensor=False)
+            out[lo : lo + _CHUNK] = _norm_ratio(q, p)[0] * phi1(q) - integral
+        return out.reshape(t.shape)
 
     return interior_cdf
 
 
-def _arc_norm_cdf(p: float) -> Optional[Callable]:
-    """Closed forms of the integral of ||(sin, cos)||_p from 0 to theta."""
+def _sum_norm_arc(t):
+    t = np.asarray(t, dtype=float)
+    return np.sin(t) - np.cos(t) + 1.0
+
+
+def _arc_norm_cdf(p: float) -> Callable:
+    """Integral of ||(sin, cos)||_p from 0 to theta.
+
+    Closed forms for p in {1, 2, inf}, by parts otherwise.
+    """
     if p == 1.0:
-
-        def cdf1(t):
-            t = np.asarray(t, dtype=float)
-            return np.sin(t) - np.cos(t) + 1.0
-
-        return cdf1
+        return _sum_norm_arc
     if p == 2.0:
 
         def cdf2(t):
@@ -190,7 +224,7 @@ def _arc_norm_cdf(p: float) -> Optional[Callable]:
             return np.where(t <= QUARTER_PI, np.sin(t), sqrt2 - np.cos(t))
 
         return cdfinf
-    return None
+    return _by_parts_cdf(_sum_norm_arc, p)
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +295,37 @@ def asym_logistic_spectral_density(theta, r: float, psi1: float, psi2: float, p:
         * lp_norm(psi1 * c, psi2 * s, r) ** (1.0 - 2.0 * r)
     )
     return float(out) if scalar else out
+
+
+def _logistic_sum_norm_cdf(r: float, psi1: float, psi2: float) -> Callable:
+    """Interior cdf of the asymmetric logistic measure under the sum norm.
+
+    H([0, theta]) = 1 + A'(w) at w = sin / (sin + cos), with A the
+    Pickands function of :func:`logistic_stdf`.  With a = psi1 cos,
+    b = psi2 sin and B = ||(a, b)||_r the interior part is
+
+        psi1 (1 - (a / B)**(r-1)) + psi2 (b / B)**(r-1),
+
+    evaluated with B in the scaled form hi (1 + (lo/hi)**r)**(1/r).
+    """
+
+    def phi1(t):
+        t = np.asarray(t, dtype=float)
+        # cos as sin of the complement, so that HALF_PI stands for pi/2
+        # exactly: for r < 2 the cdf has infinite slope there
+        a = psi1 * np.sin(HALF_PI - t)
+        b = psi2 * np.sin(t)
+        hi = np.maximum(a, b)
+        ratio = np.minimum(a, b) / hi
+        hi_pow = (1.0 + ratio**r) ** ((1.0 - r) / r)  # (hi / B)**(r-1)
+        lo_pow = ratio ** (r - 1.0) * hi_pow
+        return np.where(
+            a >= b,
+            psi1 * (1.0 - hi_pow) + psi2 * lo_pow,
+            psi1 * (1.0 - lo_pow) + psi2 * hi_pow,
+        )
+
+    return phi1
 
 
 def sample_logistic(n: int, r: float, rng: np.random.Generator) -> BivariateSample:
@@ -337,10 +402,9 @@ def asym_logistic_model(
     if r == 2.0 and symmetric:
         interior = _arc_norm_cdf(p)
     else:
-        interior = None
-    power = r - 1.0 if r < 2.0 else None
-    if interior is None:
-        interior = _quad_interior_cdf(density, power)
+        interior = _logistic_sum_norm_cdf(r, psi1, psi2)
+        if p != 1.0:
+            interior = _by_parts_cdf(interior, p)
     return SpectralModel(
         name=name,
         params=params,
@@ -349,7 +413,6 @@ def asym_logistic_model(
         atom_half_pi=1.0 - psi1,
         interior_density=density,
         sampler=sampler,
-        endpoint_power=power,
         _interior_cdf=interior,
     )
 
@@ -384,7 +447,7 @@ def cauchy_quadrant_model(p: float = 1.0) -> SpectralModel:
         theta = np.asarray(theta, dtype=float)
         return lp_norm(np.sin(theta), np.cos(theta), _p)
 
-    interior = _arc_norm_cdf(p) or _quad_interior_cdf(density, None)
+    interior = _arc_norm_cdf(p)
     return SpectralModel(
         name="cauchy-quadrant",
         params={},
@@ -410,14 +473,11 @@ def cauchy_fullplane_model(p: float = 1.0) -> SpectralModel:
         theta = np.asarray(theta, dtype=float)
         return 0.5 * lp_norm(np.sin(theta), np.cos(theta), _p)
 
-    closed = _arc_norm_cdf(p)
-    if closed is not None:
+    arc = _arc_norm_cdf(p)
 
-        def interior(t, _closed=closed):
-            return 0.5 * np.asarray(_closed(t), dtype=float)
+    def interior(t):
+        return 0.5 * np.asarray(arc(t), dtype=float)
 
-    else:
-        interior = _quad_interior_cdf(density, None)
     return SpectralModel(
         name="cauchy-fullplane",
         params={},
@@ -504,12 +564,12 @@ def mixture_model(r: float, p: float = 1.0) -> SpectralModel:
         c = np.cos(theta)
         return 2.0 * _r * lp_norm(s, c, _p) / (s + c) ** 3
 
+    def sum_norm_cdf(t, _r=r):
+        t = np.asarray(t, dtype=float)
+        return _r * (1.0 + np.tan(t - QUARTER_PI))
+
     if p == 1.0:
-
-        def interior(t, _r=r):
-            t = np.asarray(t, dtype=float)
-            return _r * (1.0 + np.tan(t - QUARTER_PI))
-
+        interior = sum_norm_cdf
     elif math.isinf(p):
 
         def interior(t, _r=r):
@@ -521,7 +581,7 @@ def mixture_model(r: float, p: float = 1.0) -> SpectralModel:
             return _r * np.where(t <= QUARTER_PI, low, high)
 
     else:
-        interior = _quad_interior_cdf(density, None)
+        interior = _by_parts_cdf(sum_norm_cdf, p)
     return SpectralModel(
         name="mixture",
         params={"r": r},
@@ -539,42 +599,31 @@ def mixture_model(r: float, p: float = 1.0) -> SpectralModel:
 # validation helpers
 
 
-def moment_sums(model: SpectralModel, tol: float = 1e-9) -> tuple[float, float]:
-    """Quadrature check of the two marginal moment integrals.
+def moment_sums(model: SpectralModel) -> tuple[float, float]:
+    """Check of the two marginal moment integrals.
 
     Returns (sin integral, cos integral) of weight/||(sin, cos)||_p
     against the model's spectral measure.  Both equal 1 for every
     genuine spectral measure; endpoint atoms contribute exactly 0 or 1.
+    The interior parts are integrated by parts against the model's own
+    ``cdf_continuous``: with F its interior part and g = sin/||.||_p
+    (g(pi/2) = 1) or g = cos/||.||_p (g(pi/2) = 0),
+    int g dF = g(pi/2) F(pi/2) - int g' F.
     """
-    sin_sum = float(model.atom_half_pi)
-    cos_sum = float(model.atom_zero)
-    density = model.interior_density
-    if density is None:
-        return sin_sum, cos_sum
-    p = model.p
-    power = model.endpoint_power
-
-    def sin_part(t):
-        s, c = math.sin(t), math.cos(t)
-        return float(density(t)) * s / lp_norm(s, c, p)
-
-    def cos_part(t):
-        s, c = math.sin(t), math.cos(t)
-        return float(density(t)) * c / lp_norm(s, c, p)
-
-    # the sin weight lifts the singular order at 0 by one, the cos
-    # weight does the same at pi/2
-    sin_sum += _interior_integral(sin_part, tol, power and power + 1.0, power)
-    cos_sum += _interior_integral(cos_part, tol, power, power and power + 1.0)
-    return sin_sum, cos_sum
-
-
-def _interior_integral(f, tol, power_left, power_right) -> float:
-    a = _EDGE_EPS if power_left is not None else 0.0
-    b = HALF_PI - _EDGE_EPS if power_right is not None else HALF_PI
-    total = adaptive_simpson(f, a, b, tol)
-    if power_left is not None:
-        total += f(_EDGE_EPS) * _EDGE_EPS / power_left
-    if power_right is not None:
-        total += f(HALF_PI - _EDGE_EPS) * _EDGE_EPS / power_right
-    return total
+    interior = (model.cdf_continuous(_NODES) - model.atom_zero) * _WEIGHTS
+    s = np.sin(_NODES)
+    c = np.cos(_NODES)
+    if math.isinf(model.p):
+        # sin/||.|| is tan below pi/4 and 1 above; cos/||.|| is 1, then cot
+        below = s < c
+        sin_slope = np.where(below, 1.0 / c**2, 0.0)
+        cos_slope = np.where(below, 0.0, -1.0 / s**2)
+    else:
+        norm = lp_norm(s, c, model.p)
+        sq = (s / norm) ** 2 + (c / norm) ** 2
+        sin_slope = (c / norm) ** (model.p - 1.0) * sq
+        cos_slope = -((s / norm) ** (model.p - 1.0)) * sq
+    top = model.cdf_continuous(HALF_PI) - model.atom_zero
+    sin_sum = model.atom_half_pi + top - np.sum(sin_slope * interior)
+    cos_sum = model.atom_zero - np.sum(cos_slope * interior)
+    return float(sin_sum), float(cos_sum)

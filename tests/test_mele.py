@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from specmeasure.empirical import AngularSample, DiscreteSpectralMeasure
 from specmeasure.lp_geometry import score_f
@@ -123,6 +125,43 @@ class TestSolveMultiplier:
             w = mele_weights(sol, scores)
             assert abs(w.sum() - 1.0) <= 1e-10
             assert abs((w * np.asarray(scores)).sum()) <= 1e-10
+
+
+class TestSolverContract:
+    """Both constraints hold to the normalizer's 1e-8 contract however
+    lopsided the scores: sum(w) - 1 = -mu Psi grows with |mu|, which is
+    huge when a few tiny scores balance many near +-1."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 100_000),
+        major=st.floats(1e-9, 1.0 - 1e-12),
+        spread=st.floats(0.0, 0.5),
+        minor=st.lists(st.floats(1e-15, 1.0 - 1e-12), min_size=1, max_size=3),
+        side=st.sampled_from([1.0, -1.0]),
+    )
+    @example(n=100_000, major=0.999999, spread=0.0, minor=[1e-9], side=1.0)
+    @example(n=100_000, major=1.0 - 1e-12, spread=0.0, minor=[1e-15], side=-1.0)
+    def test_nearly_one_sided_scores(self, n, major, spread, minor, side):
+        majority = np.linspace(major * (1.0 - spread), major, n)
+        scores = side * np.concatenate([majority, -np.array(minor)])
+        w = mele_weights(solve_multiplier(scores), scores)
+        assert abs(w.sum() - 1.0) <= 1e-8
+        assert abs(np.dot(w, scores)) <= 1e-8
+        # sum-norm scores are tan(theta - pi/4); the normalizer re-derives
+        # them from the angles and checks mass and moments itself
+        q = DiscreteSpectralMeasure.from_atoms(math.pi / 4 + np.arctan(scores), w, 1.0)
+        assert spectral_normalizer(q) == pytest.approx(0.5, abs=1e-8)
+
+    def test_mass_error_bounded_for_huge_multiplier(self):
+        # mu is about 1e9 here; a residual |Psi| of 1e-19 once left
+        # sum(w) - 1 at -1.6e-10
+        scores = np.concatenate([np.full(100_000, 0.999999), [-1e-9]])
+        sol = solve_multiplier(scores)
+        assert sol.mu > 1e8
+        w = mele_weights(sol, scores)
+        assert abs(w.sum() - 1.0) <= 1e-10
+        assert abs(np.dot(w, scores)) <= 1e-10
 
 
 class TestWeights:

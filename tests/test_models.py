@@ -348,6 +348,72 @@ class TestSamplers:
                 assert np.max(np.abs(ecdf - pareto_cdf(col))) < eps, (r, j)
 
 
+def split_quad_cdf(model, theta):
+    """Library quadrature of the interior density from 0 to theta, split
+    near both endpoints (logistic densities with r < 2 blow up there)
+    and at the max-norm kink pi/4."""
+    cuts = [QUARTER_PI]
+    for eps in (1e-12, 1e-9, 1e-6, 1e-3):
+        cuts += [eps, HALF_PI - eps]
+    edges = [0.0] + sorted(t for t in cuts if t < theta) + [theta]
+    total = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        total += integrate.quad(model.interior_density, a, b, limit=200, epsabs=1e-14)[0]
+    return model.atom_zero + total
+
+
+ORACLE_ANGLES = [1e-7, 0.05, 0.3, QUARTER_PI, 1.0, 1.45, HALF_PI - 1e-6]
+
+
+def assert_matches_split_quad(model, tol):
+    got = model.cdf_continuous(np.array(ORACLE_ANGLES))
+    want = [split_quad_cdf(model, theta) for theta in ORACLE_ANGLES]
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=tol)
+
+
+class TestExactCdfs:
+    """Sum-norm closed forms and the by-parts route for other norm orders."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [(1.2, 1.0, 1.0), (1.5, 1.0, 1.0), (3.0, 1.0, 1.0), (2.0, 1.0, 0.89), (1.5, 0.9, 0.6)],
+    )
+    def test_logistic_sum_norm_closed_form(self, args):
+        assert_matches_split_quad(asym_logistic_model(*args, p=1.0), 1e-11)
+
+    @pytest.mark.parametrize(
+        "family, p",
+        [
+            ("cauchy-quadrant", 1.5),
+            ("cauchy-quadrant", 2.5),
+            ("cauchy-quadrant", 3.0),
+            ("cauchy-fullplane", 1.5),
+            ("cauchy-fullplane", 2.5),
+            ("cauchy-fullplane", 3.0),
+            ("mixture", 2.0),
+            ("mixture", 2.5),
+            ("logistic", 2.0),
+            ("logistic", 3.0),
+            ("logistic", math.inf),
+        ],
+    )
+    def test_by_parts_cdf(self, family, p):
+        make = {
+            "cauchy-quadrant": cauchy_quadrant_model,
+            "cauchy-fullplane": cauchy_fullplane_model,
+            "mixture": lambda p: mixture_model(0.5, p=p),
+            "logistic": lambda p: asym_logistic_model(1.5, p=p),
+        }[family]
+        assert_matches_split_quad(make(p), 1e-10)
+
+    def test_singular_sum_norm_cdf_reaches_full_mass(self):
+        # r = 1.2 has infinite slope at both ends; the float pi/2 stands
+        # for the exact endpoint
+        model = asym_logistic_model(1.2, psi1=0.7, psi2=0.9, p=1.0)
+        assert model.cdf_continuous(0.0) == 1.0 - 0.9
+        assert model.cdf_continuous(HALF_PI) == pytest.approx(2.0 - 0.3, abs=1e-15)
+
+
 class TestCdfValidation:
     def test_domain_check(self):
         model = cauchy_quadrant_model(1.0)
