@@ -11,21 +11,15 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import IO, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import __version__
-from .empirical import DiscreteSpectralMeasure, empirical_spectral_measure, select_extremes
+from .empirical import empirical_spectral_measure, select_extremes
 from .evaluation import mise_sweep
 from .lp_geometry import check_norm_order, score_f
-from .mele import (
-    ConstraintInfeasible,
-    mele_spectral_measure,
-    mele_weights,
-    solve_multiplier,
-    spectral_normalizer,
-)
+from .mele import ConstraintInfeasible, mele_spectral_measure
 from .models import (
     HALF_PI,
     SpectralModel,
@@ -225,30 +219,30 @@ def _write_gnuplot(args, header_lines: list, plot_line: str) -> None:
         handle.write("\n".join(lines) + "\n")
 
 
-def _read_input(path: Optional[str]):
-    return read_sample(sys.stdin) if path is None else read_sample(path)
-
-
 def _summary(lines: Sequence[str]) -> None:
     for line in lines:
         print(f"# {line}", file=sys.stderr)
 
 
-def _cmd_estimate(args) -> int:
-    p = args.p
-    sample = _read_input(args.input)
+def _read_extremes(args, p: float):
+    """Angular sample of the input's extremes and its summary lines."""
+    sample = read_sample(sys.stdin if args.input is None else args.input)
     pobs = pseudo_observations(sample)
     ang = select_extremes(pobs, args.k, p)
+    info = [f"n = {sample.n}", f"N = {ang.n_members}", f"k = {ang.k}", f"p = {format_value(p)}"]
+    if pobs.tie_flag:
+        info.append("ties present: maximal-rank convention applied")
+    return ang, info
+
+
+def _cmd_estimate(args) -> int:
+    p = args.p
+    ang, info = _read_extremes(args, p)
     want_emp = args.estimator in ("empirical", "both")
     want_mele = args.estimator in ("mele", "both")
 
     emp = empirical_spectral_measure(ang) if want_emp else None
-    phi = solution = None
-    if want_mele:
-        solution = solve_multiplier(ang.scores)
-        weights = mele_weights(solution, ang.scores)
-        prob = DiscreteSpectralMeasure.from_atoms(ang.angles, weights, p)
-        phi = prob.scaled(1.0 / spectral_normalizer(prob))
+    phi = mele_spectral_measure(ang) if want_mele else None
 
     atoms = (emp if emp is not None else phi).angles
     columns = [("theta", atoms)]
@@ -262,14 +256,6 @@ def _cmd_estimate(args) -> int:
         lines.append(",".join(format_value(v) for v in row))
     _write_text(args.output, "\n".join(lines) + "\n")
 
-    info = [
-        f"n = {sample.n}",
-        f"N = {ang.n_members}",
-        f"k = {args.k}",
-        f"p = {format_value(p)}",
-    ]
-    if pobs.tie_flag:
-        info.append("ties present: maximal-rank convention applied")
     if want_emp:
         sin_sum, cos_sum = emp.moment_sums()
         info.append(f"empirical total mass = {format_value(emp.total_mass)}")
@@ -278,8 +264,8 @@ def _cmd_estimate(args) -> int:
         )
     if want_mele:
         sin_sum, cos_sum = phi.moment_sums()
-        info.append(f"multiplier = {format_value(solution.mu)}")
-        info.append(f"solver residual = {format_value(solution.residual)}")
+        info.append(f"multiplier = {format_value(phi.solution.mu)}")
+        info.append(f"solver residual = {format_value(phi.solution.residual)}")
         info.append(f"mele total mass = {format_value(phi.total_mass)}")
         info.append(f"mele moment sums = {format_value(sin_sum)}, {format_value(cos_sum)}")
     _summary(info)
@@ -315,6 +301,17 @@ def _cmd_benchmark(args) -> int:
         model, args.n, args.reps, args.k_grid, interval=interval, seed=args.seed
     )
     _write_text(args.output, table.to_text())
+    k = table.k_grid
+    step = k[1] - k[0] if k.size > 1 else 1
+    _summary([
+        f"model = {table.model}",
+        f"n = {table.n}",
+        f"reps = {table.replications}",
+        f"p = {format_value(table.p)}",
+        f"k grid = {k[0]}:{k[-1]}:{step}",
+        f"seed = {table.seed}",
+        f"infeasible mele fits = {int(table.infeasible.sum())}",
+    ])
     plot = (
         f'plot "{args.output}" using 1:(strcol(2) eq "empirical" ? $3 : 1/0) '
         'with linespoints title "empirical", \\\n'
@@ -326,16 +323,18 @@ def _cmd_benchmark(args) -> int:
 
 
 def _cmd_pickands(args) -> int:
-    sample = _read_input(args.input)
-    pobs = pseudo_observations(sample)
-    ang = select_extremes(pobs, args.k, 1.0)
-    estimate = pickands_function(spectral_to_H(mele_spectral_measure(ang)))
+    ang, info = _read_extremes(args, 1.0)
+    phi = mele_spectral_measure(ang)
+    estimate = pickands_function(spectral_to_H(phi))
     lines = ["v,A"]
     lines.extend(
         f"{format_value(v)},{format_value(a)}"
         for v, a in zip(estimate.knots, estimate.values)
     )
     _write_text(args.output, "\n".join(lines) + "\n")
+    info.append(f"multiplier = {format_value(phi.solution.mu)}")
+    info.append(f"solver residual = {format_value(phi.solution.residual)}")
+    _summary(info)
     plot = (
         f'plot "{args.output}" using 1:2 with lines title "A", '
         '(x <= 1 ? (x > 0.5 ? x : 1 - x) : 1/0) title "max(v,1-v)", '
@@ -374,3 +373,7 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
 
 def main() -> None:
     sys.exit(run_cli(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -8,12 +8,16 @@ from them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .lp_geometry import check_norm_order, lp_norm, score_f
 from .pseudo_obs import PseudoObservations
+
+if TYPE_CHECKING:
+    from .mele import MultiplierSolution
 
 __all__ = [
     "AngularSample",
@@ -56,62 +60,81 @@ class AngularSample:
         return int(self.indices.size)
 
 
-@dataclass(frozen=True)
-class DiscreteSpectralMeasure:
-    """Finite atomic measure on the angle interval [0, pi/2].
+def _merge_duplicates(locations, weights) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct atom locations and the summed weight at each."""
+    uniq, inverse = np.unique(np.asarray(locations, dtype=float), return_inverse=True)
+    merged = np.zeros(uniq.size)
+    np.add.at(merged, inverse, np.asarray(weights, dtype=float))
+    return uniq, merged
 
-    Atoms are kept sorted with strictly positive weights; construction
-    through :meth:`from_atoms` merges duplicate locations by summing
-    their weights.  ``p`` records the norm order the measure refers to.
+
+class _AtomCore:
+    """Validation, total mass and step cdf shared by the discrete measures.
+
+    A subclass names its sorted location field in ``_locations`` and its
+    range [0, ``_upper``] (``_bound`` in messages).  ``_cumweights`` holds
+    the cumulative weights after a leading 0.
     """
 
-    angles: np.ndarray
-    weights: np.ndarray
-    p: float
-    _cumweights: np.ndarray = field(repr=False, compare=False, default=None)
-
     def __post_init__(self):
-        angles = np.asarray(self.angles, dtype=float)
+        locations = np.asarray(getattr(self, self._locations), dtype=float)
         weights = np.asarray(self.weights, dtype=float)
-        if angles.shape != weights.shape or angles.ndim != 1:
-            raise ValueError("angles and weights must be 1-d arrays of equal length")
-        if angles.size:
-            if np.any(np.diff(angles) <= 0.0):
-                raise ValueError("atom angles must be strictly increasing; use from_atoms")
-            if angles[0] < 0.0 or angles[-1] > math.pi / 2:
-                raise ValueError("atom angles must lie in [0, pi/2]")
+        if locations.shape != weights.shape or locations.ndim != 1:
+            raise ValueError(f"{self._locations} and weights must be 1-d arrays of equal length")
+        if locations.size:
+            if np.any(np.diff(locations) <= 0.0):
+                raise ValueError(f"{self._locations} must be strictly increasing; use from_atoms")
+            if locations[0] < 0.0 or locations[-1] > self._upper:
+                raise ValueError(f"{self._locations} must lie in [0, {self._bound}]")
             if np.any(weights <= 0.0) or not np.all(np.isfinite(weights)):
                 raise ValueError("atom weights must be finite and strictly positive")
-        object.__setattr__(self, "angles", angles)
+        object.__setattr__(self, self._locations, locations)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "p", check_norm_order(self.p))
         object.__setattr__(self, "_cumweights", np.concatenate(([0.0], np.cumsum(weights))))
-
-    @classmethod
-    def from_atoms(cls, angles, weights, p: float) -> "DiscreteSpectralMeasure":
-        """Build a measure from possibly unsorted, possibly repeated atoms."""
-        angles = np.asarray(angles, dtype=float)
-        weights = np.asarray(weights, dtype=float)
-        uniq, inverse = np.unique(angles, return_inverse=True)
-        merged = np.zeros(uniq.size)
-        np.add.at(merged, inverse, weights)
-        return cls(angles=uniq, weights=merged, p=p)
-
-    @property
-    def n_atoms(self) -> int:
-        return int(self.angles.size)
 
     @property
     def total_mass(self) -> float:
         return float(self._cumweights[-1])
 
-    def cdf(self, theta):
-        """Right-continuous cumulative mass on [0, theta]."""
-        scalar = np.ndim(theta) == 0
-        theta = np.asarray(theta, dtype=float)
-        idx = np.searchsorted(self.angles, theta, side="right")
-        out = self._cumweights[idx]
+    def cdf(self, x):
+        """Right-continuous cumulative mass on [0, x]."""
+        scalar = np.ndim(x) == 0
+        x = np.asarray(x, dtype=float)
+        out = self._cumweights[np.searchsorted(getattr(self, self._locations), x, side="right")]
         return float(out) if scalar else out
+
+
+@dataclass(frozen=True)
+class DiscreteSpectralMeasure(_AtomCore):
+    """Finite atomic measure on the angle interval [0, pi/2].
+
+    Atoms are kept sorted with strictly positive weights; construction
+    through :meth:`from_atoms` merges duplicate locations by summing
+    their weights.  ``p`` records the norm order the measure refers to.
+    ``solution`` is the :class:`~specmeasure.mele.MultiplierSolution`
+    behind a MELE estimate, ``None`` for the empirical estimators; it
+    survives :meth:`scaled` and takes no part in equality.
+    """
+
+    angles: np.ndarray
+    weights: np.ndarray
+    p: float
+    solution: MultiplierSolution | None = field(default=None, repr=False, compare=False)
+    _locations, _upper, _bound = "angles", math.pi / 2, "pi/2"
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "p", check_norm_order(self.p))
+
+    @classmethod
+    def from_atoms(cls, angles, weights, p: float) -> "DiscreteSpectralMeasure":
+        """Build a measure from possibly unsorted, possibly repeated atoms."""
+        angles, weights = _merge_duplicates(angles, weights)
+        return cls(angles=angles, weights=weights, p=p)
+
+    @property
+    def n_atoms(self) -> int:
+        return int(self.angles.size)
 
     def moment_sums(self) -> tuple[float, float]:
         """Sums of sin/||.||_p and cos/||.||_p atom contributions."""
@@ -123,9 +146,7 @@ class DiscreteSpectralMeasure:
         return sin_sum, cos_sum
 
     def scaled(self, factor: float) -> "DiscreteSpectralMeasure":
-        return DiscreteSpectralMeasure(
-            angles=self.angles, weights=self.weights * factor, p=self.p
-        )
+        return replace(self, weights=self.weights * factor)
 
 
 def _int_members(m1: np.ndarray, m2: np.ndarray, k: int, p_int: int, n: int) -> np.ndarray:

@@ -24,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .empirical import AngularSample, DiscreteSpectralMeasure
-from .lp_geometry import lp_norm
+from .empirical import AngularSample, DiscreteSpectralMeasure, _merge_duplicates
 
 __all__ = [
     "ConstraintInfeasible",
@@ -70,7 +69,12 @@ class MultiplierSolution:
 
     ``feasible_interval`` is the open interval of multipliers keeping
     every weight positive; the root may fall anywhere inside it, which
-    in small samples can be far outside (-1, 1).
+    in small samples can be far outside (-1, 1).  ``iterations`` counts
+    evaluations of Psi.
+
+    A MELE estimate carries the solution it was built from in its
+    ``solution`` field, so ``mele_spectral_measure(ang).solution`` gives
+    the multiplier and residual without a second solve.
     """
 
     mu: float
@@ -88,6 +92,10 @@ def _check_scores(scores) -> np.ndarray:
     return a
 
 
+def _psi_raw(mu: float, a: np.ndarray) -> float:
+    return float(np.mean(a / (1.0 + mu * a)))
+
+
 def psi(mu: float, scores) -> float:
     """Mean of A / (1 + mu A); strictly decreasing in mu.
 
@@ -97,14 +105,9 @@ def psi(mu: float, scores) -> float:
         If some ``1 + mu * A_i <= 0`` (outside the positivity domain).
     """
     a = _check_scores(scores)
-    denom = 1.0 + mu * a
-    if np.any(denom <= 0.0):
+    if np.any(1.0 + mu * a <= 0.0):
         raise ValueError(f"mu = {mu!r} leaves the weight positivity domain")
-    return float(np.mean(a / denom))
-
-
-def _psi_raw(mu: float, a: np.ndarray) -> float:
-    return float(np.mean(a / (1.0 + mu * a)))
+    return _psi_raw(mu, a)
 
 
 def _psi_slope(mu: float, a: np.ndarray) -> float:
@@ -239,8 +242,8 @@ def mele_spectral_prob(ang: AngularSample) -> DiscreteSpectralMeasure:
         If all member angles lie on one side of pi/4.
     """
     solution = solve_multiplier(ang.scores)
-    w = mele_weights(solution, ang.scores)
-    return DiscreteSpectralMeasure.from_atoms(ang.angles, w, ang.p)
+    angles, weights = _merge_duplicates(ang.angles, mele_weights(solution, ang.scores))
+    return DiscreteSpectralMeasure(angles, weights, ang.p, solution=solution)
 
 
 def spectral_normalizer(q: DiscreteSpectralMeasure) -> float:

@@ -286,7 +286,8 @@ def asym_logistic_spectral_density(theta, r: float, psi1: float, psi2: float, p:
         out = np.zeros_like(theta)
         return float(out) if scalar else out
     s = np.sin(theta)
-    c = np.cos(theta)
+    # cos as sin(pi/2 - theta), so the float HALF_PI is the end point
+    c = np.sin(HALF_PI - theta)
     out = (
         (r - 1.0)
         * (psi1 * psi2) ** r

@@ -13,38 +13,22 @@ max(v, 1 - v) <= A(v) <= 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .empirical import DiscreteSpectralMeasure
+from .empirical import DiscreteSpectralMeasure, _AtomCore, _merge_duplicates
 
 __all__ = ["DiscreteMeasure", "PickandsFunction", "spectral_to_H", "pickands_function"]
 
 
 @dataclass(frozen=True)
-class DiscreteMeasure:
+class DiscreteMeasure(_AtomCore):
     """Finite atomic measure on the unit interval."""
 
     points: np.ndarray
     weights: np.ndarray
-    _cumweights: np.ndarray = field(repr=False, compare=False, default=None)
-
-    def __post_init__(self):
-        points = np.asarray(self.points, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        if points.shape != weights.shape or points.ndim != 1:
-            raise ValueError("points and weights must be 1-d arrays of equal length")
-        if points.size:
-            if np.any(np.diff(points) <= 0.0):
-                raise ValueError("points must be strictly increasing; use from_atoms")
-            if points[0] < 0.0 or points[-1] > 1.0:
-                raise ValueError("points must lie in [0, 1]")
-            if np.any(weights <= 0.0) or not np.all(np.isfinite(weights)):
-                raise ValueError("weights must be finite and strictly positive")
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "_cumweights", np.concatenate(([0.0], np.cumsum(weights))))
+    _locations, _upper, _bound = "points", 1.0, "1"
 
     @classmethod
     def from_atoms(cls, points, weights, tol: float = 1e-9) -> "DiscreteMeasure":
@@ -54,11 +38,7 @@ class DiscreteMeasure:
         apart; without coalescing, the affine slopes between such knots
         are pure rounding noise.
         """
-        points = np.asarray(points, dtype=float)
-        weights = np.asarray(weights, dtype=float)
-        uniq, inverse = np.unique(points, return_inverse=True)
-        merged = np.zeros(uniq.size)
-        np.add.at(merged, inverse, weights)
+        uniq, merged = _merge_duplicates(points, weights)
         if uniq.size > 1:
             starts = np.concatenate(([True], np.diff(uniq) > tol))
             cluster = np.cumsum(starts) - 1
@@ -68,17 +48,6 @@ class DiscreteMeasure:
             np.add.at(centre, cluster, merged * uniq)
             uniq, merged = centre / mass, mass
         return cls(points=uniq, weights=merged)
-
-    @property
-    def total_mass(self) -> float:
-        return float(self._cumweights[-1])
-
-    def cdf(self, w):
-        scalar = np.ndim(w) == 0
-        w = np.asarray(w, dtype=float)
-        idx = np.searchsorted(self.points, w, side="right")
-        out = self._cumweights[idx]
-        return float(out) if scalar else out
 
 
 def spectral_to_H(phi: DiscreteSpectralMeasure) -> DiscreteMeasure:
@@ -144,8 +113,7 @@ def pickands_function(H: DiscreteMeasure) -> PickandsFunction:
     knot set is the atom locations of H extended by the endpoints.
     """
     knots = np.unique(np.concatenate(([0.0, 1.0], H.points)))
-    cum_w = np.concatenate(([0.0], np.cumsum(H.weights)))
     cum_xw = np.concatenate(([0.0], np.cumsum(H.weights * H.points)))
     idx = np.searchsorted(H.points, knots, side="right")
-    values = 1.0 - knots + knots * cum_w[idx] - cum_xw[idx]
+    values = 1.0 - knots + knots * H._cumweights[idx] - cum_xw[idx]
     return PickandsFunction(knots=knots, values=values)

@@ -2,21 +2,32 @@
 
 import io
 import math
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from specmeasure import __version__
 from specmeasure.cli import run_cli
-from specmeasure.pseudo_obs import read_sample
+from specmeasure.empirical import select_extremes
+from specmeasure.mele import mele_spectral_measure
+from specmeasure.pseudo_obs import format_value, pseudo_observations, read_sample
 
 from oracles import scores_feasible
 
 
 def run(*argv):
     return run_cli(list(argv))
+
+
+def summary(err):
+    """The ``# key = value`` lines of a stderr capture, as a dict."""
+    pairs = (line[2:].split(" = ", 1) for line in err.splitlines() if " = " in line)
+    return {key: value for key, value in pairs}
 
 
 def simulate_file(tmp_path, name="data.csv", model="cauchy-quadrant", n=200, seed=11,
@@ -165,6 +176,17 @@ class TestEstimate:
                    "--output", str(out)) == 0
         assert "# p = inf" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("p", ["1", "2.5", "inf"])
+    def test_multiplier_is_the_library_solve(self, tmp_path, capsys, p):
+        data = simulate_file(tmp_path, n=400, seed=8)
+        assert run("estimate", "--k", "40", "--p", p, "--input", str(data)) == 0
+        pobs = pseudo_observations(read_sample(str(data)))
+        ang = select_extremes(pobs, 40, math.inf if p == "inf" else float(p))
+        solution = mele_spectral_measure(ang).solution
+        info = summary(capsys.readouterr().err)
+        assert info["multiplier"] == format_value(solution.mu)
+        assert info["solver residual"] == format_value(solution.residual)
+
     def test_reads_standard_input(self, tmp_path, capsys, monkeypatch):
         data = simulate_file(tmp_path, n=100, seed=1)
         monkeypatch.setattr(sys, "stdin", io.StringIO(data.read_text()))
@@ -223,6 +245,21 @@ class TestBenchmark:
         ks = [int(row.split(",")[0]) for row in rows]
         assert ks == [10, 10, 20, 20]
 
+    def test_stderr_summary(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        # seed 3 gives one one-sided replication at k = 1
+        assert run("benchmark", "--model", "cauchy-fullplane", "--n", "30", "--reps", "5",
+                   "--k-grid", "1:3:1", "--seed", "3", "--output", str(out)) == 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        infeasible = sum(int(row.rsplit(",", 1)[1])
+                         for row in out.read_text().splitlines()[1:])
+        assert infeasible == 1
+        assert summary(captured.err) == {
+            "model": "cauchy-fullplane", "n": "30", "reps": "5", "p": "1",
+            "k grid": "1:3:1", "seed": "3", "infeasible mele fits": "1",
+        }
+
     def test_gnuplot_companion(self, tmp_path):
         out = tmp_path / "t.csv"
         script = tmp_path / "t.gp"
@@ -257,6 +294,25 @@ class TestPickands:
         assert run("pickands", "--k", "2", "--input", str(data)) == 3
         capsys.readouterr()
 
+    def test_stderr_summary_matches_estimate(self, tmp_path, capsys):
+        data = simulate_file(tmp_path, model="logistic", n=400, seed=9, extra=("--r", "2"))
+        assert run("pickands", "--k", "40", "--input", str(data)) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("v,A\n")
+        info = summary(captured.err)
+        assert run("estimate", "--k", "40", "--input", str(data), "--estimator", "mele") == 0
+        from_estimate = summary(capsys.readouterr().err)
+        keys = ["n", "N", "k", "p", "multiplier", "solver residual"]
+        assert list(info) == keys
+        assert info == {key: from_estimate[key] for key in keys}
+
+    def test_stderr_reports_ties(self, tmp_path, capsys):
+        data = tmp_path / "tied.csv"
+        data.write_text("x,y\n" + "".join(f"{i % 7},{(3 * i) % 11}\n" for i in range(80)))
+        assert run("pickands", "--k", "20", "--input", str(data)) == 0
+        err = capsys.readouterr().err
+        assert "# ties present: maximal-rank convention applied" in err
+
 
 class TestConsoleScript:
     def test_installed_entry_point(self):
@@ -265,6 +321,15 @@ class TestConsoleScript:
         proc = subprocess.run([exe, "--version"], capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout.startswith("specmeasure ")
+
+
+    def test_module_entry_point(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-m", "specmeasure.cli", "--version"],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0
+        assert proc.stdout == f"specmeasure {__version__}\n"
 
 
 def test_feasibility_oracle_consistency():

@@ -162,6 +162,12 @@ class TestEmpiricalMeasure:
         assert q.n_atoms == 1
         assert q.weights[0] == 1.0
 
+    def test_carries_no_solution(self, four_point):
+        ang = select_extremes(four_point, 2, 1.0)
+        assert empirical_spectral_measure(ang).solution is None
+        assert empirical_spectral_prob(ang).solution is None
+        assert empirical_spectral_measure(ang).scaled(2.0).solution is None
+
     def test_duplicate_angles_merge(self):
         ang = AngularSample(
             indices=np.array([0, 1, 2]),

@@ -275,3 +275,29 @@ class TestSpectralMeasure:
     def test_symmetric_two_atoms(self):
         phi = mele_spectral_measure(angular([math.pi / 4 - 0.4, math.pi / 4 + 0.4]))
         np.testing.assert_allclose(phi.weights[0], phi.weights[1], rtol=1e-12)
+
+
+class TestCarriedSolution:
+    @pytest.mark.parametrize("p", [1.0, 2.5, math.inf])
+    def test_estimate_carries_its_solve(self, p):
+        ang = angular(np.random.default_rng(5).uniform(0.05, 1.5, size=40), p=p)
+        expected = solve_multiplier(ang.scores)
+        assert mele_spectral_prob(ang).solution == expected
+        assert mele_spectral_measure(ang).solution == expected
+
+    def test_weights_are_those_of_the_solution(self):
+        ang = angular([0.3, 0.9, 1.2, 0.3])
+        q = mele_spectral_prob(ang)
+        w = mele_weights(q.solution, ang.scores)
+        expected = DiscreteSpectralMeasure.from_atoms(ang.angles, w, 1.0)
+        np.testing.assert_array_equal(q.angles, expected.angles)
+        np.testing.assert_array_equal(q.weights, expected.weights)
+
+    def test_scaled_keeps_solution(self):
+        q = mele_spectral_prob(angular([0.3, 1.2]))
+        assert q.scaled(0.5).solution is q.solution
+
+    def test_solution_is_not_part_of_repr(self):
+        q = mele_spectral_prob(angular([0.3, 1.2]))
+        assert "solution" not in repr(q)
+        assert DiscreteSpectralMeasure(q.angles, q.weights, q.p).solution is None

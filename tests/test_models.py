@@ -83,6 +83,17 @@ class TestLogisticDensity:
             right = asym_logistic_spectral_density(HALF_PI - theta, r, 0.8, 0.8, 2.0)
             np.testing.assert_allclose(left, right, rtol=1e-12)
 
+    @pytest.mark.parametrize("r", [1.2, 1.5, 3.0])
+    @pytest.mark.parametrize("psi", [1.0, 0.7])
+    def test_end_point_mirrors_zero(self, r, psi):
+        # the float HALF_PI is the end point pi/2, as in the model cdfs:
+        # infinite there for r < 2 and zero for r > 2, like at 0
+        with np.errstate(divide="ignore"):
+            at_zero = asym_logistic_spectral_density(0.0, r, psi, psi, 1.5)
+            at_end = asym_logistic_spectral_density(HALF_PI, r, psi, psi, 1.5)
+        assert at_end == at_zero
+        assert at_zero == (math.inf if r < 2.0 else 0.0)
+
     def test_rejects_r_one(self):
         with pytest.raises(ValueError):
             asym_logistic_spectral_density(0.5, 1.0, 1.0, 1.0, 1.0)
