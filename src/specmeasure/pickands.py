@@ -22,9 +22,9 @@ from .empirical import DiscreteSpectralMeasure, _AtomCore, _merge_duplicates
 __all__ = ["DiscreteMeasure", "PickandsFunction", "spectral_to_H", "pickands_function"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteMeasure(_AtomCore):
-    """Finite atomic measure on the unit interval."""
+    """Finite atomic measure on the unit interval; ``==`` is identity."""
 
     points: np.ndarray
     weights: np.ndarray

@@ -103,20 +103,20 @@ def pseudo_observations(sample: BivariateSample) -> PseudoObservations:
     for j in range(2):
         ranks = column_ranks(values[:, j])
         u[:, j] = (n + 1 - ranks) / n
-        tie = tie or np.unique(values[:, j]).size < n
+        # distinct maximal ranks are a permutation of 1..n; a tied group
+        # of size g shares its largest rank and adds g(g-1)/2 to the sum
+        tie = tie or int(ranks.sum()) != n * (n + 1) // 2
     return PseudoObservations(u=u, tie_flag=tie)
 
 
-def _fields(line: str) -> list[str]:
-    return [part.strip() for part in line.split(",")]
-
-
 def read_sample(source: PathOrStream) -> BivariateSample:
-    """Read a two-column comma-delimited text sample.
+    """Read a two-column text sample.
 
-    One record per line, two numeric fields, surrounding spaces
-    tolerated.  A single leading header line is skipped when its first
-    field is not numeric.  Blank lines are ignored.
+    One record per line, two numeric fields separated by a comma or by
+    whitespace; spaces around a comma-separated field are tolerated.
+    Blank lines and everything from a ``#`` to the end of its line are
+    ignored.  The first record is skipped as a header when it does not
+    parse and its first field is not numeric.
 
     Raises
     ------
@@ -134,26 +134,28 @@ def read_sample(source: PathOrStream) -> BivariateSample:
 
 def _read_stream(stream: IO[str]) -> BivariateSample:
     rows: list[tuple[float, float]] = []
-    saw_record = False
-    for lineno, raw in enumerate(stream, start=1):
-        line = raw.strip()
-        if not line:
+    skipped_header = False
+    for lineno, line in enumerate(stream, start=1):
+        if "#" in line:
+            line = line[: line.index("#")]
+        comma = "," in line
+        parts = line.split(",") if comma else line.split()
+        if not parts:
             continue
-        parts = _fields(line)
-        first_record = not saw_record
-        saw_record = True
-        if len(parts) != 2:
-            if first_record and not _is_number(parts[0]):
+        if len(parts) == 2:
+            try:
+                rows.append((float(parts[0]), float(parts[1])))
                 continue
-            raise ParseError(f"expected 2 comma-separated fields, found {len(parts)}", lineno)
-        try:
-            x = float(parts[0])
-            y = float(parts[1])
-        except ValueError:
-            if first_record and not _is_number(parts[0]):
-                continue
-            raise ParseError(f"non-numeric field in record {line!r}", lineno) from None
-        rows.append((x, y))
+            except ValueError:
+                problem = f"non-numeric field in record {line.strip()!r}"
+        else:
+            kind = "comma" if comma else "whitespace"
+            problem = f"expected 2 {kind}-separated fields, found {len(parts)}"
+        # no row and no header yet: this is the first record
+        if not rows and not skipped_header and not _is_number(parts[0]):
+            skipped_header = True
+            continue
+        raise ParseError(problem, lineno)
     if not rows:
         raise InputError("no data rows found")
     return BivariateSample(np.array(rows, dtype=float))

@@ -129,6 +129,79 @@ class TestSelection:
             select_extremes(pobs, k, 1.0)
 
 
+def boundary_rich_ranks(n, ks, p, rng):
+    """Rank m2 per row (row i has m1 = i + 1) placed on or next to the boundary.
+
+    Each m1 is paired, where one is still free, with the m2 nearest to
+    the tail boundary of some k in ``ks``, an exact tie if there is one;
+    the remaining m2 are shuffled in.
+    """
+    m2 = np.zeros(n, dtype=np.int64)
+    free = set(range(1, n + 1))
+    for m1 in rng.permutation(np.arange(1, n + 1)).tolist():
+        nearest = [
+            (k, k if math.isinf(p) else round((k**-p - m1**-p) ** (-1.0 / p)))
+            for k in ks
+            if math.isinf(p) or m1 > k
+        ]
+        nearest = [(k, t) for k, t in nearest if t in free]
+        if nearest:
+            k, target = max(nearest, key=lambda kt: on_boundary(m1, kt[1], kt[0], p))
+            m2[m1 - 1] = target
+            free.remove(target)
+    rest = np.flatnonzero(m2 == 0)
+    m2[rest] = rng.permutation(sorted(free))
+    return m2
+
+
+def on_boundary(m1, m2, k, p):
+    if math.isinf(p):
+        return min(m1, m2) == k
+    q = int(p)
+    return k**q * (m1**q + m2**q) == (m1 * m2) ** q
+
+
+class TestBoundaryRule:
+    @pytest.mark.parametrize("n", [60, 360, 2520])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 16.0, 64.0, math.inf])
+    def test_boundary_rich_permutations_match_oracle(self, n, p):
+        rng = np.random.default_rng(n)
+        ks = [k for k in (2, 3, 4, 6, 12, 24, 60, 120, 360) if k < n]
+        m1 = np.arange(1, n + 1)
+        m2 = boundary_rich_ranks(n, ks, p, rng)
+        pobs = pseudo_observations(data_with_ranks(n + 1 - m1, n + 1 - m2))
+        np.testing.assert_array_equal(np.rint(pobs.u * n), np.column_stack([m1, m2]))
+        pairs = list(zip(m1.tolist(), m2.tolist()))
+        ties = 0
+        for k in ks:
+            ang = select_extremes(pobs, k, p)
+            expected = [i for i, (a, b) in enumerate(pairs) if membership_oracle(a, b, k, p)]
+            np.testing.assert_array_equal(ang.indices, expected)
+            ties += sum(on_boundary(a, b, k, p) for a, b in pairs)
+        if p in (1.0, 2.0, math.inf):
+            assert ties > 0  # the input really puts rows on the boundary
+
+    @pytest.mark.parametrize("n, p", [(50_000, 2.0), (2_000, 3.0)])
+    def test_orders_past_the_int64_range_match_oracle(self, n, p):
+        rng = np.random.default_rng(4242)
+        pobs = pseudo_observations(BivariateSample(rng.standard_normal((n, 2))))
+        m = np.rint(pobs.u * n).astype(int).tolist()
+        for k in [3, 40, n // 10]:
+            ang = select_extremes(pobs, k, p)
+            expected = [i for i, (a, b) in enumerate(m) if membership_oracle(a, b, k, p)]
+            np.testing.assert_array_equal(ang.indices, expected)
+
+    @pytest.mark.parametrize("p, expected", [(1.0, [0, 3, 4, 5]), (math.inf, [4, 5])])
+    def test_rational_tie_at_sum_and_max_norm(self, p, expected):
+        # rank pairs m = (3, 6), (6, 5), (5, 4), (4, 3), (2, 2), (1, 1) at
+        # k = 2: 1/3 + 1/6 = 1/2 puts row 0 on the sum-norm boundary, and
+        # min(m) = 2 = k puts row 4 on the max-norm boundary
+        pobs = pseudo_observations(
+            data_with_ranks([4, 1, 2, 3, 5, 6], [1, 2, 3, 4, 5, 6])
+        )
+        np.testing.assert_array_equal(select_extremes(pobs, 2, p).indices, expected)
+
+
 class TestEmpiricalMeasure:
     def test_hand_case_cdf(self, four_point):
         phi = empirical_spectral_measure(select_extremes(four_point, 2, math.inf))
@@ -209,6 +282,13 @@ class TestDiscreteSpectralMeasure:
     def test_scaled(self):
         phi = DiscreteSpectralMeasure.from_atoms([0.4], [2.0], 1.0)
         assert phi.scaled(0.5).total_mass == pytest.approx(1.0)
+
+    def test_equality_is_identity(self):
+        a = DiscreteSpectralMeasure.from_atoms([0.2, 0.5], [1, 1], 1)
+        b = DiscreteSpectralMeasure.from_atoms([0.2, 0.5], [1, 1], 1)
+        assert a == a
+        assert not a == b
+        assert a != b
 
     def test_moment_sums_point_mass_diagonal(self):
         phi = DiscreteSpectralMeasure.from_atoms([math.pi / 4], [1.0], 2.0)

@@ -81,6 +81,13 @@ class TestDiscreteMeasure:
         with pytest.raises(ValueError):
             DiscreteMeasure(points=np.array([1.2]), weights=np.array([1.0]))
 
+    def test_equality_is_identity(self):
+        a = DiscreteMeasure.from_atoms([0.2, 0.5], [1.0, 1.0])
+        b = DiscreteMeasure.from_atoms([0.2, 0.5], [1.0, 1.0])
+        assert a == a
+        assert not a == b
+        assert a != b
+
 
 class TestPickandsFunction:
     def test_point_mass_at_half_gives_envelope(self):

@@ -67,6 +67,15 @@ class TestRanks:
         pobs = pseudo_observations(sample_of([[1, 1], [1, 2], [2, 3]]))
         assert pobs.tie_flag
 
+    def test_single_tied_pair_sets_flag(self):
+        rng = np.random.default_rng(10_000)
+        values = rng.standard_normal((10_000, 2))
+        assert not pseudo_observations(BivariateSample(values)).tie_flag
+        values[7321, 1] = values[15, 1]
+        pobs = pseudo_observations(BivariateSample(values))
+        assert pobs.tie_flag
+        np.testing.assert_array_equal(column_ranks(values[:, 1]), rank_oracle(values[:, 1]))
+
 
 class TestSampleValidation:
     def test_wrong_shape(self):
@@ -108,6 +117,33 @@ class TestTextFormat:
     def test_blank_lines_ignored(self):
         sample = read_sample(io.StringIO("\n1,2\n\n3,4\n\n"))
         assert sample.n == 2
+
+    def test_whitespace_separated(self):
+        sample = read_sample(io.StringIO("1.5 2\n3\t 4e1\n  -5   6  \n"))
+        np.testing.assert_array_equal(sample.values, [[1.5, 2.0], [3.0, 40.0], [-5.0, 6.0]])
+
+    def test_comma_and_whitespace_rows_mix(self):
+        sample = read_sample(io.StringIO("1, 2\n3 4\n"))
+        np.testing.assert_array_equal(sample.values, [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_whole_line_comments_ignored(self):
+        sample = read_sample(io.StringIO("# losses\n1 2\n  # note\n3 4\n#\n"))
+        np.testing.assert_array_equal(sample.values, [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_trailing_comments_ignored(self):
+        sample = read_sample(io.StringIO("1,2 # first\n3 4#second\n"))
+        np.testing.assert_array_equal(sample.values, [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_whitespace_header_skipped(self):
+        sample = read_sample(io.StringIO("# comment\nloss alae\n1 2\n"))
+        np.testing.assert_array_equal(sample.values, [[1.0, 2.0]])
+
+    def test_bad_whitespace_row_cited(self):
+        message = "line 4: expected 2 whitespace-separated fields, found 3"
+        with pytest.raises(ParseError, match=message):
+            read_sample(io.StringIO("# c\n1 2\n\n3 4 5\n"))
+        with pytest.raises(ParseError, match="line 3: non-numeric"):
+            read_sample(io.StringIO("1 2\n# c\nx 4\n"))
 
     def test_round_trip_is_exact(self, tmp_path):
         rng = np.random.default_rng(4)
