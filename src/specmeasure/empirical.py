@@ -168,8 +168,9 @@ def select_extremes(pobs: PseudoObservations, k: int, p: float) -> AngularSample
     for every p.  For integer p and the max norm the rule has exact ties
     (for example 1/3 + 1/6 = 1/2), so the rows within ``MARGIN`` of n/k
     are decided again from their integer ranks m = n*u:
-    ``min(m1, m2) <= k`` for the max norm and
-    ``k^p (m1^p + m2^p) >= (m1 m2)^p`` in Python integers otherwise.
+    ``min(m1, m2) <= k`` for the max norm and for p > k, where it is
+    exact, and ``k^p (m1^p + m2^p) >= (m1 m2)^p`` in Python integers
+    otherwise.
 
     At least one observation is always selected (the rank-n row in
     either column qualifies for every k >= 1).
@@ -191,7 +192,9 @@ def select_extremes(pobs: PseudoObservations, k: int, p: float) -> AngularSample
         # far below 1/2
         m1 = np.rint(u1[near] * n).astype(np.int64).tolist()
         m2 = np.rint(u2[near] * n).astype(np.int64).tolist()
-        if math.isinf(p):
+        # for p > k the integer rule is the max-norm rule: a term (k/m)^p is
+        # >= 1 when m <= k and at most (k/(k+1))^(k+1) < 1/e when m > k
+        if math.isinf(p) or p > k:
             member[near] = [min(a, b) <= k for a, b in zip(m1, m2)]
         else:
             q = int(p)

@@ -8,6 +8,7 @@ increasing transformations of either margin.
 from __future__ import annotations
 
 import os
+import warnings
 from dataclasses import dataclass
 from typing import IO, Union
 
@@ -82,13 +83,20 @@ class PseudoObservations:
 
 
 def column_ranks(column: np.ndarray) -> np.ndarray:
-    """Ranks R_i = #{l : x_l <= x_i} via sorting, O(n log n).
+    """Ranks R_i = #{l : x_l <= x_i} from one stable argsort, O(n log n).
 
-    Equals the quadratic counting definition, including under ties
-    (tied values all receive the maximal rank of their group).
+    A tie group ends in sorted order where the next value differs; its
+    members all get that end's position + 1, the maximal rank (-0.0 and
+    0.0 tie; NaNs sort last and share rank n), as counting would give.
     """
     column = np.asarray(column, dtype=float)
-    return np.searchsorted(np.sort(column), column, side="right").astype(np.int64)
+    order = np.argsort(column, kind="stable")
+    ordered = column[order]
+    differ = (ordered[1:] != ordered[:-1]) & ~np.isnan(ordered[:-1])
+    ends = np.append(np.flatnonzero(differ) + 1, column.size)
+    ranks = np.empty(column.size, dtype=np.int64)
+    ranks[order] = np.repeat(ends, np.diff(ends, prepend=0))
+    return ranks
 
 
 def pseudo_observations(sample: BivariateSample) -> PseudoObservations:
@@ -118,6 +126,10 @@ def read_sample(source: PathOrStream) -> BivariateSample:
     ignored.  The first record is skipped as a header when it does not
     parse and its first field is not numeric.
 
+    Seekable input (a path, a StringIO) is parsed in C by np.loadtxt; what
+    that parse does not accept cleanly is read again by the line parser,
+    which alone reports errors.  Piped input goes to the line parser only.
+
     Raises
     ------
     ParseError
@@ -133,13 +145,16 @@ def read_sample(source: PathOrStream) -> BivariateSample:
 
 
 def _read_stream(stream: IO[str]) -> BivariateSample:
+    if stream.seekable():
+        start = stream.tell()
+        values = _read_fast(stream, start)
+        if values is not None:
+            return BivariateSample(values)
+        stream.seek(start)
     rows: list[tuple[float, float]] = []
     skipped_header = False
     for lineno, line in enumerate(stream, start=1):
-        if "#" in line:
-            line = line[: line.index("#")]
-        comma = "," in line
-        parts = line.split(",") if comma else line.split()
+        parts, comma = _fields(line)
         if not parts:
             continue
         if len(parts) == 2:
@@ -159,6 +174,34 @@ def _read_stream(stream: IO[str]) -> BivariateSample:
     if not rows:
         raise InputError("no data rows found")
     return BivariateSample(np.array(rows, dtype=float))
+
+
+def _read_fast(stream: IO[str], start: int) -> np.ndarray | None:
+    """The (n, 2) array np.loadtxt reads past any header, split as the first
+    record is; None leaves the stream to the line parser."""
+    for line in iter(stream.readline, ""):
+        parts, comma = _fields(line)
+        if parts:
+            break
+    else:
+        return None
+    if _is_number(parts[0]):  # not a header
+        stream.seek(start)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = np.loadtxt(stream, delimiter="," if comma else None, comments="#", ndmin=2)
+    except (ValueError, Warning):
+        return None
+    return values if values.shape[0] >= 1 and values.shape[1] == 2 else None
+
+
+def _fields(line: str) -> tuple[list[str], bool]:
+    """The fields of one line with its comment removed, and whether a comma split them."""
+    if "#" in line:
+        line = line[: line.index("#")]
+    comma = "," in line
+    return (line.split(",") if comma else line.split()), comma
 
 
 def _is_number(text: str) -> bool:

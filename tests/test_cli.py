@@ -194,6 +194,20 @@ class TestEstimate:
         out = capsys.readouterr().out
         assert out.startswith("theta,")
 
+    @pytest.mark.parametrize("p", ["1", "2.5"])
+    def test_piped_input_matches_file_input(self, tmp_path, p):
+        # a real pipe is not seekable, so standard input goes through the
+        # line parser while --input FILE takes the loadtxt path
+        data = simulate_file(tmp_path, n=300, seed=4)
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        argv = [sys.executable, "-m", "specmeasure.cli", "estimate", "--k", "30", "--p", p]
+        piped = subprocess.run(argv, input=data.read_bytes(), capture_output=True, env=env)
+        named = subprocess.run(argv + ["--input", str(data)], capture_output=True, env=env)
+        assert piped.returncode == named.returncode == 0
+        assert piped.stdout.startswith(b"theta,")
+        assert piped.stdout == named.stdout
+
     def test_rank_invariance_bytes(self, tmp_path, capsys):
         # strictly increasing transforms of either column leave the
         # entire output byte for byte unchanged

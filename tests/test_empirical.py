@@ -1,6 +1,12 @@
 """Tail selection and the empirical spectral measure."""
 
+import json
 import math
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -80,8 +86,9 @@ class TestSelection:
                     np.testing.assert_array_equal(ang.indices, expected)
 
     def test_big_integer_fallback(self):
-        # p = 16 at n = 50 overflows int64 inside the comparison, so the
-        # arbitrary-precision branch must take over
+        # p = 16 at n = 50 overflows int64 inside the exact comparison,
+        # which Python integers keep exact (at k = 2 and 9, p > k and the
+        # max-norm rule decides)
         rng = np.random.default_rng(77)
         n = 50
         pobs = pseudo_observations(BivariateSample(rng.standard_normal((n, 2))))
@@ -189,6 +196,53 @@ class TestBoundaryRule:
         for k in [3, 40, n // 10]:
             ang = select_extremes(pobs, k, p)
             expected = [i for i, (a, b) in enumerate(m) if membership_oracle(a, b, k, p)]
+            np.testing.assert_array_equal(ang.indices, expected)
+
+    def test_huge_integer_order_is_the_max_norm(self):
+        # p = 1e300 passes check_norm_order, and every row whose smaller rank
+        # is k lies on the boundary; the exact check must not raise k to
+        # int(p).  A child process under a time and memory cap turns a hang
+        # into a failure.
+        n, ks = 50, (1, 2, 9, 25, 50)
+        code = (
+            "import json, numpy as np\n"
+            "from specmeasure.empirical import select_extremes\n"
+            "from specmeasure.pseudo_obs import BivariateSample, pseudo_observations\n"
+            f"values = np.random.default_rng(5).standard_normal(({n}, 2))\n"
+            "pobs = pseudo_observations(BivariateSample(values))\n"
+            f"print(json.dumps([select_extremes(pobs, k, 1e300).indices.tolist() for k in {ks}]))\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        cap = 2 * 1024**3
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=30,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+        assert proc.returncode == 0, proc.stderr
+        pobs = pseudo_observations(BivariateSample(np.random.default_rng(5).standard_normal((n, 2))))
+        m = np.rint(pobs.u * n).astype(int).tolist()
+        for k, got in zip(ks, json.loads(proc.stdout)):
+            expected = [i for i, (a, b) in enumerate(m) if membership_oracle(a, b, k, math.inf)]
+            assert got == expected
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 12, 30])
+    def test_orders_at_the_max_norm_threshold_match_oracle(self, k):
+        # from p = k + 1 on, the exact check is min(m1, m2) <= k; p = k still
+        # takes the integer rule, under which the rank pair (2, 2) is a tie
+        # at k = 1.  From k = 12 on, the row with m1 = k and m2 = n sits in
+        # the band that the exact check decides.
+        n = 400
+        rng = np.random.default_rng(k)
+        m1 = np.arange(1, n + 1)
+        m2 = np.concatenate(([1, 2], rng.permutation(np.arange(3, n + 1))))
+        top = int(np.flatnonzero(m2 == n)[0])
+        m2[[k - 1, top]] = m2[[top, k - 1]]
+        pobs = pseudo_observations(data_with_ranks(n + 1 - m1, n + 1 - m2))
+        pairs = list(zip(m1.tolist(), m2.tolist()))
+        for p in (k, k + 1, k + 2):
+            ang = select_extremes(pobs, k, float(p))
+            expected = [i for i, (a, b) in enumerate(pairs) if membership_oracle(a, b, k, p)]
             np.testing.assert_array_equal(ang.indices, expected)
 
     @pytest.mark.parametrize("p, expected", [(1.0, [0, 3, 4, 5]), (math.inf, [4, 5])])

@@ -2,9 +2,12 @@
 
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from specmeasure.pseudo_obs import (
     BivariateSample,
@@ -22,6 +25,59 @@ from oracles import rank_oracle
 
 def sample_of(rows):
     return BivariateSample(np.asarray(rows, dtype=float))
+
+
+class Piped(io.StringIO):
+    """Text that reports itself non-seekable, as a pipe does."""
+
+    def seekable(self):
+        return False
+
+
+def read_outcome(stream):
+    """The values read_sample returns as bytes, or its exception type and message."""
+    try:
+        return read_sample(stream).values.tobytes()
+    except (ParseError, InputError) as exc:
+        return type(exc), str(exc)
+
+
+#: numeric tokens in the forms float() and np.loadtxt may read differently
+AWKWARD = st.sampled_from(
+    ["+.5", "1.", "-0", "1e400", "-1E-400", "1_0", "0x10", "1d5", "infinity", "-Inf", "nan",
+     "NaN", "\u0661\u0662", "\u0662.5", " 7 ", "", "x", "1e", "--1"]
+)
+PLAIN = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                  st.integers(-10**20, 10**20).map(str))
+TOKENS = st.one_of(*[PLAIN] * 15, AWKWARD)
+SEPARATORS = st.sampled_from([",", ", ", " ,", " ", "  ", "\t", " \t"])
+HEADERS = st.sampled_from([None, None, "loss,alae", "x1 x2", "loss", "a,b,c", "1,b"])
+
+
+@st.composite
+def sample_texts(draw):
+    """Records with one file-wide separator, some lines off the pattern."""
+    separator = draw(SEPARATORS)
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["record"] * 12 + ["odd", "blank", "comment"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", "   "])))
+        elif kind == "comment":
+            lines.append(draw(st.sampled_from(["# c", " #", "#1,2"])))
+        else:
+            size = 2 if kind == "record" else draw(st.sampled_from([1, 2, 3]))
+            sep = separator if kind == "record" else draw(SEPARATORS)
+            comment = draw(st.sampled_from(["", "", "", " # note", "#2,3"]))
+            lines.append(sep.join(draw(st.lists(TOKENS, min_size=size, max_size=size))) + comment)
+    header = draw(HEADERS)
+    if header is not None:
+        lines.insert(min(draw(st.sampled_from([0, 0, 0, 0, 1, 2])), len(lines)), header)
+    if draw(st.booleans()):
+        lines.insert(0, draw(st.sampled_from(["", "# loss data", "  # x,y"])))
+    ending = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    text = ending.join(lines)
+    return text + ending if draw(st.booleans()) else text
 
 
 class TestRanks:
@@ -66,6 +122,24 @@ class TestRanks:
     def test_tie_flag_set(self):
         pobs = pseudo_observations(sample_of([[1, 1], [1, 2], [2, 3]]))
         assert pobs.tie_flag
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.sampled_from([-0.0, 0.0, 1.0, -2.5, 3.0, math.inf]), min_size=2, max_size=2),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    @example([[5.0, 5.0]] * 7)
+    @example([[-0.0, 1.0], [0.0, 1.0]])
+    def test_ranks_and_tie_flag_on_tie_heavy_columns(self, rows):
+        values = np.asarray(rows, dtype=float)
+        for j in range(2):
+            np.testing.assert_array_equal(column_ranks(values[:, j]), rank_oracle(values[:, j]))
+        finite = np.where(np.isinf(values), 1e300, values)  # BivariateSample needs finite data
+        tied = any(len(set(col.tolist())) < len(col) for col in finite.T)
+        assert pseudo_observations(BivariateSample(finite)).tie_flag == tied
 
     def test_single_tied_pair_sets_flag(self):
         rng = np.random.default_rng(10_000)
@@ -144,6 +218,39 @@ class TestTextFormat:
             read_sample(io.StringIO("# c\n1 2\n\n3 4 5\n"))
         with pytest.raises(ParseError, match="line 3: non-numeric"):
             read_sample(io.StringIO("1 2\n# c\nx 4\n"))
+
+    @settings(max_examples=400, deadline=None)
+    @given(sample_texts())
+    @example("loss,alae\n1,2\n3,4\n")
+    @example("# c\n1 2\n\n3\t4e1 # x\n")
+    @example("1,2\r3,4\n")
+    @example("1_0,2\n\u0661,3\n")
+    def test_fast_path_matches_line_parser(self, text):
+        # a StringIO is seekable and takes the loadtxt path; the same text
+        # piped goes through the line parser alone
+        assert read_outcome(io.StringIO(text)) == read_outcome(Piped(text))
+
+    def test_late_bad_row_falls_back_to_cited_line(self, tmp_path):
+        rows = [f"{i},{i / 7!r}" for i in range(10_000)]
+        rows[6999] += ",1"
+        path = tmp_path / "bad.csv"
+        path.write_text("x1,x2\n" + "\n".join(rows) + "\n")
+        message = "line 7001: expected 2 comma-separated fields, found 3"
+        with pytest.raises(ParseError, match=message):
+            read_sample(str(path))
+
+    def test_piped_header_and_whitespace_rows(self):
+        sample = read_sample(Piped("loss alae\n1.5 2\n  \n3\t4 # c\n"))
+        np.testing.assert_array_equal(sample.values, [[1.5, 2.0], [3.0, 4.0]])
+
+    def test_header_only_file_is_empty_without_warning(self, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_text("loss,alae\n# nothing yet\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(InputError, match="no data rows found"):
+                read_sample(str(path))
+        assert caught == []
 
     def test_round_trip_is_exact(self, tmp_path):
         rng = np.random.default_rng(4)
