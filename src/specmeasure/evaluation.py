@@ -52,16 +52,31 @@ def integrated_squared_error(
     the estimate's atoms (plus pi/4, where max-norm truth cdfs have a
     kink) and a 16-point Gauss-Legendre rule is applied per cell.
     Absolute accuracy is far below 1e-8 for the smooth model cdfs here.
+    Estimates on the same atoms share the partition and the truth cdf
+    values: ``replication_ise`` scores both estimators at a k in one pass.
     """
+    return _integrated_squared_errors([estimate], model, a, b)[0]
+
+
+def _integrated_squared_errors(
+    estimates: Sequence[DiscreteSpectralMeasure],
+    model: SpectralModel,
+    a: float,
+    b: float,
+) -> list[float]:
+    """One ``integrated_squared_error`` per estimate; all must share atoms."""
     a = float(a)
     b = float(b)
     if not (0.0 <= a < b <= HALF_PI):
         raise ValueError(f"invalid angle interval ({a}, {b})")
-    if estimate.p != model.p:
-        raise ValueError(
-            f"norm order mismatch: estimate has p = {estimate.p}, model has p = {model.p}"
-        )
-    atoms = estimate.angles
+    atoms = estimates[0].angles
+    for estimate in estimates:
+        if estimate.p != model.p:
+            raise ValueError(
+                f"norm order mismatch: estimate has p = {estimate.p}, model has p = {model.p}"
+            )
+        if not np.array_equal(estimate.angles, atoms):
+            raise ValueError("estimates sharing one partition must have the same atoms")
     breaks = [np.array([a, b])]
     if a < QUARTER_PI < b:
         breaks.append(np.array([QUARTER_PI]))
@@ -75,11 +90,13 @@ def integrated_squared_error(
 
     mids = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * np.diff(edges)
-    est_values = estimate.cdf(mids)
     nodes = mids[:, None] + half[:, None] * _GL_NODES[None, :]
     truth = np.asarray(model.cdf_continuous(nodes.reshape(-1))).reshape(nodes.shape)
-    gaps = (est_values[:, None] - truth) ** 2
-    return float(np.sum((gaps * _GL_WEIGHTS[None, :]).sum(axis=1) * half))
+    ises = []
+    for estimate in estimates:
+        gaps = (estimate.cdf(mids)[:, None] - truth) ** 2
+        ises.append(float(np.sum((gaps * _GL_WEIGHTS[None, :]).sum(axis=1) * half)))
+    return ises
 
 
 @dataclass(frozen=True)
@@ -165,11 +182,15 @@ def replication_ise(
     infeasible = np.zeros(len(k_grid), dtype=bool)
     for i, k in enumerate(k_grid):
         ang = select_extremes(pobs, int(k), model.p)
-        emp[i] = integrated_squared_error(empirical_spectral_measure(ang), model, a, b)
+        estimates = [empirical_spectral_measure(ang)]
         try:
-            mel[i] = integrated_squared_error(mele_spectral_measure(ang), model, a, b)
+            estimates.append(mele_spectral_measure(ang))
         except ConstraintInfeasible:
             infeasible[i] = True
+        ises = _integrated_squared_errors(estimates, model, a, b)
+        emp[i] = ises[0]
+        if not infeasible[i]:
+            mel[i] = ises[1]
     return emp, mel, infeasible
 
 

@@ -126,10 +126,13 @@ def solve_multiplier(scores, tol: float = SOLVER_TOL, max_iter: int = 200) -> Mu
     Safeguarded Newton iteration inside a shrinking sign bracket,
     warm-started at the first-order value mean(A) / mean(A^2).  The
     returned root satisfies ``max(|Psi|, |mu Psi|) <= tol`` with the
-    final bracket narrower than ``1e-14 * (1 + |mu|)`` (up to float
-    resolution).  Both constraints are then met to ``tol``: the weights
-    give sum(w A) = Psi and sum(w) - 1 = -mu Psi, so |Psi| alone leaves
-    the mass unbounded when |mu| is large.
+    final bracket narrower than ``h = 1e-14 * (1 + |mu|)`` (up to float
+    resolution).  Once a Newton step moves less than h / 2, the next
+    point is h / 2 past the iterate on the root's side (Brent's
+    tolerance step), so the bracket closes on the root there: about 6
+    evaluations of Psi are typical.  Both constraints are then met to
+    ``tol``: the weights give sum(w A) = Psi and sum(w) - 1 = -mu Psi,
+    so |Psi| alone leaves the mass unbounded when |mu| is large.
 
     Raises
     ------
@@ -197,16 +200,15 @@ def solve_multiplier(scores, tol: float = SOLVER_TOL, max_iter: int = 200) -> Mu
             bhi = x
         else:
             break
-        converged = _constraint_error(best_x, best_f) <= tol
-        if converged and (bhi - blo) <= WIDTH_TOL * (1.0 + abs(best_x)):
+        width = WIDTH_TOL * (1.0 + abs(best_x))
+        if _constraint_error(best_x, best_f) <= tol and (bhi - blo) <= width:
             break
-        if _constraint_error(x, fx) > tol:
-            slope = _psi_slope(x, a)
-            cand = x - fx / slope if slope < 0.0 and math.isfinite(slope) else math.nan
-            if not (blo < cand < bhi):
-                cand = 0.5 * (blo + bhi)
-        else:
-            # residual met; bisect to tighten the bracket
+        slope = _psi_slope(x, a)
+        cand = x - fx / slope if slope < 0.0 and math.isfinite(slope) else math.nan
+        if abs(cand - x) < 0.5 * width:
+            # Newton has converged: close the bracket half a width past the root
+            cand = x + 0.5 * width if fx > 0.0 else x - 0.5 * width
+        if not (blo < cand < bhi):
             cand = 0.5 * (blo + bhi)
         if cand == blo or cand == bhi or cand == x:
             break

@@ -14,11 +14,12 @@ from specmeasure.empirical import (
 from specmeasure.evaluation import (
     ESTIMATORS,
     MiseTable,
+    _integrated_squared_errors,
     integrated_squared_error,
     mise_sweep,
     replication_ise,
 )
-from specmeasure.mele import mele_spectral_measure
+from specmeasure.mele import ConstraintInfeasible, mele_spectral_measure
 from specmeasure.models import (
     asym_logistic_model,
     cauchy_quadrant_model,
@@ -99,6 +100,65 @@ class TestIntegratedSquaredError:
         for a, b in [(-0.1, 1.0), (0.0, HALF_PI + 0.01), (1.0, 1.0), (1.2, 0.3)]:
             with pytest.raises(ValueError, match="interval"):
                 integrated_squared_error(est, model, a, b)
+
+
+class TestSharedPartition:
+    """Both estimators at one k share atoms, so one partition and one
+    pass of truth cdf values serve both of their ISEs."""
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            asym_logistic_model(2.0, p=1.0),
+            cauchy_quadrant_model(2.5),
+            mixture_model(0.5, p=math.inf),
+        ],
+        ids=["logistic-p1", "cauchy-p2.5", "mixture-pinf"],
+    )
+    def test_equals_separate_calls_bitwise(self, model):
+        a, b = model.default_ise_interval
+        for seed in range(3):
+            sample = model.sample(400, np.random.default_rng(seed))
+            ang = select_extremes(pseudo_observations(sample), 40, model.p)
+            estimates = [empirical_spectral_measure(ang), mele_spectral_measure(ang)]
+            shared = _integrated_squared_errors(estimates, model, a, b)
+            separate = [integrated_squared_error(est, model, a, b) for est in estimates]
+            assert shared == separate
+
+    def test_different_atoms_rejected(self):
+        model = cauchy_quadrant_model(1.0)
+        first = atoms([0.3, QUARTER_PI], [1.0, 1.0])
+        second = atoms([0.3, 1.0], [1.0, 1.0])
+        with pytest.raises(ValueError, match="same atoms"):
+            _integrated_squared_errors([first, second], model, 0.1, 1.4)
+        with pytest.raises(ValueError, match="same atoms"):
+            _integrated_squared_errors([first, atoms([0.3], [2.0])], model, 0.1, 1.4)
+
+    @pytest.mark.parametrize(
+        "n, k_grid, seed, infeasible_fits", [(60, [2, 10], 3, 1), (300, [5, 20, 40], 8, 0)]
+    )
+    def test_replication_matches_per_k_public_calls(self, n, k_grid, seed, infeasible_fits):
+        # seed 3, rep 0 at k = 2 is the infeasible fit of
+        # TestReplicationIse.test_infeasible_marked_nan
+        model = cauchy_quadrant_model(1.0)
+        a, b = 0.1, 1.4
+        seen = 0
+        for rep in range(3):
+            emp, mel, infeasible = replication_ise(model, n, k_grid, (a, b), seed, rep)
+            pobs = pseudo_observations(model.sample(n, np.random.default_rng([seed, rep])))
+            for i, k in enumerate(k_grid):
+                ang = select_extremes(pobs, k, model.p)
+                assert emp[i] == integrated_squared_error(
+                    empirical_spectral_measure(ang), model, a, b
+                )
+                try:
+                    expected = integrated_squared_error(mele_spectral_measure(ang), model, a, b)
+                except ConstraintInfeasible:
+                    assert infeasible[i] and math.isnan(mel[i])
+                    seen += 1
+                else:
+                    assert not infeasible[i] and mel[i] == expected
+        assert seen == infeasible_fits
 
 
 class TestReplicationIse:

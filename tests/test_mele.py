@@ -2,14 +2,17 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from specmeasure.empirical import AngularSample, DiscreteSpectralMeasure
+from specmeasure.empirical import AngularSample, DiscreteSpectralMeasure, select_extremes
 from specmeasure.lp_geometry import score_f
 from specmeasure.mele import (
+    SOLVER_TOL,
+    WIDTH_TOL,
     ConstraintInfeasible,
     mele_spectral_measure,
     mele_spectral_prob,
@@ -18,6 +21,8 @@ from specmeasure.mele import (
     solve_multiplier,
     spectral_normalizer,
 )
+from specmeasure.models import asym_logistic_model, cauchy_quadrant_model
+from specmeasure.pseudo_obs import pseudo_observations
 
 from oracles import mele_oracle, scores_feasible
 
@@ -162,6 +167,87 @@ class TestSolverContract:
         w = mele_weights(sol, scores)
         assert abs(w.sum() - 1.0) <= 1e-10
         assert abs(np.dot(w, scores)) <= 1e-10
+
+
+def exact_psi_sign(mu, scores) -> int:
+    """Sign of Psi at the mpmath number mu, evaluated in 50 digits.
+
+    Psi diverges to +inf at the lower end of the feasible interval and
+    to -inf at the upper end, so points at or beyond an end take its sign.
+    """
+    with mpmath.workdps(50):
+        a = [mpmath.mpf(float(s)) for s in scores]
+        if any(1 + mu * s <= 0 for s in a):
+            return 1 if mu < 0 else -1
+        return int(mpmath.sign(mpmath.fsum(s / (1 + mu * s) for s in a)))
+
+
+@st.composite
+def straddling_scores(draw):
+    """Scores in (-1, 1) on both sides of zero: spread out, or a majority
+    on one side balanced by a few tiny scores, whose root then lies near
+    the feasibility boundary."""
+    unit = st.floats(1e-15, 1.0 - 1e-12)
+    if draw(st.booleans()):
+        pos = draw(st.lists(unit, min_size=1, max_size=200))
+        neg = draw(st.lists(unit, min_size=1, max_size=200))
+        return np.array(pos + [-x for x in neg])
+    n = draw(st.integers(1, 397))
+    major = draw(st.floats(1e-9, 1.0 - 1e-12))
+    spread = draw(st.floats(0.0, 0.5))
+    minor = draw(st.lists(st.floats(1e-15, 1e-3), min_size=1, max_size=3))
+    side = draw(st.sampled_from([1.0, -1.0]))
+    majority = np.linspace(major * (1.0 - spread), major, n)
+    return side * np.concatenate([majority, -np.array(minor)])
+
+
+class TestSolverWidthContract:
+    """The exact root of Psi lies within WIDTH_TOL * (1 + |mu|) of the
+    returned mu, widened by the float resolution of Psi there, and mu
+    meets the residual target.  Signs of Psi in 50-digit arithmetic
+    locate the root."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(scores=straddling_scores())
+    @example(scores=np.array([-1e-8, 0.99]))
+    @example(scores=np.array([-0.99, 1e-8]))
+    @example(scores=np.array([-0.9999, 0.9999, 1e-6]))
+    @example(scores=np.array([1e-5, -1e-15, -1e-5]))
+    @example(scores=np.concatenate([np.full(399, 1.0 - 1e-12), [-1e-15]]))
+    @example(scores=np.concatenate([np.full(399, -1e-9), [0.999999]]))
+    def test_root_within_width_of_mu(self, scores):
+        sol = solve_multiplier(scores)
+        value = psi(sol.mu, scores)
+        assert max(abs(value), abs(sol.mu * value)) <= SOLVER_TOL
+        # a rounding error of a few eps * mean|t| in the float Psi moves
+        # its root by that over |Psi'| = mean(t^2): far below the width
+        # target for scores of order one, above it when all scores are
+        # tiny, where no float solve can locate the root any closer
+        t = scores / (1.0 + sol.mu * scores)
+        resolution = 8.0 * np.finfo(float).eps * np.mean(np.abs(t)) / np.mean(t * t)
+        with mpmath.workdps(50):
+            mu = mpmath.mpf(sol.mu)
+            width = mpmath.mpf(WIDTH_TOL) * (1 + abs(mu)) + mpmath.mpf(resolution)
+            # Psi is strictly decreasing, so these signs put the root in
+            # [mu - width, mu + width]
+            assert exact_psi_sign(mu - width, scores) >= 0
+            assert exact_psi_sign(mu + width, scores) <= 0
+
+
+def test_mean_evaluations_per_fit():
+    """Count guard: the closing step takes about 6 evaluations of Psi per
+    fit on the paper's Monte Carlo design; bisecting the bracket down to
+    the width target took about 24."""
+    iterations = []
+    for model in (asym_logistic_model(2.0, p=1.0), cauchy_quadrant_model(1.0)):
+        for rep in range(20):
+            pobs = pseudo_observations(model.sample(1000, np.random.default_rng([11, rep])))
+            for k in range(10, 201, 10):
+                scores = select_extremes(pobs, k, 1.0).scores
+                if scores_feasible(scores):
+                    iterations.append(solve_multiplier(scores).iterations)
+    assert len(iterations) >= 700
+    assert np.mean(iterations) <= 8.0
 
 
 class TestWeights:
