@@ -46,7 +46,6 @@ from .models import (
     asym_logistic_spectral_density,
     cauchy_fullplane_model,
     cauchy_quadrant_model,
-    logistic_stdf,
     mixture_model,
     moment_sums,
     sample_logistic,
@@ -93,7 +92,6 @@ __all__ = [
     "empirical_spectral_measure",
     "empirical_spectral_prob",
     "integrated_squared_error",
-    "logistic_stdf",
     "lp_norm",
     "mele_spectral_measure",
     "mele_spectral_prob",

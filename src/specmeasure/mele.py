@@ -125,14 +125,20 @@ def solve_multiplier(scores, tol: float = SOLVER_TOL, max_iter: int = 200) -> Mu
 
     Safeguarded Newton iteration inside a shrinking sign bracket,
     warm-started at the first-order value mean(A) / mean(A^2).  The
-    returned root satisfies ``max(|Psi|, |mu Psi|) <= tol`` with the
-    final bracket narrower than ``h = 1e-14 * (1 + |mu|)`` (up to float
-    resolution).  Once a Newton step moves less than h / 2, the next
-    point is h / 2 past the iterate on the root's side (Brent's
-    tolerance step), so the bracket closes on the root there: about 6
-    evaluations of Psi are typical.  Both constraints are then met to
-    ``tol``: the weights give sum(w A) = Psi and sum(w) - 1 = -mu Psi,
-    so |Psi| alone leaves the mass unbounded when |mu| is large.
+    returned root satisfies ``max(|Psi|, |mu Psi|) <= tol``, and the
+    exact root of Psi lies within h + e of it: h = 1e-14 * (1 + |mu|)
+    is the width target of the final bracket, and e, about
+    eps * mean|t| / mean(t^2) with t = A / (1 + mu A), is the float
+    resolution of Psi (a rounding error of a few eps * mean|t| moves its
+    root by that over |Psi'| = mean(t^2)).  e is far below h for scores
+    of order one; it dominates when every score is tiny, where no float
+    solve places the root closer.  Once a Newton step moves less than
+    h / 2, the next point is h / 2 past the iterate on the root's side
+    (Brent's tolerance step), so the bracket closes on the root there:
+    about 6 evaluations of Psi are typical.  Both constraints are then
+    met to ``tol``: the weights give sum(w A) = Psi and
+    sum(w) - 1 = -mu Psi, so |Psi| alone leaves the mass unbounded when
+    |mu| is large.
 
     Raises
     ------

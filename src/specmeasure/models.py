@@ -15,12 +15,17 @@ order follows by one integration by parts,
 with rho = ||(sin, cos)||_p / ||(sin, cos)||_1.  The remaining integrand
 is bounded, so a fixed Gauss-Legendre table sums it; p = 2 and p = inf
 keep direct closed forms where a family has them.
+
+For exact ISEs each model samples its own cdf G once at the table's
+nodes, on first use, and keeps the antiderivatives of G and G**2 as one
+polynomial per panel (:meth:`SpectralModel.cdf_integrals`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -30,7 +35,6 @@ from .pseudo_obs import BivariateSample
 
 __all__ = [
     "SpectralModel",
-    "logistic_stdf",
     "asym_logistic_spectral_density",
     "asym_logistic_model",
     "sample_logistic",
@@ -60,8 +64,46 @@ _MID = _KNOTS[:-1] + _HALF
 _NODES = _MID[:, None] + _HALF[:, None] * _GL_NODES
 _WEIGHTS = _HALF[:, None] * _GL_WEIGHTS
 
-#: query points per block of a by-parts cdf, bounding the 17 x N series it gathers
+#: column n holds the power coefficients of the Legendre polynomial P_n
+_TO_POWER = np.zeros((17, 17))
+for _n, _k in ((n, k) for n in range(17) for k in range(n // 2 + 1)):
+    _TO_POWER[_n - 2 * _k, _n] = (-1) ** _k * math.comb(_n, _k) * math.comb(2 * _n - 2 * _k, _n) / 2**_n
+
+#: query points per block of a panel table, bounding the coefficients it gathers
 _CHUNK = 1024
+
+
+def _panel_antiderivatives(values) -> Callable:
+    """Antiderivatives from 0 of functions sampled at ``_NODES``.
+
+    ``values`` stacks one array shaped like ``_NODES`` per function.  On
+    each ``_KNOTS`` panel, the Legendre series through the 16 samples is
+    integrated from the left knot and kept as power coefficients in the
+    local variable x in [-1, 1]; prefix sums of the panel totals carry
+    it across panels.  Returns theta -> one row per function.
+    """
+    legendre = np.einsum("kj,fpj->kpf", _TO_LEGENDRE, values)
+    anti = _LEGENDRE.legint(legendre, lbnd=-1.0) * _HALF[:, None]
+    power = np.einsum("dk,kpf->pfd", _TO_POWER, anti, order="C")
+    # panel totals by the Gauss rule and prefix sums by exact summation,
+    # so that differences between nearby angles keep their digits
+    totals = (2.0 * legendre[0].T * _HALF).tolist()
+    table = np.array([[math.fsum(row[:i]) for i in range(len(row) + 1)] for row in totals]).T
+
+    def integrals(theta):
+        t = np.asarray(theta, dtype=float)
+        flat = t.reshape(-1)
+        out = np.empty((flat.size, len(totals)))
+        for lo in range(0, flat.size, _CHUNK):
+            q = flat[lo : lo + _CHUNK]
+            # panel index; the end panels take any point beyond them
+            i = np.searchsorted(_KNOTS[1:-1], q, side="right")
+            x = (q - _MID[i]) / _HALF[i]
+            local = np.einsum("nfd,nd->nf", power[i], np.vander(x, 17, increasing=True))
+            out[lo : lo + _CHUNK] = table[i] + local
+        return out.T.reshape((len(totals),) + t.shape)
+
+    return integrals
 
 
 @dataclass(frozen=True)
@@ -101,7 +143,7 @@ class SpectralModel:
     interior_density: Optional[Callable]
     sampler: Optional[Callable] = field(repr=False, default=None)
     default_ise_interval: tuple = (0.0, HALF_PI)
-    _interior_cdf: Callable = field(repr=False, default=None)
+    _interior_cdf: Callable = field(repr=False, default=np.zeros_like)
 
     @property
     def total_mass(self) -> float:
@@ -113,11 +155,6 @@ class SpectralModel:
         inner = ",".join(f"{k}={v:g}" for k, v in self.params.items())
         return f"{self.name}({inner})"
 
-    def _interior(self, theta: np.ndarray) -> np.ndarray:
-        if self._interior_cdf is None:
-            return np.zeros_like(theta)
-        return np.asarray(self._interior_cdf(theta), dtype=float)
-
     def cdf_continuous(self, theta):
         """Cumulative mass on [0, theta] excluding the atom at pi/2.
 
@@ -128,8 +165,19 @@ class SpectralModel:
         theta = np.asarray(theta, dtype=float)
         if theta.size and (theta.min() < 0.0 or theta.max() > HALF_PI + 1e-12):
             raise ValueError("angles must lie in [0, pi/2]")
-        out = self.atom_zero + self._interior(np.minimum(theta, HALF_PI))
+        out = self.atom_zero + self._interior_cdf(np.minimum(theta, HALF_PI))
         return float(out) if scalar else out
+
+    @cached_property
+    def cdf_integrals(self) -> Callable:
+        """theta -> integrals over [0, theta] of ``cdf_continuous`` (row 0)
+        and of its square (row 1), for theta in [0, pi/2]; built on first
+        use from the cdf at ``_NODES`` and kept on the model."""
+        if self.interior_density is None:
+            level = self.atom_zero
+            return lambda t: np.multiply.outer([level, level * level], t)
+        g = self.cdf_continuous(_NODES)
+        return _panel_antiderivatives([g, g * g])
 
     def cdf(self, theta):
         """Right-continuous cumulative mass on [0, theta], atoms included."""
@@ -173,29 +221,11 @@ def _by_parts_cdf(phi1: Callable, p: float) -> Callable:
     """Interior cdf under the norm order p from the sum-norm one, phi1.
 
     Phi_p = rho Phi_1 - int_0^theta rho' Phi_1.  The bounded integrand
-    is sampled once at the Gauss-Legendre nodes of every ``_KNOTS``
-    panel and kept as a degree-15 Legendre series per panel; the
-    integral to theta is the prefix sum of the panel totals plus the
-    series' antiderivative in the panel holding theta.
+    is sampled once at ``_NODES``, and the integral comes from its
+    panel antiderivatives.
     """
-    values = _norm_ratio(_NODES, p)[1] * phi1(_NODES)
-    # antiderivative from each panel's left knot, in the local variable x
-    anti = _LEGENDRE.legint(_TO_LEGENDRE @ values.T, lbnd=-1.0) * _HALF
-    table = np.concatenate([[0.0], np.cumsum(_LEGENDRE.legval(1.0, anti))])
-
-    def interior_cdf(theta):
-        t = np.asarray(theta, dtype=float)
-        flat = t.reshape(-1)
-        out = np.empty(flat.shape)
-        for lo in range(0, flat.size, _CHUNK):
-            q = flat[lo : lo + _CHUNK]
-            i = np.clip(np.searchsorted(_KNOTS, q, side="right") - 1, 0, _HALF.size - 1)
-            x = (q - _MID[i]) / _HALF[i]
-            integral = table[i] + _LEGENDRE.legval(x, anti[:, i], tensor=False)
-            out[lo : lo + _CHUNK] = _norm_ratio(q, p)[0] * phi1(q) - integral
-        return out.reshape(t.shape)
-
-    return interior_cdf
+    integral = _panel_antiderivatives([_norm_ratio(_NODES, p)[1] * phi1(_NODES)])
+    return lambda t: _norm_ratio(t, p)[0] * phi1(t) - integral(t)[0]
 
 
 def _sum_norm_arc(t):
@@ -229,24 +259,6 @@ def _arc_norm_cdf(p: float) -> Callable:
 
 # ---------------------------------------------------------------------------
 # asymmetric logistic family
-
-
-def logistic_stdf(x1, x2, r: float, psi1: float = 1.0, psi2: float = 1.0):
-    """Stable tail dependence function of the asymmetric logistic family.
-
-    l(x1, x2) = (1 - psi1) x1 + (1 - psi2) x2
-                + ((psi1 x1)**r + (psi2 x2)**r)**(1/r).
-
-    Homogeneous of order one; r = 1 or psi1 psi2 = 0 degenerates to
-    l = x1 + x2 (tail independence), while psi1 = psi2 = 1 and
-    r -> inf approaches complete dependence max(x1, x2).
-    """
-    r, psi1, psi2 = _check_logistic_params(r, psi1, psi2)
-    scalar = np.ndim(x1) == 0 and np.ndim(x2) == 0
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    out = (1.0 - psi1) * x1 + (1.0 - psi2) * x2 + lp_norm(psi1 * x1, psi2 * x2, r)
-    return float(out) if scalar else out
 
 
 def _check_logistic_params(r, psi1, psi2):
@@ -302,7 +314,9 @@ def _logistic_sum_norm_cdf(r: float, psi1: float, psi2: float) -> Callable:
     """Interior cdf of the asymmetric logistic measure under the sum norm.
 
     H([0, theta]) = 1 + A'(w) at w = sin / (sin + cos), with A the
-    Pickands function of :func:`logistic_stdf`.  With a = psi1 cos,
+    Pickands function of the stable tail dependence function
+    l(x1, x2) = (1 - psi1) x1 + (1 - psi2) x2 + ||(psi1 x1, psi2 x2)||_r.
+    With a = psi1 cos,
     b = psi2 sin and B = ||(a, b)||_r the interior part is
 
         psi1 (1 - (a / B)**(r-1)) + psi2 (b / B)**(r-1),

@@ -111,6 +111,26 @@ def ise_oracle(measure, truth_cdf, a: float, b: float) -> float:
     return total
 
 
+#: cut points of the split quadratures: the max-norm kink pi/4, and
+#: geometric steps toward both ends, where logistic cdfs with r < 2 have
+#: infinite slope
+_SPLITS = sorted(
+    [math.pi / 4]
+    + [t for eps in (1e-12, 1e-9, 1e-6, 1e-3) for t in (eps, math.pi / 2 - eps)]
+)
+
+
+def cdf_power_integral(cdf, theta: float, power: int) -> float:
+    """Integral of cdf(t)**power over [0, theta] by split library quadrature."""
+    edges = [0.0] + [t for t in _SPLITS if t < theta] + [theta]
+    return math.fsum(
+        integrate.quad(
+            lambda t: cdf(t) ** power, lo, hi, limit=200, epsabs=1e-15, epsrel=1e-13
+        )[0]
+        for lo, hi in zip(edges[:-1], edges[1:])
+    )
+
+
 def dkw_epsilon(n: int, alpha: float) -> float:
     """Uniform empirical-cdf deviation bound at confidence 1 - alpha."""
     return math.sqrt(math.log(2.0 / alpha) / (2.0 * n))

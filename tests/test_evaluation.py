@@ -21,6 +21,8 @@ from specmeasure.evaluation import (
 )
 from specmeasure.mele import ConstraintInfeasible, mele_spectral_measure
 from specmeasure.models import (
+    _NODES,
+    SpectralModel,
     asym_logistic_model,
     cauchy_quadrant_model,
     mixture_model,
@@ -82,12 +84,44 @@ class TestIntegratedSquaredError:
 
     def test_singular_truth_cdf(self):
         # logistic with 1 < r < 2 has unbounded density at the endpoints;
-        # the graded cells keep the quadrature honest there
+        # the integral tables of the truth cdf are graded toward both
         model = asym_logistic_model(1.5, p=1.0)
         est = atoms([QUARTER_PI], [2.0])
         val = integrated_squared_error(est, model, 0.0, HALF_PI)
         ref = ise_oracle(est, model.cdf_continuous, 0.0, HALF_PI)
         assert val == pytest.approx(ref, abs=1e-8)
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            cauchy_quadrant_model(3.0),
+            mixture_model(0.5, p=2.5),
+            cauchy_quadrant_model(math.inf),
+            asym_logistic_model(1.5, p=3.0),
+        ],
+        ids=["cauchy-p3", "mixture-p2.5", "cauchy-pinf", "logistic-r1.5-p3"],
+    )
+    def test_by_parts_and_max_norm_truths_match_oracle(self, model):
+        a, b = model.default_ise_interval
+        for seed in range(3):
+            sample = model.sample(300, np.random.default_rng(seed))
+            ang = select_extremes(pseudo_observations(sample), 30, model.p)
+            for est in [empirical_spectral_measure(ang), mele_spectral_measure(ang)]:
+                val = integrated_squared_error(est, model, a, b)
+                ref = ise_oracle(est, model.cdf_continuous, a, b)
+                assert val == pytest.approx(ref, abs=1e-9)
+
+    def test_infinite_truth_slope_just_outside_a_cell(self):
+        # the first atom sits 0.0045 from 0, so the next cell, 0.21 wide,
+        # ends close to the infinite slope of the truth at 0; a Gauss rule
+        # on that cell alone lost 2e-8 of the error, the tables lose none
+        model = asym_logistic_model(1.5, p=3.0)
+        sample = model.sample(1000, np.random.default_rng([7, 17]))
+        est = empirical_spectral_measure(select_extremes(pseudo_observations(sample), 10, 3.0))
+        assert est.angles[0] < 0.005 < 0.2 < est.angles[1]
+        val = integrated_squared_error(est, model, 0.0, HALF_PI)
+        ref = ise_oracle(est, model.cdf_continuous, 0.0, HALF_PI)
+        assert val == pytest.approx(ref, rel=1e-12)
 
     def test_norm_order_mismatch(self):
         est = atoms([QUARTER_PI], [1.0], p=2.0)
@@ -259,6 +293,20 @@ class TestMiseSweep:
             mise_sweep(model, 100, 2, [10], interval=(1.2, 0.3), seed=0)
         with pytest.raises(ValueError, match="sampler"):
             mise_sweep(asym_logistic_model(2.0, psi1=0.5), 100, 2, [10], seed=0)
+
+    def test_truth_cdf_sampled_once(self, monkeypatch):
+        # the integral tables sample the truth once, at the table nodes;
+        # no replication or k evaluates it again
+        calls = []
+        original = SpectralModel.cdf_continuous
+
+        def counted(self, theta):
+            calls.append(np.shape(theta))
+            return original(self, theta)
+
+        monkeypatch.setattr(SpectralModel, "cdf_continuous", counted)
+        mise_sweep(cauchy_quadrant_model(3.0), 200, 3, [10, 20, 40], seed=5)
+        assert calls == [_NODES.shape]
 
     def test_matching_norm_order_accepted(self):
         model = cauchy_quadrant_model(2.0)

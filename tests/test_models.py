@@ -8,11 +8,11 @@ from scipy import integrate
 
 from specmeasure.lp_geometry import lp_norm
 from specmeasure.models import (
+    _CHUNK,
     asym_logistic_model,
     asym_logistic_spectral_density,
     cauchy_fullplane_model,
     cauchy_quadrant_model,
-    logistic_stdf,
     mixture_model,
     moment_sums,
     sample_logistic,
@@ -21,6 +21,7 @@ from specmeasure.models import (
 from oracles import (
     cauchy_fullplane_margin_cdf,
     cauchy_quadrant_margin_cdf,
+    cdf_power_integral,
     dkw_epsilon,
     frechet_cdf,
     pareto_cdf,
@@ -28,38 +29,6 @@ from oracles import (
 
 HALF_PI = math.pi / 2
 QUARTER_PI = math.pi / 4
-
-
-class TestLogisticStdf:
-    def test_independence_at_r_one(self):
-        assert logistic_stdf(2.0, 3.0, 1.0) == pytest.approx(5.0, rel=1e-15)
-
-    def test_symmetric_r_two(self):
-        assert logistic_stdf(1.0, 1.0, 2.0) == pytest.approx(math.sqrt(2.0), rel=1e-15)
-
-    def test_vanishing_weight_degenerates(self):
-        # psi1 = 0 empties the joint term's first slot:
-        # l = x1 + (1 - psi2) x2 + psi2 x2 = x1 + x2
-        assert logistic_stdf(2.0, 3.0, 4.0, psi1=0.0, psi2=0.7) == pytest.approx(
-            5.0, rel=1e-14
-        )
-
-    def test_homogeneity(self):
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            x, y, c = rng.uniform(0.2, 5.0, size=3)
-            assert logistic_stdf(c * x, c * y, 3.0, 0.8, 0.6) == pytest.approx(
-                c * logistic_stdf(x, y, 3.0, 0.8, 0.6), rel=1e-13
-            )
-
-    def test_bounds(self):
-        # max(x, y) <= l(x, y) <= x + y for any valid parameters
-        rng = np.random.default_rng(10)
-        for _ in range(50):
-            x, y = rng.uniform(0.1, 4.0, size=2)
-            r = rng.uniform(1.0, 8.0)
-            val = logistic_stdf(x, y, r)
-            assert max(x, y) - 1e-12 <= val <= x + y + 1e-12
 
 
 class TestLogisticDensity:
@@ -423,6 +392,59 @@ class TestExactCdfs:
         model = asym_logistic_model(1.2, psi1=0.7, psi2=0.9, p=1.0)
         assert model.cdf_continuous(0.0) == 1.0 - 0.9
         assert model.cdf_continuous(HALF_PI) == pytest.approx(2.0 - 0.3, abs=1e-15)
+
+
+FAMILIES = {
+    "cauchy-quadrant": cauchy_quadrant_model,
+    "cauchy-fullplane": cauchy_fullplane_model,
+    "logistic-r1.5": lambda p: asym_logistic_model(1.5, p=p),
+    "logistic-asym": lambda p: asym_logistic_model(3.0, psi1=0.7, psi2=0.9, p=p),
+    "mixture": lambda p: mixture_model(0.5, p=p),
+}
+
+#: the ends, pi/4 and points 1e-12 from each of them
+INTEGRAL_ANGLES = [
+    0.0,
+    1e-12,
+    0.3,
+    QUARTER_PI - 1e-12,
+    QUARTER_PI,
+    QUARTER_PI + 1e-12,
+    1.2,
+    HALF_PI - 1e-12,
+    HALF_PI,
+]
+
+
+class TestCdfIntegrals:
+    """Antiderivative tables of the truth cdf G and of G**2."""
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 2.5, 3.0, math.inf])
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_matches_split_quadrature(self, family, p):
+        model = FAMILIES[family](p)
+        got = model.cdf_integrals(np.array(INTEGRAL_ANGLES))
+        want = [
+            [cdf_power_integral(model.cdf_continuous, theta, power) for theta in INTEGRAL_ANGLES]
+            for power in (1, 2)
+        ]
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("model", [mixture_model(0.0), asym_logistic_model(1.0)])
+    def test_purely_atomic_model_is_exact(self, model):
+        theta = np.array([0.0, 0.1, 1.0, HALF_PI])
+        np.testing.assert_array_equal(model.cdf_integrals(theta), [theta, theta])
+
+    def test_long_query_equals_per_point_bitwise(self):
+        model = mixture_model(0.5, p=2.5)
+        theta = np.random.default_rng(4).uniform(0.0, HALF_PI, 2 * _CHUNK + 77)
+        per_point = np.array([model.cdf_integrals(t) for t in theta]).T
+        assert np.array_equal(model.cdf_integrals(theta), per_point)
+
+    def test_shape_follows_theta(self):
+        model = cauchy_quadrant_model(3.0)
+        assert model.cdf_integrals(0.3).shape == (2,)
+        assert model.cdf_integrals(np.full((3, 4), 0.3)).shape == (2, 3, 4)
 
 
 class TestCdfValidation:
