@@ -14,7 +14,6 @@ from .empirical import (
     AngularSample,
     DiscreteSpectralMeasure,
     empirical_spectral_measure,
-    empirical_spectral_prob,
     select_extremes,
 )
 from .evaluation import (
@@ -27,8 +26,6 @@ from .lp_geometry import (
     check_norm_order,
     lp_norm,
     score_f,
-    x_boundary,
-    y_curve,
 )
 from .mele import (
     ConstraintInfeasible,
@@ -90,7 +87,6 @@ __all__ = [
     "check_norm_order",
     "column_ranks",
     "empirical_spectral_measure",
-    "empirical_spectral_prob",
     "integrated_squared_error",
     "lp_norm",
     "mele_spectral_measure",
@@ -111,6 +107,4 @@ __all__ = [
     "spectral_normalizer",
     "spectral_to_H",
     "write_sample",
-    "x_boundary",
-    "y_curve",
 ]

@@ -311,6 +311,8 @@ def _cmd_benchmark(args) -> int:
         f"k grid = {k[0]}:{k[-1]}:{step}",
         f"seed = {table.seed}",
         f"infeasible mele fits = {int(table.infeasible.sum())}",
+        f"solver max evaluations = {table.max_evaluations}",
+        f"solver max residual = {format_value(table.max_residual)}",
     ])
     plot = (
         f'plot "{args.output}" using 1:(strcol(2) eq "empirical" ? $3 : 1/0) '

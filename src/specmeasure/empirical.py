@@ -24,7 +24,6 @@ __all__ = [
     "DiscreteSpectralMeasure",
     "select_extremes",
     "empirical_spectral_measure",
-    "empirical_spectral_prob",
 ]
 
 
@@ -32,20 +31,11 @@ __all__ = [
 class AngularSample:
     """Angles and scores of the observations selected as extreme.
 
-    Attributes
-    ----------
-    indices : np.ndarray
-        0-based row indices of the members, increasing.
-    angles : np.ndarray
-        Pseudo-angles arctan(u2 / u1), open interval (0, pi/2).
-    scores : np.ndarray
-        Moment scores f(angle) under the same norm order.
-    k : int
-        Tail sample fraction parameter, 1 <= k <= n.
-    p : float
-        Norm order used for selection and scores.
-    n : int
-        Size of the originating sample.
+    ``indices`` are the 0-based member rows, increasing, ``angles`` their
+    pseudo-angles arctan(u2 / u1) in (0, pi/2) and ``scores`` their moment
+    scores f(angle) under the norm order ``p`` of the selection; ``k`` is
+    the tail sample fraction parameter, 1 <= k <= n, of a sample of size
+    ``n``.
     """
 
     indices: np.ndarray
@@ -63,9 +53,16 @@ class AngularSample:
 def _merge_duplicates(locations, weights) -> tuple[np.ndarray, np.ndarray]:
     """Sorted distinct atom locations and the summed weight at each."""
     uniq, inverse = np.unique(np.asarray(locations, dtype=float), return_inverse=True)
-    merged = np.zeros(uniq.size)
-    np.add.at(merged, inverse, np.asarray(weights, dtype=float))
+    merged = np.bincount(inverse, np.asarray(weights, dtype=float), minlength=uniq.size)
     return uniq, merged
+
+
+def _moment_rows(angles: np.ndarray, weights: np.ndarray, p: float):
+    """Sums of sin/||.||_p and cos/||.||_p against each row of weights."""
+    s = np.sin(angles)
+    c = np.cos(angles)
+    norm = lp_norm(s, c, p)
+    return np.sum(weights * s / norm, axis=1), np.sum(weights * c / norm, axis=1)
 
 
 class _AtomCore:
@@ -138,18 +135,14 @@ class DiscreteSpectralMeasure(_AtomCore):
 
     def moment_sums(self) -> tuple[float, float]:
         """Sums of sin/||.||_p and cos/||.||_p atom contributions."""
-        s = np.sin(self.angles)
-        c = np.cos(self.angles)
-        norm = lp_norm(s, c, self.p)
-        sin_sum = float(np.sum(self.weights * s / norm))
-        cos_sum = float(np.sum(self.weights * c / norm))
-        return sin_sum, cos_sum
+        sin_sum, cos_sum = _moment_rows(self.angles, self.weights[None], self.p)
+        return float(sin_sum[0]), float(cos_sum[0])
 
     def scaled(self, factor: float) -> "DiscreteSpectralMeasure":
         return replace(self, weights=self.weights * factor)
 
 
-# Relative half-width of the band around n/k in which select_extremes
+# Relative half-width of the band around n/k in which the selection rule
 # decides integer-p and max-norm membership exactly; outside it the float
 # rule is certain.  With eps = 2**-53, u = m/n and 1/u carry 2 eps each; in
 # lp_norm the ratio lo/hi carries 5 eps, its p-th power p times that, and
@@ -158,6 +151,68 @@ class DiscreteSpectralMeasure(_AtomCore):
 # against 200-bit arithmetic: at most 3.3e-16 for p in [1, 1000], n <= 1e6.
 # 1e-12 leaves over 700x headroom on the bound.
 MARGIN = 1e-12
+
+
+class _TailGrid:
+    """The extremes of one sample at every k of a grid: ``union`` holds
+    the members at the largest k, which contain those at every smaller k
+    (n/k falls as k grows), row i of ``member`` marks the members at
+    ``ks[i]`` and ``atoms`` are the distinct union angles."""
+
+    def __init__(self, union: AngularSample, ks: np.ndarray, member: np.ndarray):
+        self.union, self.ks, self.member = union, ks, member
+        self.atoms, inverse = np.unique(union.angles, return_inverse=True)
+        rows, cols = np.nonzero(member)
+        self._pairs = (rows, cols, rows * self.atoms.size + inverse[cols])
+
+    @classmethod
+    def of(cls, ang: AngularSample) -> "_TailGrid":
+        """The one-row grid of a single angular sample."""
+        return cls(ang, np.array([ang.k]), np.ones((1, ang.n_members), dtype=bool))
+
+    def per_atom(self, weights) -> np.ndarray:
+        """Member weights (broadcast to ``member``'s shape) summed per atom
+        in member order: a row of atom weights per k, 0 off the row."""
+        rows, cols, bins = self._pairs
+        shape = (self.ks.size, self.atoms.size)
+        values = np.broadcast_to(weights, self.member.shape)[rows, cols]
+        return np.bincount(bins, values, minlength=shape[0] * shape[1]).reshape(shape)
+
+
+def _select(pobs: PseudoObservations, ks, p: float) -> _TailGrid:
+    """The rule of :func:`select_extremes` at every k of ``ks`` at once:
+    one L_p norm per row serves every k, only rows at or above the lowest
+    threshold's band can be members, and the (k, row) pairs within
+    ``MARGIN`` of their n/k are decided exactly."""
+    p = check_norm_order(p)
+    n = pobs.n
+    for k in np.ravel(ks).tolist():
+        if not (float(k).is_integer() and 1 <= k <= n):
+            raise ValueError(f"k must be an integer with 1 <= k <= n = {n}, got {k!r}")
+    ks = np.asarray(ks, dtype=np.int64)
+    u1, u2 = pobs.u.T
+    norm = lp_norm(1.0 / u1, 1.0 / u2, p)
+    threshold = (n / ks)[:, None]
+    rows = np.flatnonzero(norm >= (1.0 - 2.0 * MARGIN) * threshold.min())
+    norm = norm[rows]
+    member = norm >= threshold
+    if math.isinf(p) or p.is_integer():
+        i, j = np.nonzero(np.abs(norm - threshold) <= MARGIN * threshold)
+        # rounding recovers m exactly: the float error of (m / n) * n is
+        # far below 1/2
+        m1, m2 = np.rint(pobs.u[rows[j]].T * n).astype(np.int64)
+        # for p > k the integer rule is the max-norm rule: a term (k/m)^p is
+        # >= 1 when m <= k and at most (k/(k+1))^(k+1) < 1/e when m > k
+        q = int(p) if p <= ks.max() else None
+        member[i, j] = [
+            min(a, b) <= k if p > k else k**q * (a**q + b**q) >= (a * b) ** q
+            for k, a, b in zip(ks[i].tolist(), m1.tolist(), m2.tolist())
+        ]
+    keep = np.any(member, axis=0)
+    indices = rows[keep]
+    angles = np.arctan(u2[indices] / u1[indices])
+    union = AngularSample(indices, angles, score_f(angles, p), k=int(ks.max()), p=p, n=n)
+    return _TailGrid(union, ks, member[:, keep])
 
 
 def select_extremes(pobs: PseudoObservations, k: int, p: float) -> AngularSample:
@@ -170,46 +225,18 @@ def select_extremes(pobs: PseudoObservations, k: int, p: float) -> AngularSample
     are decided again from their integer ranks m = n*u:
     ``min(m1, m2) <= k`` for the max norm and for p > k, where it is
     exact, and ``k^p (m1^p + m2^p) >= (m1 m2)^p`` in Python integers
-    otherwise.
+    otherwise.  A Monte Carlo replication applies it to its whole k grid
+    at once; this is the one-k case.
 
     At least one observation is always selected (the rank-n row in
     either column qualifies for every k >= 1).
     """
-    p = check_norm_order(p)
-    if not float(k).is_integer():
-        raise ValueError(f"k must be an integer, got {k!r}")
-    k = int(k)
-    n = pobs.n
-    if not 1 <= k <= n:
-        raise ValueError(f"k must satisfy 1 <= k <= n = {n}, got {k}")
-    u1 = pobs.u[:, 0]
-    u2 = pobs.u[:, 1]
-    norm = lp_norm(1.0 / u1, 1.0 / u2, p)
-    member = norm >= n / k
-    if math.isinf(p) or p.is_integer():
-        near = np.flatnonzero(np.abs(norm - n / k) <= MARGIN * (n / k))
-        # rounding recovers m exactly: the float error of (m / n) * n is
-        # far below 1/2
-        m1 = np.rint(u1[near] * n).astype(np.int64).tolist()
-        m2 = np.rint(u2[near] * n).astype(np.int64).tolist()
-        # for p > k the integer rule is the max-norm rule: a term (k/m)^p is
-        # >= 1 when m <= k and at most (k/(k+1))^(k+1) < 1/e when m > k
-        if math.isinf(p) or p > k:
-            member[near] = [min(a, b) <= k for a, b in zip(m1, m2)]
-        else:
-            q = int(p)
-            member[near] = [k**q * (a**q + b**q) >= (a * b) ** q for a, b in zip(m1, m2)]
-    indices = np.flatnonzero(member)
-    angles = np.arctan(u2[indices] / u1[indices])
-    scores = score_f(angles, p)
-    return AngularSample(
-        indices=indices,
-        angles=angles,
-        scores=np.asarray(scores, dtype=float),
-        k=k,
-        p=p,
-        n=n,
-    )
+    return _select(pobs, [k], p).union
+
+
+def _empirical_rows(grid: _TailGrid) -> np.ndarray:
+    """Atom weights of the raw estimate at every k of the grid."""
+    return grid.per_atom(1.0 / grid.ks[:, None])
 
 
 def empirical_spectral_measure(ang: AngularSample) -> DiscreteSpectralMeasure:
@@ -218,13 +245,5 @@ def empirical_spectral_measure(ang: AngularSample) -> DiscreteSpectralMeasure:
     Total mass N/k is free and generally differs from the mass of a
     genuine spectral measure; the moment constraints are not enforced.
     """
-    w = np.full(ang.n_members, 1.0 / ang.k)
-    return DiscreteSpectralMeasure.from_atoms(ang.angles, w, ang.p)
-
-
-def empirical_spectral_prob(ang: AngularSample) -> DiscreteSpectralMeasure:
-    """Empirical angular probability measure: mass 1/N at every member angle."""
-    if ang.n_members == 0:
-        raise ValueError("angular sample has no members")
-    w = np.full(ang.n_members, 1.0 / ang.n_members)
-    return DiscreteSpectralMeasure.from_atoms(ang.angles, w, ang.p)
+    grid = _TailGrid.of(ang)
+    return DiscreteSpectralMeasure(grid.atoms, _empirical_rows(grid)[0], ang.p)

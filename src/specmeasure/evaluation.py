@@ -15,12 +15,8 @@ from typing import IO, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .empirical import (
-    DiscreteSpectralMeasure,
-    empirical_spectral_measure,
-    select_extremes,
-)
-from .mele import ConstraintInfeasible, mele_spectral_measure
+from .empirical import DiscreteSpectralMeasure, _empirical_rows, _select
+from .mele import _mele_rows
 from .models import HALF_PI, SpectralModel
 from .pseudo_obs import format_value, pseudo_observations
 
@@ -47,8 +43,8 @@ def integrated_squared_error(
     the model cdf G and of G**2 (``model.cdf_integrals``), the error is
     exactly sum w_j (c_j - Gbar_j)**2 + sum (dIG2_j - w_j Gbar_j**2),
     where dIG_j, dIG2_j are their increments over the cell and
-    Gbar_j = dIG_j / w_j.  The second sum depends on the atoms only, so
-    both estimators at a k, which share atoms, are scored in one pass.
+    Gbar_j = dIG_j / w_j.  The second sum depends on the cells only, so a
+    replication scores all its estimates on one set of cells at once.
     """
     return _integrated_squared_errors([estimate], model, a, b)[0]
 
@@ -60,10 +56,6 @@ def _integrated_squared_errors(
     b: float,
 ) -> list[float]:
     """One ``integrated_squared_error`` per estimate; all must share atoms."""
-    a = float(a)
-    b = float(b)
-    if not (0.0 <= a < b <= HALF_PI):
-        raise ValueError(f"invalid angle interval ({a}, {b})")
     atoms = estimates[0].angles
     for estimate in estimates:
         if estimate.p != model.p:
@@ -72,13 +64,31 @@ def _integrated_squared_errors(
             )
         if not np.array_equal(estimate.angles, atoms):
             raise ValueError("estimates sharing one partition must have the same atoms")
-    # atoms are strictly increasing, so the edges are too
+    return _ise_rows(atoms, np.array([e.weights for e in estimates]), model, a, b).tolist()
+
+
+def _ise_rows(atoms: np.ndarray, weights: np.ndarray, model: SpectralModel, a, b) -> np.ndarray:
+    """ISE over (a, b) of the step cdf of each row of atom weights on the
+    strictly increasing ``atoms``; a zero weight leaves its cell's step
+    unchanged, so the rows may be estimates on any subsets of the atoms."""
+    a = float(a)
+    b = float(b)
+    if not (0.0 <= a < b <= HALF_PI):
+        raise ValueError(f"invalid angle interval ({a}, {b})")
     edges = np.concatenate([[a], atoms[(atoms > a) & (atoms < b)], [b]])
     width = np.diff(edges)
     ig, ig2 = np.diff(model.cdf_integrals(edges), axis=1)
     mean = ig / width
     spread = float(np.sum(ig2 - ig * mean))
-    return [float(np.sum(width * (e.cdf(edges[:-1]) - mean) ** 2)) + spread for e in estimates]
+    steps = np.zeros((len(weights), atoms.size + 1))
+    np.cumsum(weights, axis=1, out=steps[:, 1:])
+    # take keeps rows contiguous, so each row sums as one 1-d array would;
+    # the squared gap is formed in place, as a grid has 2 K rows
+    cdf = np.take(steps, np.searchsorted(atoms, edges[:-1], side="right"), axis=1)
+    cdf -= mean
+    cdf *= cdf
+    cdf *= width
+    return np.sum(cdf, axis=1) + spread
 
 
 @dataclass(frozen=True)
@@ -87,7 +97,8 @@ class MiseTable:
 
     Column arrays are indexed ``[k_index, estimator_index]`` with
     estimator order ``("empirical", "mele")``.  Infeasible MELE
-    replications are excluded from the mean and counted.
+    replications are excluded from the mean and counted.  The solver
+    maxima are over the feasible MELE fits (0 and NaN without one).
     """
 
     model: str
@@ -100,6 +111,8 @@ class MiseTable:
     mise: np.ndarray
     stderr: np.ndarray
     infeasible: np.ndarray
+    max_evaluations: int
+    max_residual: float
 
     HEADER = "k,estimator,mise,stderr,infeasible_count"
 
@@ -149,31 +162,26 @@ def replication_ise(
     interval: tuple,
     seed: int,
     rep: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    *,
+    diagnostics: bool = False,
+) -> tuple[np.ndarray, ...]:
     """ISEs of one replication: arrays (empirical, mele, infeasible flags).
 
     The replication stream is derived from (seed, rep) only; the mele
-    entry is NaN where the moment constraint was infeasible.
+    entry is NaN where the moment constraint was infeasible.  One pass
+    serves the whole grid: one selection, each estimator as one row of
+    weights per k over the distinct angles of all members, one row-wise
+    solve, and one partition at those angles, which refines each k's own,
+    so the ISEs are those of the per-k estimates up to rounding.  With
+    ``diagnostics`` the MELE solutions follow (``None`` where infeasible).
     """
-    rng = np.random.default_rng([int(seed), int(rep)])
-    sample = model.sample(n, rng)
-    pobs = pseudo_observations(sample)
-    a, b = interval
-    emp = np.empty(len(k_grid))
-    mel = np.full(len(k_grid), np.nan)
-    infeasible = np.zeros(len(k_grid), dtype=bool)
-    for i, k in enumerate(k_grid):
-        ang = select_extremes(pobs, int(k), model.p)
-        estimates = [empirical_spectral_measure(ang)]
-        try:
-            estimates.append(mele_spectral_measure(ang))
-        except ConstraintInfeasible:
-            infeasible[i] = True
-        ises = _integrated_squared_errors(estimates, model, a, b)
-        emp[i] = ises[0]
-        if not infeasible[i]:
-            mel[i] = ises[1]
-    return emp, mel, infeasible
+    sample = model.sample(n, np.random.default_rng([int(seed), int(rep)]))
+    grid = _select(pseudo_observations(sample), k_grid, model.p)
+    solutions, q, m = _mele_rows(grid)
+    weights = np.concatenate([_empirical_rows(grid), q * (1.0 / m)[:, None]])
+    ises = _ise_rows(grid.atoms, weights, model, *interval)
+    result = (ises[: len(solutions)], ises[len(solutions) :], np.isnan(m))
+    return result + (solutions,) if diagnostics else result
 
 
 def mise_sweep(
@@ -189,8 +197,8 @@ def mise_sweep(
     """Monte Carlo MISE table for both estimators over a k grid.
 
     Each replication draws a fresh sample from the model, computes both
-    estimators at every k and records ISEs over ``interval`` (the
-    model's default interval when omitted).  ``p``, when given, must
+    estimators at every k in one pass and records ISEs over ``interval``
+    (the model's default interval when omitted).  ``p``, when given, must
     match the model's norm order; it exists to make call sites explicit.
     """
     if not model.has_sampler:
@@ -199,26 +207,24 @@ def mise_sweep(
         raise ValueError(f"norm order mismatch: model has p = {model.p}, requested {p}")
     if replications < 1:
         raise ValueError("need at least one replication")
-    k_grid = np.asarray(k_grid, dtype=np.int64)
+    k_grid = np.asarray(k_grid)
     if k_grid.ndim != 1 or k_grid.size == 0:
         raise ValueError("k grid must be a nonempty 1-d sequence of integers")
-    if k_grid.min() < 1 or k_grid.max() > n:
-        raise ValueError(f"every k must satisfy 1 <= k <= n = {n}")
-    if interval is None:
-        interval = model.default_ise_interval
-    a, b = float(interval[0]), float(interval[1])
-    if not (0.0 <= a < b <= HALF_PI):
-        raise ValueError(f"invalid angle interval ({a}, {b})")
+    # each k (an integer in [1, n]) and the interval are checked by the first replication
+    a, b = map(float, model.default_ise_interval if interval is None else interval)
 
     nk = k_grid.size
-    emp = np.empty((replications, nk))
-    mel = np.empty((replications, nk))
+    emp, mel = np.empty((2, replications, nk))
+    fits = np.empty((replications, nk, 2))  # Psi evaluations and residual, NaN if infeasible
     for rep in range(replications):
-        emp[rep], mel[rep], _ = replication_ise(model, n, k_grid, (a, b), seed, rep)
+        emp[rep], mel[rep], _, solutions = replication_ise(
+            model, n, k_grid, (a, b), seed, rep, diagnostics=True
+        )
+        fits[rep] = [(s.iterations, s.residual) if s else (math.nan, math.nan) for s in solutions]
 
     feasible = ~np.isnan(mel)
     counts = feasible.sum(axis=0)
-    mise = np.empty((nk, 2))
+    mise = np.full((nk, 2), math.nan)
     stderr = np.zeros((nk, 2))
     infeasible = np.zeros((nk, 2), dtype=np.int64)
     mise[:, 0] = emp.mean(axis=0)
@@ -228,7 +234,6 @@ def mise_sweep(
         vals = mel[feasible[:, i], i]
         infeasible[i, 1] = replications - counts[i]
         if counts[i] == 0:
-            mise[i, 1] = math.nan
             continue
         mise[i, 1] = vals.mean()
         if counts[i] > 1:
@@ -238,10 +243,12 @@ def mise_sweep(
         n=int(n),
         replications=int(replications),
         p=float(model.p),
-        k_grid=k_grid,
+        k_grid=k_grid.astype(np.int64),
         interval=(a, b),
         seed=int(seed),
         mise=mise,
         stderr=stderr,
         infeasible=infeasible,
+        max_evaluations=int(np.fmax.reduce(fits[..., 0], axis=None, initial=0)),
+        max_residual=float(np.fmax.reduce(fits[..., 1], axis=None)),
     )

@@ -17,16 +17,10 @@ import math
 import numpy as np
 
 __all__ = [
-    "NormOrder",
     "check_norm_order",
     "lp_norm",
     "score_f",
-    "y_curve",
-    "x_boundary",
 ]
-
-# Norm order: a float in [1, inf]; math.inf is the exact max-norm case.
-NormOrder = float
 
 _QUARTER_PI = math.pi / 4.0
 _HALF_PI = math.pi / 2.0
@@ -98,51 +92,4 @@ def score_f(theta, p: float):
     # at pi/2; pin both symmetry points to their exact scores
     out = np.where(theta == _QUARTER_PI, 0.0, out)
     out = np.where(theta == _HALF_PI, 1.0, out)
-    return _maybe_scalar(out, scalar)
-
-
-def y_curve(x, p: float):
-    """Second coordinate of the L_p unit-level curve at first coordinate x.
-
-    Solves ``||(1/x, 1/y)||_p = 1`` for y:
-
-    * x < 1: no solution, returns ``inf``;
-    * finite p, x = 1: ``inf``;
-    * finite p, x > 1: ``(1 + 1/(x**p - 1))**(1/p)``;
-    * p = inf, x >= 1: 1.
-    """
-    p = check_norm_order(p)
-    scalar = np.ndim(x) == 0
-    x = np.asarray(x, dtype=float)
-    out = np.full(x.shape, np.inf)
-    if math.isinf(p):
-        np.putmask(out, x >= 1.0, 1.0)
-        return _maybe_scalar(out, scalar)
-    mask = x >= 1.0
-    if np.any(mask):
-        xm = x[mask]
-        with np.errstate(divide="ignore", over="ignore"):
-            # t = x**(-p) in (0, 1]; y = (1 - t)**(-1/p), stable for x near 1
-            # and for huge x**p (t underflows to 0, y -> 1)
-            t = np.exp(-p * np.log(xm))
-            ym = np.exp(-np.log1p(-t) / p)
-        out[mask] = ym
-    return _maybe_scalar(out, scalar)
-
-
-def x_boundary(theta, p: float):
-    """First coordinate where the ray at angle ``theta`` exits the unit level set.
-
-    Equals ``||(1, cot(theta))||_p`` for theta in (0, pi/2]; the limit
-    ``inf`` is returned at theta = 0.  Satisfies
-    ``y_curve(x_boundary(theta)) = x_boundary(theta) * tan(theta)``
-    wherever both sides are finite.
-    """
-    p = check_norm_order(p)
-    scalar = np.ndim(theta) == 0
-    theta = np.asarray(theta, dtype=float)
-    with np.errstate(divide="ignore"):
-        cot = np.cos(theta) / np.sin(theta)
-    out = lp_norm(np.ones_like(theta), cot, p)
-    out = np.where(theta == 0.0, np.inf, out)
     return _maybe_scalar(out, scalar)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .empirical import AngularSample, DiscreteSpectralMeasure, _merge_duplicates
+from .empirical import AngularSample, DiscreteSpectralMeasure, _moment_rows, _TailGrid
 
 __all__ = [
     "ConstraintInfeasible",
@@ -92,8 +92,10 @@ def _check_scores(scores) -> np.ndarray:
     return a
 
 
-def _psi_raw(mu: float, a: np.ndarray) -> float:
-    return float(np.mean(a / (1.0 + mu * a)))
+def _psi_rows(mu: np.ndarray, a: np.ndarray, count) -> tuple[np.ndarray, np.ndarray]:
+    """Psi and its slope at mu[i] for each zero-padded row a[i] of count[i] scores."""
+    t = a / (1.0 + mu[:, None] * a)
+    return np.sum(t, axis=1) / count, -np.sum(t * t, axis=1) / count
 
 
 def psi(mu: float, scores) -> float:
@@ -107,17 +109,7 @@ def psi(mu: float, scores) -> float:
     a = _check_scores(scores)
     if np.any(1.0 + mu * a <= 0.0):
         raise ValueError(f"mu = {mu!r} leaves the weight positivity domain")
-    return _psi_raw(mu, a)
-
-
-def _psi_slope(mu: float, a: np.ndarray) -> float:
-    t = a / (1.0 + mu * a)
-    return -float(np.mean(t * t))
-
-
-def _constraint_error(mu: float, value: float) -> float:
-    """Larger of the moment error |Psi| and the mass error |mu Psi|."""
-    return abs(value) * max(1.0, abs(mu))
+    return float(_psi_rows(np.array([mu], dtype=float), a[None], a.size)[0][0])
 
 
 def solve_multiplier(scores, tol: float = SOLVER_TOL, max_iter: int = 200) -> MultiplierSolution:
@@ -138,7 +130,7 @@ def solve_multiplier(scores, tol: float = SOLVER_TOL, max_iter: int = 200) -> Mu
     about 6 evaluations of Psi are typical.  Both constraints are then
     met to ``tol``: the weights give sum(w A) = Psi and
     sum(w) - 1 = -mu Psi, so |Psi| alone leaves the mass unbounded when
-    |mu| is large.
+    |mu| is large.  This is the one-row case of the row-wise solve.
 
     Raises
     ------
@@ -146,86 +138,96 @@ def solve_multiplier(scores, tol: float = SOLVER_TOL, max_iter: int = 200) -> Mu
         If the scores do not straddle zero (no interior root exists).
     """
     a = _check_scores(scores)
-    smin = float(a.min())
-    smax = float(a.max())
-    if smin == 0.0 and smax == 0.0:
-        return MultiplierSolution(0.0, 0.0, 0, (-math.inf, math.inf))
-    if smin >= 0.0 or smax <= 0.0:
+    solution = _solve_rows(a[None], np.array([a.size]), tol, max_iter)[0]
+    if solution is None:
         raise ConstraintInfeasible(a)
-    lo = -1.0 / smax
-    hi = -1.0 / smin
-    evals = 0
+    return solution
 
-    def f(mu: float) -> float:
-        nonlocal evals
-        evals += 1
-        return _psi_raw(mu, a)
 
-    f0 = f(0.0)
-    if f0 == 0.0:
-        return MultiplierSolution(0.0, 0.0, evals, (lo, hi))
+def _solve_rows(a: np.ndarray, count: np.ndarray, tol: float = SOLVER_TOL, max_iter: int = 200):
+    """:func:`solve_multiplier` on every row of ``a`` at once, each row
+    with its own bracket, iterate and stop rule; rows are padded as in
+    :func:`_psi_rows`, and a padding zero leaves a row's sign test and
+    feasible interval as they are.  ``None`` marks a row whose scores do
+    not straddle zero."""
+    smin, smax = a.min(axis=1), a.max(axis=1)
+    zero = (smin == 0.0) & (smax == 0.0)
+    with np.errstate(divide="ignore"):
+        lo = np.where(zero, -math.inf, -1.0 / smax)
+        hi = np.where(zero, math.inf, -1.0 / smin)
+    evals = np.zeros(a.shape[0], dtype=np.int64)
+    root, value = np.zeros((2, a.shape[0]))
+
+    def f(rows: np.ndarray, mu: np.ndarray):
+        evals[rows] += 1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return _psi_rows(mu, a[rows], count[rows])
+
+    rows = np.flatnonzero((smin < 0.0) & (smax > 0.0))
+    f0 = f(rows, np.zeros(rows.size))[0]
+    rows, f0 = rows[f0 != 0.0], f0[f0 != 0.0]
 
     # sign bracket [blo, bhi] with Psi(blo) > 0 > Psi(bhi); Psi decreases,
     # diverging to +inf at lo and -inf at hi, so stepping geometrically
     # toward the relevant endpoint must cross zero
-    if f0 > 0.0:
-        blo, bhi = 0.0, None
-        target = hi
-    else:
-        blo, bhi = None, 0.0
-        target = lo
-    anchor = 0.0
+    blo = np.where(f0 > 0.0, 0.0, math.nan)
+    bhi = np.where(f0 > 0.0, math.nan, 0.0)
+    target = np.where(f0 > 0.0, hi[rows], lo[rows])
+    anchor = np.zeros(rows.size)
+    j = np.arange(rows.size)
     for _ in range(200):
-        anchor = 0.5 * (anchor + target)
-        if anchor == target:
+        anchor[j] = 0.5 * (anchor[j] + target[j])
+        j = j[anchor[j] != target[j]]
+        if not j.size:
             break
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fa = f(anchor)
-        if math.isnan(fa):
-            break
-        if fa > 0.0:
-            blo = anchor
-        else:
-            bhi = anchor
-        if blo is not None and bhi is not None:
-            break
-    if blo is None or bhi is None:
-        raise RuntimeError(f"failed to bracket the multiplier near boundary {target!r}")
+        fa = f(rows[j], anchor[j])[0]
+        blo[j[fa > 0.0]] = anchor[j[fa > 0.0]]
+        bhi[j[fa <= 0.0]] = anchor[j[fa <= 0.0]]
+        j = j[~np.isnan(fa) & (np.isnan(blo[j]) | np.isnan(bhi[j]))]
+    failed = np.isnan(blo) | np.isnan(bhi)
+    if np.any(failed):
+        raise RuntimeError(f"failed to bracket the multiplier near {target[failed].tolist()}")
 
     # warm start at the first-order multiplier if it falls inside the bracket
-    mu_bar = float(np.mean(a) / np.mean(a * a))
-    x = mu_bar if blo < mu_bar < bhi else 0.5 * (blo + bhi)
-    fx = f(x)
-    best_x, best_f = x, fx
+    s = a[rows]
+    mu_bar = (np.sum(s, axis=1) / count[rows]) / (np.sum(s * s, axis=1) / count[rows])
+    x = np.where((blo < mu_bar) & (mu_bar < bhi), mu_bar, 0.5 * (blo + bhi))
+    fx, slope = f(rows, x)
+    best_x, best_f = x.copy(), fx.copy()
+    j = np.arange(rows.size)
     for _ in range(max_iter):
-        if abs(fx) < abs(best_f):
-            best_x, best_f = x, fx
-        if fx > 0.0:
-            blo = x
-        elif fx < 0.0:
-            bhi = x
-        else:
+        if not j.size:
             break
-        width = WIDTH_TOL * (1.0 + abs(best_x))
-        if _constraint_error(best_x, best_f) <= tol and (bhi - blo) <= width:
-            break
-        slope = _psi_slope(x, a)
-        cand = x - fx / slope if slope < 0.0 and math.isfinite(slope) else math.nan
-        if abs(cand - x) < 0.5 * width:
-            # Newton has converged: close the bracket half a width past the root
-            cand = x + 0.5 * width if fx > 0.0 else x - 0.5 * width
-        if not (blo < cand < bhi):
-            cand = 0.5 * (blo + bhi)
-        if cand == blo or cand == bhi or cand == x:
-            break
-        x = cand
-        fx = f(x)
-    return MultiplierSolution(
-        mu=float(best_x),
-        residual=abs(best_f),
-        iterations=evals,
-        feasible_interval=(lo, hi),
-    )
+        xj, fj, sj = x[j], fx[j], slope[j]
+        better = np.abs(fj) < np.abs(best_f[j])
+        best_x[j[better]], best_f[j[better]] = xj[better], fj[better]
+        blo[j] = np.where(fj > 0.0, xj, blo[j])
+        bhi[j] = np.where(fj < 0.0, xj, bhi[j])
+        bx, bl, bh = best_x[j], blo[j], bhi[j]
+        width = WIDTH_TOL * (1.0 + np.abs(bx))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cand = np.where((sj < 0.0) & np.isfinite(sj), xj - fj / sj, math.nan)
+        # Newton has converged: close the bracket half a width past the root
+        cand = np.where(np.abs(cand - xj) < 0.5 * width, xj + np.copysign(0.5 * width, fj), cand)
+        cand = np.where((bl < cand) & (cand < bh), cand, 0.5 * (bl + bh))
+        # stop at an exact root, once the larger of the moment error |Psi|
+        # and the mass error |mu Psi| meets tol on a closed bracket, or
+        # when no new point is left
+        done = (
+            ~((fj > 0.0) | (fj < 0.0))
+            | ((np.abs(best_f[j]) * np.maximum(1.0, np.abs(bx)) <= tol) & (bh - bl <= width))
+            | (cand == bl) | (cand == bh) | (cand == xj)
+        )
+        j, cand = j[~done], cand[~done]
+        x[j] = cand
+        fx[j], slope[j] = f(rows[j], cand)
+    root[rows], value[rows] = best_x, np.abs(best_f)
+    return [
+        MultiplierSolution(
+            float(root[i]), float(value[i]), int(evals[i]), (float(lo[i]), float(hi[i]))
+        ) if zero[i] or smin[i] < 0.0 < smax[i] else None
+        for i in range(a.shape[0])
+    ]
 
 
 def mele_weights(solution: MultiplierSolution, scores) -> np.ndarray:
@@ -241,17 +243,37 @@ def mele_weights(solution: MultiplierSolution, scores) -> np.ndarray:
     return (1.0 / a.size) / denom
 
 
-def mele_spectral_prob(ang: AngularSample) -> DiscreteSpectralMeasure:
-    """Moment-constrained angular probability measure Q on the member angles.
+def _mele_rows(grid: _TailGrid) -> tuple[list, np.ndarray, np.ndarray]:
+    """MELE at every k of the grid from one row-wise solve: the solutions
+    (``None`` where infeasible), the atom weights of the probability
+    measures Q and their normalizers m (NaN where infeasible)."""
+    count = np.sum(grid.member, axis=1)
+    a = np.where(grid.member, grid.union.scores, 0.0)
+    solutions = _solve_rows(a, count)
+    mu = np.array([math.nan if s is None else s.mu for s in solutions])
+    denom = 1.0 + mu[:, None] * a
+    if np.any(denom[grid.member] <= 0.0):
+        raise ValueError("multiplier leaves the weight positivity domain for these scores")
+    q = grid.per_atom((1.0 / count)[:, None] / denom)
+    feasible = ~np.isnan(mu)
+    m = np.full(mu.size, math.nan)
+    m[feasible] = _normalizers(grid.atoms, q[feasible], grid.union.p)
+    return solutions, q, m
 
-    Raises
-    ------
-    ConstraintInfeasible
-        If all member angles lie on one side of pi/4.
-    """
-    solution = solve_multiplier(ang.scores)
-    angles, weights = _merge_duplicates(ang.angles, mele_weights(solution, ang.scores))
-    return DiscreteSpectralMeasure(angles, weights, ang.p, solution=solution)
+
+def _normalizers(atoms: np.ndarray, q: np.ndarray, p: float) -> np.ndarray:
+    """:func:`spectral_normalizer` of every row of atom weights ``q``."""
+    mass = np.sum(q, axis=1)
+    if np.any(np.abs(mass - 1.0) > 1e-8):
+        raise ValueError(f"expected a probability measure, total mass {mass.tolist()}")
+    sin_sum, cos_sum = _moment_rows(atoms, q, p)
+    gap = np.max(np.abs(sin_sum - cos_sum), initial=0.0)
+    if gap > NORMALIZER_TOL:
+        raise ValueError(
+            "measure does not satisfy the moment constraint: "
+            f"normalizer forms disagree by {gap:.3e}"
+        )
+    return cos_sum
 
 
 def spectral_normalizer(q: DiscreteSpectralMeasure) -> float:
@@ -268,15 +290,28 @@ def spectral_normalizer(q: DiscreteSpectralMeasure) -> float:
         normalizer disagree beyond ``NORMALIZER_TOL`` (the moment
         constraint was violated).
     """
-    if abs(q.total_mass - 1.0) > 1e-8:
-        raise ValueError(f"expected a probability measure, total mass {q.total_mass!r}")
-    sin_sum, cos_sum = q.moment_sums()
-    if abs(sin_sum - cos_sum) > NORMALIZER_TOL:
-        raise ValueError(
-            "measure does not satisfy the moment constraint: "
-            f"normalizer forms disagree by {abs(sin_sum - cos_sum):.3e}"
-        )
-    return cos_sum
+    return float(_normalizers(q.angles, q.weights[None], q.p)[0])
+
+
+def _mele_estimate(ang: AngularSample, normalized: bool) -> DiscreteSpectralMeasure:
+    _check_scores(ang.scores)
+    grid = _TailGrid.of(ang)
+    (solution,), q, m = _mele_rows(grid)
+    if solution is None:
+        raise ConstraintInfeasible(ang.scores)
+    weights = q[0] * (1.0 / m[0]) if normalized else q[0]
+    return DiscreteSpectralMeasure(grid.atoms, weights, ang.p, solution=solution)
+
+
+def mele_spectral_prob(ang: AngularSample) -> DiscreteSpectralMeasure:
+    """Moment-constrained angular probability measure Q on the member angles.
+
+    Raises
+    ------
+    ConstraintInfeasible
+        If all member angles lie on one side of pi/4.
+    """
+    return _mele_estimate(ang, normalized=False)
 
 
 def mele_spectral_measure(ang: AngularSample) -> DiscreteSpectralMeasure:
@@ -286,6 +321,4 @@ def mele_spectral_measure(ang: AngularSample) -> DiscreteSpectralMeasure:
     With p = 1 the result has total mass exactly 2 up to float error,
     matching the universal mass of spectral measures in the sum norm.
     """
-    q = mele_spectral_prob(ang)
-    m = spectral_normalizer(q)
-    return q.scaled(1.0 / m)
+    return _mele_estimate(ang, normalized=True)

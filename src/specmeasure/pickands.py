@@ -42,10 +42,8 @@ class DiscreteMeasure(_AtomCore):
         if uniq.size > 1:
             starts = np.concatenate(([True], np.diff(uniq) > tol))
             cluster = np.cumsum(starts) - 1
-            mass = np.zeros(cluster[-1] + 1)
-            centre = np.zeros_like(mass)
-            np.add.at(mass, cluster, merged)
-            np.add.at(centre, cluster, merged * uniq)
+            mass = np.bincount(cluster, merged)
+            centre = np.bincount(cluster, merged * uniq)
             uniq, merged = centre / mass, mass
         return cls(points=uniq, weights=merged)
 

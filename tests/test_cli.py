@@ -14,7 +14,7 @@ import pytest
 from specmeasure import __version__
 from specmeasure.cli import run_cli
 from specmeasure.empirical import select_extremes
-from specmeasure.mele import mele_spectral_measure
+from specmeasure.mele import SOLVER_TOL, mele_spectral_measure
 from specmeasure.pseudo_obs import format_value, pseudo_observations, read_sample
 
 from oracles import scores_feasible
@@ -269,10 +269,15 @@ class TestBenchmark:
         infeasible = sum(int(row.rsplit(",", 1)[1])
                          for row in out.read_text().splitlines()[1:])
         assert infeasible == 1
-        assert summary(captured.err) == {
+        info = summary(captured.err)
+        evaluations = int(info.pop("solver max evaluations"))
+        residual = float(info.pop("solver max residual"))
+        assert info == {
             "model": "cauchy-fullplane", "n": "30", "reps": "5", "p": "1",
             "k grid": "1:3:1", "seed": "3", "infeasible mele fits": "1",
         }
+        assert 1 <= evaluations <= 200
+        assert 0.0 <= residual <= SOLVER_TOL
 
     def test_gnuplot_companion(self, tmp_path):
         out = tmp_path / "t.csv"

@@ -15,14 +15,11 @@ from specmeasure.empirical import (
     AngularSample,
     DiscreteSpectralMeasure,
     empirical_spectral_measure,
-    empirical_spectral_prob,
     select_extremes,
 )
 from specmeasure.pseudo_obs import BivariateSample, pseudo_observations
 
 from oracles import membership_oracle
-
-HALF_PI = math.pi / 2
 
 
 def data_with_ranks(r1, r2):
@@ -262,37 +259,9 @@ class TestEmpiricalMeasure:
         assert phi.cdf(math.pi / 4) == pytest.approx(1.0)
         assert phi.total_mass == pytest.approx(1.5)
 
-    def test_probability_normalization(self, four_point):
-        q = empirical_spectral_prob(select_extremes(four_point, 2, math.inf))
-        assert q.total_mass == pytest.approx(1.0, abs=1e-15)
-        assert q.cdf(math.pi / 4) == pytest.approx(2.0 / 3.0)
-
-    def test_prob_is_rescaled_measure(self, four_point):
-        ang = select_extremes(four_point, 2, 1.0)
-        phi = empirical_spectral_measure(ang)
-        q = empirical_spectral_prob(ang)
-        np.testing.assert_allclose(
-            q.weights, phi.weights * ang.k / ang.n_members, rtol=1e-15
-        )
-        assert phi.cdf(HALF_PI) == pytest.approx(ang.n_members / ang.k)
-
-    def test_single_member_point_mass(self):
-        ang = AngularSample(
-            indices=np.array([3]),
-            angles=np.array([0.9]),
-            scores=np.array([0.1]),
-            k=5,
-            p=1.0,
-            n=10,
-        )
-        q = empirical_spectral_prob(ang)
-        assert q.n_atoms == 1
-        assert q.weights[0] == 1.0
-
     def test_carries_no_solution(self, four_point):
         ang = select_extremes(four_point, 2, 1.0)
         assert empirical_spectral_measure(ang).solution is None
-        assert empirical_spectral_prob(ang).solution is None
         assert empirical_spectral_measure(ang).scaled(2.0).solution is None
 
     def test_duplicate_angles_merge(self):

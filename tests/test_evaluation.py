@@ -5,9 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from specmeasure import evaluation, mele
 from specmeasure.empirical import (
     DiscreteSpectralMeasure,
+    _empirical_rows,
+    _select,
     empirical_spectral_measure,
     select_extremes,
 )
@@ -15,11 +20,19 @@ from specmeasure.evaluation import (
     ESTIMATORS,
     MiseTable,
     _integrated_squared_errors,
+    _ise_rows,
     integrated_squared_error,
     mise_sweep,
     replication_ise,
 )
-from specmeasure.mele import ConstraintInfeasible, mele_spectral_measure
+from specmeasure.mele import (
+    SOLVER_TOL,
+    WIDTH_TOL,
+    ConstraintInfeasible,
+    _mele_rows,
+    mele_spectral_measure,
+    solve_multiplier,
+)
 from specmeasure.models import (
     _NODES,
     SpectralModel,
@@ -27,7 +40,7 @@ from specmeasure.models import (
     cauchy_quadrant_model,
     mixture_model,
 )
-from specmeasure.pseudo_obs import pseudo_observations
+from specmeasure.pseudo_obs import BivariateSample, pseudo_observations
 
 from oracles import ise_oracle
 
@@ -182,8 +195,8 @@ class TestSharedPartition:
             pobs = pseudo_observations(model.sample(n, np.random.default_rng([seed, rep])))
             for i, k in enumerate(k_grid):
                 ang = select_extremes(pobs, k, model.p)
-                assert emp[i] == integrated_squared_error(
-                    empirical_spectral_measure(ang), model, a, b
+                assert emp[i] == pytest.approx(
+                    integrated_squared_error(empirical_spectral_measure(ang), model, a, b), rel=1e-12
                 )
                 try:
                     expected = integrated_squared_error(mele_spectral_measure(ang), model, a, b)
@@ -191,7 +204,7 @@ class TestSharedPartition:
                     assert infeasible[i] and math.isnan(mel[i])
                     seen += 1
                 else:
-                    assert not infeasible[i] and mel[i] == expected
+                    assert not infeasible[i] and mel[i] == pytest.approx(expected, rel=1e-12)
         assert seen == infeasible_fits
 
 
@@ -215,6 +228,103 @@ class TestReplicationIse:
         assert inf[0] and not inf[1]
         assert math.isnan(mel[0]) and not math.isnan(mel[1])
         assert np.all(np.isfinite(emp))
+
+
+GRID_MODELS = {p: cauchy_quadrant_model(p) for p in (1.0, 2.0, 2.5, 3.0, math.inf)}
+
+
+class TestGridPass:
+    """A replication scores its whole k grid in one pass; each row of the
+    grid is the estimate the per-k public calls give."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 150),
+        p=st.sampled_from(sorted(GRID_MODELS)),
+        tied=st.booleans(),
+        data=st.data(),
+    )
+    def test_rows_match_per_k_public_calls(self, seed, n, p, tied, data):
+        extra = data.draw(st.lists(st.integers(1, n), max_size=6))
+        k_grid = data.draw(st.permutations([1, n, extra[0] if extra else n] + extra))
+        model = GRID_MODELS[p]
+        a, b = 0.1, 1.4
+        values = model.sample(n, np.random.default_rng(seed)).values
+        pobs = pseudo_observations(BivariateSample(np.round(values, 1) if tied else values))
+        grid = _select(pobs, k_grid, p)
+        solutions, q, m = _mele_rows(grid)
+        rows = np.concatenate([_empirical_rows(grid), q * (1.0 / m)[:, None]])
+        emp, mel = np.split(_ise_rows(grid.atoms, rows, model, a, b), 2)
+        for i, k in enumerate(k_grid):
+            ang = select_extremes(pobs, k, p)
+            np.testing.assert_array_equal(grid.union.indices[grid.member[i]], ang.indices)
+            assert emp[i] == pytest.approx(
+                integrated_squared_error(empirical_spectral_measure(ang), model, a, b), rel=1e-12
+            )
+            try:
+                expected = mele_spectral_measure(ang)
+            except ConstraintInfeasible:
+                assert solutions[i] is None and math.isnan(mel[i])
+                continue
+            mu = solve_multiplier(ang.scores).mu
+            assert mu == expected.solution.mu
+            # each solve is within WIDTH_TOL * (1 + |mu|) plus the float
+            # resolution of Psi of the exact root (solve_multiplier); all
+            # scores 0 (every member on the diagonal) give mu = 0 exactly
+            t = ang.scores / (1.0 + mu * ang.scores)
+            resolution = 0.0
+            if np.any(t):
+                resolution = 8.0 * np.finfo(float).eps * np.mean(np.abs(t)) / np.mean(t * t)
+            assert abs(solutions[i].mu - mu) <= 2.0 * (WIDTH_TOL * (1.0 + abs(mu)) + resolution)
+            assert mel[i] == pytest.approx(
+                integrated_squared_error(expected, model, a, b), rel=1e-12
+            )
+
+    @pytest.mark.parametrize("k_grid", [[40], [10, 20, 40, 80, 5], list(range(10, 201, 10))])
+    def test_one_pass_per_replication(self, monkeypatch, k_grid):
+        # count guard: one selection, one row-wise solve and one truth
+        # integral evaluation per replication, whatever the grid length
+        calls = []
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        model = cauchy_quadrant_model(1.0)
+        integrals = model.cdf_integrals  # built once per model, before counting
+
+        def counted_integrals(theta):
+            calls.append("cdf_integrals")
+            return integrals(theta)
+
+        monkeypatch.setitem(model.__dict__, "cdf_integrals", counted_integrals)
+        counted(evaluation, "_select")
+        counted(mele, "_solve_rows")
+        for rep in range(3):
+            calls.clear()
+            replication_ise(model, 1000, k_grid, (0.1, 1.4), 11, rep)
+            assert sorted(calls) == ["_select", "_solve_rows", "cdf_integrals"]
+
+    def test_solver_aggregates(self):
+        # seed 3 has one infeasible fit at k = 2
+        model = cauchy_quadrant_model(1.0)
+        table = mise_sweep(model, 60, 4, [2, 10], interval=(0.1, 1.4), seed=3)
+        fits = []
+        for rep in range(4):
+            _, _, infeasible, solutions = replication_ise(
+                model, 60, [2, 10], (0.1, 1.4), 3, rep, diagnostics=True
+            )
+            assert [s is None for s in solutions] == infeasible.tolist()
+            fits += [s for s in solutions if s is not None]
+        assert table.infeasible.sum() == 1 and len(fits) == 7
+        assert table.max_evaluations == max(s.iterations for s in fits) > 0
+        assert table.max_residual == max(s.residual for s in fits) <= SOLVER_TOL
 
 
 class TestMiseSweep:
@@ -289,6 +399,8 @@ class TestMiseSweep:
             mise_sweep(model, 100, 2, [], seed=0)
         with pytest.raises(ValueError, match="k"):
             mise_sweep(model, 100, 2, [0, 10], seed=0)
+        with pytest.raises(ValueError, match="integer"):
+            mise_sweep(model, 100, 2, [10.5], seed=0)
         with pytest.raises(ValueError, match="interval"):
             mise_sweep(model, 100, 2, [10], interval=(1.2, 0.3), seed=0)
         with pytest.raises(ValueError, match="sampler"):

@@ -9,8 +9,6 @@ from specmeasure.lp_geometry import (
     check_norm_order,
     lp_norm,
     score_f,
-    x_boundary,
-    y_curve,
 )
 
 FINITE_ORDERS = [1.0, 1.5, 2.0, 3.0, 7.0]
@@ -98,44 +96,3 @@ class TestScore:
             vals = score_f(theta, p)
             assert np.all(np.diff(vals) > 0.0)
             assert np.all(np.abs(vals) <= 1.0)
-
-
-class TestUnitBallCurves:
-    def test_y_curve_below_one_is_infinite(self):
-        for p in ALL_ORDERS:
-            assert y_curve(0.5, p) == math.inf
-
-    def test_y_curve_max_norm(self):
-        assert y_curve(3.0, math.inf) == 1.0
-
-    def test_y_curve_fixed_point(self):
-        # x^p = 2 makes the curve return its own argument
-        for p in FINITE_ORDERS:
-            x = 2.0 ** (1.0 / p)
-            assert y_curve(x, p) == pytest.approx(x, rel=1e-14)
-
-    def test_y_curve_diverges_at_one(self):
-        for p in FINITE_ORDERS:
-            assert y_curve(1.0, p) == math.inf
-
-    def test_y_curve_solves_unit_norm(self):
-        for p in FINITE_ORDERS:
-            for x in [1.1, 1.5, 2.0, 5.0, 40.0]:
-                y = y_curve(x, p)
-                assert lp_norm(1.0 / x, 1.0 / y, p) == pytest.approx(1.0, rel=1e-12)
-
-    def test_x_boundary_values(self):
-        assert x_boundary(math.pi / 4, 2.0) == pytest.approx(math.sqrt(2.0), rel=1e-15)
-        for p in FINITE_ORDERS:
-            assert x_boundary(math.pi / 2, p) == pytest.approx(1.0, abs=1e-15)
-        assert x_boundary(math.pi / 3, math.inf) == 1.0
-        assert x_boundary(0.0, 2.0) == math.inf
-
-    def test_boundary_identity(self):
-        # y_curve(x_p(theta)) = x_p(theta) tan(theta) on the region
-        # where the float condition number keeps 1e-9 attainable
-        theta = np.linspace(0.05, 1.35, 40)
-        for p in FINITE_ORDERS:
-            x = x_boundary(theta, p)
-            lhs = np.array([y_curve(xi, p) for xi in x])
-            np.testing.assert_allclose(lhs, x * np.tan(theta), rtol=1e-9)
