@@ -29,12 +29,7 @@ from .models import (
     mixture_model,
 )
 from .pickands import pickands_function, spectral_to_H
-from .pseudo_obs import (
-    format_value,
-    pseudo_observations,
-    read_sample,
-    write_sample,
-)
+from .pseudo_obs import format_value, pseudo_observations, read_sample, write_sample, write_text
 
 __all__ = ["build_parser", "run_cli", "main"]
 
@@ -57,24 +52,23 @@ def _norm_order(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text, 10)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError("value must be a positive integer")
-    return value
+def _integer(low: int, high: float, message: str):
+    """Argument type of the base-10 integers in [low, high)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text, 10)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+        if not low <= value < high:
+            raise argparse.ArgumentTypeError(message)
+        return value
+
+    return parse
 
 
-def _uint64(text: str) -> int:
-    try:
-        value = int(text, 10)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError("seed must fit in an unsigned 64-bit integer")
-    return value
+_positive_int = _integer(1, math.inf, "value must be a positive integer")
+_uint64 = _integer(0, 2**64, "seed must fit in an unsigned 64-bit integer")
 
 
 def _k_grid(text: str) -> np.ndarray:
@@ -105,6 +99,16 @@ def _interval(text: str) -> tuple:
     return (a, b)
 
 
+def _model_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--model", required=True,
+                        choices=("logistic", "cauchy-quadrant", "cauchy-fullplane", "mixture"))
+    parser.add_argument("--r", type=float, metavar="REAL", help="model dependence parameter")
+    parser.add_argument("--psi1", type=float, metavar="REAL",
+                        help="first asymmetry weight (logistic)")
+    parser.add_argument("--psi2", type=float, metavar="REAL",
+                        help="second asymmetry weight (logistic)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="specmeasure",
@@ -130,22 +134,14 @@ def build_parser() -> argparse.ArgumentParser:
     est.set_defaults(func=_cmd_estimate)
 
     sim = sub.add_parser("simulate", help="draw a sample from a known model")
-    sim.add_argument("--model", required=True,
-                     choices=("logistic", "cauchy-quadrant", "cauchy-fullplane", "mixture"))
-    sim.add_argument("--r", type=float, metavar="REAL", help="model dependence parameter")
-    sim.add_argument("--psi1", type=float, metavar="REAL", help="first asymmetry weight (logistic)")
-    sim.add_argument("--psi2", type=float, metavar="REAL", help="second asymmetry weight (logistic)")
+    _model_options(sim)
     sim.add_argument("--n", type=_positive_int, required=True, metavar="INT", help="sample size")
     sim.add_argument("--seed", type=_uint64, required=True, metavar="UINT64")
     sim.add_argument("--output", metavar="PATH", help="sample file (default: standard output)")
     sim.set_defaults(func=_cmd_simulate)
 
     ben = sub.add_parser("benchmark", help="Monte Carlo MISE table over a k grid")
-    ben.add_argument("--model", required=True,
-                     choices=("logistic", "cauchy-quadrant", "cauchy-fullplane", "mixture"))
-    ben.add_argument("--r", type=float, metavar="REAL", help="model dependence parameter")
-    ben.add_argument("--psi1", type=float, metavar="REAL", help="first asymmetry weight (logistic)")
-    ben.add_argument("--psi2", type=float, metavar="REAL", help="second asymmetry weight (logistic)")
+    _model_options(ben)
     ben.add_argument("--p", type=_norm_order, default=1.0, metavar="REAL",
                      help="norm order, a real >= 1 or 'inf' (default 1)")
     ben.add_argument("--n", type=_positive_int, required=True, metavar="INT",
@@ -196,11 +192,7 @@ def _build_model(args, p: float) -> SpectralModel:
 
 
 def _write_text(path: Optional[str], text: str) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+    write_text(sys.stdout if path is None else path, text)
 
 
 def _write_gnuplot(args, header_lines: list, plot_line: str) -> None:
@@ -215,8 +207,7 @@ def _write_gnuplot(args, header_lines: list, plot_line: str) -> None:
         *header_lines,
         plot_line,
     ]
-    with open(args.gnuplot_script, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+    write_text(args.gnuplot_script, "\n".join(lines) + "\n")
 
 
 def _summary(lines: Sequence[str]) -> None:
@@ -259,9 +250,7 @@ def _cmd_estimate(args) -> int:
     if want_emp:
         sin_sum, cos_sum = emp.moment_sums()
         info.append(f"empirical total mass = {format_value(emp.total_mass)}")
-        info.append(
-            f"empirical moment sums = {format_value(sin_sum)}, {format_value(cos_sum)}"
-        )
+        info.append(f"empirical moment sums = {format_value(sin_sum)}, {format_value(cos_sum)}")
     if want_mele:
         sin_sum, cos_sum = phi.moment_sums()
         info.append(f"multiplier = {format_value(phi.solution.mu)}")
@@ -270,11 +259,9 @@ def _cmd_estimate(args) -> int:
         info.append(f"mele moment sums = {format_value(sin_sum)}, {format_value(cos_sum)}")
     _summary(info)
 
-    weight_cols = [str(i + 2) for i in range(len(columns) - 2)]
-    titles = [name for name, _ in columns[1:-1]]
     plot = ", ".join(
-        f'"{args.output}" using 1:{col} with impulses title "{title}"'
-        for col, title in zip(weight_cols, titles)
+        f'"{args.output}" using 1:{col} with impulses title "{name}"'
+        for col, (name, _) in enumerate(columns[1:-1], start=2)
     )
     _write_gnuplot(args, ['set xlabel "theta"', 'set ylabel "weight"'], "plot " + plot)
     return 0
@@ -285,10 +272,7 @@ def _cmd_simulate(args) -> int:
     if not model.has_sampler:
         raise ValueError(f"model {model.describe()} has no sampler")
     sample = model.sample(args.n, np.random.default_rng(args.seed))
-    if args.output is None:
-        write_sample(sample, sys.stdout)
-    else:
-        write_sample(sample, args.output)
+    write_sample(sample, sys.stdout if args.output is None else args.output)
     return 0
 
 
@@ -297,9 +281,7 @@ def _cmd_benchmark(args) -> int:
     interval = None
     if args.interval is not None:
         interval = (args.interval[0] * HALF_PI, args.interval[1] * HALF_PI)
-    table = mise_sweep(
-        model, args.n, args.reps, args.k_grid, interval=interval, seed=args.seed
-    )
+    table = mise_sweep(model, args.n, args.reps, args.k_grid, interval=interval, seed=args.seed)
     _write_text(args.output, table.to_text())
     k = table.k_grid
     step = k[1] - k[0] if k.size > 1 else 1
@@ -330,8 +312,7 @@ def _cmd_pickands(args) -> int:
     estimate = pickands_function(spectral_to_H(phi))
     lines = ["v,A"]
     lines.extend(
-        f"{format_value(v)},{format_value(a)}"
-        for v, a in zip(estimate.knots, estimate.values)
+        f"{format_value(v)},{format_value(a)}" for v, a in zip(estimate.knots, estimate.values)
     )
     _write_text(args.output, "\n".join(lines) + "\n")
     info.append(f"multiplier = {format_value(phi.solution.mu)}")

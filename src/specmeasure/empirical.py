@@ -153,37 +153,76 @@ class DiscreteSpectralMeasure(_AtomCore):
 MARGIN = 1e-12
 
 
+#: most (k, member) cells a pass over a k grid holds at once: a block of
+#: rows keeps each dense array of the pass at 2 MB, whatever the grid and n
+_CELLS = 1 << 18
+
+
+def _members(norm, ranks, ks, n: int, p: float) -> np.ndarray:
+    """Row i marks the entries of ``norm`` that are members at ``ks[i]``;
+    ``ranks`` (integer p and the max norm, else None) decide the entries
+    within ``MARGIN`` of n/k exactly."""
+    threshold = (n / ks)[:, None]
+    member = norm >= threshold
+    if ranks is not None:
+        i, j = np.nonzero(np.abs(norm - threshold) <= MARGIN * threshold)
+        m1, m2 = ranks[j].T
+        # for p > k the integer rule is the max-norm rule: a term (k/m)^p is
+        # >= 1 when m <= k and at most (k/(k+1))^(k+1) < 1/e when m > k
+        q = int(p) if p <= ks.max() else None
+        member[i, j] = [
+            min(a, b) <= k if p > k else k**q * (a**q + b**q) >= (a * b) ** q
+            for k, a, b in zip(ks[i].tolist(), m1.tolist(), m2.tolist())
+        ]
+    return member
+
+
 class _TailGrid:
     """The extremes of one sample at every k of a grid: ``union`` holds
     the members at the largest k, which contain those at every smaller k
-    (n/k falls as k grows), row i of ``member`` marks the members at
-    ``ks[i]`` and ``atoms`` are the distinct union angles."""
+    (n/k falls as k grows), and ``atoms`` are the distinct union angles.
+    ``norm`` and ``ranks`` are the union's, as :func:`_members` takes them."""
 
-    def __init__(self, union: AngularSample, ks: np.ndarray, member: np.ndarray):
-        self.union, self.ks, self.member = union, ks, member
-        self.atoms, inverse = np.unique(union.angles, return_inverse=True)
-        rows, cols = np.nonzero(member)
-        self._pairs = (rows, cols, rows * self.atoms.size + inverse[cols])
+    def __init__(self, union: AngularSample, ks: np.ndarray, norm, ranks):
+        self.union, self.ks, self._norm, self._ranks = union, ks, norm, ranks
+        self.atoms, self._inverse = np.unique(union.angles, return_inverse=True)
 
     @classmethod
     def of(cls, ang: AngularSample) -> "_TailGrid":
         """The one-row grid of a single angular sample."""
-        return cls(ang, np.array([ang.k]), np.ones((1, ang.n_members), dtype=bool))
+        return cls(ang, np.array([ang.k]), np.full(ang.n_members, math.inf), None)
+
+    def blocks(self):
+        """The grid's rows as consecutive ``_Block``s of at most ``_CELLS``
+        cells each (at least one row)."""
+        step = max(1, _CELLS // self.union.n_members)
+        for start in range(0, self.ks.size, step):
+            yield _Block(self, slice(start, start + step))
+
+
+class _Block:
+    """The ``rows`` slice of a grid: ``member[i]`` marks the union members
+    at ``ks[i]``."""
+
+    def __init__(self, grid: _TailGrid, rows: slice):
+        self.grid, self.rows, self.ks = grid, rows, grid.ks[rows]
+        self.member = _members(grid._norm, grid._ranks, self.ks, grid.union.n, grid.union.p)
+        i, j = np.nonzero(self.member)
+        self._pairs = (i, j, i * grid.atoms.size + grid._inverse[j])
 
     def per_atom(self, weights) -> np.ndarray:
         """Member weights (broadcast to ``member``'s shape) summed per atom
         in member order: a row of atom weights per k, 0 off the row."""
         rows, cols, bins = self._pairs
-        shape = (self.ks.size, self.atoms.size)
+        shape = (self.ks.size, self.grid.atoms.size)
         values = np.broadcast_to(weights, self.member.shape)[rows, cols]
         return np.bincount(bins, values, minlength=shape[0] * shape[1]).reshape(shape)
 
 
 def _select(pobs: PseudoObservations, ks, p: float) -> _TailGrid:
     """The rule of :func:`select_extremes` at every k of ``ks`` at once:
-    one L_p norm per row serves every k, only rows at or above the lowest
-    threshold's band can be members, and the (k, row) pairs within
-    ``MARGIN`` of their n/k are decided exactly."""
+    one L_p norm per row serves every k, and the members at the largest k
+    are the union; :meth:`_TailGrid.blocks` marks the members per k."""
     p = check_norm_order(p)
     n = pobs.n
     for k in np.ravel(ks).tolist():
@@ -192,27 +231,17 @@ def _select(pobs: PseudoObservations, ks, p: float) -> _TailGrid:
     ks = np.asarray(ks, dtype=np.int64)
     u1, u2 = pobs.u.T
     norm = lp_norm(1.0 / u1, 1.0 / u2, p)
-    threshold = (n / ks)[:, None]
-    rows = np.flatnonzero(norm >= (1.0 - 2.0 * MARGIN) * threshold.min())
-    norm = norm[rows]
-    member = norm >= threshold
-    if math.isinf(p) or p.is_integer():
-        i, j = np.nonzero(np.abs(norm - threshold) <= MARGIN * threshold)
-        # rounding recovers m exactly: the float error of (m / n) * n is
-        # far below 1/2
-        m1, m2 = np.rint(pobs.u[rows[j]].T * n).astype(np.int64)
-        # for p > k the integer rule is the max-norm rule: a term (k/m)^p is
-        # >= 1 when m <= k and at most (k/(k+1))^(k+1) < 1/e when m > k
-        q = int(p) if p <= ks.max() else None
-        member[i, j] = [
-            min(a, b) <= k if p > k else k**q * (a**q + b**q) >= (a * b) ** q
-            for k, a, b in zip(ks[i].tolist(), m1.tolist(), m2.tolist())
-        ]
-    keep = np.any(member, axis=0)
+    # only rows at or above the largest k's band can be members
+    rows = np.flatnonzero(norm >= (1.0 - 2.0 * MARGIN) * (n / ks.max()))
+    # ranks where the rule has exact ties; rounding recovers m exactly, as
+    # the float error of (m / n) * n is far below 1/2
+    exact = math.isinf(p) or p.is_integer()
+    ranks = np.rint(pobs.u[rows] * n).astype(np.int64) if exact else None
+    keep = _members(norm[rows], ranks, ks.max(keepdims=True), n, p)[0]
     indices = rows[keep]
     angles = np.arctan(u2[indices] / u1[indices])
     union = AngularSample(indices, angles, score_f(angles, p), k=int(ks.max()), p=p, n=n)
-    return _TailGrid(union, ks, member[:, keep])
+    return _TailGrid(union, ks, norm[indices], None if ranks is None else ranks[keep])
 
 
 def select_extremes(pobs: PseudoObservations, k: int, p: float) -> AngularSample:
@@ -234,9 +263,9 @@ def select_extremes(pobs: PseudoObservations, k: int, p: float) -> AngularSample
     return _select(pobs, [k], p).union
 
 
-def _empirical_rows(grid: _TailGrid) -> np.ndarray:
-    """Atom weights of the raw estimate at every k of the grid."""
-    return grid.per_atom(1.0 / grid.ks[:, None])
+def _empirical_rows(block: _Block) -> np.ndarray:
+    """Atom weights of the raw estimate at every k of a block of the grid."""
+    return block.per_atom(1.0 / block.ks[:, None])
 
 
 def empirical_spectral_measure(ang: AngularSample) -> DiscreteSpectralMeasure:
@@ -245,5 +274,5 @@ def empirical_spectral_measure(ang: AngularSample) -> DiscreteSpectralMeasure:
     Total mass N/k is free and generally differs from the mass of a
     genuine spectral measure; the moment constraints are not enforced.
     """
-    grid = _TailGrid.of(ang)
-    return DiscreteSpectralMeasure(grid.atoms, _empirical_rows(grid)[0], ang.p)
+    (block,) = _TailGrid.of(ang).blocks()
+    return DiscreteSpectralMeasure(block.grid.atoms, _empirical_rows(block)[0], ang.p)

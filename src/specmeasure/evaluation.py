@@ -18,7 +18,7 @@ import numpy as np
 from .empirical import DiscreteSpectralMeasure, _empirical_rows, _select
 from .mele import _mele_rows
 from .models import HALF_PI, SpectralModel
-from .pseudo_obs import format_value, pseudo_observations
+from .pseudo_obs import format_value, pseudo_observations, write_text
 
 __all__ = [
     "MiseTable",
@@ -50,10 +50,7 @@ def integrated_squared_error(
 
 
 def _integrated_squared_errors(
-    estimates: Sequence[DiscreteSpectralMeasure],
-    model: SpectralModel,
-    a: float,
-    b: float,
+    estimates: Sequence[DiscreteSpectralMeasure], model: SpectralModel, a: float, b: float
 ) -> list[float]:
     """One ``integrated_squared_error`` per estimate; all must share atoms."""
     atoms = estimates[0].angles
@@ -64,13 +61,13 @@ def _integrated_squared_errors(
             )
         if not np.array_equal(estimate.angles, atoms):
             raise ValueError("estimates sharing one partition must have the same atoms")
-    return _ise_rows(atoms, np.array([e.weights for e in estimates]), model, a, b).tolist()
+    return _ise_rows(_cells(atoms, model, a, b), np.array([e.weights for e in estimates])).tolist()
 
 
-def _ise_rows(atoms: np.ndarray, weights: np.ndarray, model: SpectralModel, a, b) -> np.ndarray:
-    """ISE over (a, b) of the step cdf of each row of atom weights on the
-    strictly increasing ``atoms``; a zero weight leaves its cell's step
-    unchanged, so the rows may be estimates on any subsets of the atoms."""
+def _cells(atoms: np.ndarray, model: SpectralModel, a, b) -> tuple:
+    """The cells of (a, b) cut at the strictly increasing ``atoms``: the
+    index of each cell's step in a row of cumulative atom weights, its
+    width and model cdf mean, and the cells' sum of dIG2 - w Gbar**2."""
     a = float(a)
     b = float(b)
     if not (0.0 <= a < b <= HALF_PI):
@@ -79,12 +76,20 @@ def _ise_rows(atoms: np.ndarray, weights: np.ndarray, model: SpectralModel, a, b
     width = np.diff(edges)
     ig, ig2 = np.diff(model.cdf_integrals(edges), axis=1)
     mean = ig / width
-    spread = float(np.sum(ig2 - ig * mean))
-    steps = np.zeros((len(weights), atoms.size + 1))
+    step = np.searchsorted(atoms, edges[:-1], side="right")
+    return step, width, mean, float(np.sum(ig2 - ig * mean))
+
+
+def _ise_rows(cells: tuple, weights: np.ndarray) -> np.ndarray:
+    """ISE on ``cells`` of the step cdf of each row of atom weights; a zero
+    weight leaves its cell's step unchanged, so the rows may be estimates
+    on any subsets of the atoms."""
+    step, width, mean, spread = cells
+    steps = np.zeros((len(weights), weights.shape[1] + 1))
     np.cumsum(weights, axis=1, out=steps[:, 1:])
     # take keeps rows contiguous, so each row sums as one 1-d array would;
     # the squared gap is formed in place, as a grid has 2 K rows
-    cdf = np.take(steps, np.searchsorted(atoms, edges[:-1], side="right"), axis=1)
+    cdf = np.take(steps, step, axis=1)
     cdf -= mean
     cdf *= cdf
     cdf *= width
@@ -135,12 +140,7 @@ class MiseTable:
         return "\n".join(lines) + "\n"
 
     def write(self, dest: Union[str, IO[str]]) -> None:
-        text = self.to_text()
-        if hasattr(dest, "write"):
-            dest.write(text)
-        else:
-            with open(dest, "w", encoding="utf-8") as handle:
-                handle.write(text)
+        write_text(dest, self.to_text())
 
     @staticmethod
     def parse_rows(text: str) -> list[tuple]:
@@ -162,26 +162,30 @@ def replication_ise(
     interval: tuple,
     seed: int,
     rep: int,
-    *,
-    diagnostics: bool = False,
-) -> tuple[np.ndarray, ...]:
-    """ISEs of one replication: arrays (empirical, mele, infeasible flags).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+    """ISEs of one replication: arrays (empirical, mele, infeasible flags)
+    and the MELE solutions (``None`` where infeasible).
 
     The replication stream is derived from (seed, rep) only; the mele
     entry is NaN where the moment constraint was infeasible.  One pass
     serves the whole grid: one selection, each estimator as one row of
-    weights per k over the distinct angles of all members, one row-wise
+    weights per k over the distinct angles of all members, a row-wise
     solve, and one partition at those angles, which refines each k's own,
-    so the ISEs are those of the per-k estimates up to rounding.  With
-    ``diagnostics`` the MELE solutions follow (``None`` where infeasible).
+    so the ISEs are those of the per-k estimates up to rounding.  The
+    rows are formed a block of k at a time, so memory stays bounded for
+    any grid; a row's values do not depend on its block.
     """
     sample = model.sample(n, np.random.default_rng([int(seed), int(rep)]))
     grid = _select(pseudo_observations(sample), k_grid, model.p)
-    solutions, q, m = _mele_rows(grid)
-    weights = np.concatenate([_empirical_rows(grid), q * (1.0 / m)[:, None]])
-    ises = _ise_rows(grid.atoms, weights, model, *interval)
-    result = (ises[: len(solutions)], ises[len(solutions) :], np.isnan(m))
-    return result + (solutions,) if diagnostics else result
+    cells = _cells(grid.atoms, model, *interval)
+    emp, mel = np.empty((2, grid.ks.size))
+    solutions = []
+    for block in grid.blocks():
+        block_solutions, q = _mele_rows(block, normalized=True)
+        weights = np.concatenate([_empirical_rows(block), q])
+        emp[block.rows], mel[block.rows] = np.split(_ise_rows(cells, weights), 2)
+        solutions += block_solutions
+    return emp, mel, np.array([s is None for s in solutions]), solutions
 
 
 def mise_sweep(
@@ -217,9 +221,7 @@ def mise_sweep(
     emp, mel = np.empty((2, replications, nk))
     fits = np.empty((replications, nk, 2))  # Psi evaluations and residual, NaN if infeasible
     for rep in range(replications):
-        emp[rep], mel[rep], _, solutions = replication_ise(
-            model, n, k_grid, (a, b), seed, rep, diagnostics=True
-        )
+        emp[rep], mel[rep], _, solutions = replication_ise(model, n, k_grid, (a, b), seed, rep)
         fits[rep] = [(s.iterations, s.residual) if s else (math.nan, math.nan) for s in solutions]
 
     feasible = ~np.isnan(mel)

@@ -34,10 +34,6 @@ def check_norm_order(p: float) -> float:
     return p
 
 
-def _maybe_scalar(out: np.ndarray, scalar: bool):
-    return float(out) if scalar else out
-
-
 def lp_norm(x, y, p: float):
     """L_p norm of the componentwise pair ``(x, y)``, elementwise.
 
@@ -59,17 +55,17 @@ def lp_norm(x, y, p: float):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if math.isinf(p):
-        return _maybe_scalar(np.maximum(x, y), scalar)
-    if p == 1.0:
-        return _maybe_scalar(x + y, scalar)
-    if p == 2.0:
-        return _maybe_scalar(np.hypot(x, y), scalar)
-    hi = np.maximum(x, y)
-    lo = np.minimum(x, y)
-    safe = np.where(hi > 0.0, hi, 1.0)
-    ratio = np.where(hi > 0.0, lo / safe, 0.0)
-    out = hi * (1.0 + ratio**p) ** (1.0 / p)
-    return _maybe_scalar(out, scalar)
+        out = np.maximum(x, y)
+    elif p == 1.0:
+        out = x + y
+    elif p == 2.0:
+        out = np.hypot(x, y)
+    else:
+        hi = np.maximum(x, y)
+        lo = np.minimum(x, y)
+        ratio = np.where(hi > 0.0, lo / np.where(hi > 0.0, hi, 1.0), 0.0)
+        out = hi * (1.0 + ratio**p) ** (1.0 / p)
+    return float(out) if scalar else out
 
 
 def score_f(theta, p: float):
@@ -92,4 +88,4 @@ def score_f(theta, p: float):
     # at pi/2; pin both symmetry points to their exact scores
     out = np.where(theta == _QUARTER_PI, 0.0, out)
     out = np.where(theta == _HALF_PI, 1.0, out)
-    return _maybe_scalar(out, scalar)
+    return float(out) if scalar else out

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .empirical import AngularSample, DiscreteSpectralMeasure, _moment_rows, _TailGrid
+from .empirical import AngularSample, DiscreteSpectralMeasure, _Block, _moment_rows, _TailGrid
 
 __all__ = [
     "ConstraintInfeasible",
@@ -230,6 +230,15 @@ def _solve_rows(a: np.ndarray, count: np.ndarray, tol: float = SOLVER_TOL, max_i
     ]
 
 
+def _weight_rows(mu: np.ndarray, a: np.ndarray, count) -> np.ndarray:
+    """Weights (1 / count[i]) / (1 + mu[i] A) of each zero-padded score row
+    a[i]; a padding zero gives 1 / count[i], a NaN multiplier NaN."""
+    denom = 1.0 + mu[:, None] * a
+    if np.any(denom <= 0.0):
+        raise ValueError("multiplier leaves the weight positivity domain for these scores")
+    return (1.0 / count)[:, None] / denom
+
+
 def mele_weights(solution: MultiplierSolution, scores) -> np.ndarray:
     """Empirical likelihood weights w_i = (1/N) / (1 + mu A_i).
 
@@ -237,28 +246,25 @@ def mele_weights(solution: MultiplierSolution, scores) -> np.ndarray:
     both identities hold to roughly ``N * |Psi(mu)|`` here.
     """
     a = _check_scores(scores)
-    denom = 1.0 + solution.mu * a
-    if np.any(denom <= 0.0):
-        raise ValueError("multiplier leaves the weight positivity domain for these scores")
-    return (1.0 / a.size) / denom
+    return _weight_rows(np.array([solution.mu]), a[None], np.array([a.size]))[0]
 
 
-def _mele_rows(grid: _TailGrid) -> tuple[list, np.ndarray, np.ndarray]:
-    """MELE at every k of the grid from one row-wise solve: the solutions
-    (``None`` where infeasible), the atom weights of the probability
-    measures Q and their normalizers m (NaN where infeasible)."""
-    count = np.sum(grid.member, axis=1)
-    a = np.where(grid.member, grid.union.scores, 0.0)
+def _mele_rows(block: _Block, normalized: bool) -> tuple[list, np.ndarray]:
+    """MELE at every k of a block of the grid from one row-wise solve: the
+    solutions (``None`` where infeasible) and the atom weights of the
+    probability measures Q, or with ``normalized`` of the spectral
+    estimates Q / m; a row is NaN where infeasible."""
+    count = np.sum(block.member, axis=1)
+    a = np.where(block.member, block.grid.union.scores, 0.0)
     solutions = _solve_rows(a, count)
-    mu = np.array([math.nan if s is None else s.mu for s in solutions])
-    denom = 1.0 + mu[:, None] * a
-    if np.any(denom[grid.member] <= 0.0):
-        raise ValueError("multiplier leaves the weight positivity domain for these scores")
-    q = grid.per_atom((1.0 / count)[:, None] / denom)
-    feasible = ~np.isnan(mu)
-    m = np.full(mu.size, math.nan)
-    m[feasible] = _normalizers(grid.atoms, q[feasible], grid.union.p)
-    return solutions, q, m
+    feasible = np.array([s is not None for s in solutions])
+    mu = np.array([s.mu if s is not None else math.nan for s in solutions])
+    q = block.per_atom(_weight_rows(mu, a, count))
+    q[~feasible] = math.nan
+    if normalized:
+        m = _normalizers(block.grid.atoms, q[feasible], block.grid.union.p)
+        q[feasible] *= (1.0 / m)[:, None]
+    return solutions, q
 
 
 def _normalizers(atoms: np.ndarray, q: np.ndarray, p: float) -> np.ndarray:
@@ -295,12 +301,11 @@ def spectral_normalizer(q: DiscreteSpectralMeasure) -> float:
 
 def _mele_estimate(ang: AngularSample, normalized: bool) -> DiscreteSpectralMeasure:
     _check_scores(ang.scores)
-    grid = _TailGrid.of(ang)
-    (solution,), q, m = _mele_rows(grid)
+    (block,) = _TailGrid.of(ang).blocks()
+    (solution,), q = _mele_rows(block, normalized)
     if solution is None:
         raise ConstraintInfeasible(ang.scores)
-    weights = q[0] * (1.0 / m[0]) if normalized else q[0]
-    return DiscreteSpectralMeasure(grid.atoms, weights, ang.p, solution=solution)
+    return DiscreteSpectralMeasure(block.grid.atoms, q[0], ang.p, solution=solution)
 
 
 def mele_spectral_prob(ang: AngularSample) -> DiscreteSpectralMeasure:

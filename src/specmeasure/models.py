@@ -241,19 +241,9 @@ def _arc_norm_cdf(p: float) -> Callable:
     if p == 1.0:
         return _sum_norm_arc
     if p == 2.0:
-
-        def cdf2(t):
-            return np.asarray(t, dtype=float).copy()
-
-        return cdf2
+        return lambda t: np.array(t, dtype=float)
     if math.isinf(p):
-        sqrt2 = math.sqrt(2.0)
-
-        def cdfinf(t):
-            t = np.asarray(t, dtype=float)
-            return np.where(t <= QUARTER_PI, np.sin(t), sqrt2 - np.cos(t))
-
-        return cdfinf
+        return lambda t: np.where(t <= QUARTER_PI, np.sin(t), math.sqrt(2.0) - np.cos(t))
     return _by_parts_cdf(_sum_norm_arc, p)
 
 
@@ -356,9 +346,7 @@ def sample_logistic(n: int, r: float, rng: np.random.Generator) -> BivariateSamp
     has joint law exp(-(v1**-r + v2**-r)**(1/r)).  r = 1 reduces to
     independent unit Frechet coordinates.
     """
-    r = float(r)
-    if not (r >= 1.0 and math.isfinite(r)):
-        raise ValueError(f"dependence parameter must satisfy 1 <= r < inf, got {r!r}")
+    r = _check_logistic_params(r, 1.0, 1.0)[0]
     if n < 1:
         raise ValueError("sample size must be at least 1")
     if r == 1.0:
@@ -459,7 +447,6 @@ def cauchy_quadrant_model(p: float = 1.0) -> SpectralModel:
     p = check_norm_order(p)
 
     def density(theta, _p=p):
-        theta = np.asarray(theta, dtype=float)
         return lp_norm(np.sin(theta), np.cos(theta), _p)
 
     interior = _arc_norm_cdf(p)
@@ -485,14 +472,9 @@ def cauchy_fullplane_model(p: float = 1.0) -> SpectralModel:
     p = check_norm_order(p)
 
     def density(theta, _p=p):
-        theta = np.asarray(theta, dtype=float)
         return 0.5 * lp_norm(np.sin(theta), np.cos(theta), _p)
 
     arc = _arc_norm_cdf(p)
-
-    def interior(t):
-        return 0.5 * np.asarray(arc(t), dtype=float)
-
     return SpectralModel(
         name="cauchy-fullplane",
         params={},
@@ -501,7 +483,7 @@ def cauchy_fullplane_model(p: float = 1.0) -> SpectralModel:
         atom_half_pi=0.5,
         interior_density=density,
         sampler=_sample_cauchy_fullplane,
-        _interior_cdf=interior,
+        _interior_cdf=lambda t: 0.5 * arc(t),
     )
 
 
@@ -574,7 +556,6 @@ def mixture_model(r: float, p: float = 1.0) -> SpectralModel:
         )
 
     def density(theta, _r=r, _p=p):
-        theta = np.asarray(theta, dtype=float)
         s = np.sin(theta)
         c = np.cos(theta)
         return 2.0 * _r * lp_norm(s, c, _p) / (s + c) ** 3

@@ -221,7 +221,11 @@ def write_sample(sample: BivariateSample, dest: PathOrStream, header: str = "x1,
     """Write a sample in the same format accepted by :func:`read_sample`."""
     lines = [header]
     lines.extend(f"{format_value(a)},{format_value(b)}" for a, b in sample.values)
-    text = "\n".join(lines) + "\n"
+    write_text(dest, "\n".join(lines) + "\n")
+
+
+def write_text(dest: PathOrStream, text: str) -> None:
+    """Write ``text`` to an open stream, or to a path as UTF-8."""
     if hasattr(dest, "write"):
         dest.write(text)
     else:

@@ -2,13 +2,14 @@
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specmeasure import evaluation, mele
+from specmeasure import empirical, evaluation, mele
 from specmeasure.empirical import (
     DiscreteSpectralMeasure,
     _empirical_rows,
@@ -19,6 +20,7 @@ from specmeasure.empirical import (
 from specmeasure.evaluation import (
     ESTIMATORS,
     MiseTable,
+    _cells,
     _integrated_squared_errors,
     _ise_rows,
     integrated_squared_error,
@@ -191,7 +193,7 @@ class TestSharedPartition:
         a, b = 0.1, 1.4
         seen = 0
         for rep in range(3):
-            emp, mel, infeasible = replication_ise(model, n, k_grid, (a, b), seed, rep)
+            emp, mel, infeasible, _ = replication_ise(model, n, k_grid, (a, b), seed, rep)
             pobs = pseudo_observations(model.sample(n, np.random.default_rng([seed, rep])))
             for i, k in enumerate(k_grid):
                 ang = select_extremes(pobs, k, model.p)
@@ -212,20 +214,21 @@ class TestReplicationIse:
     def test_pure_function_of_seed_and_rep(self):
         model = cauchy_quadrant_model(1.0)
         args = (model, 200, [10, 20], (0.1, 1.4), 5)
-        emp1, mel1, inf1 = replication_ise(*args, rep=3)
-        emp2, mel2, inf2 = replication_ise(*args, rep=3)
+        emp1, mel1, inf1, _ = replication_ise(*args, rep=3)
+        emp2, mel2, inf2, _ = replication_ise(*args, rep=3)
         assert np.array_equal(emp1, emp2)
         assert np.array_equal(mel1, mel2)
         assert np.array_equal(inf1, inf2)
-        emp3, _, _ = replication_ise(*args, rep=4)
+        emp3, *_ = replication_ise(*args, rep=4)
         assert not np.array_equal(emp1, emp3)
 
     def test_infeasible_marked_nan(self):
         # seed 3, rep 0 at k = 2 draws diagonal ties plus extremes on a
         # single side only, which cannot satisfy the moment constraint
         model = cauchy_quadrant_model(1.0)
-        emp, mel, inf = replication_ise(model, 60, [2, 10], (0.1, 1.4), 3, 0)
+        emp, mel, inf, solutions = replication_ise(model, 60, [2, 10], (0.1, 1.4), 3, 0)
         assert inf[0] and not inf[1]
+        assert solutions[0] is None and solutions[1].residual <= SOLVER_TOL
         assert math.isnan(mel[0]) and not math.isnan(mel[1])
         assert np.all(np.isfinite(emp))
 
@@ -253,12 +256,13 @@ class TestGridPass:
         values = model.sample(n, np.random.default_rng(seed)).values
         pobs = pseudo_observations(BivariateSample(np.round(values, 1) if tied else values))
         grid = _select(pobs, k_grid, p)
-        solutions, q, m = _mele_rows(grid)
-        rows = np.concatenate([_empirical_rows(grid), q * (1.0 / m)[:, None]])
-        emp, mel = np.split(_ise_rows(grid.atoms, rows, model, a, b), 2)
+        (block,) = grid.blocks()
+        solutions, mel_rows = _mele_rows(block, normalized=True)
+        rows = np.concatenate([_empirical_rows(block), mel_rows])
+        emp, mel = np.split(_ise_rows(_cells(grid.atoms, model, a, b), rows), 2)
         for i, k in enumerate(k_grid):
             ang = select_extremes(pobs, k, p)
-            np.testing.assert_array_equal(grid.union.indices[grid.member[i]], ang.indices)
+            np.testing.assert_array_equal(grid.union.indices[block.member[i]], ang.indices)
             assert emp[i] == pytest.approx(
                 integrated_squared_error(empirical_spectral_measure(ang), model, a, b), rel=1e-12
             )
@@ -283,8 +287,9 @@ class TestGridPass:
 
     @pytest.mark.parametrize("k_grid", [[40], [10, 20, 40, 80, 5], list(range(10, 201, 10))])
     def test_one_pass_per_replication(self, monkeypatch, k_grid):
-        # count guard: one selection, one row-wise solve and one truth
-        # integral evaluation per replication, whatever the grid length
+        # count guard: one selection and one truth integral evaluation per
+        # replication, whatever the grid length, and one row-wise solve per
+        # block of rows, which is the whole grid at these sizes
         calls = []
 
         def counted(module, name):
@@ -311,15 +316,42 @@ class TestGridPass:
             replication_ise(model, 1000, k_grid, (0.1, 1.4), 11, rep)
             assert sorted(calls) == ["_select", "_solve_rows", "cdf_integrals"]
 
+    def test_full_resolution_grid_in_bounded_memory(self, monkeypatch):
+        # every k in 1..n: the whole grid at once holds n x n cells per dense
+        # array, 32 MB each at n = 2000 and a peak near 290 MB; blocks of
+        # empirical._CELLS cells keep the peak near 24 MB
+        model = cauchy_quadrant_model(1.0)
+        model.cdf_integrals  # build the model's tables before tracing
+        solves = []
+        solve = mele._solve_rows
+        monkeypatch.setattr(mele, "_solve_rows", lambda *args: solves.append(1) or solve(*args))
+        tracemalloc.start()
+        try:
+            emp, mel, infeasible, _ = replication_ise(model, 2000, range(1, 2001), (0.1, 1.4), 5, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert len(solves) > 1
+        assert np.all(np.isfinite(emp)) and np.array_equal(np.isnan(mel), infeasible)
+
+    def test_rows_do_not_depend_on_their_block(self, monkeypatch):
+        model = cauchy_quadrant_model(2.0)
+        args = (model, 400, [1, 7, 50, 3, 400, 120, 50], (0.1, 1.4), 2, 0)
+        whole = replication_ise(*args)
+        monkeypatch.setattr(empirical, "_CELLS", 1)  # one row per block
+        blocked = replication_ise(*args)
+        for x, y in zip(whole[:3], blocked[:3]):
+            np.testing.assert_array_equal(x, y)
+        assert whole[3] == blocked[3]
+
     def test_solver_aggregates(self):
         # seed 3 has one infeasible fit at k = 2
         model = cauchy_quadrant_model(1.0)
         table = mise_sweep(model, 60, 4, [2, 10], interval=(0.1, 1.4), seed=3)
         fits = []
         for rep in range(4):
-            _, _, infeasible, solutions = replication_ise(
-                model, 60, [2, 10], (0.1, 1.4), 3, rep, diagnostics=True
-            )
+            _, _, infeasible, solutions = replication_ise(model, 60, [2, 10], (0.1, 1.4), 3, rep)
             assert [s is None for s in solutions] == infeasible.tolist()
             fits += [s for s in solutions if s is not None]
         assert table.infeasible.sum() == 1 and len(fits) == 7
@@ -332,7 +364,7 @@ class TestMiseSweep:
         model = cauchy_quadrant_model(1.0)
         interval = (0.1, 1.4)
         table = mise_sweep(model, 150, 1, [10, 25], interval=interval, seed=9)
-        emp, mel, _ = replication_ise(model, 150, [10, 25], interval, 9, 0)
+        emp, mel, _, _ = replication_ise(model, 150, [10, 25], interval, 9, 0)
         np.testing.assert_array_equal(table.mise[:, 0], emp)
         np.testing.assert_array_equal(table.mise[:, 1], mel)
         np.testing.assert_array_equal(table.stderr, np.zeros((2, 2)))
@@ -362,7 +394,7 @@ class TestMiseSweep:
         # the mean over the 8 feasible draws only
         vals = []
         for rep in range(12):
-            _, mel, inf = replication_ise(model, 60, [2], (0.1, 1.4), 13, rep)
+            _, mel, inf, _ = replication_ise(model, 60, [2], (0.1, 1.4), 13, rep)
             if not inf[0]:
                 vals.append(mel[0])
         assert len(vals) == 8
