@@ -46,22 +46,12 @@ def integrated_squared_error(
     Gbar_j = dIG_j / w_j.  The second sum depends on the cells only, so a
     replication scores all its estimates on one set of cells at once.
     """
-    return _integrated_squared_errors([estimate], model, a, b)[0]
-
-
-def _integrated_squared_errors(
-    estimates: Sequence[DiscreteSpectralMeasure], model: SpectralModel, a: float, b: float
-) -> list[float]:
-    """One ``integrated_squared_error`` per estimate; all must share atoms."""
-    atoms = estimates[0].angles
-    for estimate in estimates:
-        if estimate.p != model.p:
-            raise ValueError(
-                f"norm order mismatch: estimate has p = {estimate.p}, model has p = {model.p}"
-            )
-        if not np.array_equal(estimate.angles, atoms):
-            raise ValueError("estimates sharing one partition must have the same atoms")
-    return _ise_rows(_cells(atoms, model, a, b), np.array([e.weights for e in estimates])).tolist()
+    if estimate.p != model.p:
+        raise ValueError(
+            f"norm order mismatch: estimate has p = {estimate.p}, model has p = {model.p}"
+        )
+    cells = _cells(estimate.angles, model, a, b)
+    return float(_ise_rows(cells, estimate.weights[None])[0])
 
 
 def _cells(atoms: np.ndarray, model: SpectralModel, a, b) -> tuple:

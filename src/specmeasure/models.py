@@ -13,8 +13,9 @@ order follows by one integration by parts,
     Phi_p(theta) = rho(theta) Phi_1(theta) - int_0^theta rho' Phi_1,
 
 with rho = ||(sin, cos)||_p / ||(sin, cos)||_1.  The remaining integrand
-is bounded, so a fixed Gauss-Legendre table sums it; p = 2 and p = inf
-keep direct closed forms where a family has them.
+is bounded, so a fixed Gauss-Legendre table sums it.  That is the one
+route of every family: its sum-norm closed form at p = 1, by parts for
+every other p.
 
 For exact ISEs each model samples its own cdf G once at the table's
 nodes, on first use, and keeps the antiderivatives of G and G**2 as one
@@ -130,9 +131,8 @@ class SpectralModel:
         Angle interval used by the benchmark harness when the caller
         does not choose one.
 
-    The cdf is exact: closed form under the sum norm (and, for some
-    families, under p = 2 and p = inf), by parts from the sum-norm form
-    with a fixed Gauss-Legendre table for every other p.
+    The cdf is exact: closed form under the sum norm, by parts from the
+    sum-norm form with a fixed Gauss-Legendre table for every other p.
     """
 
     name: str
@@ -220,10 +220,12 @@ def _norm_ratio(theta, p: float):
 def _by_parts_cdf(phi1: Callable, p: float) -> Callable:
     """Interior cdf under the norm order p from the sum-norm one, phi1.
 
-    Phi_p = rho Phi_1 - int_0^theta rho' Phi_1.  The bounded integrand
-    is sampled once at ``_NODES``, and the integral comes from its
-    panel antiderivatives.
+    Phi_p = rho Phi_1 - int_0^theta rho' Phi_1, which is phi1 itself at
+    p = 1.  The bounded integrand is sampled once at ``_NODES``, and the
+    integral comes from its panel antiderivatives.
     """
+    if p == 1.0:
+        return phi1
     integral = _panel_antiderivatives([_norm_ratio(_NODES, p)[1] * phi1(_NODES)])
     return lambda t: _norm_ratio(t, p)[0] * phi1(t) - integral(t)[0]
 
@@ -231,20 +233,6 @@ def _by_parts_cdf(phi1: Callable, p: float) -> Callable:
 def _sum_norm_arc(t):
     t = np.asarray(t, dtype=float)
     return np.sin(t) - np.cos(t) + 1.0
-
-
-def _arc_norm_cdf(p: float) -> Callable:
-    """Integral of ||(sin, cos)||_p from 0 to theta.
-
-    Closed forms for p in {1, 2, inf}, by parts otherwise.
-    """
-    if p == 1.0:
-        return _sum_norm_arc
-    if p == 2.0:
-        return lambda t: np.array(t, dtype=float)
-    if math.isinf(p):
-        return lambda t: np.where(t <= QUARTER_PI, np.sin(t), math.sqrt(2.0) - np.cos(t))
-    return _by_parts_cdf(_sum_norm_arc, p)
 
 
 # ---------------------------------------------------------------------------
@@ -402,12 +390,6 @@ def asym_logistic_model(
     def density(theta, _r=r, _p1=psi1, _p2=psi2, _p=p):
         return asym_logistic_spectral_density(theta, _r, _p1, _p2, _p)
 
-    if r == 2.0 and symmetric:
-        interior = _arc_norm_cdf(p)
-    else:
-        interior = _logistic_sum_norm_cdf(r, psi1, psi2)
-        if p != 1.0:
-            interior = _by_parts_cdf(interior, p)
     return SpectralModel(
         name=name,
         params=params,
@@ -416,7 +398,7 @@ def asym_logistic_model(
         atom_half_pi=1.0 - psi1,
         interior_density=density,
         sampler=sampler,
-        _interior_cdf=interior,
+        _interior_cdf=_by_parts_cdf(_logistic_sum_norm_cdf(r, psi1, psi2), p),
     )
 
 
@@ -449,7 +431,6 @@ def cauchy_quadrant_model(p: float = 1.0) -> SpectralModel:
     def density(theta, _p=p):
         return lp_norm(np.sin(theta), np.cos(theta), _p)
 
-    interior = _arc_norm_cdf(p)
     return SpectralModel(
         name="cauchy-quadrant",
         params={},
@@ -458,7 +439,7 @@ def cauchy_quadrant_model(p: float = 1.0) -> SpectralModel:
         atom_half_pi=0.0,
         interior_density=density,
         sampler=_sample_cauchy_quadrant,
-        _interior_cdf=interior,
+        _interior_cdf=_by_parts_cdf(_sum_norm_arc, p),
     )
 
 
@@ -474,7 +455,7 @@ def cauchy_fullplane_model(p: float = 1.0) -> SpectralModel:
     def density(theta, _p=p):
         return 0.5 * lp_norm(np.sin(theta), np.cos(theta), _p)
 
-    arc = _arc_norm_cdf(p)
+    arc = _by_parts_cdf(_sum_norm_arc, p)
     return SpectralModel(
         name="cauchy-fullplane",
         params={},
@@ -564,20 +545,6 @@ def mixture_model(r: float, p: float = 1.0) -> SpectralModel:
         t = np.asarray(t, dtype=float)
         return _r * (1.0 + np.tan(t - QUARTER_PI))
 
-    if p == 1.0:
-        interior = sum_norm_cdf
-    elif math.isinf(p):
-
-        def interior(t, _r=r):
-            t = np.asarray(t, dtype=float)
-            with np.errstate(divide="ignore"):
-                tan = np.tan(t)
-                low = 1.0 - (1.0 + tan) ** -2.0
-                high = 0.5 + (1.0 + 1.0 / tan) ** -2.0
-            return _r * np.where(t <= QUARTER_PI, low, high)
-
-    else:
-        interior = _by_parts_cdf(sum_norm_cdf, p)
     return SpectralModel(
         name="mixture",
         params={"r": r},
@@ -587,7 +554,7 @@ def mixture_model(r: float, p: float = 1.0) -> SpectralModel:
         interior_density=density,
         sampler=sampler,
         default_ise_interval=(0.05 * HALF_PI, 0.95 * HALF_PI),
-        _interior_cdf=interior,
+        _interior_cdf=_by_parts_cdf(sum_norm_cdf, p),
     )
 
 

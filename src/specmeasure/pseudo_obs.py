@@ -7,6 +7,7 @@ increasing transformations of either margin.
 
 from __future__ import annotations
 
+import itertools
 import os
 import warnings
 from dataclasses import dataclass
@@ -26,6 +27,9 @@ __all__ = [
 ]
 
 PathOrStream = Union[str, os.PathLike, IO[str]]
+
+#: lines per np.loadtxt call; a batch it rejects goes to the line parser
+_BATCH = 1 << 16
 
 
 class InputError(ValueError):
@@ -122,13 +126,14 @@ def read_sample(source: PathOrStream) -> BivariateSample:
 
     One record per line, two numeric fields separated by a comma or by
     whitespace; spaces around a comma-separated field are tolerated.
-    Blank lines and everything from a ``#`` to the end of its line are
-    ignored.  The first record is skipped as a header when it does not
-    parse and its first field is not numeric.
+    Blank lines, everything from a ``#`` to the end of its line and one
+    leading byte order mark are ignored.  The first record is skipped as
+    a header when its first field is not numeric.
 
-    Seekable input (a path, a StringIO) is parsed in C by np.loadtxt; what
-    that parse does not accept cleanly is read again by the line parser,
-    which alone reports errors.  Piped input goes to the line parser only.
+    Every input, piped standard input included, is parsed in C by
+    np.loadtxt in batches of ``_BATCH`` lines.  A batch that parse rejects
+    goes to the line parser, which alone defines the format and reports
+    errors, so an odd or bad row costs one batch.
 
     Raises
     ------
@@ -145,55 +150,50 @@ def read_sample(source: PathOrStream) -> BivariateSample:
 
 
 def _read_stream(stream: IO[str]) -> BivariateSample:
-    if stream.seekable():
-        start = stream.tell()
-        values = _read_fast(stream, start)
-        if values is not None:
-            return BivariateSample(values)
-        stream.seek(start)
-    rows: list[tuple[float, float]] = []
-    skipped_header = False
-    for lineno, line in enumerate(stream, start=1):
-        parts, comma = _fields(line)
-        if not parts:
-            continue
-        if len(parts) == 2:
-            try:
-                rows.append((float(parts[0]), float(parts[1])))
-                continue
-            except ValueError:
-                problem = f"non-numeric field in record {line.strip()!r}"
-        else:
-            kind = "comma" if comma else "whitespace"
-            problem = f"expected 2 {kind}-separated fields, found {len(parts)}"
-        # no row and no header yet: this is the first record
-        if not rows and not skipped_header and not _is_number(parts[0]):
-            skipped_header = True
-            continue
-        raise ParseError(problem, lineno)
-    if not rows:
-        raise InputError("no data rows found")
-    return BivariateSample(np.array(rows, dtype=float))
-
-
-def _read_fast(stream: IO[str], start: int) -> np.ndarray | None:
-    """The (n, 2) array np.loadtxt reads past any header, split as the first
-    record is; None leaves the stream to the line parser."""
-    for line in iter(stream.readline, ""):
+    records = iter(stream)
+    records = itertools.chain([next(records, "").removeprefix("\ufeff")], records)
+    for lineno, line in enumerate(records, start=1):
         parts, comma = _fields(line)
         if parts:
             break
     else:
-        return None
-    if _is_number(parts[0]):  # not a header
-        stream.seek(start)
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            values = np.loadtxt(stream, delimiter="," if comma else None, comments="#", ndmin=2)
-    except (ValueError, Warning):
-        return None
-    return values if values.shape[0] >= 1 and values.shape[1] == 2 else None
+        raise InputError("no data rows found")
+    if _is_number(parts[0]):  # not a header: the first batch starts at this record
+        records = itertools.chain([line], records)
+        lineno -= 1
+    blocks = [np.empty((0, 2))]
+    while batch := list(itertools.islice(records, _BATCH)):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                values = np.loadtxt(batch, delimiter="," if comma else None, comments="#", ndmin=2)
+        except (ValueError, Warning):
+            values = None
+        if values is None or values.shape[1] != 2:
+            values = _parse_lines(batch, lineno)
+        blocks.append(values)
+        lineno += len(batch)
+    values = np.concatenate(blocks)
+    if not len(values):
+        raise InputError("no data rows found")
+    return BivariateSample(values)
+
+
+def _parse_lines(lines: list[str], offset: int) -> np.ndarray:
+    """Rows of ``lines``, from line ``offset + 1``: the format's definition."""
+    rows: list[tuple[float, float]] = []
+    for lineno, line in enumerate(lines, start=offset + 1):
+        parts, comma = _fields(line)
+        if not parts:
+            continue
+        if len(parts) != 2:
+            kind = "comma" if comma else "whitespace"
+            raise ParseError(f"expected 2 {kind}-separated fields, found {len(parts)}", lineno)
+        try:
+            rows.append((float(parts[0]), float(parts[1])))
+        except ValueError:
+            raise ParseError(f"non-numeric field in record {line.strip()!r}", lineno) from None
+    return np.array(rows, dtype=float).reshape(-1, 2)
 
 
 def _fields(line: str) -> tuple[list[str], bool]:

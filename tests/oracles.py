@@ -3,8 +3,9 @@
 Everything here recomputes a quantity through a different algorithm
 than the production code: direct constrained optimization instead of a
 multiplier root find, quadratic-time counting instead of sorting,
-exact integer arithmetic instead of floats, and library quadrature
-instead of the package's integrators.
+exact integer arithmetic instead of floats, library quadrature instead
+of the package's integrators, and plain string handling instead of
+batched C parsing.
 """
 
 import math
@@ -70,6 +71,41 @@ def rank_oracle(column) -> np.ndarray:
     """Quadratic-time maximal ranks R_i = #{l : x_l <= x_i}."""
     col = np.asarray(column, dtype=float)
     return np.array([int(np.sum(col <= x)) for x in col], dtype=np.int64)
+
+
+def sample_text_oracle(text: str):
+    """The two-column text format read line by line in plain Python: the
+    rows as float pairs, or the 1-based line number of the first bad record.
+
+    Lines end at newlines only, as a StringIO splits them.  One leading
+    byte order mark is dropped; a line is cut at its first '#'; a comma
+    left anywhere makes it comma-separated, else whitespace-separated; a
+    line without fields is skipped; the first record is a header, and is
+    skipped, iff its first field is not a number.
+    """
+
+    def number(field):
+        try:
+            float(field)
+        except ValueError:
+            return False
+        return True
+
+    rows = []
+    header_decided = False
+    for lineno, line in enumerate(text.removeprefix("\ufeff").split("\n"), start=1):
+        content = line.split("#", 1)[0]
+        fields = content.split(",") if "," in content else content.split()
+        if not fields:
+            continue
+        if not header_decided:
+            header_decided = True
+            if not number(fields[0]):
+                continue
+        if len(fields) != 2 or not (number(fields[0]) and number(fields[1])):
+            return lineno
+        rows.append((float(fields[0]), float(fields[1])))
+    return rows
 
 
 def membership_oracle(m1: int, m2: int, k: int, p: float) -> bool:

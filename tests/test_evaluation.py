@@ -21,7 +21,6 @@ from specmeasure.evaluation import (
     ESTIMATORS,
     MiseTable,
     _cells,
-    _integrated_squared_errors,
     _ise_rows,
     integrated_squared_error,
     mise_sweep,
@@ -154,34 +153,6 @@ class TestIntegratedSquaredError:
 class TestSharedPartition:
     """Both estimators at one k share atoms, so one partition and one
     pass of truth cdf values serve both of their ISEs."""
-
-    @pytest.mark.parametrize(
-        "model",
-        [
-            asym_logistic_model(2.0, p=1.0),
-            cauchy_quadrant_model(2.5),
-            mixture_model(0.5, p=math.inf),
-        ],
-        ids=["logistic-p1", "cauchy-p2.5", "mixture-pinf"],
-    )
-    def test_equals_separate_calls_bitwise(self, model):
-        a, b = model.default_ise_interval
-        for seed in range(3):
-            sample = model.sample(400, np.random.default_rng(seed))
-            ang = select_extremes(pseudo_observations(sample), 40, model.p)
-            estimates = [empirical_spectral_measure(ang), mele_spectral_measure(ang)]
-            shared = _integrated_squared_errors(estimates, model, a, b)
-            separate = [integrated_squared_error(est, model, a, b) for est in estimates]
-            assert shared == separate
-
-    def test_different_atoms_rejected(self):
-        model = cauchy_quadrant_model(1.0)
-        first = atoms([0.3, QUARTER_PI], [1.0, 1.0])
-        second = atoms([0.3, 1.0], [1.0, 1.0])
-        with pytest.raises(ValueError, match="same atoms"):
-            _integrated_squared_errors([first, second], model, 0.1, 1.4)
-        with pytest.raises(ValueError, match="same atoms"):
-            _integrated_squared_errors([first, atoms([0.3], [2.0])], model, 0.1, 1.4)
 
     @pytest.mark.parametrize(
         "n, k_grid, seed, infeasible_fits", [(60, [2, 10], 3, 1), (300, [5, 20, 40], 8, 0)]

@@ -3,12 +3,14 @@
 import io
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from specmeasure import pseudo_obs
 from specmeasure.pseudo_obs import (
     BivariateSample,
     InputError,
@@ -20,7 +22,7 @@ from specmeasure.pseudo_obs import (
     write_sample,
 )
 
-from oracles import rank_oracle
+from oracles import rank_oracle, sample_text_oracle
 
 
 def sample_of(rows):
@@ -51,7 +53,7 @@ PLAIN = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
                   st.integers(-10**20, 10**20).map(str))
 TOKENS = st.one_of(*[PLAIN] * 15, AWKWARD)
 SEPARATORS = st.sampled_from([",", ", ", " ,", " ", "  ", "\t", " \t"])
-HEADERS = st.sampled_from([None, None, "loss,alae", "x1 x2", "loss", "a,b,c", "1,b"])
+HEADERS = st.sampled_from([None, None, "loss,alae", "x1 x2", "loss", "a,b,c", "1,b", "id,5"])
 
 
 @st.composite
@@ -263,3 +265,94 @@ class TestTextFormat:
     def test_format_value_round_trips(self):
         for x in [1.0, math.pi, 1e-300, 3e300, 2.0 / 3.0, 123456.789]:
             assert float(format_value(x)) == x
+
+
+def oracle_outcome(text):
+    """What read_sample should do with ``text``, by the line-by-line oracle."""
+    rows = sample_text_oracle(text)
+    if isinstance(rows, int):
+        return ParseError, rows
+    values = np.array(rows, dtype=float).reshape(-1, 2)
+    if not len(values) or not np.isfinite(values).all():
+        return InputError
+    return values.tobytes()
+
+
+def small_batch_outcome(stream):
+    """read_sample's outcome with 3-line batches, in the form of oracle_outcome."""
+    with mock.patch.object(pseudo_obs, "_BATCH", 3):
+        try:
+            return read_sample(stream).values.tobytes()
+        except ParseError as exc:
+            return ParseError, exc.lineno
+        except InputError:
+            return InputError
+
+
+def numbered_rows(count):
+    return [f"{i},{i / 7!r}" for i in range(count)]
+
+
+class TestBatchedRead:
+    """Line batches, each C-parsed or, when that parse rejects it, line-parsed."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(sample_texts(), st.booleans())
+    @example("1,2\n3,4\n5,6\n7,8\n", False)
+    @example("# a\n\n# b\nid,5\n1,2\n3,4,5\n", False)
+    @example("1,2\n3,4\n\n   \n5,6\n", True)
+    def test_matches_oracle_across_batches(self, text, bom):
+        text = "\ufeff" + text if bom else text
+        assert small_batch_outcome(io.StringIO(text)) == oracle_outcome(text)
+
+    @pytest.mark.parametrize(
+        "lines, bad",
+        [
+            (["1,2", "3,4,5"] + numbered_rows(8), 2),  # in the first batch
+            (numbered_rows(9) + ["x,1"], 10),  # in the last batch
+            (numbered_rows(3) + ["3,x"] + numbered_rows(5), 4),  # a batch's first line
+            (["x1,x2"] + numbered_rows(3) + ["1,2,3"] + numbered_rows(5), 5),  # after a header
+        ],
+        ids=["first-batch", "last-batch", "batch-first-line", "header-shifted"],
+    )
+    def test_bad_row_cited(self, lines, bad):
+        text = "\n".join(lines) + "\n"
+        assert small_batch_outcome(io.StringIO(text)) == (ParseError, bad)
+        assert small_batch_outcome(Piped(text)) == (ParseError, bad)
+
+    def test_header_only_file(self):
+        assert small_batch_outcome(io.StringIO("loss,alae\n# none\n\n# yet\n")) == InputError
+        assert small_batch_outcome(io.StringIO("# only\n\n# comments\n   \n")) == InputError
+
+    def test_first_record_in_second_batch(self):
+        lead = "# loss data\n\n  # x,y\n\n"
+        sample = small_batch_outcome(io.StringIO(lead + "loss alae\n1 2\n3 4\n5\t6\n"))
+        assert sample == np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]).tobytes()
+        assert small_batch_outcome(io.StringIO(lead + "1,2\n3,4\n5\n")) == (ParseError, 7)
+
+    @pytest.mark.parametrize(
+        "odd, where", [("   ", 9), ("20,1,2", 20)], ids=["whitespace-line", "bad-last-row"]
+    )
+    def test_odd_line_costs_one_batch(self, odd, where):
+        lines = numbered_rows(20)
+        lines.insert(where, odd)
+        text = "\n".join(lines) + "\n"
+        parse_lines = pseudo_obs._parse_lines
+        offsets = []
+
+        def counted(batch, offset):
+            offsets.append(offset)
+            return parse_lines(batch, offset)
+
+        with mock.patch.object(pseudo_obs, "_parse_lines", counted):
+            assert small_batch_outcome(io.StringIO(text)) == oracle_outcome(text)
+        assert offsets == [where // 3 * 3]
+
+    @pytest.mark.parametrize("header", ["", "x1,x2\n"], ids=["no-header", "header"])
+    def test_byte_order_mark_ignored(self, header, tmp_path):
+        text = "\ufeff" + header + "1,2\n3,4\n5,6\n"
+        path = tmp_path / "bom.csv"
+        path.write_text(text, encoding="utf-8")
+        want = [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+        for source in [str(path), io.StringIO(text), Piped(text)]:
+            np.testing.assert_array_equal(read_sample(source).values, want)
