@@ -217,6 +217,9 @@ def _summary(lines: Sequence[str]) -> None:
 
 def _read_extremes(args, p: float):
     """Angular sample of the input's extremes and its summary lines."""
+    if args.input is None and hasattr(sys.stdin, "reconfigure"):
+        # split lines at "\r", "\n" and "\r\n", as open() does for --input
+        sys.stdin.reconfigure(newline=None)
     sample = read_sample(sys.stdin if args.input is None else args.input)
     pobs = pseudo_observations(sample)
     ang = select_extremes(pobs, args.k, p)
@@ -269,8 +272,6 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_simulate(args) -> int:
     model = _build_model(args, p=1.0)
-    if not model.has_sampler:
-        raise ValueError(f"model {model.describe()} has no sampler")
     sample = model.sample(args.n, np.random.default_rng(args.seed))
     write_sample(sample, sys.stdout if args.output is None else args.output)
     return 0

@@ -39,6 +39,8 @@ __all__ = [
 
 #: residual target for the multiplier root
 SOLVER_TOL = 1e-12
+#: Newton or bisection steps allowed per multiplier root
+SOLVER_MAX_ITER = 200
 #: relative bracket width target for the multiplier root
 WIDTH_TOL = 1e-14
 #: allowed disagreement between the two normalizer forms
@@ -112,12 +114,12 @@ def psi(mu: float, scores) -> float:
     return float(_psi_rows(np.array([mu], dtype=float), a[None], a.size)[0][0])
 
 
-def solve_multiplier(scores, tol: float = SOLVER_TOL, max_iter: int = 200) -> MultiplierSolution:
+def solve_multiplier(scores) -> MultiplierSolution:
     """Solve Psi(mu) = 0 for the Lagrange multiplier.
 
     Safeguarded Newton iteration inside a shrinking sign bracket,
     warm-started at the first-order value mean(A) / mean(A^2).  The
-    returned root satisfies ``max(|Psi|, |mu Psi|) <= tol``, and the
+    returned root satisfies ``max(|Psi|, |mu Psi|) <= SOLVER_TOL``, and the
     exact root of Psi lies within h + e of it: h = 1e-14 * (1 + |mu|)
     is the width target of the final bracket, and e, about
     eps * mean|t| / mean(t^2) with t = A / (1 + mu A), is the float
@@ -128,7 +130,7 @@ def solve_multiplier(scores, tol: float = SOLVER_TOL, max_iter: int = 200) -> Mu
     h / 2, the next point is h / 2 past the iterate on the root's side
     (Brent's tolerance step), so the bracket closes on the root there:
     about 6 evaluations of Psi are typical.  Both constraints are then
-    met to ``tol``: the weights give sum(w A) = Psi and
+    met to ``SOLVER_TOL``: the weights give sum(w A) = Psi and
     sum(w) - 1 = -mu Psi, so |Psi| alone leaves the mass unbounded when
     |mu| is large.  This is the one-row case of the row-wise solve.
 
@@ -138,13 +140,13 @@ def solve_multiplier(scores, tol: float = SOLVER_TOL, max_iter: int = 200) -> Mu
         If the scores do not straddle zero (no interior root exists).
     """
     a = _check_scores(scores)
-    solution = _solve_rows(a[None], np.array([a.size]), tol, max_iter)[0]
+    solution = _solve_rows(a[None], np.array([a.size]))[0]
     if solution is None:
         raise ConstraintInfeasible(a)
     return solution
 
 
-def _solve_rows(a: np.ndarray, count: np.ndarray, tol: float = SOLVER_TOL, max_iter: int = 200):
+def _solve_rows(a: np.ndarray, count: np.ndarray):
     """:func:`solve_multiplier` on every row of ``a`` at once, each row
     with its own bracket, iterate and stop rule; rows are padded as in
     :func:`_psi_rows`, and a padding zero leaves a row's sign test and
@@ -195,7 +197,7 @@ def _solve_rows(a: np.ndarray, count: np.ndarray, tol: float = SOLVER_TOL, max_i
     fx, slope = f(rows, x)
     best_x, best_f = x.copy(), fx.copy()
     j = np.arange(rows.size)
-    for _ in range(max_iter):
+    for _ in range(SOLVER_MAX_ITER):
         if not j.size:
             break
         xj, fj, sj = x[j], fx[j], slope[j]
@@ -211,11 +213,11 @@ def _solve_rows(a: np.ndarray, count: np.ndarray, tol: float = SOLVER_TOL, max_i
         cand = np.where(np.abs(cand - xj) < 0.5 * width, xj + np.copysign(0.5 * width, fj), cand)
         cand = np.where((bl < cand) & (cand < bh), cand, 0.5 * (bl + bh))
         # stop at an exact root, once the larger of the moment error |Psi|
-        # and the mass error |mu Psi| meets tol on a closed bracket, or
+        # and the mass error |mu Psi| meets SOLVER_TOL on a closed bracket, or
         # when no new point is left
         done = (
             ~((fj > 0.0) | (fj < 0.0))
-            | ((np.abs(best_f[j]) * np.maximum(1.0, np.abs(bx)) <= tol) & (bh - bl <= width))
+            | ((np.abs(best_f[j]) * np.maximum(1.0, np.abs(bx)) <= SOLVER_TOL) & (bh - bl <= width))
             | (cand == bl) | (cand == bh) | (cand == xj)
         )
         j, cand = j[~done], cand[~done]

@@ -6,16 +6,18 @@ sampler for the corresponding bivariate distribution.  These are the
 ground truths the estimators are judged against.
 
 Every density here is ||(sin, cos)||_p g(theta) with g free of p, and
-the endpoint atoms do not depend on p.  Each family therefore has a
-closed-form interior cdf Phi_1 under the sum norm, and any other norm
-order follows by one integration by parts,
+the endpoint atoms do not depend on p.  A family therefore declares only
+its p-free parts: the atoms, the density factor g and the closed-form
+interior cdf Phi_1 under the sum norm.  :class:`SpectralModel` applies
+the norm order, the same way for every family: the density is
+||(sin, cos)||_p g, and the interior cdf follows from Phi_1 by one
+integration by parts,
 
     Phi_p(theta) = rho(theta) Phi_1(theta) - int_0^theta rho' Phi_1,
 
 with rho = ||(sin, cos)||_p / ||(sin, cos)||_1.  The remaining integrand
-is bounded, so a fixed Gauss-Legendre table sums it.  That is the one
-route of every family: its sum-norm closed form at p = 1, by parts for
-every other p.
+is bounded, so a fixed Gauss-Legendre table sums it; at p = 1 the cdf is
+Phi_1 itself.
 
 For exact ISEs each model samples its own cdf G once at the table's
 nodes, on first use, and keeps the antiderivatives of G and G**2 as one
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -111,6 +113,9 @@ def _panel_antiderivatives(values) -> Callable:
 class SpectralModel:
     """A spectral measure on [0, pi/2] with optional bivariate sampler.
 
+    A model is its p-free parts; the norm order p is applied here, once
+    for every family.
+
     Attributes
     ----------
     name : str
@@ -118,21 +123,22 @@ class SpectralModel:
     params : dict
         Family parameters, empty when there are none.
     p : float
-        Norm order the angular decomposition refers to.
+        Norm order the angular decomposition refers to, validated on
+        construction.
     atom_zero, atom_half_pi : float
         Point masses at the two endpoint angles.
-    interior_density : callable or None
-        Density of the measure on the open interval, None when the
-        measure is purely atomic.
+    density_factor : callable or None
+        g(theta), the p-free factor of the interior density; None when
+        the measure is purely atomic.
+    sum_norm_cdf : callable or None
+        Phi_1(theta), the interior cdf under the sum norm (zero at 0);
+        not used when ``density_factor`` is None.
     sampler : callable or None
         ``sampler(n, rng) -> BivariateSample`` drawing from the
         bivariate distribution whose spectral measure this is.
     default_ise_interval : (float, float)
         Angle interval used by the benchmark harness when the caller
         does not choose one.
-
-    The cdf is exact: closed form under the sum norm, by parts from the
-    sum-norm form with a fixed Gauss-Legendre table for every other p.
     """
 
     name: str
@@ -140,10 +146,27 @@ class SpectralModel:
     p: float
     atom_zero: float
     atom_half_pi: float
-    interior_density: Optional[Callable]
+    density_factor: Optional[Callable]
+    sum_norm_cdf: Optional[Callable] = field(repr=False)
     sampler: Optional[Callable] = field(repr=False, default=None)
     default_ise_interval: tuple = (0.0, HALF_PI)
-    _interior_cdf: Callable = field(repr=False, default=np.zeros_like)
+
+    def __post_init__(self):
+        object.__setattr__(self, "p", check_norm_order(self.p))
+        interior = np.zeros_like
+        if self.density_factor is not None:
+            interior = _by_parts_cdf(self.sum_norm_cdf, self.p)
+        object.__setattr__(self, "_interior_cdf", interior)
+
+    @property
+    def interior_density(self) -> Optional[Callable]:
+        """theta -> ||(sin, cos)||_p g(theta), the density of the measure on
+        the open interval; None when the measure is purely atomic."""
+        g, p = self.density_factor, self.p
+        if g is None:
+            return None
+        # cos as sin(pi/2 - theta), so the float HALF_PI is the end point
+        return lambda t: lp_norm(np.sin(t), np.sin(HALF_PI - np.asarray(t, dtype=float)), p) * g(t)
 
     @property
     def total_mass(self) -> float:
@@ -173,7 +196,7 @@ class SpectralModel:
         """theta -> integrals over [0, theta] of ``cdf_continuous`` (row 0)
         and of its square (row 1), for theta in [0, pi/2]; built on first
         use from the cdf at ``_NODES`` and kept on the model."""
-        if self.interior_density is None:
+        if self.density_factor is None:
             level = self.atom_zero
             return lambda t: np.multiply.outer([level, level * level], t)
         g = self.cdf_continuous(_NODES)
@@ -230,11 +253,6 @@ def _by_parts_cdf(phi1: Callable, p: float) -> Callable:
     return lambda t: _norm_ratio(t, p)[0] * phi1(t) - integral(t)[0]
 
 
-def _sum_norm_arc(t):
-    t = np.asarray(t, dtype=float)
-    return np.sin(t) - np.cos(t) + 1.0
-
-
 # ---------------------------------------------------------------------------
 # asymmetric logistic family
 
@@ -248,6 +266,20 @@ def _check_logistic_params(r, psi1, psi2):
     if not (0.0 <= psi1 <= 1.0 and 0.0 <= psi2 <= 1.0):
         raise ValueError("asymmetry weights must lie in [0, 1]")
     return r, psi1, psi2
+
+
+def _logistic_factor(theta, r: float, psi1: float, psi2: float):
+    """The p-free factor g of :func:`asym_logistic_spectral_density`."""
+    theta = np.asarray(theta, dtype=float)
+    s = np.sin(theta)
+    # cos as sin(pi/2 - theta), so the float HALF_PI is the end point
+    c = np.sin(HALF_PI - theta)
+    return (
+        (r - 1.0)
+        * (psi1 * psi2) ** r
+        * (s * c) ** (r - 2.0)
+        * lp_norm(psi1 * c, psi2 * s, r) ** (1.0 - 2.0 * r)
+    )
 
 
 def asym_logistic_spectral_density(theta, r: float, psi1: float, psi2: float, p: float):
@@ -274,21 +306,13 @@ def asym_logistic_spectral_density(theta, r: float, psi1: float, psi2: float, p:
     if psi1 * psi2 == 0.0:
         # leading factor (psi1 psi2)^r kills the whole display
         out = np.zeros_like(theta)
-        return float(out) if scalar else out
-    s = np.sin(theta)
-    # cos as sin(pi/2 - theta), so the float HALF_PI is the end point
-    c = np.sin(HALF_PI - theta)
-    out = (
-        (r - 1.0)
-        * (psi1 * psi2) ** r
-        * lp_norm(s, c, p)
-        * (s * c) ** (r - 2.0)
-        * lp_norm(psi1 * c, psi2 * s, r) ** (1.0 - 2.0 * r)
-    )
+    else:
+        norm = lp_norm(np.sin(theta), np.sin(HALF_PI - theta), p)
+        out = norm * _logistic_factor(theta, r, psi1, psi2)
     return float(out) if scalar else out
 
 
-def _logistic_sum_norm_cdf(r: float, psi1: float, psi2: float) -> Callable:
+def _logistic_sum_norm_cdf(t, r: float, psi1: float, psi2: float):
     """Interior cdf of the asymmetric logistic measure under the sum norm.
 
     H([0, theta]) = 1 + A'(w) at w = sin / (sin + cos), with A the
@@ -301,24 +325,20 @@ def _logistic_sum_norm_cdf(r: float, psi1: float, psi2: float) -> Callable:
 
     evaluated with B in the scaled form hi (1 + (lo/hi)**r)**(1/r).
     """
-
-    def phi1(t):
-        t = np.asarray(t, dtype=float)
-        # cos as sin of the complement, so that HALF_PI stands for pi/2
-        # exactly: for r < 2 the cdf has infinite slope there
-        a = psi1 * np.sin(HALF_PI - t)
-        b = psi2 * np.sin(t)
-        hi = np.maximum(a, b)
-        ratio = np.minimum(a, b) / hi
-        hi_pow = (1.0 + ratio**r) ** ((1.0 - r) / r)  # (hi / B)**(r-1)
-        lo_pow = ratio ** (r - 1.0) * hi_pow
-        return np.where(
-            a >= b,
-            psi1 * (1.0 - hi_pow) + psi2 * lo_pow,
-            psi1 * (1.0 - lo_pow) + psi2 * hi_pow,
-        )
-
-    return phi1
+    t = np.asarray(t, dtype=float)
+    # cos as sin of the complement, so that HALF_PI stands for pi/2
+    # exactly: for r < 2 the cdf has infinite slope there
+    a = psi1 * np.sin(HALF_PI - t)
+    b = psi2 * np.sin(t)
+    hi = np.maximum(a, b)
+    ratio = np.minimum(a, b) / hi
+    hi_pow = (1.0 + ratio**r) ** ((1.0 - r) / r)  # (hi / B)**(r-1)
+    lo_pow = ratio ** (r - 1.0) * hi_pow
+    return np.where(
+        a >= b,
+        psi1 * (1.0 - hi_pow) + psi2 * lo_pow,
+        psi1 * (1.0 - lo_pow) + psi2 * hi_pow,
+    )
 
 
 def sample_logistic(n: int, r: float, rng: np.random.Generator) -> BivariateSample:
@@ -366,39 +386,18 @@ def asym_logistic_model(
     psi1 = psi2 = 1.
     """
     r, psi1, psi2 = _check_logistic_params(r, psi1, psi2)
-    p = check_norm_order(p)
     symmetric = psi1 == 1.0 and psi2 == 1.0
-    name = "logistic" if symmetric else "asymmetric-logistic"
-    params = {"r": r} if symmetric else {"r": r, "psi1": psi1, "psi2": psi2}
-    sampler = None
-    if symmetric:
-
-        def sampler(n, rng, _r=r):
-            return sample_logistic(n, _r, rng)
-
-    if r == 1.0 or psi1 * psi2 == 0.0:
-        return SpectralModel(
-            name=name,
-            params=params,
-            p=p,
-            atom_zero=1.0,
-            atom_half_pi=1.0,
-            interior_density=None,
-            sampler=sampler,
-        )
-
-    def density(theta, _r=r, _p1=psi1, _p2=psi2, _p=p):
-        return asym_logistic_spectral_density(theta, _r, _p1, _p2, _p)
-
+    dependent = r > 1.0 and psi1 * psi2 > 0.0
+    parts = {"r": r, "psi1": psi1, "psi2": psi2}
     return SpectralModel(
-        name=name,
-        params=params,
+        name="logistic" if symmetric else "asymmetric-logistic",
+        params={"r": r} if symmetric else parts,
         p=p,
-        atom_zero=1.0 - psi2,
-        atom_half_pi=1.0 - psi1,
-        interior_density=density,
-        sampler=sampler,
-        _interior_cdf=_by_parts_cdf(_logistic_sum_norm_cdf(r, psi1, psi2), p),
+        atom_zero=1.0 - psi2 if dependent else 1.0,
+        atom_half_pi=1.0 - psi1 if dependent else 1.0,
+        density_factor=partial(_logistic_factor, **parts) if dependent else None,
+        sum_norm_cdf=partial(_logistic_sum_norm_cdf, **parts),
+        sampler=(lambda n, rng: sample_logistic(n, r, rng)) if symmetric else None,
     )
 
 
@@ -406,16 +405,13 @@ def asym_logistic_model(
 # Cauchy models
 
 
-def _sample_cauchy_quadrant(n: int, rng: np.random.Generator) -> BivariateSample:
+def _sample_cauchy(n: int, rng: np.random.Generator, fold: bool) -> BivariateSample:
+    """(Z1, Z2) / |Z0| for iid standard normals, folded into the positive
+    quadrant by absolute values when ``fold``."""
     z = rng.standard_normal((n, 3))
     denom = np.clip(np.abs(z[:, 0]), 1e-300, None)
-    return BivariateSample(np.abs(z[:, 1:]) / denom[:, None])
-
-
-def _sample_cauchy_fullplane(n: int, rng: np.random.Generator) -> BivariateSample:
-    z = rng.standard_normal((n, 3))
-    denom = np.clip(np.abs(z[:, 0]), 1e-300, None)
-    return BivariateSample(z[:, 1:] / denom[:, None])
+    pair = np.abs(z[:, 1:]) if fold else z[:, 1:]
+    return BivariateSample(pair / denom[:, None])
 
 
 def cauchy_quadrant_model(p: float = 1.0) -> SpectralModel:
@@ -426,20 +422,15 @@ def cauchy_quadrant_model(p: float = 1.0) -> SpectralModel:
     symmetric Cauchy pair into the quadrant:
     (|Z1|, |Z2|) / |Z0| for iid standard normals.
     """
-    p = check_norm_order(p)
-
-    def density(theta, _p=p):
-        return lp_norm(np.sin(theta), np.cos(theta), _p)
-
     return SpectralModel(
         name="cauchy-quadrant",
         params={},
         p=p,
         atom_zero=0.0,
         atom_half_pi=0.0,
-        interior_density=density,
-        sampler=_sample_cauchy_quadrant,
-        _interior_cdf=_by_parts_cdf(_sum_norm_arc, p),
+        density_factor=np.ones_like,
+        sum_norm_cdf=lambda t: np.sin(t) - np.cos(t) + 1.0,
+        sampler=partial(_sample_cauchy, fold=True),
     )
 
 
@@ -450,21 +441,15 @@ def cauchy_fullplane_model(p: float = 1.0) -> SpectralModel:
     atoms: masses 1/2 at 0 and pi/2, interior density
     ||(sin, cos)||_p / 2.
     """
-    p = check_norm_order(p)
-
-    def density(theta, _p=p):
-        return 0.5 * lp_norm(np.sin(theta), np.cos(theta), _p)
-
-    arc = _by_parts_cdf(_sum_norm_arc, p)
     return SpectralModel(
         name="cauchy-fullplane",
         params={},
         p=p,
         atom_zero=0.5,
         atom_half_pi=0.5,
-        interior_density=density,
-        sampler=_sample_cauchy_fullplane,
-        _interior_cdf=lambda t: 0.5 * arc(t),
+        density_factor=lambda t: np.full_like(t, 0.5, dtype=float),
+        sum_norm_cdf=lambda t: 0.5 * (np.sin(t) - np.cos(t) + 1.0),
+        sampler=partial(_sample_cauchy, fold=False),
     )
 
 
@@ -496,7 +481,7 @@ def _invert_mixture_conditional(x: np.ndarray, q: np.ndarray) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
-def _sample_mixture(n: int, r: float, rng: np.random.Generator) -> BivariateSample:
+def _sample_mixture(n: int, rng: np.random.Generator, r: float) -> BivariateSample:
     dependent = rng.random(n) < r
     g = 1.0 - rng.random((n, 2))
     x = 1.0 / g[:, 0]
@@ -519,42 +504,16 @@ def mixture_model(r: float, p: float = 1.0) -> SpectralModel:
     r = float(r)
     if not 0.0 <= r <= 1.0:
         raise ValueError(f"mixture weight must lie in [0, 1], got {r!r}")
-    p = check_norm_order(p)
-
-    def sampler(n, rng, _r=r):
-        return _sample_mixture(n, _r, rng)
-
-    if r == 0.0:
-        return SpectralModel(
-            name="mixture",
-            params={"r": r},
-            p=p,
-            atom_zero=1.0,
-            atom_half_pi=1.0,
-            interior_density=None,
-            sampler=sampler,
-            default_ise_interval=(0.05 * HALF_PI, 0.95 * HALF_PI),
-        )
-
-    def density(theta, _r=r, _p=p):
-        s = np.sin(theta)
-        c = np.cos(theta)
-        return 2.0 * _r * lp_norm(s, c, _p) / (s + c) ** 3
-
-    def sum_norm_cdf(t, _r=r):
-        t = np.asarray(t, dtype=float)
-        return _r * (1.0 + np.tan(t - QUARTER_PI))
-
     return SpectralModel(
         name="mixture",
         params={"r": r},
         p=p,
         atom_zero=1.0 - r,
         atom_half_pi=1.0 - r,
-        interior_density=density,
-        sampler=sampler,
+        density_factor=(lambda t: 2.0 * r / (np.sin(t) + np.cos(t)) ** 3) if r > 0.0 else None,
+        sum_norm_cdf=lambda t: r * (1.0 + np.tan(np.asarray(t, dtype=float) - QUARTER_PI)),
+        sampler=partial(_sample_mixture, r=r),
         default_ise_interval=(0.05 * HALF_PI, 0.95 * HALF_PI),
-        _interior_cdf=_by_parts_cdf(sum_norm_cdf, p),
     )
 
 
@@ -576,16 +535,12 @@ def moment_sums(model: SpectralModel) -> tuple[float, float]:
     interior = (model.cdf_continuous(_NODES) - model.atom_zero) * _WEIGHTS
     s = np.sin(_NODES)
     c = np.cos(_NODES)
-    if math.isinf(model.p):
-        # sin/||.|| is tan below pi/4 and 1 above; cos/||.|| is 1, then cot
-        below = s < c
-        sin_slope = np.where(below, 1.0 / c**2, 0.0)
-        cos_slope = np.where(below, 0.0, -1.0 / s**2)
-    else:
-        norm = lp_norm(s, c, model.p)
-        sq = (s / norm) ** 2 + (c / norm) ** 2
-        sin_slope = (c / norm) ** (model.p - 1.0) * sq
-        cos_slope = -((s / norm) ** (model.p - 1.0)) * sq
+    rho, slope = _norm_ratio(_NODES, model.p)
+    # sin/||.||_p = (s / (s + c)) / rho and cos/||.||_p = (c / (s + c)) / rho,
+    # where d/dtheta [s / (s + c)] = 1 / (s + c)**2 = -d/dtheta [c / (s + c)]
+    step = 1.0 / (s + c) ** 2
+    sin_slope = (step - s / (s + c) * slope / rho) / rho
+    cos_slope = (-step - c / (s + c) * slope / rho) / rho
     top = model.cdf_continuous(HALF_PI) - model.atom_zero
     sin_sum = model.atom_half_pi + top - np.sum(sin_slope * interior)
     cos_sum = model.atom_zero - np.sum(cos_slope * interior)

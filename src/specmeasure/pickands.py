@@ -21,6 +21,9 @@ from .empirical import DiscreteSpectralMeasure, _AtomCore, _merge_duplicates
 
 __all__ = ["DiscreteMeasure", "PickandsFunction", "spectral_to_H", "pickands_function"]
 
+#: atoms of a transported measure closer than this are merged
+MERGE_TOL = 1e-9
+
 
 @dataclass(frozen=True, eq=False)
 class DiscreteMeasure(_AtomCore):
@@ -31,8 +34,8 @@ class DiscreteMeasure(_AtomCore):
     _locations, _upper, _bound = "points", 1.0, "1"
 
     @classmethod
-    def from_atoms(cls, points, weights, tol: float = 1e-9) -> "DiscreteMeasure":
-        """Merge atoms closer than ``tol`` into their centre of mass.
+    def from_atoms(cls, points, weights) -> "DiscreteMeasure":
+        """Merge atoms closer than ``MERGE_TOL`` into their centre of mass.
 
         Angles distinct as floats can transport to points only an ulp
         apart; without coalescing, the affine slopes between such knots
@@ -40,7 +43,7 @@ class DiscreteMeasure(_AtomCore):
         """
         uniq, merged = _merge_duplicates(points, weights)
         if uniq.size > 1:
-            starts = np.concatenate(([True], np.diff(uniq) > tol))
+            starts = np.concatenate(([True], np.diff(uniq) > MERGE_TOL))
             cluster = np.cumsum(starts) - 1
             mass = np.bincount(cluster, merged)
             centre = np.bincount(cluster, merged * uniq)

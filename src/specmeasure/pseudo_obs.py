@@ -217,9 +217,10 @@ def format_value(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def write_sample(sample: BivariateSample, dest: PathOrStream, header: str = "x1,x2") -> None:
-    """Write a sample in the same format accepted by :func:`read_sample`."""
-    lines = [header]
+def write_sample(sample: BivariateSample, dest: PathOrStream) -> None:
+    """Write a sample, under the header row ``x1,x2``, in the same format
+    accepted by :func:`read_sample`."""
+    lines = ["x1,x2"]
     lines.extend(f"{format_value(a)},{format_value(b)}" for a, b in sample.values)
     write_text(dest, "\n".join(lines) + "\n")
 

@@ -75,9 +75,12 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "specmeasure: error" in err
 
-    def test_asymmetric_logistic_has_no_sampler(self):
+    def test_asymmetric_logistic_has_no_sampler(self, capsys):
         assert run("simulate", "--model", "logistic", "--r", "2", "--psi1", "0.5",
                    "--n", "5", "--seed", "1") == 2
+        assert capsys.readouterr().err == (
+            "specmeasure: error: model asymmetric-logistic(r=2,psi1=0.5,psi2=1) has no sampler\n"
+        )
 
     def test_missing_input_file(self, tmp_path, capsys):
         assert run("estimate", "--k", "5", "--input", str(tmp_path / "nope.csv")) == 4
@@ -196,17 +199,23 @@ class TestEstimate:
 
     @pytest.mark.parametrize("p", ["1", "2.5"])
     def test_piped_input_matches_file_input(self, tmp_path, p):
-        # a real pipe is not seekable, so standard input goes through the
-        # line parser while --input FILE takes the loadtxt path
-        data = simulate_file(tmp_path, n=300, seed=4)
+        # the same bytes through a real pipe and through --input FILE, with
+        # "\n", "\r\n" and "\r" line ends: both routes split lines at all three
+        text = simulate_file(tmp_path, n=300, seed=4).read_text()
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
         argv = [sys.executable, "-m", "specmeasure.cli", "estimate", "--k", "30", "--p", p]
-        piped = subprocess.run(argv, input=data.read_bytes(), capture_output=True, env=env)
-        named = subprocess.run(argv + ["--input", str(data)], capture_output=True, env=env)
-        assert piped.returncode == named.returncode == 0
-        assert piped.stdout.startswith(b"theta,")
-        assert piped.stdout == named.stdout
+        outputs = []
+        for newline in ["\n", "\r\n", "\r"]:
+            data = tmp_path / "ends.csv"
+            data.write_bytes(text.replace("\n", newline).encode())
+            piped = subprocess.run(argv, input=data.read_bytes(), capture_output=True, env=env)
+            named = subprocess.run(argv + ["--input", str(data)], capture_output=True, env=env)
+            assert piped.returncode == named.returncode == 0, (newline, piped.stderr)
+            assert piped.stdout.startswith(b"theta,")
+            assert piped.stdout == named.stdout
+            outputs.append(piped.stdout)
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_rank_invariance_bytes(self, tmp_path, capsys):
         # strictly increasing transforms of either column leave the

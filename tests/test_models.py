@@ -9,6 +9,7 @@ from scipy import integrate
 from specmeasure.lp_geometry import lp_norm
 from specmeasure.models import (
     _CHUNK,
+    SpectralModel,
     asym_logistic_model,
     asym_logistic_spectral_density,
     cauchy_fullplane_model,
@@ -367,9 +368,11 @@ class TestExactCdfs:
             ("cauchy-quadrant", 1.5),
             ("cauchy-quadrant", 2.5),
             ("cauchy-quadrant", 3.0),
+            ("cauchy-quadrant", math.inf),
             ("cauchy-fullplane", 1.5),
             ("cauchy-fullplane", 2.5),
             ("cauchy-fullplane", 3.0),
+            ("cauchy-fullplane", math.inf),
             ("mixture", 2.0),
             ("mixture", 2.5),
             ("logistic", 2.0),
@@ -445,6 +448,34 @@ class TestCdfIntegrals:
         model = cauchy_quadrant_model(3.0)
         assert model.cdf_integrals(0.3).shape == (2,)
         assert model.cdf_integrals(np.full((3, 4), 0.3)).shape == (2, 3, 4)
+
+
+def quadrant_parts(p):
+    """The Cauchy quadrant measure declared from its p-free parts."""
+    return SpectralModel(
+        name="quadrant-parts",
+        params={},
+        p=p,
+        atom_zero=0.0,
+        atom_half_pi=0.0,
+        density_factor=np.ones_like,
+        sum_norm_cdf=lambda t: np.sin(t) - np.cos(t) + 1.0,
+    )
+
+
+class TestNormOrder:
+    """SpectralModel applies the norm order for every family."""
+
+    @pytest.mark.parametrize("p", [0.5, math.nan])
+    def test_model_rejects_bad_order(self, p):
+        with pytest.raises(ValueError, match="norm order"):
+            quadrant_parts(p)
+
+    @pytest.mark.parametrize("p", [3.0, math.inf])
+    def test_parts_give_the_family_cdf_bitwise(self, p):
+        theta = np.linspace(0.0, HALF_PI, 2001)
+        got = quadrant_parts(p).cdf_continuous(theta)
+        assert np.array_equal(got, cauchy_quadrant_model(p).cdf_continuous(theta))
 
 
 class TestCdfValidation:
