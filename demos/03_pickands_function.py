@@ -21,7 +21,6 @@ from specmeasure import (
     pickands_function,
     pseudo_observations,
     select_extremes,
-    spectral_to_H,
 )
 
 model = asym_logistic_model(r=2.0, p=1.0)
@@ -30,10 +29,8 @@ sample = model.sample(3000, rng)
 
 ang = select_extremes(pseudo_observations(sample), k=80, p=1.0)
 mele = mele_spectral_measure(ang)
-H = spectral_to_H(mele)
-A = pickands_function(H)
+A = pickands_function(mele)
 
-print(f"H: {H.points.size} atoms, total mass {H.total_mass:.12f}")
 print(f"A has {A.knots.size} knots, A(0) = {A(0.0):.12f}, A(1) = {A(1.0):.12f}")
 
 slopes = A.slopes

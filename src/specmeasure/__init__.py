@@ -47,12 +47,7 @@ from .models import (
     moment_sums,
     sample_logistic,
 )
-from .pickands import (
-    DiscreteMeasure,
-    PickandsFunction,
-    pickands_function,
-    spectral_to_H,
-)
+from .pickands import PickandsFunction, pickands_function
 from .pseudo_obs import (
     BivariateSample,
     InputError,
@@ -71,7 +66,6 @@ __all__ = [
     "AngularSample",
     "BivariateSample",
     "ConstraintInfeasible",
-    "DiscreteMeasure",
     "DiscreteSpectralMeasure",
     "InputError",
     "MiseTable",
@@ -105,6 +99,5 @@ __all__ = [
     "select_extremes",
     "solve_multiplier",
     "spectral_normalizer",
-    "spectral_to_H",
     "write_sample",
 ]

@@ -28,7 +28,7 @@ from .models import (
     cauchy_quadrant_model,
     mixture_model,
 )
-from .pickands import pickands_function, spectral_to_H
+from .pickands import pickands_function
 from .pseudo_obs import format_value, pseudo_observations, read_sample, write_sample, write_text
 
 __all__ = ["build_parser", "run_cli", "main"]
@@ -198,8 +198,6 @@ def _write_text(path: Optional[str], text: str) -> None:
 def _write_gnuplot(args, header_lines: list, plot_line: str) -> None:
     if args.gnuplot_script is None:
         return
-    if args.output is None:
-        raise ValueError("--gnuplot-script requires --output (a data file to reference)")
     lines = [
         f"# companion plot script for {args.output}",
         'set datafile separator ","',
@@ -310,7 +308,7 @@ def _cmd_benchmark(args) -> int:
 def _cmd_pickands(args) -> int:
     ang, info = _read_extremes(args, 1.0)
     phi = mele_spectral_measure(ang)
-    estimate = pickands_function(spectral_to_H(phi))
+    estimate = pickands_function(phi)
     lines = ["v,A"]
     lines.extend(
         f"{format_value(v)},{format_value(a)}" for v, a in zip(estimate.knots, estimate.values)
@@ -345,6 +343,8 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
         return _fail(2, str(exc))
     except SystemExit as exc:  # --help / --version
         return int(exc.code or 0)
+    if getattr(args, "gnuplot_script", None) is not None and args.output is None:
+        return _fail(2, "--gnuplot-script requires --output (a data file to reference)")
     try:
         return args.func(args)
     except ConstraintInfeasible as exc:

@@ -8,12 +8,12 @@ from them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .lp_geometry import check_norm_order, lp_norm, score_f
+from .lp_geometry import _check_angles, check_norm_order, lp_norm, score_f
 from .pseudo_obs import PseudoObservations
 
 if TYPE_CHECKING:
@@ -65,29 +65,44 @@ def _moment_rows(angles: np.ndarray, weights: np.ndarray, p: float):
     return np.sum(weights * s / norm, axis=1), np.sum(weights * c / norm, axis=1)
 
 
-class _AtomCore:
-    """Validation, total mass and step cdf shared by the discrete measures.
+@dataclass(frozen=True, eq=False)
+class DiscreteSpectralMeasure:
+    """Finite atomic measure on the angle interval [0, pi/2].
 
-    A subclass names its sorted location field in ``_locations`` and its
-    range [0, ``_upper``] (``_bound`` in messages).  ``_cumweights`` holds
-    the cumulative weights after a leading 0.
+    Atoms are kept sorted with strictly positive weights; construction
+    through :meth:`from_atoms` merges duplicate locations by summing
+    their weights.  ``p`` records the norm order the measure refers to.
+    ``solution`` is the :class:`~specmeasure.mele.MultiplierSolution`
+    behind a MELE estimate, ``None`` for the empirical estimators.
+    ``_cumweights`` holds the cumulative weights after a leading 0.
+    ``==`` is identity.
     """
 
+    angles: np.ndarray
+    weights: np.ndarray
+    p: float
+    solution: MultiplierSolution | None = field(default=None, repr=False)
+
     def __post_init__(self):
-        locations = np.asarray(getattr(self, self._locations), dtype=float)
+        angles = np.asarray(self.angles, dtype=float)
         weights = np.asarray(self.weights, dtype=float)
-        if locations.shape != weights.shape or locations.ndim != 1:
-            raise ValueError(f"{self._locations} and weights must be 1-d arrays of equal length")
-        if locations.size:
-            if np.any(np.diff(locations) <= 0.0):
-                raise ValueError(f"{self._locations} must be strictly increasing; use from_atoms")
-            if locations[0] < 0.0 or locations[-1] > self._upper:
-                raise ValueError(f"{self._locations} must lie in [0, {self._bound}]")
-            if np.any(weights <= 0.0) or not np.all(np.isfinite(weights)):
-                raise ValueError("atom weights must be finite and strictly positive")
-        object.__setattr__(self, self._locations, locations)
+        if angles.shape != weights.shape or angles.ndim != 1:
+            raise ValueError("angles and weights must be 1-d arrays of equal length")
+        if np.any(np.diff(angles) <= 0.0):
+            raise ValueError("angles must be strictly increasing; use from_atoms")
+        _check_angles(angles)
+        if np.any(weights <= 0.0) or not np.all(np.isfinite(weights)):
+            raise ValueError("atom weights must be finite and strictly positive")
+        object.__setattr__(self, "angles", angles)
         object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "p", check_norm_order(self.p))
         object.__setattr__(self, "_cumweights", np.concatenate(([0.0], np.cumsum(weights))))
+
+    @classmethod
+    def from_atoms(cls, angles, weights, p: float) -> "DiscreteSpectralMeasure":
+        """Build a measure from possibly unsorted, possibly repeated atoms."""
+        angles, weights = _merge_duplicates(angles, weights)
+        return cls(angles=angles, weights=weights, p=p)
 
     @property
     def total_mass(self) -> float:
@@ -97,49 +112,14 @@ class _AtomCore:
         """Right-continuous cumulative mass on [0, x]."""
         scalar = np.ndim(x) == 0
         x = np.asarray(x, dtype=float)
-        out = self._cumweights[np.searchsorted(getattr(self, self._locations), x, side="right")]
+        _check_angles(x)
+        out = self._cumweights[np.searchsorted(self.angles, x, side="right")]
         return float(out) if scalar else out
-
-
-@dataclass(frozen=True, eq=False)
-class DiscreteSpectralMeasure(_AtomCore):
-    """Finite atomic measure on the angle interval [0, pi/2].
-
-    Atoms are kept sorted with strictly positive weights; construction
-    through :meth:`from_atoms` merges duplicate locations by summing
-    their weights.  ``p`` records the norm order the measure refers to.
-    ``solution`` is the :class:`~specmeasure.mele.MultiplierSolution`
-    behind a MELE estimate, ``None`` for the empirical estimators; it
-    survives :meth:`scaled`.  ``==`` is identity.
-    """
-
-    angles: np.ndarray
-    weights: np.ndarray
-    p: float
-    solution: MultiplierSolution | None = field(default=None, repr=False)
-    _locations, _upper, _bound = "angles", math.pi / 2, "pi/2"
-
-    def __post_init__(self):
-        super().__post_init__()
-        object.__setattr__(self, "p", check_norm_order(self.p))
-
-    @classmethod
-    def from_atoms(cls, angles, weights, p: float) -> "DiscreteSpectralMeasure":
-        """Build a measure from possibly unsorted, possibly repeated atoms."""
-        angles, weights = _merge_duplicates(angles, weights)
-        return cls(angles=angles, weights=weights, p=p)
-
-    @property
-    def n_atoms(self) -> int:
-        return int(self.angles.size)
 
     def moment_sums(self) -> tuple[float, float]:
         """Sums of sin/||.||_p and cos/||.||_p atom contributions."""
         sin_sum, cos_sum = _moment_rows(self.angles, self.weights[None], self.p)
         return float(sin_sum[0]), float(cos_sum[0])
-
-    def scaled(self, factor: float) -> "DiscreteSpectralMeasure":
-        return replace(self, weights=self.weights * factor)
 
 
 # Relative half-width of the band around n/k in which the selection rule

@@ -34,6 +34,12 @@ def check_norm_order(p: float) -> float:
     return p
 
 
+def _check_angles(theta: np.ndarray) -> None:
+    """Raise unless every angle lies in [0, pi/2] (to 1e-12); NaN fails."""
+    if theta.size and not (theta.min() >= 0.0 and theta.max() <= _HALF_PI + 1e-12):
+        raise ValueError("angles must lie in [0, pi/2]")
+
+
 def lp_norm(x, y, p: float):
     """L_p norm of the componentwise pair ``(x, y)``, elementwise.
 

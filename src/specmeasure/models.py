@@ -33,7 +33,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .lp_geometry import check_norm_order, lp_norm
+from .lp_geometry import _check_angles, check_norm_order, lp_norm
 from .pseudo_obs import BivariateSample
 
 __all__ = [
@@ -186,8 +186,7 @@ class SpectralModel:
         """
         scalar = np.ndim(theta) == 0
         theta = np.asarray(theta, dtype=float)
-        if theta.size and (theta.min() < 0.0 or theta.max() > HALF_PI + 1e-12):
-            raise ValueError("angles must lie in [0, pi/2]")
+        _check_angles(theta)
         out = self.atom_zero + self._interior_cdf(np.minimum(theta, HALF_PI))
         return float(out) if scalar else out
 

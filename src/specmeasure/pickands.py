@@ -1,12 +1,14 @@
 """Pickands dependence functions of discrete spectral measures.
 
 A spectral measure in the sum norm (p = 1) transports to a measure H on
-[0, 1] through w = sin(theta) / (sin(theta) + cos(theta)); integrating
-its cdf yields the piecewise-affine Pickands dependence function
+[0, 1] through w = sin(theta) / (sin(theta) + cos(theta)), weights
+kept; integrating its cdf yields the piecewise-affine Pickands
+dependence function
 
     A(v) = 1 - v + sum_j weight_j * max(v - w_j, 0).
 
-When the source measure satisfies the moment constraints, A is a
+:func:`pickands_function` does the transport and the integration in one
+step.  When the source measure satisfies the moment constraints, A is a
 genuine dependence function: convex, A(0) = A(1) = 1, and
 max(v, 1 - v) <= A(v) <= 1.
 """
@@ -17,58 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .empirical import DiscreteSpectralMeasure, _AtomCore, _merge_duplicates
+from .empirical import DiscreteSpectralMeasure, _merge_duplicates
 
-__all__ = ["DiscreteMeasure", "PickandsFunction", "spectral_to_H", "pickands_function"]
+__all__ = ["PickandsFunction", "pickands_function"]
 
 #: atoms of a transported measure closer than this are merged
 MERGE_TOL = 1e-9
-
-
-@dataclass(frozen=True, eq=False)
-class DiscreteMeasure(_AtomCore):
-    """Finite atomic measure on the unit interval; ``==`` is identity."""
-
-    points: np.ndarray
-    weights: np.ndarray
-    _locations, _upper, _bound = "points", 1.0, "1"
-
-    @classmethod
-    def from_atoms(cls, points, weights) -> "DiscreteMeasure":
-        """Merge atoms closer than ``MERGE_TOL`` into their centre of mass.
-
-        Angles distinct as floats can transport to points only an ulp
-        apart; without coalescing, the affine slopes between such knots
-        are pure rounding noise.
-        """
-        uniq, merged = _merge_duplicates(points, weights)
-        if uniq.size > 1:
-            starts = np.concatenate(([True], np.diff(uniq) > MERGE_TOL))
-            cluster = np.cumsum(starts) - 1
-            mass = np.bincount(cluster, merged)
-            centre = np.bincount(cluster, merged * uniq)
-            uniq, merged = centre / mass, mass
-        return cls(points=uniq, weights=merged)
-
-
-def spectral_to_H(phi: DiscreteSpectralMeasure) -> DiscreteMeasure:
-    """Transport a p = 1 spectral measure to the unit interval.
-
-    Atom angles map through w = sin / (sin + cos) with weights kept;
-    the endpoints 0 and pi/2 land on 0 and 1.
-
-    Raises
-    ------
-    ValueError
-        If the measure was built with a norm order other than 1.
-    """
-    if phi.p != 1.0:
-        raise ValueError(
-            f"the angular transport requires the sum norm (p = 1), got p = {phi.p!r}"
-        )
-    s = np.sin(phi.angles)
-    c = np.cos(phi.angles)
-    return DiscreteMeasure.from_atoms(s / (s + c), phi.weights)
 
 
 @dataclass(frozen=True)
@@ -107,14 +63,34 @@ class PickandsFunction:
         return np.diff(self.values) / np.diff(self.knots)
 
 
-def pickands_function(H: DiscreteMeasure) -> PickandsFunction:
-    """Integrate the cdf of H into a Pickands dependence function.
+def pickands_function(phi: DiscreteSpectralMeasure) -> PickandsFunction:
+    """Pickands dependence function of a sum-norm spectral measure.
 
-    The slope on the segment right of v equals H([0, v]) - 1, so the
-    knot set is the atom locations of H extended by the endpoints.
+    The angles go to w = sin / (sin + cos), so 0 and pi/2 land on 0 and
+    1.  Points closer than ``MERGE_TOL`` merge into their centre of mass:
+    angles distinct as floats can land only an ulp apart, and the slopes
+    between such knots would be pure rounding noise.  The slope on the
+    segment right of v equals H([0, v]) - 1, so the knot set is the
+    merged points extended by the endpoints.
+
+    Raises
+    ------
+    ValueError
+        If the measure was built with a norm order other than 1.
     """
-    knots = np.unique(np.concatenate(([0.0, 1.0], H.points)))
-    cum_xw = np.concatenate(([0.0], np.cumsum(H.weights * H.points)))
-    idx = np.searchsorted(H.points, knots, side="right")
-    values = 1.0 - knots + knots * H._cumweights[idx] - cum_xw[idx]
+    if phi.p != 1.0:
+        raise ValueError(
+            f"the angular transport requires the sum norm (p = 1), got p = {phi.p!r}"
+        )
+    s = np.sin(phi.angles)
+    points, weights = _merge_duplicates(s / (s + np.cos(phi.angles)), phi.weights)
+    if points.size > 1:
+        cluster = np.cumsum(np.concatenate(([True], np.diff(points) > MERGE_TOL))) - 1
+        mass = np.bincount(cluster, weights)
+        points, weights = np.bincount(cluster, weights * points) / mass, mass
+    knots = np.unique(np.concatenate(([0.0, 1.0], points)))
+    cum_w = np.concatenate(([0.0], np.cumsum(weights)))
+    cum_xw = np.concatenate(([0.0], np.cumsum(weights * points)))
+    idx = np.searchsorted(points, knots, side="right")
+    values = 1.0 - knots + knots * cum_w[idx] - cum_xw[idx]
     return PickandsFunction(knots=knots, values=values)

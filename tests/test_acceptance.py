@@ -27,7 +27,7 @@ from specmeasure.models import (
     moment_sums,
     sample_logistic,
 )
-from specmeasure.pickands import pickands_function, spectral_to_H
+from specmeasure.pickands import pickands_function
 from specmeasure.pseudo_obs import pseudo_observations, read_sample
 
 from oracles import (
@@ -185,7 +185,7 @@ def test_dependence_function_genuineness():
     for i in range(100):
         sample = sample_logistic(1000, 2.0, np.random.default_rng([505, i]))
         ang = select_extremes(pseudo_observations(sample), 40, 1.0)
-        A = pickands_function(spectral_to_H(mele_spectral_measure(ang)))
+        A = pickands_function(mele_spectral_measure(ang))
         assert abs(A(0.0) - 1.0) <= 1e-8
         assert abs(A(1.0) - 1.0) <= 1e-8
         assert np.all(np.diff(A.slopes) >= -1e-9)

@@ -102,10 +102,20 @@ class TestExitCodes:
         assert "specmeasure: error" in capsys.readouterr().err
 
     def test_gnuplot_script_requires_output(self, tmp_path, capsys):
+        # the pairing is checked before any work: nothing reaches stdout
         data = simulate_file(tmp_path)
-        code = run("estimate", "--k", "10", "--input", str(data),
-                   "--gnuplot-script", str(tmp_path / "plot.gp"))
-        assert code == 2
+        script = tmp_path / "plot.gp"
+        for argv in (
+            ("estimate", "--k", "10", "--input", str(data)),
+            ("pickands", "--k", "10", "--input", str(data)),
+            ("benchmark", "--model", "cauchy-quadrant", "--n", "100", "--reps", "2",
+             "--k-grid", "5:10:5", "--seed", "1"),
+        ):
+            assert run(*argv, "--gnuplot-script", str(script)) == 2, argv
+            out, err = capsys.readouterr()
+            assert out == "", argv
+            assert "--gnuplot-script requires --output" in err
+            assert not script.exists()
 
     def test_help_and_version(self, capsys):
         assert run("--version") == 0

@@ -262,7 +262,6 @@ class TestEmpiricalMeasure:
     def test_carries_no_solution(self, four_point):
         ang = select_extremes(four_point, 2, 1.0)
         assert empirical_spectral_measure(ang).solution is None
-        assert empirical_spectral_measure(ang).scaled(2.0).solution is None
 
     def test_duplicate_angles_merge(self):
         ang = AngularSample(
@@ -274,7 +273,7 @@ class TestEmpiricalMeasure:
             n=6,
         )
         phi = empirical_spectral_measure(ang)
-        assert phi.n_atoms == 2
+        assert phi.angles.size == 2
         np.testing.assert_allclose(phi.weights, [1.0, 0.5])
 
 
@@ -301,10 +300,16 @@ class TestDiscreteSpectralMeasure:
     def test_rejects_out_of_range_angle(self):
         with pytest.raises(ValueError, match="pi/2"):
             DiscreteSpectralMeasure(np.array([2.0]), np.array([1.0]), 1.0)
+        with pytest.raises(ValueError, match="pi/2"):
+            DiscreteSpectralMeasure(np.array([0.2, math.nan]), np.array([1.0, 1.0]), 1.0)
 
-    def test_scaled(self):
-        phi = DiscreteSpectralMeasure.from_atoms([0.4], [2.0], 1.0)
-        assert phi.scaled(0.5).total_mass == pytest.approx(1.0)
+    @pytest.mark.parametrize("x", [math.nan, -0.1, 2.0])
+    def test_cdf_rejects_angle_off_the_interval(self, x):
+        phi = DiscreteSpectralMeasure.from_atoms([0.3, 0.5], [1.0, 1.0], 1.0)
+        with pytest.raises(ValueError, match="pi/2"):
+            phi.cdf(x)
+        with pytest.raises(ValueError, match="pi/2"):
+            phi.cdf(np.array([0.4, x]))
 
     def test_equality_is_identity(self):
         a = DiscreteSpectralMeasure.from_atoms([0.2, 0.5], [1, 1], 1)

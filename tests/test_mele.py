@@ -379,10 +379,6 @@ class TestCarriedSolution:
         np.testing.assert_array_equal(q.angles, expected.angles)
         np.testing.assert_array_equal(q.weights, expected.weights)
 
-    def test_scaled_keeps_solution(self):
-        q = mele_spectral_prob(angular([0.3, 1.2]))
-        assert q.scaled(0.5).solution is q.solution
-
     def test_solution_is_not_part_of_repr(self):
         q = mele_spectral_prob(angular([0.3, 1.2]))
         assert "solution" not in repr(q)

@@ -160,6 +160,14 @@ class TestCauchyQuadrant:
         assert model.atom_zero == 0.0
         assert model.atom_half_pi == 0.0
 
+    @pytest.mark.parametrize("theta", [math.nan, -0.1, 2.0])
+    def test_cdf_rejects_angle_off_the_interval(self, theta):
+        model = cauchy_quadrant_model(1.0)
+        with pytest.raises(ValueError, match="pi/2"):
+            model.cdf(theta)
+        with pytest.raises(ValueError, match="pi/2"):
+            model.cdf(np.array([0.4, theta]))
+
     def test_fractional_order_cdf_by_quadrature(self):
         model = cauchy_quadrant_model(3.0)
         for theta in [0.3, 0.9, 1.4]:

@@ -12,12 +12,7 @@ from specmeasure.empirical import (
 )
 from specmeasure.mele import mele_spectral_measure
 from specmeasure.models import cauchy_quadrant_model, sample_logistic
-from specmeasure.pickands import (
-    DiscreteMeasure,
-    PickandsFunction,
-    pickands_function,
-    spectral_to_H,
-)
+from specmeasure.pickands import MERGE_TOL, PickandsFunction, pickands_function
 from specmeasure.pseudo_obs import pseudo_observations
 
 from oracles import logistic_pickands, pickands_max_kernel
@@ -26,72 +21,56 @@ QUARTER_PI = math.pi / 4
 HALF_PI = math.pi / 2
 
 
-def mele_H(model, n, k, seed):
+def landing_on(v):
+    """Angles that the transport w = sin / (sin + cos) takes to v."""
+    v = np.asarray(v, dtype=float)
+    return np.arctan2(v, 1.0 - v)
+
+
+def transported(phi):
+    s = np.sin(phi.angles)
+    return s / (s + np.cos(phi.angles))
+
+
+def sum_norm(angles, weights):
+    return DiscreteSpectralMeasure.from_atoms(angles, weights, 1.0)
+
+
+def mele_phi(model, n, k, seed):
     sample = model.sample(n, np.random.default_rng(seed))
     ang = select_extremes(pseudo_observations(sample), k, 1.0)
-    return spectral_to_H(mele_spectral_measure(ang))
+    return mele_spectral_measure(ang)
 
 
 class TestSpectralToH:
+    """The transport of the angles to [0, 1] inside pickands_function."""
+
     def test_angle_to_weight_map(self):
-        phi = DiscreteSpectralMeasure.from_atoms(
-            angles=[0.0, QUARTER_PI, math.atan(3.0), HALF_PI],
-            weights=[0.5, 1.0, 0.25, 0.5],
-            p=1.0,
-        )
-        H = spectral_to_H(phi)
-        np.testing.assert_allclose(H.points, [0.0, 0.5, 0.75, 1.0], atol=1e-15)
-        np.testing.assert_allclose(H.weights, [0.5, 1.0, 0.25, 0.5])
+        phi = sum_norm([0.0, QUARTER_PI, math.atan(3.0), HALF_PI], [0.5, 1.0, 0.25, 0.5])
+        A = pickands_function(phi)
+        np.testing.assert_allclose(A.knots, [0.0, 0.5, 0.75, 1.0], atol=1e-15)
+        np.testing.assert_allclose(A.slopes, [-0.5, 0.5, 0.75], rtol=1e-12)
 
     def test_mass_is_preserved(self):
+        # no atom at pi/2, so the last slope is the total mass minus 1
         rng = np.random.default_rng(0)
         for _ in range(10):
             m = rng.integers(2, 30)
-            angles = np.sort(rng.uniform(0.0, HALF_PI, size=m))
-            angles = np.unique(angles)
-            weights = rng.uniform(0.1, 2.0, size=angles.size)
-            phi = DiscreteSpectralMeasure.from_atoms(angles, weights, 1.0)
-            assert spectral_to_H(phi).total_mass == pytest.approx(
+            angles = np.unique(rng.uniform(0.0, HALF_PI, size=m))
+            phi = sum_norm(angles, rng.uniform(0.1, 2.0, size=angles.size))
+            assert pickands_function(phi).slopes[-1] + 1.0 == pytest.approx(
                 phi.total_mass, rel=1e-12
             )
 
     def test_rejects_other_norms(self):
         phi = DiscreteSpectralMeasure.from_atoms([QUARTER_PI], [1.0], 2.0)
         with pytest.raises(ValueError, match="sum norm"):
-            spectral_to_H(phi)
-
-
-class TestDiscreteMeasure:
-    def test_cdf_right_continuous(self):
-        H = DiscreteMeasure(points=np.array([0.5]), weights=np.array([2.0]))
-        assert H.cdf(0.5) == 2.0
-        assert H.cdf(np.nextafter(0.5, 0.0)) == 0.0
-        assert H.total_mass == 2.0
-
-    def test_from_atoms_merges(self):
-        H = DiscreteMeasure.from_atoms([0.3, 0.7, 0.3], [1.0, 2.0, 3.0])
-        np.testing.assert_allclose(H.points, [0.3, 0.7])
-        np.testing.assert_allclose(H.weights, [4.0, 2.0])
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            DiscreteMeasure(points=np.array([0.7, 0.3]), weights=np.array([1.0, 1.0]))
-        with pytest.raises(ValueError):
-            DiscreteMeasure(points=np.array([0.3]), weights=np.array([0.0]))
-        with pytest.raises(ValueError):
-            DiscreteMeasure(points=np.array([1.2]), weights=np.array([1.0]))
-
-    def test_equality_is_identity(self):
-        a = DiscreteMeasure.from_atoms([0.2, 0.5], [1.0, 1.0])
-        b = DiscreteMeasure.from_atoms([0.2, 0.5], [1.0, 1.0])
-        assert a == a
-        assert not a == b
-        assert a != b
+            pickands_function(phi)
 
 
 class TestPickandsFunction:
     def test_point_mass_at_half_gives_envelope(self):
-        A = pickands_function(DiscreteMeasure.from_atoms([0.5], [2.0]))
+        A = pickands_function(sum_norm(landing_on([0.5]), [2.0]))
         np.testing.assert_allclose(A.knots, [0.0, 0.5, 1.0])
         np.testing.assert_allclose(A.values, [1.0, 0.5, 1.0])
         v = np.linspace(0.0, 1.0, 101)
@@ -99,7 +78,7 @@ class TestPickandsFunction:
         np.testing.assert_allclose(A.slopes, [-1.0, 1.0])
 
     def test_boundary_atoms_give_independence(self):
-        A = pickands_function(DiscreteMeasure.from_atoms([0.0, 1.0], [1.0, 1.0]))
+        A = pickands_function(sum_norm([0.0, HALF_PI], [1.0, 1.0]))
         v = np.linspace(0.0, 1.0, 101)
         np.testing.assert_allclose(A(v), np.ones(101), atol=1e-15)
 
@@ -107,23 +86,36 @@ class TestPickandsFunction:
         rng = np.random.default_rng(7)
         for _ in range(20):
             m = rng.integers(1, 12)
-            pts = np.unique(rng.uniform(0.0, 1.0, size=m))
-            wts = rng.uniform(0.1, 1.5, size=pts.size)
-            H = DiscreteMeasure(points=pts, weights=wts)
-            A = pickands_function(H)
-            assert A(1.0) == pytest.approx(np.sum(wts * (1.0 - pts)), rel=1e-12)
+            angles = landing_on(np.unique(rng.uniform(0.0, 1.0, size=m)))
+            phi = sum_norm(angles, rng.uniform(0.1, 1.5, size=angles.size))
+            A = pickands_function(phi)
+            expected = np.sum(phi.weights * (1.0 - transported(phi)))
+            assert A(1.0) == pytest.approx(expected, rel=1e-12)
             assert A(0.0) == 1.0
 
     def test_segment_slopes_are_shifted_cdf(self):
-        # slope immediately right of a knot v equals H([0, v]) - 1
-        H = DiscreteMeasure.from_atoms([0.2, 0.6, 0.9], [0.5, 1.0, 0.4])
-        A = pickands_function(H)
+        # slope immediately right of a knot equals the weight of the
+        # atoms up to it, minus 1
+        phi = sum_norm(landing_on([0.2, 0.6, 0.9]), [0.5, 1.0, 0.4])
+        A = pickands_function(phi)
+        np.testing.assert_allclose(A.knots[1:-1], [0.2, 0.6, 0.9], rtol=1e-15)
         np.testing.assert_allclose(
-            A.slopes, H.cdf(A.knots[:-1]) - 1.0, rtol=1e-12
+            A.slopes, np.concatenate(([0.0], np.cumsum(phi.weights))) - 1.0, rtol=1e-12
         )
 
+    def test_points_within_merge_tol_coalesce(self):
+        # pi/4 and the next float land 1 ulp apart, far inside MERGE_TOL
+        angles = [0.3, QUARTER_PI, np.nextafter(QUARTER_PI, 1.0), 1.2]
+        phi = sum_norm(angles, [0.5, 0.5, 0.5, 0.5])
+        w = transported(phi)
+        assert 0.0 < w[2] - w[1] < MERGE_TOL
+        A = pickands_function(phi)
+        assert A.knots.size == 5
+        assert A.knots[2] == pytest.approx(0.5, abs=1e-15)
+        np.testing.assert_allclose(A.slopes, [-1.0, -0.5, 0.5, 1.0], rtol=1e-12)
+
     def test_domain_and_validation(self):
-        A = pickands_function(DiscreteMeasure.from_atoms([0.5], [2.0]))
+        A = pickands_function(sum_norm([QUARTER_PI], [2.0]))
         with pytest.raises(ValueError):
             A(1.5)
         with pytest.raises(ValueError):
@@ -143,17 +135,17 @@ class TestConstrainedEstimates:
         model = cauchy_quadrant_model(1.0)
         v = np.linspace(0.0, 1.0, 257)
         for seed in range(5):
-            H = mele_H(model, 400, 40, seed)
-            A = pickands_function(H)
+            phi = mele_phi(model, 400, 40, seed)
+            A = pickands_function(phi)
             np.testing.assert_allclose(
-                A(v), pickands_max_kernel(H.points, H.weights, v), atol=1e-12
+                A(v), pickands_max_kernel(transported(phi), phi.weights, v), atol=1e-12
             )
 
     def test_dependence_function_axioms(self):
         model = cauchy_quadrant_model(1.0)
         v = np.linspace(0.0, 1.0, 1001)
         for seed in range(10):
-            A = pickands_function(mele_H(model, 500, 50, seed))
+            A = pickands_function(mele_phi(model, 500, 50, seed))
             assert A(0.0) == pytest.approx(1.0, abs=1e-8)
             assert A(1.0) == pytest.approx(1.0, abs=1e-8)
             slopes = A.slopes
@@ -172,8 +164,8 @@ class TestConstrainedEstimates:
         for seed in range(10):
             sample = model.sample(400, np.random.default_rng(seed))
             ang = select_extremes(pseudo_observations(sample), 40, 1.0)
-            raw = pickands_function(spectral_to_H(empirical_spectral_measure(ang)))
-            fixed = pickands_function(spectral_to_H(mele_spectral_measure(ang)))
+            raw = pickands_function(empirical_spectral_measure(ang))
+            fixed = pickands_function(mele_spectral_measure(ang))
             raw_gap.append(abs(raw(1.0) - 1.0))
             fixed_gap.append(abs(fixed(1.0) - 1.0))
         assert max(fixed_gap) < 1e-8
@@ -186,6 +178,6 @@ class TestConstrainedEstimates:
         for seed in range(30):
             sample = sample_logistic(1000, 2.0, np.random.default_rng([41, seed]))
             ang = select_extremes(pseudo_observations(sample), 40, 1.0)
-            A = pickands_function(spectral_to_H(mele_spectral_measure(ang)))
+            A = pickands_function(mele_spectral_measure(ang))
             vals.append(A(0.5))
         assert np.mean(vals) == pytest.approx(logistic_pickands(0.5, 2.0), abs=0.03)
