@@ -10,94 +10,19 @@ measures.  Ground-truth models, a Pickands dependence function
 transform, and a Monte Carlo MISE harness support evaluation.
 """
 
-from .empirical import (
-    AngularSample,
-    DiscreteSpectralMeasure,
-    empirical_spectral_measure,
-    select_extremes,
-)
-from .evaluation import (
-    MiseTable,
-    integrated_squared_error,
-    mise_sweep,
-    replication_ise,
-)
-from .lp_geometry import (
-    check_norm_order,
-    lp_norm,
-    score_f,
-)
-from .mele import (
-    ConstraintInfeasible,
-    MultiplierSolution,
-    mele_spectral_measure,
-    mele_spectral_prob,
-    mele_weights,
-    psi,
-    solve_multiplier,
-    spectral_normalizer,
-)
-from .models import (
-    SpectralModel,
-    asym_logistic_model,
-    asym_logistic_spectral_density,
-    cauchy_fullplane_model,
-    cauchy_quadrant_model,
-    mixture_model,
-    moment_sums,
-    sample_logistic,
-)
-from .pickands import PickandsFunction, pickands_function
-from .pseudo_obs import (
-    BivariateSample,
-    InputError,
-    ParseError,
-    PseudoObservations,
-    column_ranks,
-    pseudo_observations,
-    read_sample,
-    write_sample,
-)
+from . import empirical, evaluation, lp_geometry, mele, models, pickands, pseudo_obs
+from .empirical import *  # noqa: F403
+from .evaluation import *  # noqa: F403
+from .lp_geometry import *  # noqa: F403
+from .mele import *  # noqa: F403
+from .models import *  # noqa: F403
+from .pickands import *  # noqa: F403
+from .pseudo_obs import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "AngularSample",
-    "BivariateSample",
-    "ConstraintInfeasible",
-    "DiscreteSpectralMeasure",
-    "InputError",
-    "MiseTable",
-    "MultiplierSolution",
-    "ParseError",
-    "PickandsFunction",
-    "PseudoObservations",
-    "SpectralModel",
-    "asym_logistic_model",
-    "asym_logistic_spectral_density",
-    "cauchy_fullplane_model",
-    "cauchy_quadrant_model",
-    "check_norm_order",
-    "column_ranks",
-    "empirical_spectral_measure",
-    "integrated_squared_error",
-    "lp_norm",
-    "mele_spectral_measure",
-    "mele_spectral_prob",
-    "mele_weights",
-    "mise_sweep",
-    "mixture_model",
-    "moment_sums",
-    "pickands_function",
-    "pseudo_observations",
-    "psi",
-    "read_sample",
-    "replication_ise",
-    "sample_logistic",
-    "score_f",
-    "select_extremes",
-    "solve_multiplier",
-    "spectral_normalizer",
-    "write_sample",
+__all__ = ["__version__"] + [
+    name
+    for module in (empirical, evaluation, lp_geometry, mele, models, pickands, pseudo_obs)
+    for name in module.__all__
 ]

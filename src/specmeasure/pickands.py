@@ -27,7 +27,7 @@ __all__ = ["PickandsFunction", "pickands_function"]
 MERGE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PickandsFunction:
     """Piecewise-affine Pickands dependence function.
 

@@ -87,14 +87,16 @@ class PseudoObservations:
 
 
 def column_ranks(column: np.ndarray) -> np.ndarray:
-    """Ranks R_i = #{l : x_l <= x_i} from one stable argsort, O(n log n).
+    """Ranks R_i = #{l : x_l <= x_i} from one argsort, O(n log n).
 
     A tie group ends in sorted order where the next value differs; its
     members all get that end's position + 1, the maximal rank (-0.0 and
     0.0 tie; NaNs sort last and share rank n), as counting would give.
+    Since a group's members share that rank, their order within the group
+    is irrelevant and the default (unstable, SIMD) sort suffices.
     """
     column = np.asarray(column, dtype=float)
-    order = np.argsort(column, kind="stable")
+    order = np.argsort(column)
     ordered = column[order]
     differ = (ordered[1:] != ordered[:-1]) & ~np.isnan(ordered[:-1])
     ends = np.append(np.flatnonzero(differ) + 1, column.size)

@@ -127,6 +127,14 @@ class TestPickandsFunction:
                 knots=np.array([0.0, 0.6, 0.3, 1.0]), values=np.ones(4)
             )
 
+    def test_results_compare_by_identity_and_hash(self):
+        # array fields make field-wise == ambiguous; identity is the equality
+        phi = sum_norm(landing_on([0.2, 0.7]), [0.5, 1.5])
+        A, B = pickands_function(phi), pickands_function(phi)
+        assert A != B
+        assert A == A
+        assert len({A, B, A}) == 2
+
 
 class TestConstrainedEstimates:
     def test_matches_max_kernel_oracle(self):

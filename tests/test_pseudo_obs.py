@@ -143,6 +143,32 @@ class TestRanks:
         tied = any(len(set(col.tolist())) < len(col) for col in finite.T)
         assert pseudo_observations(BivariateSample(finite)).tie_flag == tied
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 3000),
+        distinct=st.integers(1, 60),
+        special_share=st.sampled_from([0.0, 0.01, 0.2, 0.9]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=3000, distinct=1, special_share=0.0, seed=0)
+    @example(n=2048, distinct=60, special_share=0.9, seed=1)
+    def test_ranks_and_tie_flag_on_long_columns(self, n, distinct, special_share, seed):
+        # long enough for the sort's large-array path, which the short
+        # columns above never reach
+        rng = np.random.default_rng(seed)
+        pool = np.round(rng.standard_normal(distinct), 1)
+        specials = np.array([math.nan, -0.0, 0.0, math.inf, -math.inf])
+        values = np.where(
+            rng.random((n, 2)) < special_share, rng.choice(specials, (n, 2)), rng.choice(pool, (n, 2))
+        )
+        for col in values.T:
+            # NaN compares false with everything; it sorts last and takes rank n
+            expected = np.where(np.isnan(col), n, rank_oracle(col))
+            np.testing.assert_array_equal(column_ranks(col), expected)
+        finite = np.nan_to_num(values, nan=3e300, posinf=2e300, neginf=-2e300)
+        tied = any(len(set(col.tolist())) < n for col in finite.T)
+        assert pseudo_observations(BivariateSample(finite)).tie_flag == tied
+
     def test_single_tied_pair_sets_flag(self):
         rng = np.random.default_rng(10_000)
         values = rng.standard_normal((10_000, 2))
