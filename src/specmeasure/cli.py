@@ -349,7 +349,7 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except ConstraintInfeasible as exc:
         return _fail(3, str(exc))
-    except (ValueError, NotImplementedError) as exc:
+    except ValueError as exc:
         return _fail(2, str(exc))
     except OSError as exc:
         return _fail(4, str(exc))

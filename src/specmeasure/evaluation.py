@@ -195,8 +195,6 @@ def mise_sweep(
     (the model's default interval when omitted).  ``p``, when given, must
     match the model's norm order; it exists to make call sites explicit.
     """
-    if not model.has_sampler:
-        raise ValueError(f"model {model.describe()} has no sampler")
     if p is not None and p != model.p:
         raise ValueError(f"norm order mismatch: model has p = {model.p}, requested {p}")
     if replications < 1:

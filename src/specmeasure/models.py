@@ -1,9 +1,9 @@
 """Reference bivariate models with known spectral measures.
 
 Each model packages the exact angular cumulative distribution function
-of its spectral measure together with, where supported, an exact
-sampler for the corresponding bivariate distribution.  These are the
-ground truths the estimators are judged against.
+of its spectral measure together with an exact sampler for the
+corresponding bivariate distribution.  These are the ground truths the
+estimators are judged against.
 
 Every density here is ||(sin, cos)||_p g(theta) with g free of p, and
 the endpoint atoms do not depend on p.  A family therefore declares only
@@ -38,7 +38,6 @@ from .pseudo_obs import BivariateSample
 
 __all__ = [
     "SpectralModel",
-    "asym_logistic_spectral_density",
     "asym_logistic_model",
     "sample_logistic",
     "cauchy_quadrant_model",
@@ -111,7 +110,7 @@ def _panel_antiderivatives(values) -> Callable:
 
 @dataclass(frozen=True)
 class SpectralModel:
-    """A spectral measure on [0, pi/2] with optional bivariate sampler.
+    """A spectral measure on [0, pi/2] with its bivariate sampler.
 
     A model is its p-free parts; the norm order p is applied here, once
     for every family.
@@ -133,7 +132,7 @@ class SpectralModel:
     sum_norm_cdf : callable or None
         Phi_1(theta), the interior cdf under the sum norm (zero at 0);
         not used when ``density_factor`` is None.
-    sampler : callable or None
+    sampler : callable
         ``sampler(n, rng) -> BivariateSample`` drawing from the
         bivariate distribution whose spectral measure this is.
     default_ise_interval : (float, float)
@@ -148,7 +147,7 @@ class SpectralModel:
     atom_half_pi: float
     density_factor: Optional[Callable]
     sum_norm_cdf: Optional[Callable] = field(repr=False)
-    sampler: Optional[Callable] = field(repr=False, default=None)
+    sampler: Callable = field(repr=False)
     default_ise_interval: tuple = (0.0, HALF_PI)
 
     def __post_init__(self):
@@ -208,14 +207,8 @@ class SpectralModel:
         out = self.cdf_continuous(theta) + self.atom_half_pi * (theta >= HALF_PI)
         return float(out) if scalar else out
 
-    @property
-    def has_sampler(self) -> bool:
-        return self.sampler is not None
-
     def sample(self, n: int, rng: np.random.Generator) -> BivariateSample:
-        """Draw n bivariate observations; requires a supported sampler."""
-        if self.sampler is None:
-            raise NotImplementedError(f"model {self.describe()} has no sampler")
+        """Draw n bivariate observations."""
         if n < 1:
             raise ValueError("sample size must be at least 1")
         return self.sampler(int(n), rng)
@@ -268,7 +261,14 @@ def _check_logistic_params(r, psi1, psi2):
 
 
 def _logistic_factor(theta, r: float, psi1: float, psi2: float):
-    """The p-free factor g of :func:`asym_logistic_spectral_density`."""
+    """The p-free density factor g of the asymmetric logistic measure,
+
+        (r - 1) (psi1 psi2)**r (sin cos)**(r-2) ((psi1 cos)**r + (psi2 sin)**r)**(1/r - 2),
+
+    the second derivative of the Pickands function carried to the
+    angular scale.  For 1 < r < 2 the factor (sin cos)**(r-2) is an
+    integrable singularity at both endpoints.
+    """
     theta = np.asarray(theta, dtype=float)
     s = np.sin(theta)
     # cos as sin(pi/2 - theta), so the float HALF_PI is the end point
@@ -279,36 +279,6 @@ def _logistic_factor(theta, r: float, psi1: float, psi2: float):
         * (s * c) ** (r - 2.0)
         * lp_norm(psi1 * c, psi2 * s, r) ** (1.0 - 2.0 * r)
     )
-
-
-def asym_logistic_spectral_density(theta, r: float, psi1: float, psi2: float, p: float):
-    """Interior spectral density of the asymmetric logistic model.
-
-    Requires r > 1; identically zero when psi1 psi2 = 0, otherwise on
-    the open interval (0, pi/2):
-
-        (r - 1) (psi1 psi2)**r ||(sin, cos)||_p
-        (sin cos)**(r-2) ((psi1 cos)**r + (psi2 sin)**r)**(1/r - 2)
-
-    This is the second derivative of the Pickands function carried to
-    the angular scale; it integrates against 1, sin/||.||_1 and
-    cos/||.||_1 to 2 - atoms, psi1 and psi2 respectively.  For
-    1 < r < 2 the factor (sin cos)**(r-2) is an integrable singularity
-    at both endpoints.
-    """
-    r, psi1, psi2 = _check_logistic_params(r, psi1, psi2)
-    if r == 1.0:
-        raise ValueError("interior density requires r > 1")
-    p = check_norm_order(p)
-    scalar = np.ndim(theta) == 0
-    theta = np.asarray(theta, dtype=float)
-    if psi1 * psi2 == 0.0:
-        # leading factor (psi1 psi2)^r kills the whole display
-        out = np.zeros_like(theta)
-    else:
-        norm = lp_norm(np.sin(theta), np.sin(HALF_PI - theta), p)
-        out = norm * _logistic_factor(theta, r, psi1, psi2)
-    return float(out) if scalar else out
 
 
 def _logistic_sum_norm_cdf(t, r: float, psi1: float, psi2: float):
@@ -373,6 +343,25 @@ def sample_logistic(n: int, r: float, rng: np.random.Generator) -> BivariateSamp
     return BivariateSample(v)
 
 
+def _sample_asym_logistic(
+    n: int, rng: np.random.Generator, r: float, psi1: float, psi2: float
+) -> BivariateSample:
+    """Tawn's asymmetric logistic law by componentwise maxima (Stephenson).
+
+    With V from :func:`sample_logistic` and Z_j independent unit Frechet,
+    X_j = max((1 - psi_j) Z_j, psi_j V_j) has joint law
+    exp(-(1 - psi1)/x1 - (1 - psi2)/x2 - ((psi1/x1)**r + (psi2/x2)**r)**(1/r)).
+    Z_j is drawn only for a column with psi_j < 1, so the symmetric case
+    is :func:`sample_logistic` itself, random stream included.
+    """
+    sample = sample_logistic(n, r, rng)
+    for j, psi in enumerate((psi1, psi2)):
+        if psi < 1.0:
+            z = 1.0 / np.clip(rng.exponential(size=n), 1e-300, None)
+            sample.values[:, j] = np.maximum((1.0 - psi) * z, psi * sample.values[:, j])
+    return sample
+
+
 def asym_logistic_model(
     r: float, psi1: float = 1.0, psi2: float = 1.0, p: float = 1.0
 ) -> SpectralModel:
@@ -381,8 +370,6 @@ def asym_logistic_model(
     Endpoint atoms 1 - psi2 at angle 0 and 1 - psi1 at pi/2 when
     r > 1 and psi1 psi2 > 0; tail independence (r = 1 or a vanishing
     weight) concentrates mass 1 on each endpoint with empty interior.
-    A sampler is available only in the symmetric case
-    psi1 = psi2 = 1.
     """
     r, psi1, psi2 = _check_logistic_params(r, psi1, psi2)
     symmetric = psi1 == 1.0 and psi2 == 1.0
@@ -396,7 +383,7 @@ def asym_logistic_model(
         atom_half_pi=1.0 - psi1 if dependent else 1.0,
         density_factor=partial(_logistic_factor, **parts) if dependent else None,
         sum_norm_cdf=partial(_logistic_sum_norm_cdf, **parts),
-        sampler=(lambda n, rng: sample_logistic(n, r, rng)) if symmetric else None,
+        sampler=partial(_sample_asym_logistic, **parts),
     )
 
 

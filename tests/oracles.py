@@ -179,6 +179,15 @@ def logistic_joint_cdf(x, y, r: float):
     return np.exp(-((x ** -r + y ** -r) ** (1.0 / r)))
 
 
+def asym_logistic_joint_cdf(x, y, r: float, psi1: float, psi2: float):
+    """Tawn's asymmetric logistic law with unit Frechet margins:
+    exp(-(1 - psi1)/x - (1 - psi2)/y - ((psi1/x)^r + (psi2/y)^r)^(1/r))."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    joint = ((psi1 / x) ** r + (psi2 / y) ** r) ** (1.0 / r)
+    return np.exp(-(1.0 - psi1) / x - (1.0 - psi2) / y - joint)
+
+
 def frechet_cdf(x):
     return np.exp(-1.0 / np.asarray(x, dtype=float))
 

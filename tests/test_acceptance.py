@@ -31,6 +31,7 @@ from specmeasure.pickands import pickands_function
 from specmeasure.pseudo_obs import pseudo_observations, read_sample
 
 from oracles import (
+    asym_logistic_joint_cdf,
     cauchy_fullplane_joint_cdf,
     cauchy_fullplane_margin_cdf,
     cauchy_quadrant_joint_cdf,
@@ -216,6 +217,22 @@ def test_sampler_distributions():
             lambda x, y: logistic_joint_cdf(x, y, 2.0),
             frechet_cdf,
         ),
+        # the joint cdf is not symmetric in psi, so the band also pins
+        # psi1 to the first column
+        (
+            "asymmetric logistic r=3 psi=(0.7, 0.9)",
+            asym_logistic_model(3.0, 0.7, 0.9).sample(n, np.random.default_rng(610)).values,
+            lambda q: -1.0 / np.log(q),
+            lambda x, y: asym_logistic_joint_cdf(x, y, 3.0, 0.7, 0.9),
+            frechet_cdf,
+        ),
+        (
+            "asymmetric logistic r=1.5 psi=(1, 0.3)",
+            asym_logistic_model(1.5, 1.0, 0.3).sample(n, np.random.default_rng(611)).values,
+            lambda q: -1.0 / np.log(q),
+            lambda x, y: asym_logistic_joint_cdf(x, y, 1.5, 1.0, 0.3),
+            frechet_cdf,
+        ),
         (
             "cauchy quadrant",
             cauchy_quadrant_model(1.0).sample(n, np.random.default_rng(607)).values,
@@ -253,7 +270,7 @@ def test_sampler_distributions():
             hi = np.max(np.arange(1, n + 1) / n - ref)
             lo = np.max(ref - np.arange(0, n) / n)
             assert max(hi, lo) < eps, (label, j)
-    announce(f"four samplers inside DKW band (eps = {eps:.5f}, worst joint gap = {worst:.5f})")
+    announce(f"six samplers inside DKW band (eps = {eps:.5f}, worst joint gap = {worst:.5f})")
 
 
 def test_model_self_consistency():

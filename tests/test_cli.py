@@ -75,12 +75,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "specmeasure: error" in err
 
-    def test_asymmetric_logistic_has_no_sampler(self, capsys):
-        assert run("simulate", "--model", "logistic", "--r", "2", "--psi1", "0.5",
-                   "--n", "5", "--seed", "1") == 2
-        assert capsys.readouterr().err == (
-            "specmeasure: error: model asymmetric-logistic(r=2,psi1=0.5,psi2=1) has no sampler\n"
-        )
+    def test_asymmetric_logistic_runs(self, capsys):
+        # --psi1/--psi2 below 1 sample Tawn's asymmetric logistic law
+        argv = ("simulate", "--model", "logistic", "--r", "2", "--psi1", "0.5",
+                "--n", "5", "--seed", "1")
+        assert run(*argv) == 0
+        first = capsys.readouterr().out
+        assert len(first.strip().splitlines()) == 1 + 5
+        assert run(*argv) == 0
+        assert capsys.readouterr().out == first
+        assert run("benchmark", "--model", "logistic", "--r", "3", "--psi1", "0.7",
+                   "--psi2", "0.9", "--n", "60", "--reps", "2", "--k-grid", "10:20:10",
+                   "--seed", "1") == 0
+        assert "asymmetric-logistic(r=3,psi1=0.7,psi2=0.9)" in capsys.readouterr().err
 
     def test_missing_input_file(self, tmp_path, capsys):
         assert run("estimate", "--k", "5", "--input", str(tmp_path / "nope.csv")) == 4

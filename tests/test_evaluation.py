@@ -406,8 +406,10 @@ class TestMiseSweep:
             mise_sweep(model, 100, 2, [10.5], seed=0)
         with pytest.raises(ValueError, match="interval"):
             mise_sweep(model, 100, 2, [10], interval=(1.2, 0.3), seed=0)
-        with pytest.raises(ValueError, match="sampler"):
-            mise_sweep(asym_logistic_model(2.0, psi1=0.5), 100, 2, [10], seed=0)
+        # every model samples, the asymmetric logistic included
+        table = mise_sweep(asym_logistic_model(2.0, psi1=0.5), 100, 2, [10, 20], seed=0)
+        assert table.model == "asymmetric-logistic(r=2,psi1=0.5,psi2=1)"
+        assert np.all(np.isfinite(table.mise[:, 0]))
 
     def test_truth_cdf_sampled_once(self, monkeypatch):
         # the integral tables sample the truth once, at the table nodes;

@@ -11,7 +11,6 @@ from specmeasure.models import (
     _CHUNK,
     SpectralModel,
     asym_logistic_model,
-    asym_logistic_spectral_density,
     cauchy_fullplane_model,
     cauchy_quadrant_model,
     mixture_model,
@@ -36,42 +35,46 @@ class TestLogisticDensity:
     def test_hand_value_at_diagonal(self):
         # r = 2 cancels every power factor; the sum norm of
         # (sin, cos)(pi/4) is sqrt(2)
-        val = asym_logistic_spectral_density(QUARTER_PI, 2.0, 1.0, 1.0, 1.0)
+        val = asym_logistic_model(2.0, p=1.0).interior_density(QUARTER_PI)
         assert val == pytest.approx(math.sqrt(2.0), rel=1e-14)
 
     def test_zero_weight_kills_density(self):
+        # a vanishing weight leaves no interior density: all of the
+        # measure sits on the endpoint atoms, so the cdf is flat inside
         theta = np.linspace(0.1, 1.4, 10)
-        np.testing.assert_array_equal(
-            asym_logistic_spectral_density(theta, 3.0, 0.0, 0.9, 1.0),
-            np.zeros(10),
-        )
+        model = asym_logistic_model(3.0, 0.0, 0.9, p=1.0)
+        assert model.interior_density is None
+        np.testing.assert_allclose(model.cdf(theta), np.ones(10), rtol=1e-14)
 
     def test_symmetric_weights_symmetric_density(self):
         theta = np.linspace(0.05, HALF_PI - 0.05, 41)
         for r in [1.5, 2.0, 4.0]:
-            left = asym_logistic_spectral_density(theta, r, 0.8, 0.8, 2.0)
-            right = asym_logistic_spectral_density(HALF_PI - theta, r, 0.8, 0.8, 2.0)
-            np.testing.assert_allclose(left, right, rtol=1e-12)
+            density = asym_logistic_model(r, 0.8, 0.8, p=2.0).interior_density
+            np.testing.assert_allclose(density(theta), density(HALF_PI - theta), rtol=1e-12)
 
     @pytest.mark.parametrize("r", [1.2, 1.5, 3.0])
     @pytest.mark.parametrize("psi", [1.0, 0.7])
     def test_end_point_mirrors_zero(self, r, psi):
         # the float HALF_PI is the end point pi/2, as in the model cdfs:
         # infinite there for r < 2 and zero for r > 2, like at 0
+        density = asym_logistic_model(r, psi, psi, p=1.5).interior_density
         with np.errstate(divide="ignore"):
-            at_zero = asym_logistic_spectral_density(0.0, r, psi, psi, 1.5)
-            at_end = asym_logistic_spectral_density(HALF_PI, r, psi, psi, 1.5)
+            at_zero = density(0.0)
+            at_end = density(HALF_PI)
         assert at_end == at_zero
         assert at_zero == (math.inf if r < 2.0 else 0.0)
 
     def test_rejects_r_one(self):
+        # r = 1 is tail independence, with no density to evaluate;
+        # below 1 the parameter is rejected outright
+        assert asym_logistic_model(1.0).interior_density is None
         with pytest.raises(ValueError):
-            asym_logistic_spectral_density(0.5, 1.0, 1.0, 1.0, 1.0)
+            asym_logistic_model(0.99)
 
     def test_r_two_collapses_to_arc_norm(self):
         theta = np.linspace(0.01, HALF_PI - 0.01, 25)
         for p in [1.0, 2.0, math.inf]:
-            vals = asym_logistic_spectral_density(theta, 2.0, 1.0, 1.0, p)
+            vals = asym_logistic_model(2.0, p=p).interior_density(theta)
             np.testing.assert_allclose(
                 vals, lp_norm(np.sin(theta), np.cos(theta), p), rtol=1e-13
             )
@@ -87,10 +90,11 @@ class TestLogisticModel:
         assert model.total_mass == pytest.approx(2.0)
 
     def test_vanishing_weight_is_tail_independent(self):
-        model = asym_logistic_model(5.0, psi1=0.7, psi2=0.0)
-        assert model.atom_zero == 1.0
-        assert model.atom_half_pi == 1.0
-        assert model.interior_density is None
+        for psi1, psi2 in [(0.7, 0.0), (0.0, 0.9)]:
+            model = asym_logistic_model(5.0, psi1=psi1, psi2=psi2)
+            assert model.atom_zero == 1.0
+            assert model.atom_half_pi == 1.0
+            assert model.interior_density is None
 
     def test_endpoint_atoms(self):
         model = asym_logistic_model(2.0, psi1=1.0, psi2=0.89)
@@ -104,12 +108,8 @@ class TestLogisticModel:
 
     def test_cdf_matches_library_quadrature(self):
         model = asym_logistic_model(2.0, psi1=1.0, psi2=0.89, p=1.0)
-
-        def dens(t):
-            return asym_logistic_spectral_density(t, 2.0, 1.0, 0.89, 1.0)
-
         for theta in [0.2, 0.7, 1.1, 1.5]:
-            expected, _ = integrate.quad(dens, 0.0, theta, limit=300)
+            expected, _ = integrate.quad(model.interior_density, 0.0, theta, limit=300)
             assert model.cdf(theta) == pytest.approx(0.11 + expected, abs=1e-9)
 
     def test_singular_density_mass_recovered(self):
@@ -132,11 +132,19 @@ class TestLogisticModel:
             == "asymmetric-logistic(r=2,psi1=0.5,psi2=1)"
         )
 
-    def test_asymmetric_sampler_unsupported(self):
-        model = asym_logistic_model(2.0, psi1=0.5)
-        assert not model.has_sampler
-        with pytest.raises(NotImplementedError):
-            model.sample(10, np.random.default_rng(0))
+    def test_samples_the_asymmetric_law(self):
+        # unit Frechet margins, and the stable tail dependence function
+        # l(1, 1) = (1 - psi1) + (1 - psi2) + ||(psi1, psi2)||_r estimated
+        # by joint threshold exceedances at the k-th order statistics
+        n, k = 100000, 1000
+        eps = dkw_epsilon(n, 0.001)
+        values = asym_logistic_model(2.0, psi1=0.5).sample(n, np.random.default_rng(41)).values
+        for j in range(2):
+            col = np.sort(values[:, j])
+            assert np.max(np.abs(np.arange(1, n + 1) / n - frechet_cdf(col))) < eps, j
+        x_thr, y_thr = np.partition(values, n - k, axis=0)[n - k]
+        exceed = np.logical_or(values[:, 0] > x_thr, values[:, 1] > y_thr).sum()
+        assert exceed / k == pytest.approx(0.5 + math.sqrt(1.25), abs=0.05)
 
 
 class TestCauchyQuadrant:
@@ -269,6 +277,7 @@ class TestSamplers:
     def test_deterministic_given_seed(self):
         for model in [
             asym_logistic_model(2.0),
+            asym_logistic_model(3.0, psi1=0.7, psi2=0.9),
             cauchy_quadrant_model(1.0),
             cauchy_fullplane_model(1.0),
             mixture_model(0.5),
@@ -288,6 +297,29 @@ class TestSamplers:
                 col = np.sort(values[:, j])
                 ecdf = np.arange(1, n + 1) / n
                 assert np.max(np.abs(ecdf - frechet_cdf(col))) < eps, r
+
+    def test_symmetric_logistic_model_is_sample_logistic(self):
+        # psi1 = psi2 = 1 draws nothing beyond sample_logistic's stream
+        rng_a, rng_b = np.random.default_rng(12), np.random.default_rng(12)
+        got = asym_logistic_model(2.0).sample(1000, rng_a).values
+        assert got.tobytes() == sample_logistic(1000, 2.0, rng_b).values.tobytes()
+        assert rng_a.random() == rng_b.random()
+
+    def test_zero_weight_column_is_the_independent_frechet_draw(self):
+        # psi2 = 0: the second column is Z2 = 1 / E2 itself, drawn after V
+        # and after E1 for the first column
+        n = 20000
+        values = asym_logistic_model(3.0, psi1=0.7, psi2=0.0).sample(
+            n, np.random.default_rng(9)
+        ).values
+        rng = np.random.default_rng(9)
+        sample_logistic(n, 3.0, rng)
+        rng.exponential(size=n)
+        z2 = 1.0 / np.clip(rng.exponential(size=n), 1e-300, None)
+        assert values[:, 1].tobytes() == z2.tobytes()
+        col = np.sort(values[:, 1])
+        eps = dkw_epsilon(n, 0.001)
+        assert np.max(np.abs(np.arange(1, n + 1) / n - frechet_cdf(col))) < eps
 
     def test_independence_at_r_one(self):
         # empirical correlation of ranks vanishes for r = 1
@@ -468,6 +500,7 @@ def quadrant_parts(p):
         atom_half_pi=0.0,
         density_factor=np.ones_like,
         sum_norm_cdf=lambda t: np.sin(t) - np.cos(t) + 1.0,
+        sampler=cauchy_quadrant_model().sampler,
     )
 
 
