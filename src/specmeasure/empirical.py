@@ -201,27 +201,31 @@ class _Block:
 
 def _select(pobs: PseudoObservations, ks, p: float) -> _TailGrid:
     """The rule of :func:`select_extremes` at every k of ``ks`` at once:
-    one L_p norm per row serves every k, and the members at the largest k
-    are the union; :meth:`_TailGrid.blocks` marks the members per k."""
+    one L_p norm per candidate row serves every k, and the members at the
+    largest k are the union; :meth:`_TailGrid.blocks` marks the members
+    per k."""
     p = check_norm_order(p)
     n = pobs.n
     for k in np.ravel(ks).tolist():
         if not (float(k).is_integer() and 1 <= k <= n):
             raise ValueError(f"k must be an integer with 1 <= k <= n = {n}, got {k!r}")
     ks = np.asarray(ks, dtype=np.int64)
-    u1, u2 = pobs.u.T
+    k_max = int(ks.max())
+    # a norm is at most 2 n / min(m1, m2), so only rows in the top 2 k_max + 1
+    # of a column reach the largest k's band, (1 - 2 MARGIN) n / k_max
+    tail, u = pobs._tail(2 * k_max + 1)
+    u1, u2 = u.T
     norm = lp_norm(1.0 / u1, 1.0 / u2, p)
-    # only rows at or above the largest k's band can be members
-    rows = np.flatnonzero(norm >= (1.0 - 2.0 * MARGIN) * (n / ks.max()))
+    rows = np.flatnonzero(norm >= (1.0 - 2.0 * MARGIN) * (n / k_max))
     # ranks where the rule has exact ties; rounding recovers m exactly, as
     # the float error of (m / n) * n is far below 1/2
     exact = math.isinf(p) or p.is_integer()
-    ranks = np.rint(pobs.u[rows] * n).astype(np.int64) if exact else None
+    ranks = np.rint(u[rows] * n).astype(np.int64) if exact else None
     keep = _members(norm[rows], ranks, ks.max(keepdims=True), n, p)[0]
-    indices = rows[keep]
-    angles = np.arctan(u2[indices] / u1[indices])
-    union = AngularSample(indices, angles, score_f(angles, p), k=int(ks.max()), p=p, n=n)
-    return _TailGrid(union, ks, norm[indices], None if ranks is None else ranks[keep])
+    rows = rows[keep]
+    angles = np.arctan(u2[rows] / u1[rows])
+    union = AngularSample(tail[rows], angles, score_f(angles, p), k=k_max, p=p, n=n)
+    return _TailGrid(union, ks, norm[rows], None if ranks is None else ranks[keep])
 
 
 def select_extremes(pobs: PseudoObservations, k: int, p: float) -> AngularSample:
@@ -234,8 +238,10 @@ def select_extremes(pobs: PseudoObservations, k: int, p: float) -> AngularSample
     are decided again from their integer ranks m = n*u:
     ``min(m1, m2) <= k`` for the max norm and for p > k, where it is
     exact, and ``k^p (m1^p + m2^p) >= (m1 m2)^p`` in Python integers
-    otherwise.  A Monte Carlo replication applies it to its whole k grid
-    at once; this is the one-k case.
+    otherwise.  Only rows among the top 2k + 1 of a column can qualify,
+    and only their ranks are computed: ``pobs.u`` is never built.  A Monte
+    Carlo replication applies the rule to its whole k grid at once; this
+    is the one-k case.
 
     At least one observation is always selected (the rank-n row in
     either column qualifies for every k >= 1).

@@ -72,7 +72,7 @@ class MultiplierSolution:
     ``feasible_interval`` is the open interval of multipliers keeping
     every weight positive; the root may fall anywhere inside it, which
     in small samples can be far outside (-1, 1).  ``iterations`` counts
-    evaluations of Psi.
+    evaluations of Psi beyond Psi(0), the mean score.
 
     A MELE estimate carries the solution it was built from in its
     ``solution`` field, so ``mele_spectral_measure(ang).solution`` gives
@@ -118,7 +118,10 @@ def solve_multiplier(scores) -> MultiplierSolution:
     """Solve Psi(mu) = 0 for the Lagrange multiplier.
 
     Safeguarded Newton iteration inside a shrinking sign bracket,
-    warm-started at the first-order value mean(A) / mean(A^2).  The
+    warm-started at the first-order value mean(A) / mean(A^2).  The sign
+    of Psi(0) = mean(A) picks the side of 0 the root is on, and 0 with
+    the feasible end on that side is the first bracket, as Psi runs
+    from +inf to -inf across the feasible interval.  The
     returned root satisfies ``max(|Psi|, |mu Psi|) <= SOLVER_TOL``, and the
     exact root of Psi lies within h + e of it: h = 1e-14 * (1 + |mu|)
     is the width target of the final bracket, and e, about
@@ -129,7 +132,7 @@ def solve_multiplier(scores) -> MultiplierSolution:
     solve places the root closer.  Once a Newton step moves less than
     h / 2, the next point is h / 2 past the iterate on the root's side
     (Brent's tolerance step), so the bracket closes on the root there:
-    about 6 evaluations of Psi are typical.  Both constraints are then
+    about 4 evaluations of Psi are typical.  Both constraints are then
     met to ``SOLVER_TOL``: the weights give sum(w A) = Psi and
     sum(w) - 1 = -mu Psi, so |Psi| alone leaves the mass unbounded when
     |mu| is large.  This is the one-row case of the row-wise solve.
@@ -166,33 +169,17 @@ def _solve_rows(a: np.ndarray, count: np.ndarray):
             return _psi_rows(mu, a[rows], count[rows])
 
     rows = np.flatnonzero((smin < 0.0) & (smax > 0.0))
-    f0 = f(rows, np.zeros(rows.size))[0]
-    rows, f0 = rows[f0 != 0.0], f0[f0 != 0.0]
+    s = a[rows]
+    f0 = np.sum(s, axis=1) / count[rows]  # Psi(0), the mean score
+    rows, s, f0 = rows[f0 != 0.0], s[f0 != 0.0], f0[f0 != 0.0]
 
-    # sign bracket [blo, bhi] with Psi(blo) > 0 > Psi(bhi); Psi decreases,
-    # diverging to +inf at lo and -inf at hi, so stepping geometrically
-    # toward the relevant endpoint must cross zero
-    blo = np.where(f0 > 0.0, 0.0, math.nan)
-    bhi = np.where(f0 > 0.0, math.nan, 0.0)
-    target = np.where(f0 > 0.0, hi[rows], lo[rows])
-    anchor = np.zeros(rows.size)
-    j = np.arange(rows.size)
-    for _ in range(200):
-        anchor[j] = 0.5 * (anchor[j] + target[j])
-        j = j[anchor[j] != target[j]]
-        if not j.size:
-            break
-        fa = f(rows[j], anchor[j])[0]
-        blo[j[fa > 0.0]] = anchor[j[fa > 0.0]]
-        bhi[j[fa <= 0.0]] = anchor[j[fa <= 0.0]]
-        j = j[~np.isnan(fa) & (np.isnan(blo[j]) | np.isnan(bhi[j]))]
-    failed = np.isnan(blo) | np.isnan(bhi)
-    if np.any(failed):
-        raise RuntimeError(f"failed to bracket the multiplier near {target[failed].tolist()}")
+    # sign bracket (blo, bhi): Psi decreases from +inf at lo to -inf at hi,
+    # so 0 and the feasible end on the root's side enclose the root
+    blo = np.where(f0 > 0.0, 0.0, lo[rows])
+    bhi = np.where(f0 > 0.0, hi[rows], 0.0)
 
     # warm start at the first-order multiplier if it falls inside the bracket
-    s = a[rows]
-    mu_bar = (np.sum(s, axis=1) / count[rows]) / (np.sum(s * s, axis=1) / count[rows])
+    mu_bar = f0 / (np.sum(s * s, axis=1) / count[rows])
     x = np.where((blo < mu_bar) & (mu_bar < bhi), mu_bar, 0.5 * (blo + bhi))
     fx, slope = f(rows, x)
     best_x, best_f = x.copy(), fx.copy()

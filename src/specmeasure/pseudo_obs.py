@@ -11,6 +11,7 @@ import itertools
 import os
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import IO, Union
 
 import numpy as np
@@ -69,21 +70,45 @@ class BivariateSample:
         return self.values.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PseudoObservations:
-    """Per-column pseudo-observations u_ij = (n + 1 - R_ij) / n.
+    """Per-column pseudo-observations u_ij = (n + 1 - R_ij) / n of ``sample``.
 
     R_ij is the maximal rank ``#{l : x_lj <= x_ij}``, so ties share the
     larger rank and ``tie_flag`` records whether any column had ties.
     Every u_ij lies in (0, 1]; large observations map to small u.
+    ``ordered`` holds each column sorted increasingly, one per row.  The
+    full ``u`` is built on first access; the selection reads only the
+    rows it needs, through ``_tail``.  ``==`` is identity.
     """
 
-    u: np.ndarray
+    sample: BivariateSample
+    ordered: np.ndarray
     tie_flag: bool
 
     @property
     def n(self) -> int:
-        return self.u.shape[0]
+        return self.sample.n
+
+    @cached_property
+    def u(self) -> np.ndarray:
+        ranks = np.column_stack([column_ranks(column) for column in self.sample.values.T])
+        return (self.n + 1 - ranks) / self.n
+
+    def _tail(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """The increasing rows whose value in either column is at least that
+        column's m-th largest (a tie group at the cut goes in whole), and
+        their u, counting ``#{l : x_lj <= x_ij}`` by binary search."""
+        n, values = self.n, self.sample.values
+        cut = self.ordered[:, n - min(m, n)]
+        rows = np.flatnonzero((values[:, 0] >= cut[0]) | (values[:, 1] >= cut[1]))
+        tail = np.take(values, rows, axis=0)
+        ranks = np.empty(tail.shape, dtype=np.int64)
+        for j, column in enumerate(self.ordered):
+            # keys in increasing order search several times faster than in row order
+            order = np.argsort(tail[:, j])
+            ranks[order, j] = np.searchsorted(column, tail[order, j], side="right")
+        return rows, (n + 1 - ranks) / n
 
 
 def column_ranks(column: np.ndarray) -> np.ndarray:
@@ -106,21 +131,11 @@ def column_ranks(column: np.ndarray) -> np.ndarray:
 
 
 def pseudo_observations(sample: BivariateSample) -> PseudoObservations:
-    """Map a raw sample to rank-based pseudo-observations.
-
-    Each column sums to (n + 1) / 2 when the column has no ties.
-    """
-    values = sample.values
-    n = sample.n
-    u = np.empty_like(values)
-    tie = False
-    for j in range(2):
-        ranks = column_ranks(values[:, j])
-        u[:, j] = (n + 1 - ranks) / n
-        # distinct maximal ranks are a permutation of 1..n; a tied group
-        # of size g shares its largest rank and adds g(g-1)/2 to the sum
-        tie = tie or int(ranks.sum()) != n * (n + 1) // 2
-    return PseudoObservations(u=u, tie_flag=tie)
+    """Sort each column of a raw sample once; equal sorted neighbours flag
+    ties.  The ranks are computed only when ``u`` is read."""
+    ordered = sample.values.T.copy()
+    ordered.sort()
+    return PseudoObservations(sample, ordered, bool(np.any(ordered[:, 1:] == ordered[:, :-1])))
 
 
 def read_sample(source: PathOrStream) -> BivariateSample:

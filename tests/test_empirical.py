@@ -17,7 +17,11 @@ from specmeasure.empirical import (
     empirical_spectral_measure,
     select_extremes,
 )
-from specmeasure.pseudo_obs import BivariateSample, pseudo_observations
+from specmeasure import pseudo_obs
+from specmeasure.cli import run_cli
+from specmeasure.evaluation import replication_ise
+from specmeasure.models import asym_logistic_model, cauchy_quadrant_model
+from specmeasure.pseudo_obs import BivariateSample, pseudo_observations, write_sample
 
 from oracles import membership_oracle
 
@@ -323,3 +327,35 @@ class TestDiscreteSpectralMeasure:
         s, c = phi.moment_sums()
         assert s == pytest.approx(math.sqrt(0.5), rel=1e-15)
         assert c == pytest.approx(math.sqrt(0.5), rel=1e-15)
+
+
+class TestTailOnly:
+    """Count guard: selection ranks only the rows it can select, so the
+    full ranks of a sample are never built on the way to an estimate."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_full_ranks(self, monkeypatch):
+        def refuse(column):
+            raise AssertionError("full column ranks were computed")
+
+        monkeypatch.setattr(pseudo_obs, "column_ranks", refuse)
+
+    def test_select_extremes(self):
+        sample = asym_logistic_model(2.0).sample(3000, np.random.default_rng(4))
+        pobs = pseudo_observations(BivariateSample(np.round(sample.values, 1)))
+        for p in [1.0, 2.0, 2.5, math.inf]:
+            select_extremes(pobs, 100, p)
+        assert "u" not in pobs.__dict__
+        with pytest.raises(AssertionError, match="full column ranks"):
+            pobs.u  # the guard is live
+
+    def test_replication_ise(self):
+        replication_ise(cauchy_quadrant_model(1.0), 500, [10, 50, 100], (0.1, 1.4), 5, 0)
+
+    def test_estimate_and_pickands(self, tmp_path, capsys):
+        data = tmp_path / "sample.csv"
+        write_sample(asym_logistic_model(2.0).sample(2000, np.random.default_rng(8)), str(data))
+        for p in ["1", "2", "2.5", "inf"]:
+            assert run_cli(["estimate", "--input", str(data), "--k", "50", "--p", p]) == 0
+        assert run_cli(["pickands", "--input", str(data), "--k", "50"]) == 0
+        assert "theta" in capsys.readouterr().out

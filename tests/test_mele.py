@@ -235,7 +235,7 @@ class TestSolverWidthContract:
 
 
 def test_mean_evaluations_per_fit():
-    """Count guard: the closing step takes about 6 evaluations of Psi per
+    """Count guard: the closing step takes about 4 evaluations of Psi per
     fit on the paper's Monte Carlo design; bisecting the bracket down to
     the width target took about 24."""
     iterations = []

@@ -179,6 +179,47 @@ class TestRanks:
         np.testing.assert_array_equal(column_ranks(values[:, 1]), rank_oracle(values[:, 1]))
 
 
+class TestTail:
+    """``PseudoObservations._tail(m)`` against the counting definition of
+    the ranks, at every cut m."""
+
+    @staticmethod
+    def check_every_cut(values):
+        n = len(values)
+        pobs = pseudo_observations(BivariateSample(values))
+        counts = np.column_stack([rank_oracle(col) for col in values.T])
+        for m in range(1, n + 1):
+            rows, u = pobs._tail(m)
+            np.testing.assert_array_equal(rows, np.flatnonzero((counts >= n + 1 - m).any(axis=1)))
+            assert u.tobytes() == pobs.u[rows].tobytes()
+        rows, u = pobs._tail(n + 3)  # a cut past n keeps every row
+        np.testing.assert_array_equal(rows, np.arange(n))
+        # the rank-sum rule: distinct maximal ranks sum to n(n+1)/2, and a
+        # tie group of size g adds g(g-1)/2
+        assert pobs.tie_flag == any(int(col.sum()) != n * (n + 1) // 2 for col in counts.T)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.sampled_from([-0.0, 0.0, 1.0, -2.5, 3.0, 7.25]), min_size=2, max_size=2),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    @example([[3.5, -2.0]])
+    @example([[5.0, 5.0]] * 7)
+    @example([[-0.0, 1.0], [0.0, 1.0], [0.0, -0.0]])
+    def test_tie_heavy_columns(self, rows):
+        self.check_every_cut(np.asarray(rows, dtype=float))
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(1, 300), distinct=st.integers(1, 400), seed=st.integers(0, 2**32 - 1))
+    def test_longer_columns(self, n, distinct, seed):
+        rng = np.random.default_rng(seed)
+        pool = np.round(rng.standard_normal(distinct), 2)
+        self.check_every_cut(rng.choice(pool, (n, 2)) * rng.choice([-1.0, 1.0], (n, 2)))
+
+
 class TestSampleValidation:
     def test_wrong_shape(self):
         with pytest.raises(InputError, match=r"\(n, 2\)"):
