@@ -133,27 +133,28 @@ class DiscreteSpectralMeasure:
 MARGIN = 1e-12
 
 
-#: most (k, member) cells a pass over a k grid holds at once: a block of
-#: rows keeps each dense array of the pass at 2 MB, whatever the grid and n
-_CELLS = 1 << 18
+#: cell budget of a pass over k grids: a block holds the rows of as many
+#: consecutive replications as fit in _CELLS cells, a row counting as its
+#: replication's union size, which bounds both its member cells and its
+#: row of atom weights; a replication larger than that is split by rows
+_CELLS = 1 << 15
 
 
 def _members(norm, ranks, ks, n: int, p: float) -> np.ndarray:
-    """Row i marks the entries of ``norm`` that are members at ``ks[i]``;
-    ``ranks`` (integer p and the max norm, else None) decide the entries
-    within ``MARGIN`` of n/k exactly."""
+    """Row i marks the entries of ``norm`` that are members at ``ks[i]``
+    under integer p or the max norm: the entries within ``MARGIN`` of n/k
+    are decided exactly from their ``ranks``."""
     threshold = (n / ks)[:, None]
     member = norm >= threshold
-    if ranks is not None:
-        i, j = np.nonzero(np.abs(norm - threshold) <= MARGIN * threshold)
-        m1, m2 = ranks[j].T
-        # for p > k the integer rule is the max-norm rule: a term (k/m)^p is
-        # >= 1 when m <= k and at most (k/(k+1))^(k+1) < 1/e when m > k
-        q = int(p) if p <= ks.max() else None
-        member[i, j] = [
-            min(a, b) <= k if p > k else k**q * (a**q + b**q) >= (a * b) ** q
-            for k, a, b in zip(ks[i].tolist(), m1.tolist(), m2.tolist())
-        ]
+    i, j = np.nonzero(np.abs(norm - threshold) <= MARGIN * threshold)
+    m1, m2 = ranks[j].T
+    # for p > k the integer rule is the max-norm rule: a term (k/m)^p is
+    # >= 1 when m <= k and at most (k/(k+1))^(k+1) < 1/e when m > k
+    q = int(p) if p <= ks.max() else None
+    member[i, j] = [
+        min(a, b) <= k if p > k else k**q * (a**q + b**q) >= (a * b) ** q
+        for k, a, b in zip(ks[i].tolist(), m1.tolist(), m2.tolist())
+    ]
     return member
 
 
@@ -161,49 +162,91 @@ class _TailGrid:
     """The extremes of one sample at every k of a grid: ``union`` holds
     the members at the largest k, which contain those at every smaller k
     (n/k falls as k grows), and ``atoms`` are the distinct union angles.
-    ``norm`` and ``ranks`` are the union's, as :func:`_members` takes them."""
 
-    def __init__(self, union: AngularSample, ks: np.ndarray, norm, ranks):
-        self.union, self.ks, self._norm, self._ranks = union, ks, norm, ranks
-        self.atoms, self._inverse = np.unique(union.angles, return_inverse=True)
+    A member's entry is the number of grid k at which it is not a member.
+    ``order`` sorts the union by entry (stably, so rows stay increasing
+    within an entry), and the members at the i-th smallest k are those of
+    entry at most i: row r of the grid holds the first ``count[r]`` members
+    in that order.  ``scores`` and ``column`` (1 + atom index) are the
+    members' in that order."""
+
+    def __init__(self, union: AngularSample, ks: np.ndarray, entry: np.ndarray):
+        self.union, self.ks = union, ks
+        self.atoms, inverse = np.unique(union.angles, return_inverse=True)
+        self.order = np.argsort(entry, kind="stable")
+        position = np.empty(ks.size, dtype=np.int64)
+        position[np.argsort(ks, kind="stable")] = np.arange(ks.size)
+        self.count = np.searchsorted(entry[self.order], position, side="right")
+        self.scores = union.scores[self.order]
+        self.column = inverse[self.order] + 1
 
     @classmethod
     def of(cls, ang: AngularSample) -> "_TailGrid":
         """The one-row grid of a single angular sample."""
-        return cls(ang, np.array([ang.k]), np.full(ang.n_members, math.inf), None)
-
-    def blocks(self):
-        """The grid's rows as consecutive ``_Block``s of at most ``_CELLS``
-        cells each (at least one row)."""
-        step = max(1, _CELLS // self.union.n_members)
-        for start in range(0, self.ks.size, step):
-            yield _Block(self, slice(start, start + step))
+        return cls(ang, np.array([ang.k]), np.zeros(ang.n_members, dtype=np.int64))
 
 
-class _Block:
-    """The ``rows`` slice of a grid: ``member[i]`` marks the union members
-    at ``ks[i]``."""
+class _Segments:
+    """Rows of grids as one flat array of cells.  ``parts`` lists
+    (grid, rows, segments): the slice ``rows`` of a grid's rows and the
+    slice of segments that holds them.  Segment s, of ``length[s]`` cells
+    from ``starts[s]``, is a zero cell followed by the scores of its row's
+    members in entry order (:meth:`scores`): a prefix of the grid's zero
+    cell and scores.  The zero cell leaves a segment's minimum, maximum
+    and sign test as they are, and makes ``np.add.reduceat``, which adds
+    a segment's remaining cells pairwise onto its first, sum a segment
+    bitwise as ``np.sum`` sums the scores alone.  A row's values thus
+    depend on its own segment only, never on the rows beside it."""
 
-    def __init__(self, grid: _TailGrid, rows: slice):
-        self.grid, self.rows, self.ks = grid, rows, grid.ks[rows]
-        self.member = _members(grid._norm, grid._ranks, self.ks, grid.union.n, grid.union.p)
-        i, j = np.nonzero(self.member)
-        self._pairs = (i, j, i * grid.atoms.size + grid._inverse[j])
+    def __init__(self, parts):
+        self.parts, self._scores, columns, offsets = [], [], [], []
+        for grid, rows in parts:
+            start = self.parts[-1][2].stop if self.parts else 0
+            length = (grid.count[rows] + 1).tolist()
+            self.parts.append((grid, rows, slice(start, start + len(length))))
+            pool = np.concatenate(([0.0], grid.scores))
+            column = np.concatenate(([0], grid.column))
+            self._scores += [pool[:m] for m in length]
+            columns += [column[:m] for m in length]
+            # each row's place in its part's atom weights, an array of shape
+            # (rows, 1 + atoms) whose column 0 takes the zero cells
+            offsets.append(np.arange(len(length)) * (grid.atoms.size + 1))
+        self.ks = np.concatenate([grid.ks[rows] for grid, rows, _ in self.parts])
+        self.length = np.array([s.size for s in self._scores])
+        self.starts = np.cumsum(self.length) - self.length
+        self._bins = np.concatenate(columns)
+        self._bins += np.repeat(np.concatenate(offsets), self.length)
 
-    def per_atom(self, weights) -> np.ndarray:
-        """Member weights (broadcast to ``member``'s shape) summed per atom
-        in member order: a row of atom weights per k, 0 off the row."""
-        rows, cols, bins = self._pairs
-        shape = (self.ks.size, self.grid.atoms.size)
-        values = np.broadcast_to(weights, self.member.shape)[rows, cols]
-        return np.bincount(bins, values, minlength=shape[0] * shape[1]).reshape(shape)
+    def scores(self) -> np.ndarray:
+        """The cells: each segment's zero cell and member scores."""
+        return np.concatenate(self._scores)
+
+    def per_atom(self, values: np.ndarray, per_row: bool = False):
+        """Cell ``values`` (with ``per_row``, one per row for all its cells)
+        summed per atom in member order, part by part: per grid row a 0 and
+        then the row's atom weights (0 at the atoms off the row), so that its
+        cumulative sum is the row's step cdf."""
+        ends = np.append(self.starts, self._bins.size)
+        for grid, _, segments in self.parts:
+            cells = slice(ends[segments.start], ends[segments.stop])
+            if per_row:
+                part = np.repeat(values[segments], self.length[segments])
+            else:
+                part = values[cells]
+            shape = (segments.stop - segments.start, grid.atoms.size + 1)
+            weights = np.bincount(self._bins[cells], part, minlength=shape[0] * shape[1])
+            weights = weights.reshape(shape)
+            weights[:, 0] = 0.0  # in place of the zero cells' values
+            yield weights
 
 
 def _select(pobs: PseudoObservations, ks, p: float) -> _TailGrid:
     """The rule of :func:`select_extremes` at every k of ``ks`` at once:
-    one L_p norm per candidate row serves every k, and the members at the
-    largest k are the union; :meth:`_TailGrid.blocks` marks the members
-    per k."""
+    one L_p norm per candidate row serves every k, the members at the
+    largest k are the union, and each member's entry counts the k at which
+    it is not a member: the float rule by one binary search of its norm
+    among the thresholds n/k, and for integer p and the max norm the exact
+    rule again for the members near a threshold."""
     p = check_norm_order(p)
     n = pobs.n
     for k in np.ravel(ks).tolist():
@@ -217,15 +260,26 @@ def _select(pobs: PseudoObservations, ks, p: float) -> _TailGrid:
     u1, u2 = u.T
     norm = lp_norm(1.0 / u1, 1.0 / u2, p)
     rows = np.flatnonzero(norm >= (1.0 - 2.0 * MARGIN) * (n / k_max))
-    # ranks where the rule has exact ties; rounding recovers m exactly, as
-    # the float error of (m / n) * n is far below 1/2
-    exact = math.isinf(p) or p.is_integer()
-    ranks = np.rint(u[rows] * n).astype(np.int64) if exact else None
-    keep = _members(norm[rows], ranks, ks.max(keepdims=True), n, p)[0]
+    norm = norm[rows]
+    threshold = np.sort(n / ks)
+    if math.isinf(p) or p.is_integer():
+        # the float rule counts the thresholds up to a norm; it is certain
+        # unless one lies within 2 MARGIN of the norm, and those rows are
+        # decided again from their ranks, rounding recovering m, as the
+        # float error of (m / n) * n is far below 1/2
+        low, high = (np.searchsorted(threshold, norm * (1.0 + s * MARGIN)) for s in (-2.0, 2.0))
+        entry = ks.size - low
+        near = np.flatnonzero(low != high)
+        if near.size:
+            ranks = np.rint(u[rows[near]] * n).astype(np.int64)
+            entry[near] = ks.size - np.sum(_members(norm[near], ranks, ks, n, p), axis=0)
+    else:
+        entry = ks.size - np.searchsorted(threshold, norm, side="right")
+    keep = entry < ks.size
     rows = rows[keep]
     angles = np.arctan(u2[rows] / u1[rows])
     union = AngularSample(tail[rows], angles, score_f(angles, p), k=k_max, p=p, n=n)
-    return _TailGrid(union, ks, norm[rows], None if ranks is None else ranks[keep])
+    return _TailGrid(union, ks, entry[keep])
 
 
 def select_extremes(pobs: PseudoObservations, k: int, p: float) -> AngularSample:
@@ -249,9 +303,9 @@ def select_extremes(pobs: PseudoObservations, k: int, p: float) -> AngularSample
     return _select(pobs, [k], p).union
 
 
-def _empirical_rows(block: _Block) -> np.ndarray:
-    """Atom weights of the raw estimate at every k of a block of the grid."""
-    return block.per_atom(1.0 / block.ks[:, None])
+def _empirical_rows(rows: _Segments):
+    """Atom weights of the raw estimate at every row, part by part."""
+    return rows.per_atom(1.0 / rows.ks, per_row=True)
 
 
 def empirical_spectral_measure(ang: AngularSample) -> DiscreteSpectralMeasure:
@@ -260,5 +314,6 @@ def empirical_spectral_measure(ang: AngularSample) -> DiscreteSpectralMeasure:
     Total mass N/k is free and generally differs from the mass of a
     genuine spectral measure; the moment constraints are not enforced.
     """
-    (block,) = _TailGrid.of(ang).blocks()
-    return DiscreteSpectralMeasure(block.grid.atoms, _empirical_rows(block)[0], ang.p)
+    grid = _TailGrid.of(ang)
+    (weights,) = _empirical_rows(_Segments([(grid, slice(0, 1))]))
+    return DiscreteSpectralMeasure(grid.atoms, weights[0, 1:], ang.p)

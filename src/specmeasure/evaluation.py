@@ -15,7 +15,8 @@ from typing import IO, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .empirical import DiscreteSpectralMeasure, _empirical_rows, _select
+from . import empirical
+from .empirical import DiscreteSpectralMeasure, _empirical_rows, _Segments, _select
 from .mele import _mele_rows
 from .models import HALF_PI, SpectralModel
 from .pseudo_obs import format_value, pseudo_observations, write_text
@@ -50,35 +51,43 @@ def integrated_squared_error(
         raise ValueError(
             f"norm order mismatch: estimate has p = {estimate.p}, model has p = {model.p}"
         )
-    cells = _cells(estimate.angles, model, a, b)
-    return float(_ise_rows(cells, estimate.weights[None])[0])
+    (cells,) = _cells([estimate.angles], model, a, b)
+    return float(_ise_rows(cells, np.concatenate(([0.0], estimate.weights))[None])[0])
 
 
-def _cells(atoms: np.ndarray, model: SpectralModel, a, b) -> tuple:
-    """The cells of (a, b) cut at the strictly increasing ``atoms``: the
-    index of each cell's step in a row of cumulative atom weights, its
-    width and model cdf mean, and the cells' sum of dIG2 - w Gbar**2."""
+def _cells(atom_sets: list, model: SpectralModel, a, b) -> list:
+    """The cells of (a, b) cut at each array of strictly increasing atoms,
+    from one ``cdf_integrals`` call for all their edges: the index of each
+    cell's step in a row of cumulative atom weights, its width and model
+    cdf mean, and the cells' sum of dIG2 - w Gbar**2."""
     a = float(a)
     b = float(b)
     if not (0.0 <= a < b <= HALF_PI):
         raise ValueError(f"invalid angle interval ({a}, {b})")
-    edges = np.concatenate([[a], atoms[(atoms > a) & (atoms < b)], [b]])
-    width = np.diff(edges)
-    ig, ig2 = np.diff(model.cdf_integrals(edges), axis=1)
-    mean = ig / width
-    step = np.searchsorted(atoms, edges[:-1], side="right")
-    return step, width, mean, float(np.sum(ig2 - ig * mean))
+    edges = [np.concatenate([[a], atoms[(atoms > a) & (atoms < b)], [b]]) for atoms in atom_sets]
+    if not edges:
+        return []
+    bounds = np.cumsum([e.size for e in edges])
+    integrals = np.split(model.cdf_integrals(np.concatenate(edges)), bounds[:-1], axis=1)
+    cells = []
+    for atoms, edge, values in zip(atom_sets, edges, integrals):
+        width = np.diff(edge)
+        ig, ig2 = np.diff(values, axis=1)
+        mean = ig / width
+        step = np.searchsorted(atoms, edge[:-1], side="right")
+        cells.append((step, width, mean, float(np.sum(ig2 - ig * mean))))
+    return cells
 
 
-def _ise_rows(cells: tuple, weights: np.ndarray) -> np.ndarray:
-    """ISE on ``cells`` of the step cdf of each row of atom weights; a zero
-    weight leaves its cell's step unchanged, so the rows may be estimates
-    on any subsets of the atoms."""
+def _ise_rows(cells: tuple, steps: np.ndarray) -> np.ndarray:
+    """ISE on ``cells`` of the step cdf of each row of ``steps``: a 0, then
+    the atom weights, cumulated in place into the cdf after each atom.  A
+    zero weight leaves its cell's step unchanged, so the rows may be
+    estimates on any subsets of the atoms."""
     step, width, mean, spread = cells
-    steps = np.zeros((len(weights), weights.shape[1] + 1))
-    np.cumsum(weights, axis=1, out=steps[:, 1:])
+    np.cumsum(steps, axis=1, out=steps)
     # take keeps rows contiguous, so each row sums as one 1-d array would;
-    # the squared gap is formed in place, as a grid has 2 K rows
+    # the squared gap is formed in place
     cdf = np.take(steps, step, axis=1)
     cdf -= mean
     cdf *= cdf
@@ -145,6 +154,73 @@ class MiseTable:
         return rows
 
 
+def _check_seed(seed) -> int:
+    try:
+        value = int(seed)
+    except (TypeError, ValueError, OverflowError):
+        value = None
+    if value is None or value != seed or value < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+    return value
+
+
+def _blocks(grids):
+    """Parts (rep, grid, rows) of the passes, in blocks of at most
+    ``empirical._CELLS`` cells, a row costing its grid's union size: whole
+    consecutive replications while they fit, and a replication larger than
+    a block alone, a slice of at least one row at a time."""
+    block, used = [], 0
+    for rep, grid in grids:
+        size, rows = grid.union.n_members, grid.ks.size
+        if block and used + size * rows > empirical._CELLS:
+            yield block
+            block, used = [], 0
+        if size * rows <= empirical._CELLS:
+            block.append((rep, grid, slice(0, rows)))
+            used += size * rows
+            continue
+        step = max(1, empirical._CELLS // size)
+        for start in range(0, rows, step):
+            yield [(rep, grid, slice(start, min(start + step, rows)))]
+    if block:
+        yield block
+
+
+def _passes(model: SpectralModel, n: int, k_grid, interval: tuple, seed, reps):
+    """Score replications ``reps`` in blocks; yield (rep, grid, rows, emp,
+    mel, solutions) for each slice of rows of a replication, in order.
+
+    A block makes one selection per replication, one ``cdf_integrals``
+    call for the cell edges of its replications and one row-wise solve
+    over all its (replication, k, member) cells; the atom weights, the
+    normalizers and the ISEs are per replication, on its own atoms.
+    """
+    k_grid = np.asarray(k_grid)
+    if k_grid.ndim != 1 or k_grid.size == 0:
+        raise ValueError("k grid must be a nonempty 1-d sequence of integers")
+    seed = _check_seed(seed)
+
+    def grids():
+        for rep in reps:
+            sample = model.sample(n, np.random.default_rng([seed, rep]))
+            yield rep, _select(pseudo_observations(sample), k_grid, model.p)
+
+    for block in _blocks(grids()):
+        cells = _cells([grid.atoms for _, grid, _ in block], model, *interval)
+        yield from _scored(block, cells)
+
+
+def _scored(block: list, cells: list):
+    """The parts of :func:`_passes` for one block, given its parts' cells;
+    the block's arrays go when it is done."""
+    rows = _Segments([(grid, span) for _, grid, span in block])
+    solutions, mel = _mele_rows(rows, normalized=True)
+    parts = zip(block, cells, rows.parts, _empirical_rows(rows), mel)
+    for (rep, grid, span), part_cells, (_, _, segments), emp, mel_steps in parts:
+        ises = (_ise_rows(part_cells, steps) for steps in (emp, mel_steps))
+        yield rep, grid, span, *ises, solutions[segments]
+
+
 def replication_ise(
     model: SpectralModel,
     n: int,
@@ -157,24 +233,20 @@ def replication_ise(
     and the MELE solutions (``None`` where infeasible).
 
     The replication stream is derived from (seed, rep) only; the mele
-    entry is NaN where the moment constraint was infeasible.  One pass
-    serves the whole grid: one selection, each estimator as one row of
-    weights per k over the distinct angles of all members, a row-wise
-    solve, and one partition at those angles, which refines each k's own,
-    so the ISEs are those of the per-k estimates up to rounding.  The
-    rows are formed a block of k at a time, so memory stays bounded for
-    any grid; a row's values do not depend on its block.
+    entry is NaN where the moment constraint was infeasible.  This is the
+    one-replication case of the block pass of :func:`mise_sweep`: one
+    selection serves the whole grid, each estimator is one row of atom
+    weights per k over the distinct angles of all members, and all rows
+    are scored on one partition at those angles, which refines each k's
+    own, so the ISEs are those of the per-k estimates up to rounding.
+    A replication larger than the cell budget is scored a slice of rows
+    at a time, so memory stays bounded for any grid; a row's values do
+    not depend on its block.
     """
-    sample = model.sample(n, np.random.default_rng([int(seed), int(rep)]))
-    grid = _select(pseudo_observations(sample), k_grid, model.p)
-    cells = _cells(grid.atoms, model, *interval)
-    emp, mel = np.empty((2, grid.ks.size))
-    solutions = []
-    for block in grid.blocks():
-        block_solutions, q = _mele_rows(block, normalized=True)
-        weights = np.concatenate([_empirical_rows(block), q])
-        emp[block.rows], mel[block.rows] = np.split(_ise_rows(cells, weights), 2)
-        solutions += block_solutions
+    parts = list(_passes(model, n, k_grid, interval, seed, [rep]))
+    emp = np.concatenate([part[3] for part in parts])
+    mel = np.concatenate([part[4] for part in parts])
+    solutions = [s for part in parts for s in part[5]]
     return emp, mel, np.array([s is None for s in solutions]), solutions
 
 
@@ -190,27 +262,33 @@ def mise_sweep(
 ) -> MiseTable:
     """Monte Carlo MISE table for both estimators over a k grid.
 
-    Each replication draws a fresh sample from the model, computes both
-    estimators at every k in one pass and records ISEs over ``interval``
-    (the model's default interval when omitted).  ``p``, when given, must
-    match the model's norm order; it exists to make call sites explicit.
+    Each replication draws a fresh sample from the model and computes
+    both estimators at every k, with ISEs over ``interval`` (the model's
+    default interval when omitted).  ``p``, when given, must match the
+    model's norm order; it exists to make call sites explicit.
+
+    Consecutive replications are scored together, in blocks within a
+    fixed budget of (replication, k, member) cells: a block's MELE rows
+    are solved at once and its cell edges take one truth-integral call.
+    Each row's values depend on its own cells only, so every replication's
+    ISEs are bitwise those of :func:`replication_ise`, whatever block it
+    falls in.
     """
     if p is not None and p != model.p:
         raise ValueError(f"norm order mismatch: model has p = {model.p}, requested {p}")
     if replications < 1:
         raise ValueError("need at least one replication")
-    k_grid = np.asarray(k_grid)
-    if k_grid.ndim != 1 or k_grid.size == 0:
-        raise ValueError("k grid must be a nonempty 1-d sequence of integers")
-    # each k (an integer in [1, n]) and the interval are checked by the first replication
+    # the grid, each k (an integer in [1, n]), the seed and the interval are
+    # checked by the pass
     a, b = map(float, model.default_ise_interval if interval is None else interval)
 
-    nk = k_grid.size
+    nk = np.size(k_grid)
     emp, mel = np.empty((2, replications, nk))
     fits = np.empty((replications, nk, 2))  # Psi evaluations and residual, NaN if infeasible
-    for rep in range(replications):
-        emp[rep], mel[rep], _, solutions = replication_ise(model, n, k_grid, (a, b), seed, rep)
-        fits[rep] = [(s.iterations, s.residual) if s else (math.nan, math.nan) for s in solutions]
+    passes = _passes(model, n, k_grid, (a, b), seed, range(replications))
+    for rep, grid, rows, emp_ise, mel_ise, solutions in passes:
+        emp[rep, rows], mel[rep, rows] = emp_ise, mel_ise
+        fits[rep, rows] = [(s.iterations, s.residual) if s else (math.nan,) * 2 for s in solutions]
 
     feasible = ~np.isnan(mel)
     counts = feasible.sum(axis=0)
@@ -233,7 +311,7 @@ def mise_sweep(
         n=int(n),
         replications=int(replications),
         p=float(model.p),
-        k_grid=k_grid.astype(np.int64),
+        k_grid=grid.ks,
         interval=(a, b),
         seed=int(seed),
         mise=mise,

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .empirical import AngularSample, DiscreteSpectralMeasure, _Block, _moment_rows, _TailGrid
+from .empirical import AngularSample, DiscreteSpectralMeasure, _moment_rows, _Segments, _TailGrid
 
 __all__ = [
     "ConstraintInfeasible",
@@ -94,10 +94,23 @@ def _check_scores(scores) -> np.ndarray:
     return a
 
 
-def _psi_rows(mu: np.ndarray, a: np.ndarray, count) -> tuple[np.ndarray, np.ndarray]:
-    """Psi and its slope at mu[i] for each zero-padded row a[i] of count[i] scores."""
-    t = a / (1.0 + mu[:, None] * a)
-    return np.sum(t, axis=1) / count, -np.sum(t * t, axis=1) / count
+def _segment(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One segment of the row-wise solve: its cells (a zero cell, then the
+    scores), its start and its length."""
+    return np.concatenate(([0.0], scores)), np.array([0]), np.array([scores.size + 1])
+
+
+def _psi_rows(mu: np.ndarray, a: np.ndarray, starts, length) -> tuple[np.ndarray, np.ndarray]:
+    """Psi and its slope at mu[i] for each segment of ``a``: a zero cell at
+    starts[i], then length[i] - 1 scores (see ``empirical._Segments``)."""
+    t = np.repeat(mu, length)
+    t *= a
+    t += 1.0
+    np.divide(a, t, out=t)  # A / (1 + mu A)
+    count = length - 1
+    value = np.add.reduceat(t, starts) / count
+    t *= t
+    return value, -np.add.reduceat(t, starts) / count
 
 
 def psi(mu: float, scores) -> float:
@@ -111,7 +124,7 @@ def psi(mu: float, scores) -> float:
     a = _check_scores(scores)
     if np.any(1.0 + mu * a <= 0.0):
         raise ValueError(f"mu = {mu!r} leaves the weight positivity domain")
-    return float(_psi_rows(np.array([mu], dtype=float), a[None], a.size)[0][0])
+    return float(_psi_rows(np.array([mu], dtype=float), *_segment(a))[0][0])
 
 
 def solve_multiplier(scores) -> MultiplierSolution:
@@ -135,7 +148,8 @@ def solve_multiplier(scores) -> MultiplierSolution:
     about 4 evaluations of Psi are typical.  Both constraints are then
     met to ``SOLVER_TOL``: the weights give sum(w A) = Psi and
     sum(w) - 1 = -mu Psi, so |Psi| alone leaves the mass unbounded when
-    |mu| is large.  This is the one-row case of the row-wise solve.
+    |mu| is large.  This is the one-segment case of the row-wise solve,
+    whose sums are bitwise ``np.sum``'s of the scores.
 
     Raises
     ------
@@ -143,35 +157,40 @@ def solve_multiplier(scores) -> MultiplierSolution:
         If the scores do not straddle zero (no interior root exists).
     """
     a = _check_scores(scores)
-    solution = _solve_rows(a[None], np.array([a.size]))[0]
+    solution = _solve_rows(*_segment(a)[:2])[0]
     if solution is None:
         raise ConstraintInfeasible(a)
     return solution
 
 
-def _solve_rows(a: np.ndarray, count: np.ndarray):
-    """:func:`solve_multiplier` on every row of ``a`` at once, each row
-    with its own bracket, iterate and stop rule; rows are padded as in
-    :func:`_psi_rows`, and a padding zero leaves a row's sign test and
-    feasible interval as they are.  ``None`` marks a row whose scores do
-    not straddle zero."""
-    smin, smax = a.min(axis=1), a.max(axis=1)
+def _solve_rows(a: np.ndarray, starts: np.ndarray):
+    """:func:`solve_multiplier` on every segment of ``a`` at once: segment i
+    is a zero cell at starts[i], then its scores (``empirical._Segments``).
+    Each segment has its own bracket, iterate and stop rule, and one
+    Newton trip is one set of array operations that evaluates Psi on every
+    segment, of which only the open ones take the result; so a segment's
+    solution depends on its own cells only.  ``None`` marks a segment
+    whose scores do not straddle zero."""
+    length = np.diff(starts, append=a.size)
+    count = length - 1
+    smin, smax = np.minimum.reduceat(a, starts), np.maximum.reduceat(a, starts)
     zero = (smin == 0.0) & (smax == 0.0)
     with np.errstate(divide="ignore"):
         lo = np.where(zero, -math.inf, -1.0 / smax)
         hi = np.where(zero, math.inf, -1.0 / smin)
-    evals = np.zeros(a.shape[0], dtype=np.int64)
-    root, value = np.zeros((2, a.shape[0]))
+    evals = np.zeros(starts.size, dtype=np.int64)
+    root, value, point = np.zeros((3, starts.size))
 
     def f(rows: np.ndarray, mu: np.ndarray):
         evals[rows] += 1
+        point[rows] = mu
         with np.errstate(divide="ignore", invalid="ignore"):
-            return _psi_rows(mu, a[rows], count[rows])
+            psi_all, slope_all = _psi_rows(point, a, starts, length)
+        return psi_all[rows], slope_all[rows]
 
     rows = np.flatnonzero((smin < 0.0) & (smax > 0.0))
-    s = a[rows]
-    f0 = np.sum(s, axis=1) / count[rows]  # Psi(0), the mean score
-    rows, s, f0 = rows[f0 != 0.0], s[f0 != 0.0], f0[f0 != 0.0]
+    f0 = np.add.reduceat(a, starts)[rows] / count[rows]  # Psi(0), the mean score
+    rows, f0 = rows[f0 != 0.0], f0[f0 != 0.0]
 
     # sign bracket (blo, bhi): Psi decreases from +inf at lo to -inf at hi,
     # so 0 and the feasible end on the root's side enclose the root
@@ -179,7 +198,7 @@ def _solve_rows(a: np.ndarray, count: np.ndarray):
     bhi = np.where(f0 > 0.0, hi[rows], 0.0)
 
     # warm start at the first-order multiplier if it falls inside the bracket
-    mu_bar = f0 / (np.sum(s * s, axis=1) / count[rows])
+    mu_bar = f0 / (np.add.reduceat(a * a, starts)[rows] / count[rows])
     x = np.where((blo < mu_bar) & (mu_bar < bhi), mu_bar, 0.5 * (blo + bhi))
     fx, slope = f(rows, x)
     best_x, best_f = x.copy(), fx.copy()
@@ -211,21 +230,26 @@ def _solve_rows(a: np.ndarray, count: np.ndarray):
         x[j] = cand
         fx[j], slope[j] = f(rows[j], cand)
     root[rows], value[rows] = best_x, np.abs(best_f)
+    solved = zero | ((smin < 0.0) & (smax > 0.0))
+    columns = (c.tolist() for c in (solved, root, value, evals, lo, hi))
     return [
-        MultiplierSolution(
-            float(root[i]), float(value[i]), int(evals[i]), (float(lo[i]), float(hi[i]))
-        ) if zero[i] or smin[i] < 0.0 < smax[i] else None
-        for i in range(a.shape[0])
+        MultiplierSolution(mu, residual, evaluations, (left, right)) if ok else None
+        for ok, mu, residual, evaluations, left, right in zip(*columns)
     ]
 
 
-def _weight_rows(mu: np.ndarray, a: np.ndarray, count) -> np.ndarray:
-    """Weights (1 / count[i]) / (1 + mu[i] A) of each zero-padded score row
-    a[i]; a padding zero gives 1 / count[i], a NaN multiplier NaN."""
-    denom = 1.0 + mu[:, None] * a
+def _weight_rows(mu: np.ndarray, a: np.ndarray, length) -> np.ndarray:
+    """Weights (1 / count) / (1 + mu A) of every cell of the segments of
+    ``a``, as in :func:`_psi_rows`, with its segment's multiplier and
+    count; a zero cell gives 1 / count, a NaN multiplier NaN."""
+    denom = np.repeat(mu, length)
+    denom *= a
+    denom += 1.0
     if np.any(denom <= 0.0):
         raise ValueError("multiplier leaves the weight positivity domain for these scores")
-    return (1.0 / count)[:, None] / denom
+    weights = np.repeat(1.0 / (length - 1), length)
+    weights /= denom
+    return weights
 
 
 def mele_weights(solution: MultiplierSolution, scores) -> np.ndarray:
@@ -234,35 +258,42 @@ def mele_weights(solution: MultiplierSolution, scores) -> np.ndarray:
     At the exact root these sum to one and orthogonalize the scores;
     both identities hold to roughly ``N * |Psi(mu)|`` here.
     """
-    a = _check_scores(scores)
-    return _weight_rows(np.array([solution.mu]), a[None], np.array([a.size]))[0]
+    cells, _, length = _segment(_check_scores(scores))
+    return _weight_rows(np.array([solution.mu]), cells, length)[1:]
 
 
-def _mele_rows(block: _Block, normalized: bool) -> tuple[list, np.ndarray]:
-    """MELE at every k of a block of the grid from one row-wise solve: the
-    solutions (``None`` where infeasible) and the atom weights of the
-    probability measures Q, or with ``normalized`` of the spectral
-    estimates Q / m; a row is NaN where infeasible."""
-    count = np.sum(block.member, axis=1)
-    a = np.where(block.member, block.grid.union.scores, 0.0)
-    solutions = _solve_rows(a, count)
+def _mele_rows(rows: _Segments, normalized: bool):
+    """MELE at every row of ``rows`` from one row-wise solve: the solutions
+    (``None`` where infeasible) and, part by part as ``_Segments.per_atom``
+    gives them, the atom weights of the probability measures Q, or with
+    ``normalized`` of the spectral estimates Q / m; a row's weights are NaN
+    where infeasible.  The normalizers are checked per part, on its grid's
+    atoms."""
+    a = rows.scores()
+    solutions = _solve_rows(a, rows.starts)
     feasible = np.array([s is not None for s in solutions])
     mu = np.array([s.mu if s is not None else math.nan for s in solutions])
-    q = block.per_atom(_weight_rows(mu, a, count))
-    q[~feasible] = math.nan
-    if normalized:
-        m = _normalizers(block.grid.atoms, q[feasible], block.grid.union.p)
-        q[feasible] *= (1.0 / m)[:, None]
-    return solutions, q
+    weights = rows.per_atom(_weight_rows(mu, a, rows.length))
+
+    def parts():
+        for (grid, _, segments), steps in zip(rows.parts, weights):
+            q = steps[:, 1:]
+            q[~feasible[segments]] = math.nan
+            if normalized:
+                q *= (1.0 / _normalizers(grid.atoms, q, grid.union.p))[:, None]
+            yield steps
+
+    return solutions, parts()
 
 
 def _normalizers(atoms: np.ndarray, q: np.ndarray, p: float) -> np.ndarray:
-    """:func:`spectral_normalizer` of every row of atom weights ``q``."""
+    """:func:`spectral_normalizer` of every row of atom weights ``q``; a row
+    of NaNs (an infeasible fit) gives NaN and passes the checks."""
     mass = np.sum(q, axis=1)
     if np.any(np.abs(mass - 1.0) > 1e-8):
         raise ValueError(f"expected a probability measure, total mass {mass.tolist()}")
     sin_sum, cos_sum = _moment_rows(atoms, q, p)
-    gap = np.max(np.abs(sin_sum - cos_sum), initial=0.0)
+    gap = np.fmax.reduce(np.abs(sin_sum - cos_sum), initial=0.0)
     if gap > NORMALIZER_TOL:
         raise ValueError(
             "measure does not satisfy the moment constraint: "
@@ -290,11 +321,11 @@ def spectral_normalizer(q: DiscreteSpectralMeasure) -> float:
 
 def _mele_estimate(ang: AngularSample, normalized: bool) -> DiscreteSpectralMeasure:
     _check_scores(ang.scores)
-    (block,) = _TailGrid.of(ang).blocks()
-    (solution,), q = _mele_rows(block, normalized)
+    grid = _TailGrid.of(ang)
+    (solution,), (q,) = _mele_rows(_Segments([(grid, slice(0, 1))]), normalized)
     if solution is None:
         raise ConstraintInfeasible(ang.scores)
-    return DiscreteSpectralMeasure(block.grid.atoms, q[0], ang.p, solution=solution)
+    return DiscreteSpectralMeasure(grid.atoms, q[0, 1:], ang.p, solution=solution)
 
 
 def mele_spectral_prob(ang: AngularSample) -> DiscreteSpectralMeasure:

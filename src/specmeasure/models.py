@@ -71,8 +71,10 @@ _TO_POWER = np.zeros((17, 17))
 for _n, _k in ((n, k) for n in range(17) for k in range(n // 2 + 1)):
     _TO_POWER[_n - 2 * _k, _n] = (-1) ** _k * math.comb(_n, _k) * math.comb(2 * _n - 2 * _k, _n) / 2**_n
 
-#: query points per block of a panel table, bounding the coefficients it gathers
-_CHUNK = 1024
+#: query points per block of a panel table, bounding the coefficients it
+#: gathers (272 bytes a point); at 1024 points a logistic table cost about
+#: 350 ns a point against 200 ns at 512, on a 2-core Xeon
+_CHUNK = 512
 
 
 def _panel_antiderivatives(values) -> Callable:

@@ -2,6 +2,7 @@
 
 import io
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from specmeasure import empirical, evaluation, mele
 from specmeasure.empirical import (
     DiscreteSpectralMeasure,
     _empirical_rows,
+    _Segments,
     _select,
     empirical_spectral_measure,
     select_extremes,
@@ -227,13 +229,15 @@ class TestGridPass:
         values = model.sample(n, np.random.default_rng(seed)).values
         pobs = pseudo_observations(BivariateSample(np.round(values, 1) if tied else values))
         grid = _select(pobs, k_grid, p)
-        (block,) = grid.blocks()
-        solutions, mel_rows = _mele_rows(block, normalized=True)
-        rows = np.concatenate([_empirical_rows(block), mel_rows])
-        emp, mel = np.split(_ise_rows(_cells(grid.atoms, model, a, b), rows), 2)
+        segments = _Segments([(grid, slice(0, len(k_grid)))])
+        solutions, (mel_rows,) = _mele_rows(segments, normalized=True)
+        (emp_rows,) = _empirical_rows(segments)
+        (cells,) = _cells([grid.atoms], model, a, b)
+        emp, mel = np.split(_ise_rows(cells, np.concatenate([emp_rows, mel_rows])), 2)
         for i, k in enumerate(k_grid):
             ang = select_extremes(pobs, k, p)
-            np.testing.assert_array_equal(grid.union.indices[block.member[i]], ang.indices)
+            members = grid.union.indices[grid.order[: grid.count[i]]]
+            np.testing.assert_array_equal(np.sort(members), ang.indices)
             assert emp[i] == pytest.approx(
                 integrated_squared_error(empirical_spectral_measure(ang), model, a, b), rel=1e-12
             )
@@ -307,14 +311,70 @@ class TestGridPass:
         assert np.all(np.isfinite(emp)) and np.array_equal(np.isnan(mel), infeasible)
 
     def test_rows_do_not_depend_on_their_block(self, monkeypatch):
-        model = cauchy_quadrant_model(2.0)
-        args = (model, 400, [1, 7, 50, 3, 400, 120, 50], (0.1, 1.4), 2, 0)
-        whole = replication_ise(*args)
-        monkeypatch.setattr(empirical, "_CELLS", 1)  # one row per block
-        blocked = replication_ise(*args)
-        for x, y in zip(whole[:3], blocked[:3]):
-            np.testing.assert_array_equal(x, y)
-        assert whole[3] == blocked[3]
+        # one row per block, a few replications per block, and the whole
+        # sweep in one block, on an unsorted grid with a repeated k; seed 3
+        # has an infeasible fit at k = 2
+        k_grid, interval, reps = [10, 2, 30, 10, 5], (0.1, 1.4), 6
+        default = empirical._CELLS
+        for p in (1.0, 2.5, 3.0, math.inf):
+            model = GRID_MODELS[p]
+            tables, replications = [], []
+            for cells in (1, default, 2**40):
+                monkeypatch.setattr(empirical, "_CELLS", cells)
+                tables.append(mise_sweep(model, 60, reps, k_grid, interval=interval, seed=3))
+                replications.append(
+                    [replication_ise(model, 60, k_grid, interval, 3, rep) for rep in range(reps)]
+                )
+            for table, runs in zip(tables, replications):
+                assert table.to_text() == tables[0].to_text()
+                for name in ("mise", "stderr", "infeasible", "max_evaluations", "max_residual"):
+                    np.testing.assert_array_equal(getattr(table, name), getattr(tables[0], name))
+                for run, first in zip(runs, replications[0]):
+                    for x, y in zip(run[:3], first[:3]):
+                        np.testing.assert_array_equal(x, y)
+                    assert run[3] == first[3]
+                # the sweep's rows are the replications': its empirical
+                # means are those of the stacked replication rows, bitwise
+                emp = np.array([run[0] for run in runs])
+                np.testing.assert_array_equal(table.mise[:, 0], emp.mean(axis=0))
+            if p == 1.0:
+                assert tables[0].infeasible[1, 1] >= 1
+
+    def test_one_pass_per_block(self, monkeypatch):
+        # count guard: a sweep selects once per replication, and makes one
+        # row-wise solve and one truth integral call per block of replications
+        calls = []
+        model = asym_logistic_model(2.0)
+        integrals = model.cdf_integrals  # built once per model, before counting
+
+        def counted_integrals(theta):
+            calls.append("cdf_integrals")
+            return integrals(theta)
+
+        monkeypatch.setitem(model.__dict__, "cdf_integrals", counted_integrals)
+        for module, name in ((evaluation, "_select"), (mele, "_solve_rows")):
+            original = getattr(module, name)
+            monkeypatch.setattr(
+                module, name, lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a)
+            )
+        mise_sweep(model, 1000, 40, range(10, 201, 10), seed=1)
+        blocks = calls.count("_solve_rows")
+        assert calls.count("_select") == 40
+        assert calls.count("cdf_integrals") == blocks < 40
+
+    def test_sweep_in_bounded_memory(self):
+        # memory guard at the paper's sizes: the traced peak is about 1.0 MB
+        # at the default cell budget, 0.64 MB with one row per block and
+        # 1.5 MB at twice the budget
+        model = asym_logistic_model(2.0)
+        mise_sweep(model, 1000, 1, range(10, 201, 10), seed=1)  # tables and first-call state
+        tracemalloc.start()
+        try:
+            mise_sweep(model, 1000, 200, range(10, 201, 10), seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     def test_solver_aggregates(self):
         # seed 3 has one infeasible fit at k = 2
@@ -406,6 +466,18 @@ class TestMiseSweep:
             mise_sweep(model, 100, 2, [10.5], seed=0)
         with pytest.raises(ValueError, match="interval"):
             mise_sweep(model, 100, 2, [10], interval=(1.2, 0.3), seed=0)
+        for seed in (1.5, -1, math.nan, "3"):
+            message = re.escape(f"seed must be a nonnegative integer, got {seed!r}")
+            with pytest.raises(ValueError, match=message):
+                mise_sweep(model, 50, 2, [10], seed=seed)
+            with pytest.raises(ValueError, match=message):
+                replication_ise(model, 50, [10], (0.1, 1.4), seed, 0)
+        with pytest.raises(ValueError, match="k grid must be a nonempty 1-d sequence"):
+            replication_ise(model, 50, [], (0.1, 1.4), 1, 0)
+        # an integral seed of any type is that integer
+        table = mise_sweep(model, 50, 2, [10], seed=2.0)
+        assert table.seed == 2
+        assert table.to_text() == mise_sweep(model, 50, 2, [10], seed=2).to_text()
         # every model samples, the asymmetric logistic included
         table = mise_sweep(asym_logistic_model(2.0, psi1=0.5), 100, 2, [10, 20], seed=0)
         assert table.model == "asymmetric-logistic(r=2,psi1=0.5,psi2=1)"

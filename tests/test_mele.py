@@ -14,6 +14,7 @@ from specmeasure.mele import (
     SOLVER_TOL,
     WIDTH_TOL,
     ConstraintInfeasible,
+    _psi_rows,
     mele_spectral_measure,
     mele_spectral_prob,
     mele_weights,
@@ -78,6 +79,27 @@ class TestPsi:
         grid = np.linspace(lo + 1e-3, hi - 1e-3, 50)
         vals = [psi(mu, scores) for mu in grid]
         assert np.all(np.diff(vals) < 0.0)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 700), min_size=1, max_size=12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_segment_sums_are_those_of_each_row(self, sizes, seed):
+        # a segment's zero cell makes its reduceat sums bitwise np.sum's of
+        # its scores alone, whatever segments lie beside it: one-row calls
+        # keep the sums of a plain row, and a row's sums do not depend on
+        # its block
+        rng = np.random.default_rng(seed)
+        rows = [rng.uniform(-0.999, 0.999, m) * rng.uniform(0.0, 1.0, m) ** 3 for m in sizes]
+        mu = rng.uniform(-0.5, 0.5, len(rows))
+        cells = np.concatenate([np.concatenate(([0.0], row)) for row in rows])
+        length = np.array(sizes) + 1
+        value, slope = _psi_rows(mu, cells, np.cumsum(length) - length, length)
+        for i, row in enumerate(rows):
+            t = row / (1.0 + mu[i] * row)
+            assert value[i] == np.sum(t) / row.size
+            assert slope[i] == -np.sum(t * t) / row.size
 
 
 class TestSolveMultiplier:
