@@ -133,13 +133,6 @@ class DiscreteSpectralMeasure:
 MARGIN = 1e-12
 
 
-#: cell budget of a pass over k grids: a block holds the rows of as many
-#: consecutive replications as fit in _CELLS cells, a row counting as its
-#: replication's union size, which bounds both its member cells and its
-#: row of atom weights; a replication larger than that is split by rows
-_CELLS = 1 << 15
-
-
 def _members(norm, ranks, ks, n: int, p: float) -> np.ndarray:
     """Row i marks the entries of ``norm`` that are members at ``ks[i]``
     under integer p or the max norm: the entries within ``MARGIN`` of n/k
@@ -158,95 +151,14 @@ def _members(norm, ranks, ks, n: int, p: float) -> np.ndarray:
     return member
 
 
-class _TailGrid:
-    """The extremes of one sample at every k of a grid: ``union`` holds
-    the members at the largest k, which contain those at every smaller k
-    (n/k falls as k grows), and ``atoms`` are the distinct union angles.
-
-    A member's entry is the number of grid k at which it is not a member.
-    ``order`` sorts the union by entry (stably, so rows stay increasing
-    within an entry), and the members at the i-th smallest k are those of
-    entry at most i: row r of the grid holds the first ``count[r]`` members
-    in that order.  ``scores`` and ``column`` (1 + atom index) are the
-    members' in that order."""
-
-    def __init__(self, union: AngularSample, ks: np.ndarray, entry: np.ndarray):
-        self.union, self.ks = union, ks
-        self.atoms, inverse = np.unique(union.angles, return_inverse=True)
-        self.order = np.argsort(entry, kind="stable")
-        position = np.empty(ks.size, dtype=np.int64)
-        position[np.argsort(ks, kind="stable")] = np.arange(ks.size)
-        self.count = np.searchsorted(entry[self.order], position, side="right")
-        self.scores = union.scores[self.order]
-        self.column = inverse[self.order] + 1
-
-    @classmethod
-    def of(cls, ang: AngularSample) -> "_TailGrid":
-        """The one-row grid of a single angular sample."""
-        return cls(ang, np.array([ang.k]), np.zeros(ang.n_members, dtype=np.int64))
-
-
-class _Segments:
-    """Rows of grids as one flat array of cells.  ``parts`` lists
-    (grid, rows, segments): the slice ``rows`` of a grid's rows and the
-    slice of segments that holds them.  Segment s, of ``length[s]`` cells
-    from ``starts[s]``, is a zero cell followed by the scores of its row's
-    members in entry order (:meth:`scores`): a prefix of the grid's zero
-    cell and scores.  The zero cell leaves a segment's minimum, maximum
-    and sign test as they are, and makes ``np.add.reduceat``, which adds
-    a segment's remaining cells pairwise onto its first, sum a segment
-    bitwise as ``np.sum`` sums the scores alone.  A row's values thus
-    depend on its own segment only, never on the rows beside it."""
-
-    def __init__(self, parts):
-        self.parts, self._scores, columns, offsets = [], [], [], []
-        for grid, rows in parts:
-            start = self.parts[-1][2].stop if self.parts else 0
-            length = (grid.count[rows] + 1).tolist()
-            self.parts.append((grid, rows, slice(start, start + len(length))))
-            pool = np.concatenate(([0.0], grid.scores))
-            column = np.concatenate(([0], grid.column))
-            self._scores += [pool[:m] for m in length]
-            columns += [column[:m] for m in length]
-            # each row's place in its part's atom weights, an array of shape
-            # (rows, 1 + atoms) whose column 0 takes the zero cells
-            offsets.append(np.arange(len(length)) * (grid.atoms.size + 1))
-        self.ks = np.concatenate([grid.ks[rows] for grid, rows, _ in self.parts])
-        self.length = np.array([s.size for s in self._scores])
-        self.starts = np.cumsum(self.length) - self.length
-        self._bins = np.concatenate(columns)
-        self._bins += np.repeat(np.concatenate(offsets), self.length)
-
-    def scores(self) -> np.ndarray:
-        """The cells: each segment's zero cell and member scores."""
-        return np.concatenate(self._scores)
-
-    def per_atom(self, values: np.ndarray, per_row: bool = False):
-        """Cell ``values`` (with ``per_row``, one per row for all its cells)
-        summed per atom in member order, part by part: per grid row a 0 and
-        then the row's atom weights (0 at the atoms off the row), so that its
-        cumulative sum is the row's step cdf."""
-        ends = np.append(self.starts, self._bins.size)
-        for grid, _, segments in self.parts:
-            cells = slice(ends[segments.start], ends[segments.stop])
-            if per_row:
-                part = np.repeat(values[segments], self.length[segments])
-            else:
-                part = values[cells]
-            shape = (segments.stop - segments.start, grid.atoms.size + 1)
-            weights = np.bincount(self._bins[cells], part, minlength=shape[0] * shape[1])
-            weights = weights.reshape(shape)
-            weights[:, 0] = 0.0  # in place of the zero cells' values
-            yield weights
-
-
-def _select(pobs: PseudoObservations, ks, p: float) -> _TailGrid:
+def _select(pobs: PseudoObservations, ks, p: float) -> tuple[AngularSample, np.ndarray]:
     """The rule of :func:`select_extremes` at every k of ``ks`` at once:
     one L_p norm per candidate row serves every k, the members at the
     largest k are the union, and each member's entry counts the k at which
     it is not a member: the float rule by one binary search of its norm
     among the thresholds n/k, and for integer p and the max norm the exact
-    rule again for the members near a threshold."""
+    rule again for the members near a threshold.  Returns the union and
+    the entries."""
     p = check_norm_order(p)
     n = pobs.n
     for k in np.ravel(ks).tolist():
@@ -279,7 +191,7 @@ def _select(pobs: PseudoObservations, ks, p: float) -> _TailGrid:
     rows = rows[keep]
     angles = np.arctan(u2[rows] / u1[rows])
     union = AngularSample(tail[rows], angles, score_f(angles, p), k=k_max, p=p, n=n)
-    return _TailGrid(union, ks, entry[keep])
+    return union, entry[keep]
 
 
 def select_extremes(pobs: PseudoObservations, k: int, p: float) -> AngularSample:
@@ -294,18 +206,13 @@ def select_extremes(pobs: PseudoObservations, k: int, p: float) -> AngularSample
     exact, and ``k^p (m1^p + m2^p) >= (m1 m2)^p`` in Python integers
     otherwise.  Only rows among the top 2k + 1 of a column can qualify,
     and only their ranks are computed: ``pobs.u`` is never built.  A Monte
-    Carlo replication applies the rule to its whole k grid at once; this
-    is the one-k case.
+    Carlo replication applies the same rule to its whole k grid at once;
+    at a single k its union is this selection.
 
     At least one observation is always selected (the rank-n row in
     either column qualifies for every k >= 1).
     """
-    return _select(pobs, [k], p).union
-
-
-def _empirical_rows(rows: _Segments):
-    """Atom weights of the raw estimate at every row, part by part."""
-    return rows.per_atom(1.0 / rows.ks, per_row=True)
+    return _select(pobs, [k], p)[0]
 
 
 def empirical_spectral_measure(ang: AngularSample) -> DiscreteSpectralMeasure:
@@ -314,6 +221,5 @@ def empirical_spectral_measure(ang: AngularSample) -> DiscreteSpectralMeasure:
     Total mass N/k is free and generally differs from the mass of a
     genuine spectral measure; the moment constraints are not enforced.
     """
-    grid = _TailGrid.of(ang)
-    (weights,) = _empirical_rows(_Segments([(grid, slice(0, 1))]))
-    return DiscreteSpectralMeasure(grid.atoms, weights[0, 1:], ang.p)
+    weights = np.full(ang.n_members, 1.0 / ang.k)
+    return DiscreteSpectralMeasure.from_atoms(ang.angles, weights, ang.p)

@@ -15,10 +15,9 @@ from typing import IO, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from . import empirical
-from .empirical import DiscreteSpectralMeasure, _empirical_rows, _Segments, _select
-from .mele import _mele_rows
-from .models import HALF_PI, SpectralModel
+from .empirical import AngularSample, DiscreteSpectralMeasure, _select
+from .mele import _normalizers, _solve_rows, _weight_rows
+from .models import HALF_PI, SpectralModel, _check_integer
 from .pseudo_obs import format_value, pseudo_observations, write_text
 
 __all__ = [
@@ -154,41 +153,105 @@ class MiseTable:
         return rows
 
 
-def _check_seed(seed) -> int:
-    try:
-        value = int(seed)
-    except (TypeError, ValueError, OverflowError):
-        value = None
-    if value is None or value != seed or value < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
-    return value
+#: cell budget of a pass over k grids: a block holds the rows of as many
+#: consecutive replications as fit in _CELLS cells, a row counting as its
+#: replication's union size, which bounds both its member cells and its
+#: row of atom weights
+_CELLS = 1 << 15
+
+
+class _TailGrid:
+    """The extremes of one sample at every k of a grid ``ks``, from the
+    ``union`` and the entries of :func:`~specmeasure.empirical._select`;
+    ``atoms`` are the distinct union angles.
+
+    ``position`` ranks each k in the sorted grid.  ``order`` sorts the
+    union by entry (stably, so rows stay increasing within an entry), and
+    the members at the i-th smallest k are those of entry at most i: row r
+    of the grid holds the first ``count[r]`` members in that order.
+    ``scores`` and ``column`` (1 + atom index) are the members' in that
+    order."""
+
+    def __init__(self, union: AngularSample, entry, ks: np.ndarray, position: np.ndarray):
+        self.union, self.ks = union, ks
+        self.atoms, inverse = np.unique(union.angles, return_inverse=True)
+        self.order = np.argsort(entry, kind="stable")
+        self.count = np.searchsorted(entry[self.order], position, side="right")
+        self.scores = union.scores[self.order]
+        self.column = inverse[self.order] + 1
+
+
+class _Segments:
+    """Rows of grids as one flat array of cells.  ``parts`` lists
+    (grid, rows, segments): the slice ``rows`` of a grid's rows and the
+    slice of segments that holds them.  Segment s, of ``length[s]`` cells
+    from ``starts[s]``, is a zero cell followed by the scores of its row's
+    members in entry order (:meth:`scores`): a prefix of the grid's zero
+    cell and scores, laid out as ``mele._segment`` lays out one row.  A
+    row's values thus depend on its own segment only, never on the rows
+    beside it."""
+
+    def __init__(self, parts):
+        self.parts, self._scores, columns, offsets = [], [], [], []
+        for grid, rows in parts:
+            start = self.parts[-1][2].stop if self.parts else 0
+            length = (grid.count[rows] + 1).tolist()
+            self.parts.append((grid, rows, slice(start, start + len(length))))
+            pool = np.concatenate(([0.0], grid.scores))
+            column = np.concatenate(([0], grid.column))
+            self._scores += [pool[:m] for m in length]
+            columns += [column[:m] for m in length]
+            # each row's place in its part's atom weights, an array of shape
+            # (rows, 1 + atoms) whose column 0 takes the zero cells
+            offsets.append(np.arange(len(length)) * (grid.atoms.size + 1))
+        self.ks = np.concatenate([grid.ks[rows] for grid, rows, _ in self.parts])
+        self.length = np.array([s.size for s in self._scores])
+        self.starts = np.cumsum(self.length) - self.length
+        self._bins = np.concatenate(columns)
+        self._bins += np.repeat(np.concatenate(offsets), self.length)
+
+    def scores(self) -> np.ndarray:
+        """The cells: each segment's zero cell and member scores."""
+        return np.concatenate(self._scores)
+
+    def per_atom(self, values: np.ndarray):
+        """Cell ``values`` summed per atom in member order, part by part: per
+        grid row a 0 and then the row's atom weights (0 at the atoms off the
+        row), so that its cumulative sum is the row's step cdf."""
+        ends = np.append(self.starts, self._bins.size)
+        for grid, _, segments in self.parts:
+            cells = slice(ends[segments.start], ends[segments.stop])
+            shape = (segments.stop - segments.start, grid.atoms.size + 1)
+            weights = np.bincount(self._bins[cells], values[cells], minlength=shape[0] * shape[1])
+            weights = weights.reshape(shape)
+            weights[:, 0] = 0.0  # in place of the zero cells' values
+            yield weights
 
 
 def _blocks(grids):
     """Parts (rep, grid, rows) of the passes, in blocks of at most
-    ``empirical._CELLS`` cells, a row costing its grid's union size: whole
-    consecutive replications while they fit, and a replication larger than
-    a block alone, a slice of at least one row at a time."""
+    ``_CELLS`` cells, a row costing its grid's union size: each
+    replication's rows in slices of as many as fit a block (at least one),
+    packed greedily into blocks in order."""
     block, used = [], 0
     for rep, grid in grids:
         size, rows = grid.union.n_members, grid.ks.size
-        if block and used + size * rows > empirical._CELLS:
-            yield block
-            block, used = [], 0
-        if size * rows <= empirical._CELLS:
-            block.append((rep, grid, slice(0, rows)))
-            used += size * rows
-            continue
-        step = max(1, empirical._CELLS // size)
+        step = max(1, _CELLS // size)
         for start in range(0, rows, step):
-            yield [(rep, grid, slice(start, min(start + step, rows)))]
+            span = slice(start, min(start + step, rows))
+            cost = size * (span.stop - start)
+            if block and used + cost > _CELLS:
+                yield block
+                block, used = [], 0
+            block.append((rep, grid, span))
+            used += cost
     if block:
         yield block
 
 
 def _passes(model: SpectralModel, n: int, k_grid, interval: tuple, seed, reps):
-    """Score replications ``reps`` in blocks; yield (rep, grid, rows, emp,
-    mel, solutions) for each slice of rows of a replication, in order.
+    """Score replications ``reps`` in blocks; yield (rep, rows, emp, mel,
+    solutions) for each slice of rows of a replication, in order.
 
     A block makes one selection per replication, one ``cdf_integrals``
     call for the cell edges of its replications and one row-wise solve
@@ -198,12 +261,14 @@ def _passes(model: SpectralModel, n: int, k_grid, interval: tuple, seed, reps):
     k_grid = np.asarray(k_grid)
     if k_grid.ndim != 1 or k_grid.size == 0:
         raise ValueError("k grid must be a nonempty 1-d sequence of integers")
-    seed = _check_seed(seed)
+    seed = _check_integer(seed, "seed", 0)
+    position = np.argsort(np.argsort(k_grid, kind="stable"))  # each k's rank in the sorted grid
 
     def grids():
         for rep in reps:
             sample = model.sample(n, np.random.default_rng([seed, rep]))
-            yield rep, _select(pseudo_observations(sample), k_grid, model.p)
+            union, entry = _select(pseudo_observations(sample), k_grid, model.p)
+            yield rep, _TailGrid(union, entry, k_grid, position)
 
     for block in _blocks(grids()):
         cells = _cells([grid.atoms for _, grid, _ in block], model, *interval)
@@ -211,14 +276,23 @@ def _passes(model: SpectralModel, n: int, k_grid, interval: tuple, seed, reps):
 
 
 def _scored(block: list, cells: list):
-    """The parts of :func:`_passes` for one block, given its parts' cells;
-    the block's arrays go when it is done."""
+    """The parts of :func:`_passes` for one block, given its parts' cells:
+    one row-wise MELE solve for all the block's rows, then per part both
+    estimators' atom weights, the normalizers, checked on the part's
+    atoms, and the ISEs; the block's arrays go when it is done."""
     rows = _Segments([(grid, span) for _, grid, span in block])
-    solutions, mel = _mele_rows(rows, normalized=True)
-    parts = zip(block, cells, rows.parts, _empirical_rows(rows), mel)
-    for (rep, grid, span), part_cells, (_, _, segments), emp, mel_steps in parts:
-        ises = (_ise_rows(part_cells, steps) for steps in (emp, mel_steps))
-        yield rep, grid, span, *ises, solutions[segments]
+    a = rows.scores()
+    solutions = _solve_rows(a, rows.starts)
+    mu = np.array([s.mu if s is not None else math.nan for s in solutions])
+    emp = rows.per_atom(np.repeat(1.0 / rows.ks, rows.length))
+    mel = rows.per_atom(_weight_rows(mu, a, rows.length))
+    parts = zip(block, cells, rows.parts, emp, mel)
+    for (rep, grid, span), part_cells, (_, _, segments), emp_steps, mel_steps in parts:
+        # an infeasible row's weights, and so its normalizer, are NaN
+        q = mel_steps[:, 1:]
+        q *= (1.0 / _normalizers(grid.atoms, q, grid.union.p))[:, None]
+        ises = (_ise_rows(part_cells, steps) for steps in (emp_steps, mel_steps))
+        yield rep, span, *ises, solutions[segments]
 
 
 def replication_ise(
@@ -238,16 +312,16 @@ def replication_ise(
     selection serves the whole grid, each estimator is one row of atom
     weights per k over the distinct angles of all members, and all rows
     are scored on one partition at those angles, which refines each k's
-    own, so the ISEs are those of the per-k estimates up to rounding.
-    A replication larger than the cell budget is scored a slice of rows
-    at a time, so memory stays bounded for any grid; a row's values do
+    own, so the ISEs are those of the per-k estimates, which build no
+    grid, up to rounding.  The rows are scored in slices that fit the
+    cell budget, so memory stays bounded for any grid; a row's values do
     not depend on its block.
     """
-    parts = list(_passes(model, n, k_grid, interval, seed, [rep]))
-    emp = np.concatenate([part[3] for part in parts])
-    mel = np.concatenate([part[4] for part in parts])
-    solutions = [s for part in parts for s in part[5]]
-    return emp, mel, np.array([s is None for s in solutions]), solutions
+    rep = _check_integer(rep, "rep", 0)
+    _, _, emp, mel, parts = zip(*_passes(model, n, k_grid, interval, seed, [rep]))
+    solutions = [s for part in parts for s in part]
+    infeasible = np.array([s is None for s in solutions])
+    return np.concatenate(emp), np.concatenate(mel), infeasible, solutions
 
 
 def mise_sweep(
@@ -268,16 +342,16 @@ def mise_sweep(
     model's norm order; it exists to make call sites explicit.
 
     Consecutive replications are scored together, in blocks within a
-    fixed budget of (replication, k, member) cells: a block's MELE rows
-    are solved at once and its cell edges take one truth-integral call.
+    fixed budget of (replication, k, member) cells, a replication's k
+    split over blocks where they exceed it: a block's MELE rows are
+    solved at once and its cell edges take one truth-integral call.
     Each row's values depend on its own cells only, so every replication's
     ISEs are bitwise those of :func:`replication_ise`, whatever block it
     falls in.
     """
     if p is not None and p != model.p:
         raise ValueError(f"norm order mismatch: model has p = {model.p}, requested {p}")
-    if replications < 1:
-        raise ValueError("need at least one replication")
+    replications = _check_integer(replications, "replications", 1)
     # the grid, each k (an integer in [1, n]), the seed and the interval are
     # checked by the pass
     a, b = map(float, model.default_ise_interval if interval is None else interval)
@@ -286,7 +360,7 @@ def mise_sweep(
     emp, mel = np.empty((2, replications, nk))
     fits = np.empty((replications, nk, 2))  # Psi evaluations and residual, NaN if infeasible
     passes = _passes(model, n, k_grid, (a, b), seed, range(replications))
-    for rep, grid, rows, emp_ise, mel_ise, solutions in passes:
+    for rep, rows, emp_ise, mel_ise, solutions in passes:
         emp[rep, rows], mel[rep, rows] = emp_ise, mel_ise
         fits[rep, rows] = [(s.iterations, s.residual) if s else (math.nan,) * 2 for s in solutions]
 
@@ -309,9 +383,9 @@ def mise_sweep(
     return MiseTable(
         model=model.describe(),
         n=int(n),
-        replications=int(replications),
+        replications=replications,
         p=float(model.p),
-        k_grid=grid.ks,
+        k_grid=np.asarray(k_grid, dtype=np.int64),
         interval=(a, b),
         seed=int(seed),
         mise=mise,

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .empirical import AngularSample, DiscreteSpectralMeasure, _moment_rows, _Segments, _TailGrid
+from .empirical import AngularSample, DiscreteSpectralMeasure, _merge_duplicates, _moment_rows
 
 __all__ = [
     "ConstraintInfeasible",
@@ -96,13 +96,16 @@ def _check_scores(scores) -> np.ndarray:
 
 def _segment(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One segment of the row-wise solve: its cells (a zero cell, then the
-    scores), its start and its length."""
+    scores), its start and its length.  The zero cell leaves the segment's
+    minimum, maximum and sign test as they are, and makes
+    ``np.add.reduceat``, which adds a segment's remaining cells pairwise
+    onto its first, sum it bitwise as ``np.sum`` sums the scores alone."""
     return np.concatenate(([0.0], scores)), np.array([0]), np.array([scores.size + 1])
 
 
 def _psi_rows(mu: np.ndarray, a: np.ndarray, starts, length) -> tuple[np.ndarray, np.ndarray]:
     """Psi and its slope at mu[i] for each segment of ``a``: a zero cell at
-    starts[i], then length[i] - 1 scores (see ``empirical._Segments``)."""
+    starts[i], then length[i] - 1 scores (see :func:`_segment`)."""
     t = np.repeat(mu, length)
     t *= a
     t += 1.0
@@ -165,7 +168,7 @@ def solve_multiplier(scores) -> MultiplierSolution:
 
 def _solve_rows(a: np.ndarray, starts: np.ndarray):
     """:func:`solve_multiplier` on every segment of ``a`` at once: segment i
-    is a zero cell at starts[i], then its scores (``empirical._Segments``).
+    is a zero cell at starts[i], then its scores (see :func:`_segment`).
     Each segment has its own bracket, iterate and stop rule, and one
     Newton trip is one set of array operations that evaluates Psi on every
     segment, of which only the open ones take the result; so a segment's
@@ -262,30 +265,6 @@ def mele_weights(solution: MultiplierSolution, scores) -> np.ndarray:
     return _weight_rows(np.array([solution.mu]), cells, length)[1:]
 
 
-def _mele_rows(rows: _Segments, normalized: bool):
-    """MELE at every row of ``rows`` from one row-wise solve: the solutions
-    (``None`` where infeasible) and, part by part as ``_Segments.per_atom``
-    gives them, the atom weights of the probability measures Q, or with
-    ``normalized`` of the spectral estimates Q / m; a row's weights are NaN
-    where infeasible.  The normalizers are checked per part, on its grid's
-    atoms."""
-    a = rows.scores()
-    solutions = _solve_rows(a, rows.starts)
-    feasible = np.array([s is not None for s in solutions])
-    mu = np.array([s.mu if s is not None else math.nan for s in solutions])
-    weights = rows.per_atom(_weight_rows(mu, a, rows.length))
-
-    def parts():
-        for (grid, _, segments), steps in zip(rows.parts, weights):
-            q = steps[:, 1:]
-            q[~feasible[segments]] = math.nan
-            if normalized:
-                q *= (1.0 / _normalizers(grid.atoms, q, grid.union.p))[:, None]
-            yield steps
-
-    return solutions, parts()
-
-
 def _normalizers(atoms: np.ndarray, q: np.ndarray, p: float) -> np.ndarray:
     """:func:`spectral_normalizer` of every row of atom weights ``q``; a row
     of NaNs (an infeasible fit) gives NaN and passes the checks."""
@@ -319,24 +298,20 @@ def spectral_normalizer(q: DiscreteSpectralMeasure) -> float:
     return float(_normalizers(q.angles, q.weights[None], q.p)[0])
 
 
-def _mele_estimate(ang: AngularSample, normalized: bool) -> DiscreteSpectralMeasure:
-    _check_scores(ang.scores)
-    grid = _TailGrid.of(ang)
-    (solution,), (q,) = _mele_rows(_Segments([(grid, slice(0, 1))]), normalized)
-    if solution is None:
-        raise ConstraintInfeasible(ang.scores)
-    return DiscreteSpectralMeasure(grid.atoms, q[0, 1:], ang.p, solution=solution)
-
-
 def mele_spectral_prob(ang: AngularSample) -> DiscreteSpectralMeasure:
     """Moment-constrained angular probability measure Q on the member angles.
+
+    Q puts the :func:`mele_weights` of the :func:`solve_multiplier` root on
+    the member angles, summed where angles repeat, and carries that root.
 
     Raises
     ------
     ConstraintInfeasible
         If all member angles lie on one side of pi/4.
     """
-    return _mele_estimate(ang, normalized=False)
+    solution = solve_multiplier(ang.scores)
+    angles, weights = _merge_duplicates(ang.angles, mele_weights(solution, ang.scores))
+    return DiscreteSpectralMeasure(angles, weights, ang.p, solution=solution)
 
 
 def mele_spectral_measure(ang: AngularSample) -> DiscreteSpectralMeasure:
@@ -346,4 +321,6 @@ def mele_spectral_measure(ang: AngularSample) -> DiscreteSpectralMeasure:
     With p = 1 the result has total mass exactly 2 up to float error,
     matching the universal mass of spectral measures in the sum norm.
     """
-    return _mele_estimate(ang, normalized=True)
+    q = mele_spectral_prob(ang)
+    weights = q.weights * (1.0 / spectral_normalizer(q))
+    return DiscreteSpectralMeasure(q.angles, weights, q.p, solution=q.solution)

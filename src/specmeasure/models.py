@@ -110,6 +110,18 @@ def _panel_antiderivatives(values) -> Callable:
     return integrals
 
 
+def _check_integer(value, name: str, low: int) -> int:
+    """``value`` as the int it must equal, at least ``low`` (0 or 1)."""
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or number != value or number < low:
+        kind = "nonnegative" if low == 0 else "positive"
+        raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
+    return number
+
+
 @dataclass(frozen=True)
 class SpectralModel:
     """A spectral measure on [0, pi/2] with its bivariate sampler.
@@ -210,10 +222,8 @@ class SpectralModel:
         return float(out) if scalar else out
 
     def sample(self, n: int, rng: np.random.Generator) -> BivariateSample:
-        """Draw n bivariate observations."""
-        if n < 1:
-            raise ValueError("sample size must be at least 1")
-        return self.sampler(int(n), rng)
+        """Draw n bivariate observations; n must be a positive integer."""
+        return self.sampler(_check_integer(n, "sample size", 1), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +336,7 @@ def sample_logistic(n: int, r: float, rng: np.random.Generator) -> BivariateSamp
     independent unit Frechet coordinates.
     """
     r = _check_logistic_params(r, 1.0, 1.0)[0]
-    if n < 1:
-        raise ValueError("sample size must be at least 1")
+    n = _check_integer(n, "sample size", 1)
     if r == 1.0:
         e = np.clip(rng.exponential(size=(n, 2)), 1e-300, None)
         return BivariateSample(1.0 / e)

@@ -17,9 +17,10 @@ from specmeasure.empirical import (
     empirical_spectral_measure,
     select_extremes,
 )
-from specmeasure import pseudo_obs
+from specmeasure import evaluation, pseudo_obs
 from specmeasure.cli import run_cli
 from specmeasure.evaluation import replication_ise
+from specmeasure.mele import mele_spectral_measure, mele_spectral_prob
 from specmeasure.models import asym_logistic_model, cauchy_quadrant_model
 from specmeasure.pseudo_obs import BivariateSample, pseudo_observations, write_sample
 
@@ -330,8 +331,11 @@ class TestDiscreteSpectralMeasure:
 
 
 class TestTailOnly:
-    """Count guard: selection ranks only the rows it can select, so the
-    full ranks of a sample are never built on the way to an estimate."""
+    """Count guards: selection ranks only the rows it can select, so the
+    full ranks of a sample are never built on the way to an estimate; and
+    the one-k path (selection, the three estimators, and the estimate and
+    pickands commands) builds none of the k-grid machinery of the Monte
+    Carlo pass."""
 
     @pytest.fixture(autouse=True)
     def refuse_full_ranks(self, monkeypatch):
@@ -340,19 +344,32 @@ class TestTailOnly:
 
         monkeypatch.setattr(pseudo_obs, "column_ranks", refuse)
 
-    def test_select_extremes(self):
+    @pytest.fixture
+    def refuse_grids(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("k-grid machinery was built")
+
+        monkeypatch.setattr(evaluation, "_TailGrid", refuse)
+        monkeypatch.setattr(evaluation, "_Segments", refuse)
+
+    def test_select_extremes(self, refuse_grids):
         sample = asym_logistic_model(2.0).sample(3000, np.random.default_rng(4))
         pobs = pseudo_observations(BivariateSample(np.round(sample.values, 1)))
         for p in [1.0, 2.0, 2.5, math.inf]:
-            select_extremes(pobs, 100, p)
+            ang = select_extremes(pobs, 100, p)
+            empirical_spectral_measure(ang)
+            mele_spectral_prob(ang)
+            mele_spectral_measure(ang)
         assert "u" not in pobs.__dict__
         with pytest.raises(AssertionError, match="full column ranks"):
             pobs.u  # the guard is live
+        with pytest.raises(AssertionError, match="k-grid machinery"):  # so is this one
+            replication_ise(cauchy_quadrant_model(1.0), 500, [10], (0.1, 1.4), 5, 0)
 
     def test_replication_ise(self):
         replication_ise(cauchy_quadrant_model(1.0), 500, [10, 50, 100], (0.1, 1.4), 5, 0)
 
-    def test_estimate_and_pickands(self, tmp_path, capsys):
+    def test_estimate_and_pickands(self, tmp_path, capsys, refuse_grids):
         data = tmp_path / "sample.csv"
         write_sample(asym_logistic_model(2.0).sample(2000, np.random.default_rng(8)), str(data))
         for p in ["1", "2", "2.5", "inf"]:

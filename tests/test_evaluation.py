@@ -10,11 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specmeasure import empirical, evaluation, mele
+from specmeasure import evaluation
 from specmeasure.empirical import (
     DiscreteSpectralMeasure,
-    _empirical_rows,
-    _Segments,
     _select,
     empirical_spectral_measure,
     select_extremes,
@@ -23,7 +21,8 @@ from specmeasure.evaluation import (
     ESTIMATORS,
     MiseTable,
     _cells,
-    _ise_rows,
+    _scored,
+    _TailGrid,
     integrated_squared_error,
     mise_sweep,
     replication_ise,
@@ -32,7 +31,6 @@ from specmeasure.mele import (
     SOLVER_TOL,
     WIDTH_TOL,
     ConstraintInfeasible,
-    _mele_rows,
     mele_spectral_measure,
     solve_multiplier,
 )
@@ -228,12 +226,12 @@ class TestGridPass:
         a, b = 0.1, 1.4
         values = model.sample(n, np.random.default_rng(seed)).values
         pobs = pseudo_observations(BivariateSample(np.round(values, 1) if tied else values))
-        grid = _select(pobs, k_grid, p)
-        segments = _Segments([(grid, slice(0, len(k_grid)))])
-        solutions, (mel_rows,) = _mele_rows(segments, normalized=True)
-        (emp_rows,) = _empirical_rows(segments)
+        # each k's rank in the grid sorted stably, by Python's stable sort
+        order = sorted(range(len(k_grid)), key=k_grid.__getitem__)
+        position = [order.index(i) for i in range(len(k_grid))]
+        grid = _TailGrid(*_select(pobs, k_grid, p), np.array(k_grid), position)
         (cells,) = _cells([grid.atoms], model, a, b)
-        emp, mel = np.split(_ise_rows(cells, np.concatenate([emp_rows, mel_rows])), 2)
+        ((_, _, emp, mel, solutions),) = _scored([(0, grid, slice(0, len(k_grid)))], [cells])
         for i, k in enumerate(k_grid):
             ang = select_extremes(pobs, k, p)
             members = grid.union.indices[grid.order[: grid.count[i]]]
@@ -285,7 +283,7 @@ class TestGridPass:
 
         monkeypatch.setitem(model.__dict__, "cdf_integrals", counted_integrals)
         counted(evaluation, "_select")
-        counted(mele, "_solve_rows")
+        counted(evaluation, "_solve_rows")
         for rep in range(3):
             calls.clear()
             replication_ise(model, 1000, k_grid, (0.1, 1.4), 11, rep)
@@ -294,12 +292,14 @@ class TestGridPass:
     def test_full_resolution_grid_in_bounded_memory(self, monkeypatch):
         # every k in 1..n: the whole grid at once holds n x n cells per dense
         # array, 32 MB each at n = 2000 and a peak near 290 MB; blocks of
-        # empirical._CELLS cells keep the peak near 24 MB
+        # evaluation._CELLS cells keep the peak near 24 MB
         model = cauchy_quadrant_model(1.0)
         model.cdf_integrals  # build the model's tables before tracing
         solves = []
-        solve = mele._solve_rows
-        monkeypatch.setattr(mele, "_solve_rows", lambda *args: solves.append(1) or solve(*args))
+        solve = evaluation._solve_rows
+        monkeypatch.setattr(
+            evaluation, "_solve_rows", lambda *args: solves.append(1) or solve(*args)
+        )
         tracemalloc.start()
         try:
             emp, mel, infeasible, _ = replication_ise(model, 2000, range(1, 2001), (0.1, 1.4), 5, 0)
@@ -315,12 +315,12 @@ class TestGridPass:
         # sweep in one block, on an unsorted grid with a repeated k; seed 3
         # has an infeasible fit at k = 2
         k_grid, interval, reps = [10, 2, 30, 10, 5], (0.1, 1.4), 6
-        default = empirical._CELLS
+        default = evaluation._CELLS
         for p in (1.0, 2.5, 3.0, math.inf):
             model = GRID_MODELS[p]
             tables, replications = [], []
             for cells in (1, default, 2**40):
-                monkeypatch.setattr(empirical, "_CELLS", cells)
+                monkeypatch.setattr(evaluation, "_CELLS", cells)
                 tables.append(mise_sweep(model, 60, reps, k_grid, interval=interval, seed=3))
                 replications.append(
                     [replication_ise(model, 60, k_grid, interval, 3, rep) for rep in range(reps)]
@@ -352,10 +352,10 @@ class TestGridPass:
             return integrals(theta)
 
         monkeypatch.setitem(model.__dict__, "cdf_integrals", counted_integrals)
-        for module, name in ((evaluation, "_select"), (mele, "_solve_rows")):
-            original = getattr(module, name)
+        for name in ("_select", "_solve_rows"):
+            original = getattr(evaluation, name)
             monkeypatch.setattr(
-                module, name, lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a)
+                evaluation, name, lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a)
             )
         mise_sweep(model, 1000, 40, range(10, 201, 10), seed=1)
         blocks = calls.count("_solve_rows")
@@ -474,10 +474,25 @@ class TestMiseSweep:
                 replication_ise(model, 50, [10], (0.1, 1.4), seed, 0)
         with pytest.raises(ValueError, match="k grid must be a nonempty 1-d sequence"):
             replication_ise(model, 50, [], (0.1, 1.4), 1, 0)
-        # an integral seed of any type is that integer
-        table = mise_sweep(model, 50, 2, [10], seed=2.0)
-        assert table.seed == 2
+        # a sample size, a replication count or a replication index that is
+        # not an integer fails with a ValueError naming it, never truncated
+        def rep(index):
+            return replication_ise(model, 50, [10], (0.1, 1.4), 1, index)
+
+        for call, message in (
+            (lambda: mise_sweep(model, 50.9, 2, [10], seed=1), "sample size must be a positive"),
+            (lambda: mise_sweep(model, 50, 2.5, [10], seed=1), "replications must be a positive"),
+            (lambda: rep(0.5), "rep must be a nonnegative"),
+            (lambda: rep(-1), "rep must be a nonnegative"),
+            (lambda: model.sample(0, np.random.default_rng(1)), "sample size must be a positive"),
+        ):
+            with pytest.raises(ValueError, match=message + " integer, got"):
+                call()
+        # an integral seed, size, count or index of any type is that integer
+        table = mise_sweep(model, 50.0, 2.0, [10], seed=2.0)
+        assert (table.seed, table.n, table.replications) == (2, 50, 2)
         assert table.to_text() == mise_sweep(model, 50, 2, [10], seed=2).to_text()
+        np.testing.assert_array_equal(rep(1.0)[0], rep(1)[0])
         # every model samples, the asymmetric logistic included
         table = mise_sweep(asym_logistic_model(2.0, psi1=0.5), 100, 2, [10, 20], seed=0)
         assert table.model == "asymmetric-logistic(r=2,psi1=0.5,psi2=1)"

@@ -305,6 +305,14 @@ class TestSamplers:
         assert got.tobytes() == sample_logistic(1000, 2.0, rng_b).values.tobytes()
         assert rng_a.random() == rng_b.random()
 
+    def test_sample_size_is_an_integer(self):
+        # an integral size of any type is that integer; any other size fails
+        got = sample_logistic(50.0, 2.0, np.random.default_rng(1)).values
+        assert got.tobytes() == sample_logistic(50, 2.0, np.random.default_rng(1)).values.tobytes()
+        for n in (50.9, 0):
+            with pytest.raises(ValueError, match=f"sample size must be a positive integer, got {n}"):
+                sample_logistic(n, 2.0, np.random.default_rng(1))
+
     def test_zero_weight_column_is_the_independent_frechet_draw(self):
         # psi2 = 0: the second column is Z2 = 1 / E2 itself, drawn after V
         # and after E1 for the first column
