@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -57,12 +57,13 @@ def _merge_duplicates(locations, weights) -> tuple[np.ndarray, np.ndarray]:
     return uniq, merged
 
 
-def _moment_rows(angles: np.ndarray, weights: np.ndarray, p: float):
-    """Sums of sin/||.||_p and cos/||.||_p against each row of weights."""
+def _moment_factors(angles: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """sin/||.||_p and cos/||.||_p of each angle, the factors of the two
+    moment sums."""
     s = np.sin(angles)
     c = np.cos(angles)
     norm = lp_norm(s, c, p)
-    return np.sum(weights * s / norm, axis=1), np.sum(weights * c / norm, axis=1)
+    return s / norm, c / norm
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,8 +119,7 @@ class DiscreteSpectralMeasure:
 
     def moment_sums(self) -> tuple[float, float]:
         """Sums of sin/||.||_p and cos/||.||_p atom contributions."""
-        sin_sum, cos_sum = _moment_rows(self.angles, self.weights[None], self.p)
-        return float(sin_sum[0]), float(cos_sum[0])
+        return tuple(float(np.sum(self.weights * f)) for f in _moment_factors(self.angles, self.p))
 
 
 # Relative half-width of the band around n/k in which the selection rule
@@ -151,29 +151,45 @@ def _members(norm, ranks, ks, n: int, p: float) -> np.ndarray:
     return member
 
 
-def _select(pobs: PseudoObservations, ks, p: float) -> tuple[AngularSample, np.ndarray]:
-    """The rule of :func:`select_extremes` at every k of ``ks`` at once:
-    one L_p norm per candidate row serves every k, the members at the
-    largest k are the union, and each member's entry counts the k at which
-    it is not a member: the float rule by one binary search of its norm
-    among the thresholds n/k, and for integer p and the max norm the exact
-    rule again for the members near a threshold.  Returns the union and
-    the entries."""
-    p = check_norm_order(p)
-    n = pobs.n
+def _grid(ks, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """A grid of k checked against the sample size n, as int64, and its
+    thresholds n / k in increasing order."""
     for k in np.ravel(ks).tolist():
         if not (float(k).is_integer() and 1 <= k <= n):
             raise ValueError(f"k must be an integer with 1 <= k <= n = {n}, got {k!r}")
     ks = np.asarray(ks, dtype=np.int64)
+    return ks, np.sort(n / ks)
+
+
+def _select(batch: Iterable[PseudoObservations], grid: tuple, p: float):
+    """The rule of :func:`select_extremes` at every k of a ``grid`` (see
+    :func:`_grid`) at once, for a batch of samples of one size n.  Each
+    sample ranks its own candidate rows (``PseudoObservations._tail``);
+    the rest runs on the candidates of the whole batch as one array.  One
+    L_p norm per candidate row serves every k, the members at the largest
+    k are the union, and each member's entry counts the k at which it is
+    not a member: the float rule by one binary search of its norm among
+    the thresholds n/k, and for integer p and the max norm the exact rule
+    again for the members near a threshold.  Returns the samples' unions
+    in turn, as one AngularSample whose indices are each sample's own
+    rows, the entries and each sample's number of members."""
+    p = check_norm_order(p)
+    ks, threshold = grid
     k_max = int(ks.max())
-    # a norm is at most 2 n / min(m1, m2), so only rows in the top 2 k_max + 1
-    # of a column reach the largest k's band, (1 - 2 MARGIN) n / k_max
-    tail, u = pobs._tail(2 * k_max + 1)
+    tails = []
+    for pobs in batch:
+        n = pobs.n
+        # a norm is at most 2 n / min(m1, m2), so only rows in the top
+        # 2 k_max + 1 of a column reach the largest k's band,
+        # (1 - 2 MARGIN) n / k_max
+        tails.append(pobs._tail(2 * k_max + 1))
+    bounds = np.cumsum([0] + [tail.size for tail, _ in tails])
+    tail, u = (np.concatenate(part) for part in zip(*tails))
+    del tails  # the batch's candidates are held once
     u1, u2 = u.T
     norm = lp_norm(1.0 / u1, 1.0 / u2, p)
-    rows = np.flatnonzero(norm >= (1.0 - 2.0 * MARGIN) * (n / k_max))
+    rows = np.flatnonzero(norm >= (1.0 - 2.0 * MARGIN) * threshold[0])
     norm = norm[rows]
-    threshold = np.sort(n / ks)
     if math.isinf(p) or p.is_integer():
         # the float rule counts the thresholds up to a norm; it is certain
         # unless one lies within 2 MARGIN of the norm, and those rows are
@@ -190,8 +206,8 @@ def _select(pobs: PseudoObservations, ks, p: float) -> tuple[AngularSample, np.n
     keep = entry < ks.size
     rows = rows[keep]
     angles = np.arctan(u2[rows] / u1[rows])
-    union = AngularSample(tail[rows], angles, score_f(angles, p), k=k_max, p=p, n=n)
-    return union, entry[keep]
+    union = AngularSample(tail[rows], angles, score_f(angles, p), k_max, p, n)
+    return union, entry[keep], np.diff(np.searchsorted(rows, bounds))
 
 
 def select_extremes(pobs: PseudoObservations, k: int, p: float) -> AngularSample:
@@ -205,14 +221,15 @@ def select_extremes(pobs: PseudoObservations, k: int, p: float) -> AngularSample
     ``min(m1, m2) <= k`` for the max norm and for p > k, where it is
     exact, and ``k^p (m1^p + m2^p) >= (m1 m2)^p`` in Python integers
     otherwise.  Only rows among the top 2k + 1 of a column can qualify,
-    and only their ranks are computed: ``pobs.u`` is never built.  A Monte
-    Carlo replication applies the same rule to its whole k grid at once;
-    at a single k its union is this selection.
+    and only their ranks are computed: ``pobs.u`` is never built.  This
+    is the batch of one sample of the Monte Carlo selection, which applies
+    the same rule to a batch of samples on a whole k grid at once; at a
+    single k its union is this selection.
 
     At least one observation is always selected (the rank-n row in
     either column qualifies for every k >= 1).
     """
-    return _select(pobs, [k], p)[0]
+    return _select([pobs], _grid([k], pobs.n), p)[0]
 
 
 def empirical_spectral_measure(ang: AngularSample) -> DiscreteSpectralMeasure:

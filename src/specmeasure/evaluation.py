@@ -15,8 +15,8 @@ from typing import IO, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .empirical import AngularSample, DiscreteSpectralMeasure, _select
-from .mele import _normalizers, _solve_rows, _weight_rows
+from .empirical import AngularSample, DiscreteSpectralMeasure, _grid, _moment_factors, _select
+from .mele import _normalizers, _solutions, _solve_rows, _weight_rows
 from .models import HALF_PI, SpectralModel, _check_integer
 from .pseudo_obs import format_value, pseudo_observations, write_text
 
@@ -50,48 +50,86 @@ def integrated_squared_error(
         raise ValueError(
             f"norm order mismatch: estimate has p = {estimate.p}, model has p = {model.p}"
         )
-    (cells,) = _cells([estimate.angles], model, a, b)
-    return float(_ise_rows(cells, np.concatenate(([0.0], estimate.weights))[None])[0])
+    edges, start, column = _edges(estimate.angles, np.zeros(estimate.angles.size, int), 1, a, b)
+    cells = _cells(model, edges, start)
+    # float even with no atoms
+    steps = np.bincount(column, estimate.weights, minlength=cells[0].shape[1])[None] * 1.0
+    return float(_ise_rows(cells, steps)[0])
 
 
-def _cells(atom_sets: list, model: SpectralModel, a, b) -> list:
-    """The cells of (a, b) cut at each array of strictly increasing atoms,
-    from one ``cdf_integrals`` call for all their edges: the index of each
-    cell's step in a row of cumulative atom weights, its width and model
-    cdf mean, and the cells' sum of dIG2 - w Gbar**2."""
+def _edges(atoms: np.ndarray, owner: np.ndarray, sets: int, a, b):
+    """The cell edges of (a, b) cut at each of ``sets`` sets of distinct
+    atoms, ``atoms`` increasing within a set and owner[i] the set of
+    atoms[i]: per set, from start[i], a, its atoms in (a, b), then b.
+    Also each atom's step column: 1 + the cell from whose left edge on the
+    cdf counts it, 1 for an atom at or below a and 1 + the cell count for
+    one at or above b.  Column 0 is left to the zero cells."""
     a = float(a)
     b = float(b)
     if not (0.0 <= a < b <= HALF_PI):
         raise ValueError(f"invalid angle interval ({a}, {b})")
-    edges = [np.concatenate([[a], atoms[(atoms > a) & (atoms < b)], [b]]) for atoms in atom_sets]
-    if not edges:
-        return []
-    bounds = np.cumsum([e.size for e in edges])
-    integrals = np.split(model.cdf_integrals(np.concatenate(edges)), bounds[:-1], axis=1)
-    cells = []
-    for atoms, edge, values in zip(atom_sets, edges, integrals):
-        width = np.diff(edge)
-        ig, ig2 = np.diff(values, axis=1)
-        mean = ig / width
-        step = np.searchsorted(atoms, edge[:-1], side="right")
-        cells.append((step, width, mean, float(np.sum(ig2 - ig * mean))))
-    return cells
+    inner = (atoms > a) & (atoms < b)
+    below = np.bincount(owner[atoms <= a], minlength=sets)
+    cells = np.bincount(owner[inner], minlength=sets) + 1
+    start = np.concatenate(([0], np.cumsum(cells + 1)))
+    edges = np.empty(start[-1])
+    edges[start[:-1]], edges[start[1:] - 1] = a, b
+    ends = np.zeros(edges.size, dtype=bool)
+    ends[start[:-1]] = ends[start[1:] - 1] = True
+    edges[~ends] = atoms[inner]
+    # 1 + the index within its set, less those at or below a, clipped
+    column = np.arange(atoms.size) - (np.searchsorted(owner, np.arange(sets)) + below - 1)[owner]
+    np.clip(column, 0, cells[owner], out=column)
+    column += 1
+    return edges, start, column
+
+
+def _cells(model: SpectralModel, edges: np.ndarray, start: np.ndarray):
+    """The cells between consecutive edges of each set of
+    ``edges[start[i]:start[i + 1]]`` (see :func:`_edges`), from one
+    ``cdf_integrals`` call: per set a row of cell widths and one of model
+    cdf means, each after a 0 and padded with zeros to a common length one
+    past the longest, then each set's cell count and its cells' sum of
+    dIG2 - w Gbar**2."""
+    size = np.diff(start) - 1
+    shape = (size.size, int(size.max()) + 2)
+    between = np.delete(np.arange(edges.size - 1), start[1:-1] - 1)  # each cell's left edge
+    owner = np.repeat(np.arange(size.size), size)
+    slot = between + 1 + owner * shape[1] - start[owner]
+    width, ig, ig2 = (np.diff(x)[between] for x in (edges, *model.cdf_integrals(edges)))
+    mean = ig / width
+    rows = np.zeros((3,) + shape)
+    for row, values in zip(rows, (width, mean, ig2 - ig * mean)):
+        row.ravel()[slot] = values
+    return rows[0], rows[1], size, _row_sums(rows[2], size)
+
+
+def _row_sums(rows: np.ndarray, size) -> np.ndarray:
+    """``np.sum`` of entries 1 to size[i] of each row i of a 2-d array whose
+    column 0 holds zeros and which has a column beyond every size: a leading
+    zero makes ``np.add.reduceat`` sum the rest of a segment as ``np.sum``
+    does."""
+    first = np.arange(rows.shape[0]) * rows.shape[1]
+    bounds = np.stack([first, first + 1 + size], axis=1).ravel()
+    return np.add.reduceat(rows.ravel(), bounds)[::2]
 
 
 def _ise_rows(cells: tuple, steps: np.ndarray) -> np.ndarray:
-    """ISE on ``cells`` of the step cdf of each row of ``steps``: a 0, then
-    the atom weights, cumulated in place into the cdf after each atom.  A
-    zero weight leaves its cell's step unchanged, so the rows may be
-    estimates on any subsets of the atoms."""
-    step, width, mean, spread = cells
+    """ISE of the step cdf of each row of ``steps`` on the cells of a set of
+    :func:`_cells`, the rows of set i following those of set i - 1 in equal
+    numbers: a 0, then the atom weights by step column, cumulated in place
+    into the cdf on each cell.  A zero weight leaves its cell's step
+    unchanged, so the rows may be estimates on any subsets of the atoms."""
+    width, mean, size, spread = cells
     np.cumsum(steps, axis=1, out=steps)
-    # take keeps rows contiguous, so each row sums as one 1-d array would;
-    # the squared gap is formed in place
-    cdf = np.take(steps, step, axis=1)
-    cdf -= mean
-    cdf *= cdf
-    cdf *= width
-    return np.sum(cdf, axis=1) + spread
+    # the squared gap is formed in place, each set's cells broadcast over
+    # its rows
+    sets = steps.reshape(size.size, -1, steps.shape[1])
+    sets -= mean[:, None]
+    sets *= sets
+    sets *= width[:, None]
+    depth = sets.shape[1]
+    return _row_sums(steps, np.repeat(size, depth)) + np.repeat(spread, depth)
 
 
 @dataclass(frozen=True)
@@ -140,159 +178,181 @@ class MiseTable:
     def write(self, dest: Union[str, IO[str]]) -> None:
         write_text(dest, self.to_text())
 
-    @staticmethod
-    def parse_rows(text: str) -> list[tuple]:
-        """Parse an emitted table back into :meth:`rows` tuples."""
-        lines = [line for line in text.splitlines() if line.strip()]
-        if not lines or lines[0] != MiseTable.HEADER:
-            raise ValueError("missing or unexpected table header")
-        rows = []
-        for line in lines[1:]:
-            k, est, mise, se, cnt = line.split(",")
-            rows.append((int(k), est, float(mise), float(se), int(cnt)))
-        return rows
-
 
 #: cell budget of a pass over k grids: a block holds the rows of as many
 #: consecutive replications as fit in _CELLS cells, a row counting as its
 #: replication's union size, which bounds both its member cells and its
-#: row of atom weights
+#: row of atom weights; a selection batch holds as many replications as
+#: fit in _CELLS sample values, two per sample row, which keeps its
+#: candidates and grid about as large as a block
 _CELLS = 1 << 15
 
 
 class _TailGrid:
-    """The extremes of one sample at every k of a grid ``ks``, from the
-    ``union`` and the entries of :func:`~specmeasure.empirical._select`;
-    ``atoms`` are the distinct union angles.
+    """The extremes of a batch of samples at every k of a grid ``ks``, from
+    the union, entries and member counts of
+    :func:`~specmeasure.empirical._select`, with the cells of ``interval``.
 
-    ``position`` ranks each k in the sorted grid.  ``order`` sorts the
-    union by entry (stably, so rows stay increasing within an entry), and
-    the members at the i-th smallest k are those of entry at most i: row r
-    of the grid holds the first ``count[r]`` members in that order.
-    ``scores`` and ``column`` (1 + atom index) are the members' in that
-    order."""
+    Sample r has ``count[r, i]`` members at ks[i] (``position`` ranks each
+    k in the sorted grid): the first ones in entry order, which sorts its
+    union by entry stably, so rows stay increasing within an entry.  Its
+    pool, from ``start[r]``, is a zero cell and then those members'
+    ``scores``, moment factors ``sin`` and ``cos`` (of the normalizer) and
+    step ``column`` (of the ISE rows); ``edges[edge_start[r]:]`` are the
+    cell edges of its distinct angles (:func:`_edges`)."""
 
-    def __init__(self, union: AngularSample, entry, ks: np.ndarray, position: np.ndarray):
-        self.union, self.ks = union, ks
-        self.atoms, inverse = np.unique(union.angles, return_inverse=True)
-        self.order = np.argsort(entry, kind="stable")
-        self.count = np.searchsorted(entry[self.order], position, side="right")
-        self.scores = union.scores[self.order]
-        self.column = inverse[self.order] + 1
+    def __init__(self, union: AngularSample, entry, size, ks, position, interval: tuple):
+        self.ks, self.size = ks, size
+        sample = np.repeat(np.arange(size.size), size)
+        atom, *distinct = _distinct(union.angles, sample)
+        self.edges, self.edge_start, column = _edges(*distinct, size.size, *interval)
+        del distinct  # the atoms live on as edges
+        key = sample * ks.size + entry
+        seen = np.bincount(key, minlength=size.size * ks.size).reshape(-1, ks.size)
+        self.count = np.cumsum(seen, axis=1)[:, position]
+        self.start = np.cumsum(size + 1) - size - 1
+        order = np.argsort(key, kind="stable")
+        slot = np.arange(order.size) + sample + 1
+        pools = [_pool(values, order, slot) for values in (union.scores, column[atom], union.angles)]
+        self.scores, self.column = pools[:2]
+        # a zero cell's factors are finite, and its weight 0
+        self.sin, self.cos = _moment_factors(pools[2], union.p)
+
+
+def _distinct(angles: np.ndarray, sample: np.ndarray):
+    """The distinct angles of each sample, increasing, with their samples,
+    and the index among them of each angle."""
+    by_angle = np.argsort(angles)
+    # a stable sort by sample, of a type small enough for a radix sort
+    by_sample = sample[by_angle].astype(np.min_scalar_type(sample[-1]))
+    by_angle = by_angle[np.argsort(by_sample, kind="stable")]
+    angle, owner = angles[by_angle], sample[by_angle]
+    new = np.ones(angle.size, dtype=bool)
+    new[1:] = (angle[1:] != angle[:-1]) | (owner[1:] != owner[:-1])
+    index = np.empty(angle.size, dtype=np.int64)
+    index[by_angle] = np.cumsum(new) - 1
+    return index, angle[new], owner[new]
+
+
+def _pool(values: np.ndarray, order: np.ndarray, slot: np.ndarray) -> np.ndarray:
+    """``values`` in ``order`` at ``slot``, zero elsewhere."""
+    pool = np.zeros(slot[-1] + 1, dtype=values.dtype)
+    pool[slot] = values[order]
+    return pool
 
 
 class _Segments:
-    """Rows of grids as one flat array of cells.  ``parts`` lists
-    (grid, rows, segments): the slice ``rows`` of a grid's rows and the
-    slice of segments that holds them.  Segment s, of ``length[s]`` cells
-    from ``starts[s]``, is a zero cell followed by the scores of its row's
-    members in entry order (:meth:`scores`): a prefix of the grid's zero
-    cell and scores, laid out as ``mele._segment`` lays out one row.  A
+    """The rows of a block of a grid as one flat array of cells.  The
+    block's parts (r, first, stop) are the rows first to stop - 1 of sample
+    r, the samples consecutive.  Segment s, of ``length[s]`` cells from
+    ``starts[s]``, is row k[s] of sample rep[s]: a zero cell followed by
+    its members in entry order, the prefix of the sample's pool that
+    ``cells`` indexes, laid out as ``mele._segment`` lays out one row.  A
     row's values thus depend on its own segment only, never on the rows
-    beside it."""
+    beside it.  In the rows of step columns, part p holds rows p * ``depth``
+    on, the longest part's row count; segment s is row ``slot[s]``."""
 
-    def __init__(self, parts):
-        self.parts, self._scores, columns, offsets = [], [], [], []
-        for grid, rows in parts:
-            start = self.parts[-1][2].stop if self.parts else 0
-            length = (grid.count[rows] + 1).tolist()
-            self.parts.append((grid, rows, slice(start, start + len(length))))
-            pool = np.concatenate(([0.0], grid.scores))
-            column = np.concatenate(([0], grid.column))
-            self._scores += [pool[:m] for m in length]
-            columns += [column[:m] for m in length]
-            # each row's place in its part's atom weights, an array of shape
-            # (rows, 1 + atoms) whose column 0 takes the zero cells
-            offsets.append(np.arange(len(length)) * (grid.atoms.size + 1))
-        self.ks = np.concatenate([grid.ks[rows] for grid, rows, _ in self.parts])
-        self.length = np.array([s.size for s in self._scores])
+    def __init__(self, grid: _TailGrid, block: list):
+        rep, first, stop = np.array(block).T
+        rows = stop - first
+        self.rep = np.repeat(rep, rows)
+        self.k = np.arange(rows.sum()) + np.repeat(first - np.cumsum(rows) + rows, rows)
+        self.length = grid.count[self.rep, self.k] + 1
         self.starts = np.cumsum(self.length) - self.length
-        self._bins = np.concatenate(columns)
-        self._bins += np.repeat(np.concatenate(offsets), self.length)
+        self.cells = np.arange(self.length.sum()) + np.repeat(grid.start[self.rep] - self.starts, self.length)
+        self.parts, self.depth = rows.size, int(rows.max())
+        self.slot = self.k + np.repeat(np.arange(rows.size) * self.depth - first, rows)
 
-    def scores(self) -> np.ndarray:
-        """The cells: each segment's zero cell and member scores."""
-        return np.concatenate(self._scores)
-
-    def per_atom(self, values: np.ndarray):
-        """Cell ``values`` summed per atom in member order, part by part: per
-        grid row a 0 and then the row's atom weights (0 at the atoms off the
-        row), so that its cumulative sum is the row's step cdf."""
-        ends = np.append(self.starts, self._bins.size)
-        for grid, _, segments in self.parts:
-            cells = slice(ends[segments.start], ends[segments.stop])
-            shape = (segments.stop - segments.start, grid.atoms.size + 1)
-            weights = np.bincount(self._bins[cells], values[cells], minlength=shape[0] * shape[1])
-            weights = weights.reshape(shape)
-            weights[:, 0] = 0.0  # in place of the zero cells' values
-            yield weights
+    def per_atom(self, bins: np.ndarray, values: np.ndarray, width: int) -> np.ndarray:
+        """Cell ``values`` summed by ``bins`` (slot * width + step column) into
+        the rows of ``width`` step columns."""
+        return np.bincount(bins, values, minlength=self.parts * self.depth * width).reshape(-1, width)
 
 
-def _blocks(grids):
-    """Parts (rep, grid, rows) of the passes, in blocks of at most
-    ``_CELLS`` cells, a row costing its grid's union size: each
-    replication's rows in slices of as many as fit a block (at least one),
-    packed greedily into blocks in order."""
+def _blocks(size: np.ndarray, rows: int):
+    """Parts (r, first, stop) of the rows of samples with ``size`` members
+    each, in blocks of at most ``_CELLS`` cells, a row costing its sample's
+    size: each sample's rows in slices of as many as fit a block (at least
+    one), packed greedily into blocks in order."""
     block, used = [], 0
-    for rep, grid in grids:
-        size, rows = grid.union.n_members, grid.ks.size
-        step = max(1, _CELLS // size)
-        for start in range(0, rows, step):
-            span = slice(start, min(start + step, rows))
-            cost = size * (span.stop - start)
+    for rep, members in enumerate(size.tolist()):
+        step = max(1, _CELLS // members)
+        for first in range(0, rows, step):
+            stop = min(first + step, rows)
+            cost = members * (stop - first)
             if block and used + cost > _CELLS:
                 yield block
                 block, used = [], 0
-            block.append((rep, grid, span))
+            block.append((rep, first, stop))
             used += cost
     if block:
         yield block
 
 
 def _passes(model: SpectralModel, n: int, k_grid, interval: tuple, seed, reps):
-    """Score replications ``reps`` in blocks; yield (rep, rows, emp, mel,
-    solutions) for each slice of rows of a replication, in order.
+    """Score replications ``reps`` in blocks; yield (replication, k index,
+    emp, mel, solve) for the rows of each block, the replication as an
+    index into ``reps`` and solve the columns of ``mele._solve_rows``.
 
-    A block makes one selection per replication, one ``cdf_integrals``
-    call for the cell edges of its replications and one row-wise solve
-    over all its (replication, k, member) cells; the atom weights, the
-    normalizers and the ISEs are per replication, on its own atoms.
+    Replications go in selection batches of ``_CELLS // (2 n)`` (at least
+    one), each with one selection of all its samples; a block makes one
+    ``cdf_integrals`` call for the cell edges of its replications and one
+    row-wise solve, and forms the atom weights, the normalizers and the
+    ISEs of all its (replication, k) rows at once.
     """
     k_grid = np.asarray(k_grid)
     if k_grid.ndim != 1 or k_grid.size == 0:
         raise ValueError("k grid must be a nonempty 1-d sequence of integers")
     seed = _check_integer(seed, "seed", 0)
+    n = _check_integer(n, "sample size", 1)
+    grid = _grid(k_grid, n)
     position = np.argsort(np.argsort(k_grid, kind="stable"))  # each k's rank in the sorted grid
+    batch = max(1, _CELLS // (2 * n))
+    for first in range(0, len(reps), batch):
+        samples = (
+            pseudo_observations(model.sample(n, np.random.default_rng([seed, rep])))
+            for rep in reps[first : first + batch]
+        )
+        tail = _TailGrid(*_select(samples, grid, model.p), grid[0], position, interval)
+        for block in _blocks(tail.size, k_grid.size):
+            rep, k, *scores = _scored(tail, block, model)
+            yield first + rep, k, *scores
+        del tail  # before the next batch is drawn
 
-    def grids():
-        for rep in reps:
-            sample = model.sample(n, np.random.default_rng([seed, rep]))
-            union, entry = _select(pseudo_observations(sample), k_grid, model.p)
-            yield rep, _TailGrid(union, entry, k_grid, position)
 
-    for block in _blocks(grids()):
-        cells = _cells([grid.atoms for _, grid, _ in block], model, *interval)
-        yield from _scored(block, cells)
+def _scored(grid: _TailGrid, block: list, model: SpectralModel):
+    """The rows of one block of a grid: (sample, k index, emp, mel, solve),
+    from one row-wise MELE solve, both estimators' atom weights, the
+    normalizers, checked on each row's members, and one ISE pass per
+    estimator; the block's arrays go when it is done, each cell array as
+    soon as it is used."""
+    rows = _Segments(grid, block)
+    first, last = block[0][0], block[-1][0]
+    edges = slice(grid.edge_start[first], grid.edge_start[last + 1])
+    cells = _cells(model, grid.edges[edges], grid.edge_start[first : last + 2] - edges.start)
+    width = cells[0].shape[1]
+    bins = grid.column[rows.cells]
+    bins += np.repeat(rows.slot * width, rows.length)
 
+    a = grid.scores[rows.cells]
+    solve = _solve_rows(a, rows.starts)
+    # an infeasible row's weights, and so its normalizer, are NaN
+    weights = _weight_rows(solve[0], a, rows.length)
+    del a
+    weights[rows.starts] = 0.0  # the zero cells weigh nothing
+    factors = (np.take(factor, rows.cells) for factor in (grid.sin, grid.cos))
+    scale = 1.0 / _normalizers(weights, factors, rows.starts)
+    mel = rows.per_atom(bins, weights, width)
+    row_scale = np.zeros(mel.shape[0])  # of each row of step columns
+    row_scale[rows.slot] = scale
+    mel *= row_scale[:, None]
+    weights = np.repeat(1.0 / grid.ks[rows.k], rows.length)
+    weights[rows.starts] = 0.0
+    emp = rows.per_atom(bins, weights, width)
+    del weights, bins
 
-def _scored(block: list, cells: list):
-    """The parts of :func:`_passes` for one block, given its parts' cells:
-    one row-wise MELE solve for all the block's rows, then per part both
-    estimators' atom weights, the normalizers, checked on the part's
-    atoms, and the ISEs; the block's arrays go when it is done."""
-    rows = _Segments([(grid, span) for _, grid, span in block])
-    a = rows.scores()
-    solutions = _solve_rows(a, rows.starts)
-    mu = np.array([s.mu if s is not None else math.nan for s in solutions])
-    emp = rows.per_atom(np.repeat(1.0 / rows.ks, rows.length))
-    mel = rows.per_atom(_weight_rows(mu, a, rows.length))
-    parts = zip(block, cells, rows.parts, emp, mel)
-    for (rep, grid, span), part_cells, (_, _, segments), emp_steps, mel_steps in parts:
-        # an infeasible row's weights, and so its normalizer, are NaN
-        q = mel_steps[:, 1:]
-        q *= (1.0 / _normalizers(grid.atoms, q, grid.union.p))[:, None]
-        ises = (_ise_rows(part_cells, steps) for steps in (emp_steps, mel_steps))
-        yield rep, span, *ises, solutions[segments]
+    emp, mel = (_ise_rows(cells, steps)[rows.slot] for steps in (emp, mel))
+    return rows.rep, rows.k, emp, mel, solve
 
 
 def replication_ise(
@@ -308,18 +368,20 @@ def replication_ise(
 
     The replication stream is derived from (seed, rep) only; the mele
     entry is NaN where the moment constraint was infeasible.  This is the
-    one-replication case of the block pass of :func:`mise_sweep`: one
-    selection serves the whole grid, each estimator is one row of atom
-    weights per k over the distinct angles of all members, and all rows
-    are scored on one partition at those angles, which refines each k's
-    own, so the ISEs are those of the per-k estimates, which build no
-    grid, up to rounding.  The rows are scored in slices that fit the
-    cell budget, so memory stays bounded for any grid; a row's values do
-    not depend on its block.
+    one-replication case of the pass of :func:`mise_sweep`, a selection
+    batch of one: one selection serves the whole grid, each estimator is
+    one row of atom weights per k over the distinct angles of all
+    members, and all rows are scored on one partition at those angles,
+    which refines each k's own, so the ISEs are those of the per-k
+    estimates, which build no grid, up to rounding.  The rows are scored
+    in slices that fit the cell budget, so memory stays bounded for any
+    grid; a row's values do not depend on its block.  Only here are the
+    solve's columns made into :class:`~specmeasure.mele.MultiplierSolution`
+    objects.
     """
     rep = _check_integer(rep, "rep", 0)
-    _, _, emp, mel, parts = zip(*_passes(model, n, k_grid, interval, seed, [rep]))
-    solutions = [s for part in parts for s in part]
+    _, _, emp, mel, solve = zip(*_passes(model, n, k_grid, interval, seed, [rep]))
+    solutions = _solutions([np.concatenate(column) for column in zip(*solve)])
     infeasible = np.array([s is None for s in solutions])
     return np.concatenate(emp), np.concatenate(mel), infeasible, solutions
 
@@ -341,13 +403,18 @@ def mise_sweep(
     default interval when omitted).  ``p``, when given, must match the
     model's norm order; it exists to make call sites explicit.
 
-    Consecutive replications are scored together, in blocks within a
-    fixed budget of (replication, k, member) cells, a replication's k
-    split over blocks where they exceed it: a block's MELE rows are
-    solved at once and its cell edges take one truth-integral call.
-    Each row's values depend on its own cells only, so every replication's
-    ISEs are bitwise those of :func:`replication_ise`, whatever block it
-    falls in.
+    The replications are an array axis.  Each draws its own sample, and
+    the samples of a selection batch (as many as fit ``_CELLS`` sample
+    values) are selected at once, the k grid checked once per sweep.
+    Consecutive replications of a batch are then scored together, in
+    blocks within a fixed budget of (replication, k, member) cells, a
+    replication's k split over blocks where they exceed it: a block's MELE
+    rows are solved at once, Newton trips evaluating only the open rows;
+    its cell edges take one truth-integral call, and its atom weights,
+    normalizers and ISEs are one pass each over all its rows.  The solver
+    statistics are read as arrays.  Each row's values depend on its own
+    cells only, so every replication's ISEs are bitwise those of
+    :func:`replication_ise`, whatever batch or block it falls in.
     """
     if p is not None and p != model.p:
         raise ValueError(f"norm order mismatch: model has p = {model.p}, requested {p}")
@@ -357,12 +424,12 @@ def mise_sweep(
     a, b = map(float, model.default_ise_interval if interval is None else interval)
 
     nk = np.size(k_grid)
-    emp, mel = np.empty((2, replications, nk))
-    fits = np.empty((replications, nk, 2))  # Psi evaluations and residual, NaN if infeasible
+    emp, mel, residual = np.empty((3, replications, nk))  # residual NaN if infeasible
+    evaluations = np.empty((replications, nk), dtype=np.int64)
     passes = _passes(model, n, k_grid, (a, b), seed, range(replications))
-    for rep, rows, emp_ise, mel_ise, solutions in passes:
-        emp[rep, rows], mel[rep, rows] = emp_ise, mel_ise
-        fits[rep, rows] = [(s.iterations, s.residual) if s else (math.nan,) * 2 for s in solutions]
+    for rep, k, emp_ise, mel_ise, (_, res, evals, _, _) in passes:
+        emp[rep, k], mel[rep, k] = emp_ise, mel_ise
+        residual[rep, k], evaluations[rep, k] = res, evals
 
     feasible = ~np.isnan(mel)
     counts = feasible.sum(axis=0)
@@ -391,6 +458,6 @@ def mise_sweep(
         mise=mise,
         stderr=stderr,
         infeasible=infeasible,
-        max_evaluations=int(np.fmax.reduce(fits[..., 0], axis=None, initial=0)),
-        max_residual=float(np.fmax.reduce(fits[..., 1], axis=None)),
+        max_evaluations=int(evaluations.max()),
+        max_residual=float(np.fmax.reduce(residual, axis=None)),
     )

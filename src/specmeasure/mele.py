@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .empirical import AngularSample, DiscreteSpectralMeasure, _merge_duplicates, _moment_rows
+from .empirical import AngularSample, DiscreteSpectralMeasure, _merge_duplicates, _moment_factors
 
 __all__ = [
     "ConstraintInfeasible",
@@ -160,20 +160,31 @@ def solve_multiplier(scores) -> MultiplierSolution:
         If the scores do not straddle zero (no interior root exists).
     """
     a = _check_scores(scores)
-    solution = _solve_rows(*_segment(a)[:2])[0]
+    (solution,) = _solutions(_solve_rows(*_segment(a)[:2]))
     if solution is None:
         raise ConstraintInfeasible(a)
     return solution
 
 
+def _solutions(rows) -> list:
+    """The :class:`MultiplierSolution` of each row of :func:`_solve_rows`,
+    ``None`` where it has no root."""
+    mu, residual, evaluations, lo, hi = (c.tolist() for c in rows)
+    return [
+        None if math.isnan(m) else MultiplierSolution(m, r, e, (left, right))
+        for m, r, e, left, right in zip(mu, residual, evaluations, lo, hi)
+    ]
+
+
 def _solve_rows(a: np.ndarray, starts: np.ndarray):
     """:func:`solve_multiplier` on every segment of ``a`` at once: segment i
     is a zero cell at starts[i], then its scores (see :func:`_segment`).
-    Each segment has its own bracket, iterate and stop rule, and one
-    Newton trip is one set of array operations that evaluates Psi on every
-    segment, of which only the open ones take the result; so a segment's
-    solution depends on its own cells only.  ``None`` marks a segment
-    whose scores do not straddle zero."""
+    Each segment has its own bracket, iterate and stop rule.  A Newton
+    trip evaluates Psi on the open segments only, their cells gathered
+    into one array again whenever some close, so a segment's solution
+    depends on its own cells only.  Returns arrays of each segment's
+    root, residual, Psi evaluations and feasible interval; root and
+    residual are NaN for a segment whose scores do not straddle zero."""
     length = np.diff(starts, append=a.size)
     count = length - 1
     smin, smax = np.minimum.reduceat(a, starts), np.maximum.reduceat(a, starts)
@@ -182,18 +193,21 @@ def _solve_rows(a: np.ndarray, starts: np.ndarray):
         lo = np.where(zero, -math.inf, -1.0 / smax)
         hi = np.where(zero, math.inf, -1.0 / smin)
     evals = np.zeros(starts.size, dtype=np.int64)
-    root, value, point = np.zeros((3, starts.size))
+    straddle = (smin < 0.0) & (smax > 0.0)
+    root, value = np.where(zero | straddle, 0.0, math.nan), np.zeros(starts.size)
 
-    def f(rows: np.ndarray, mu: np.ndarray):
-        evals[rows] += 1
-        point[rows] = mu
-        with np.errstate(divide="ignore", invalid="ignore"):
-            psi_all, slope_all = _psi_rows(point, a, starts, length)
-        return psi_all[rows], slope_all[rows]
-
-    rows = np.flatnonzero((smin < 0.0) & (smax > 0.0))
+    rows = np.flatnonzero(straddle)
     f0 = np.add.reduceat(a, starts)[rows] / count[rows]  # Psi(0), the mean score
     rows, f0 = rows[f0 != 0.0], f0[f0 != 0.0]
+    # the cells of the open segments, by their starts and lengths
+    open_rows = np.zeros(starts.size, dtype=bool)
+    open_rows[rows] = True
+    cells, span = a if open_rows.all() else a[np.repeat(open_rows, length)], length[rows]
+
+    def f(j: np.ndarray, mu: np.ndarray):
+        evals[rows[j]] += 1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return _psi_rows(mu, cells, np.cumsum(span) - span, span)
 
     # sign bracket (blo, bhi): Psi decreases from +inf at lo to -inf at hi,
     # so 0 and the feasible end on the root's side enclose the root
@@ -203,9 +217,9 @@ def _solve_rows(a: np.ndarray, starts: np.ndarray):
     # warm start at the first-order multiplier if it falls inside the bracket
     mu_bar = f0 / (np.add.reduceat(a * a, starts)[rows] / count[rows])
     x = np.where((blo < mu_bar) & (mu_bar < bhi), mu_bar, 0.5 * (blo + bhi))
-    fx, slope = f(rows, x)
-    best_x, best_f = x.copy(), fx.copy()
     j = np.arange(rows.size)
+    fx, slope = f(j, x)
+    best_x, best_f = x.copy(), fx.copy()
     for _ in range(SOLVER_MAX_ITER):
         if not j.size:
             break
@@ -229,16 +243,14 @@ def _solve_rows(a: np.ndarray, starts: np.ndarray):
             | ((np.abs(best_f[j]) * np.maximum(1.0, np.abs(bx)) <= SOLVER_TOL) & (bh - bl <= width))
             | (cand == bl) | (cand == bh) | (cand == xj)
         )
-        j, cand = j[~done], cand[~done]
+        if np.any(done):
+            cells, span = cells[np.repeat(~done, span)], span[~done]
+            j, cand = j[~done], cand[~done]
         x[j] = cand
-        fx[j], slope[j] = f(rows[j], cand)
+        fx[j], slope[j] = f(j, cand)
     root[rows], value[rows] = best_x, np.abs(best_f)
-    solved = zero | ((smin < 0.0) & (smax > 0.0))
-    columns = (c.tolist() for c in (solved, root, value, evals, lo, hi))
-    return [
-        MultiplierSolution(mu, residual, evaluations, (left, right)) if ok else None
-        for ok, mu, residual, evaluations, left, right in zip(*columns)
-    ]
+    value[np.isnan(root)] = math.nan
+    return root, value, evals, lo, hi
 
 
 def _weight_rows(mu: np.ndarray, a: np.ndarray, length) -> np.ndarray:
@@ -265,13 +277,17 @@ def mele_weights(solution: MultiplierSolution, scores) -> np.ndarray:
     return _weight_rows(np.array([solution.mu]), cells, length)[1:]
 
 
-def _normalizers(atoms: np.ndarray, q: np.ndarray, p: float) -> np.ndarray:
-    """:func:`spectral_normalizer` of every row of atom weights ``q``; a row
-    of NaNs (an infeasible fit) gives NaN and passes the checks."""
-    mass = np.sum(q, axis=1)
+def _normalizers(q: np.ndarray, factors: tuple, starts) -> np.ndarray:
+    """:func:`spectral_normalizer` of each segment of the cell weights ``q``,
+    from starts[i]: the sums of q against the cells' sin/||.||_p and
+    cos/||.||_p ``factors`` (:func:`~specmeasure.empirical._moment_factors`),
+    two arrays that it overwrites.  A segment of NaNs (an infeasible fit)
+    gives NaN and passes the checks."""
+    mass = np.add.reduceat(q, starts)
     if np.any(np.abs(mass - 1.0) > 1e-8):
         raise ValueError(f"expected a probability measure, total mass {mass.tolist()}")
-    sin_sum, cos_sum = _moment_rows(atoms, q, p)
+    # each factor array takes its products in place
+    sin_sum, cos_sum = (np.add.reduceat(np.multiply(f, q, out=f), starts) for f in factors)
     gap = np.fmax.reduce(np.abs(sin_sum - cos_sum), initial=0.0)
     if gap > NORMALIZER_TOL:
         raise ValueError(
@@ -295,7 +311,7 @@ def spectral_normalizer(q: DiscreteSpectralMeasure) -> float:
         normalizer disagree beyond ``NORMALIZER_TOL`` (the moment
         constraint was violated).
     """
-    return float(_normalizers(q.angles, q.weights[None], q.p)[0])
+    return float(_normalizers(q.weights, _moment_factors(q.angles, q.p), [0])[0])
 
 
 def mele_spectral_prob(ang: AngularSample) -> DiscreteSpectralMeasure:

@@ -9,6 +9,7 @@ batched C parsing.
 """
 
 import math
+import types
 
 import numpy as np
 from scipy import integrate, stats
@@ -108,6 +109,18 @@ def sample_text_oracle(text: str):
     return rows
 
 
+def parse_rows(text: str) -> list[tuple]:
+    """A MISE table's text back as its ``MiseTable.rows`` tuples."""
+    lines = [line for line in text.splitlines() if line.strip()]
+    if not lines or lines[0] != "k,estimator,mise,stderr,infeasible_count":
+        raise ValueError("missing or unexpected table header")
+    rows = []
+    for line in lines[1:]:
+        k, est, mise, se, cnt = line.split(",")
+        rows.append((int(k), est, float(mise), float(se), int(cnt)))
+    return rows
+
+
 def membership_oracle(m1: int, m2: int, k: int, p: float) -> bool:
     """Exact tail-set membership from integer ranks m = n*u.
 
@@ -145,6 +158,68 @@ def ise_oracle(measure, truth_cdf, a: float, b: float) -> float:
         )
         total += val
     return total
+
+
+def mise_oracle(model, n: int, reps: int, k_grid, seed: int, interval):
+    """MISE, standard errors and infeasible counts of both estimators, as
+    arrays ``[k_index, estimator]`` with estimators (empirical, mele),
+    from a plain loop over (replication, k).
+
+    Only ``model.sample`` (on the stream ``default_rng([seed, rep])``) and
+    the model's truth cdf come from the package.  Ranks are counted,
+    membership is the integer rule, and the angle arctan(m2 / m1) of a
+    member with integer ranks m = n*u has the score
+    (m2 - m1) / ||(m1, m2)||_p and the normalizer term m1 / ||(m1, m2)||_p;
+    the MELE weights come from direct maximization and the ISE from
+    library quadrature of the squared step-cdf gap.
+    """
+    p, (a, b) = model.p, interval
+    ises = np.empty((reps, len(k_grid), 2))
+    for rep in range(reps):
+        values = model.sample(n, np.random.default_rng([seed, rep])).values
+        m1s, m2s = (n + 1 - rank_oracle(column) for column in values.T)
+        for i, k in enumerate(k_grid):
+            ranks = [
+                (m1, m2)
+                for m1, m2 in zip(m1s.tolist(), m2s.tolist())
+                if membership_oracle(m1, m2, k, p)
+            ]
+            norms = [max(m1, m2) if math.isinf(p) else (m1**p + m2**p) ** (1.0 / p)
+                     for m1, m2 in ranks]
+            angles = [math.atan2(m2, m1) for m1, m2 in ranks]
+            scores = [(m2 - m1) / norm for (m1, m2), norm in zip(ranks, norms)]
+            ises[rep, i, 0] = _step_ise(angles, [1.0 / k] * len(ranks), model, a, b)
+            if not scores_feasible(scores):
+                ises[rep, i, 1] = math.nan
+                continue
+            q = mele_oracle(scores)
+            normalizer = math.fsum(w * m1 / norm for w, (m1, _), norm in zip(q, ranks, norms))
+            ises[rep, i, 1] = _step_ise(angles, q / normalizer, model, a, b)
+    mise = np.empty((len(k_grid), 2))
+    stderr = np.zeros((len(k_grid), 2))
+    infeasible = np.zeros((len(k_grid), 2), dtype=np.int64)
+    for i in range(len(k_grid)):
+        for j in range(2):
+            column = ises[:, i, j]
+            column = column[~np.isnan(column)]
+            infeasible[i, j] = reps - column.size
+            mise[i, j] = math.fsum(column) / column.size if column.size else math.nan
+            if column.size > 1:
+                spread = math.fsum((column - mise[i, j]) ** 2) / (column.size - 1)
+                stderr[i, j] = math.sqrt(spread / column.size)
+    return mise, stderr, infeasible
+
+
+def _step_ise(angles, weights, model, a: float, b: float) -> float:
+    """:func:`ise_oracle` of the atoms (angles, weights) against the model's
+    truth cdf, the atoms' step cdf summed from the atoms directly."""
+    pairs = list(zip(angles, weights))
+
+    def cdf(x):
+        return math.fsum(w for angle, w in pairs if angle <= x)
+
+    step = types.SimpleNamespace(angles=np.array(sorted(angles)), cdf=cdf)
+    return ise_oracle(step, model.cdf_continuous, a, b)
 
 
 #: cut points of the split quadratures: the max-norm kink pi/4, and

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from specmeasure import evaluation
 from specmeasure.empirical import (
     DiscreteSpectralMeasure,
+    _grid,
     _select,
     empirical_spectral_measure,
     select_extremes,
@@ -20,7 +21,6 @@ from specmeasure.empirical import (
 from specmeasure.evaluation import (
     ESTIMATORS,
     MiseTable,
-    _cells,
     _scored,
     _TailGrid,
     integrated_squared_error,
@@ -31,6 +31,7 @@ from specmeasure.mele import (
     SOLVER_TOL,
     WIDTH_TOL,
     ConstraintInfeasible,
+    _solutions,
     mele_spectral_measure,
     solve_multiplier,
 )
@@ -38,12 +39,13 @@ from specmeasure.models import (
     _NODES,
     SpectralModel,
     asym_logistic_model,
+    cauchy_fullplane_model,
     cauchy_quadrant_model,
     mixture_model,
 )
 from specmeasure.pseudo_obs import BivariateSample, pseudo_observations
 
-from oracles import ise_oracle
+from oracles import ise_oracle, mise_oracle, parse_rows
 
 HALF_PI = math.pi / 2
 QUARTER_PI = math.pi / 4
@@ -229,13 +231,15 @@ class TestGridPass:
         # each k's rank in the grid sorted stably, by Python's stable sort
         order = sorted(range(len(k_grid)), key=k_grid.__getitem__)
         position = [order.index(i) for i in range(len(k_grid))]
-        grid = _TailGrid(*_select(pobs, k_grid, p), np.array(k_grid), position)
-        (cells,) = _cells([grid.atoms], model, a, b)
-        ((_, _, emp, mel, solutions),) = _scored([(0, grid, slice(0, len(k_grid)))], [cells])
+        union, entry, size = _select([pobs], _grid(k_grid, n), p)
+        grid = _TailGrid(union, entry, size, np.array(k_grid), position, (a, b))
+        _, _, emp, mel, solve = _scored(grid, [(0, 0, len(k_grid))], model)
+        solutions = _solutions(solve)
         for i, k in enumerate(k_grid):
             ang = select_extremes(pobs, k, p)
-            members = grid.union.indices[grid.order[: grid.count[i]]]
-            np.testing.assert_array_equal(np.sort(members), ang.indices)
+            members = union.indices[entry <= position[i]]
+            assert grid.count[0, i] == members.size
+            np.testing.assert_array_equal(members, ang.indices)
             assert emp[i] == pytest.approx(
                 integrated_squared_error(empirical_spectral_measure(ang), model, a, b), rel=1e-12
             )
@@ -311,15 +315,17 @@ class TestGridPass:
         assert np.all(np.isfinite(emp)) and np.array_equal(np.isnan(mel), infeasible)
 
     def test_rows_do_not_depend_on_their_block(self, monkeypatch):
-        # one row per block, a few replications per block, and the whole
-        # sweep in one block, on an unsorted grid with a repeated k; seed 3
+        # one row per block and one replication per selection batch; a few
+        # replications per block and batches of 4 replications; a few per
+        # block and the whole sweep in one batch; and the whole sweep in one
+        # block and one batch: on an unsorted grid with a repeated k; seed 3
         # has an infeasible fit at k = 2
         k_grid, interval, reps = [10, 2, 30, 10, 5], (0.1, 1.4), 6
         default = evaluation._CELLS
         for p in (1.0, 2.5, 3.0, math.inf):
             model = GRID_MODELS[p]
             tables, replications = [], []
-            for cells in (1, default, 2**40):
+            for cells in (1, 2 * 60 * 4, default, 2**40):
                 monkeypatch.setattr(evaluation, "_CELLS", cells)
                 tables.append(mise_sweep(model, 60, reps, k_grid, interval=interval, seed=3))
                 replications.append(
@@ -341,8 +347,8 @@ class TestGridPass:
                 assert tables[0].infeasible[1, 1] >= 1
 
     def test_one_pass_per_block(self, monkeypatch):
-        # count guard: a sweep selects once per replication, and makes one
-        # row-wise solve and one truth integral call per block of replications
+        # count guard: a sweep selects once per batch of replications, and
+        # makes one row-wise solve and one truth integral call per block
         calls = []
         model = asym_logistic_model(2.0)
         integrals = model.cdf_integrals  # built once per model, before counting
@@ -359,7 +365,7 @@ class TestGridPass:
             )
         mise_sweep(model, 1000, 40, range(10, 201, 10), seed=1)
         blocks = calls.count("_solve_rows")
-        assert calls.count("_select") == 40
+        assert calls.count("_select") == math.ceil(40 / (evaluation._CELLS // 2000))
         assert calls.count("cdf_integrals") == blocks < 40
 
     def test_sweep_in_bounded_memory(self):
@@ -388,6 +394,51 @@ class TestGridPass:
         assert table.infeasible.sum() == 1 and len(fits) == 7
         assert table.max_evaluations == max(s.iterations for s in fits) > 0
         assert table.max_residual == max(s.residual for s in fits) <= SOLVER_TOL
+
+
+#: one model of each family, by norm order
+ORACLE_FAMILIES = {
+    "logistic": lambda p: asym_logistic_model(2.0, p=p),
+    "asymmetric-logistic": lambda p: asym_logistic_model(3.0, 0.7, 0.9, p=p),
+    "cauchy-quadrant": cauchy_quadrant_model,
+    "cauchy-fullplane": cauchy_fullplane_model,
+    "mixture": lambda p: mixture_model(0.5, p=p),
+}
+
+
+class TestMiseOracle:
+    """The table against a plain (replication, k) loop that shares only the
+    sampler and the truth cdf with the package (oracles.mise_oracle), at
+    one row per block and at the default cell budget."""
+
+    # mele_oracle's weights are good to 1e-8 (test_acceptance), which bounds
+    # the relative error of each MELE ISE; the worst measured over these
+    # cases is 3.0e-12 relative for mise, and 2.3e-12 of the largest mise
+    # for stderr
+    RTOL = 1e-8
+
+    def check(self, monkeypatch, model, n, reps, k_grid, seed):
+        interval = model.default_ise_interval
+        mise, stderr, infeasible = mise_oracle(model, n, reps, k_grid, seed, interval)
+        for cells in (1, evaluation._CELLS):
+            monkeypatch.setattr(evaluation, "_CELLS", cells)
+            table = mise_sweep(model, n, reps, k_grid, seed=seed)
+            np.testing.assert_array_equal(table.infeasible, infeasible)
+            np.testing.assert_allclose(table.mise, mise, rtol=self.RTOL)
+            atol = self.RTOL * np.nanmax(mise)
+            np.testing.assert_allclose(table.stderr, stderr, rtol=self.RTOL, atol=atol)
+        return infeasible
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 2.5, 3.0, math.inf])
+    @pytest.mark.parametrize("family", sorted(ORACLE_FAMILIES))
+    def test_every_family_and_norm_order(self, monkeypatch, family, p):
+        # an unsorted grid with a repeated k, whose sorting permutation is
+        # not its own inverse
+        self.check(monkeypatch, ORACLE_FAMILIES[family](p), 40, 3, [6, 10, 2, 6], 11)
+
+    def test_infeasible_fits(self, monkeypatch):
+        infeasible = self.check(monkeypatch, cauchy_quadrant_model(1.0), 60, 4, range(1, 11), 3)
+        assert infeasible[:, 1].sum() > 0 and infeasible[:, 0].sum() == 0
 
 
 class TestMiseSweep:
@@ -437,7 +488,7 @@ class TestMiseSweep:
         assert table.infeasible[0, 1] == 1
         assert math.isnan(table.mise[0, 1])
         text = table.to_text()
-        rows = MiseTable.parse_rows(text)
+        rows = parse_rows(text)
         assert math.isnan(rows[1][2])
 
     def test_stderr_matches_sample_std(self):
@@ -531,7 +582,7 @@ class TestMiseTable:
     def test_text_round_trip_exact(self):
         model = cauchy_quadrant_model(1.0)
         table = mise_sweep(model, 100, 3, [10, 20], seed=13)
-        parsed = MiseTable.parse_rows(table.to_text())
+        parsed = parse_rows(table.to_text())
         assert parsed == list(table.rows())
 
     def test_write_to_stream(self):
@@ -544,4 +595,4 @@ class TestMiseTable:
 
     def test_parse_rejects_bad_header(self):
         with pytest.raises(ValueError, match="header"):
-            MiseTable.parse_rows("wrong\n1,empirical,0.1,0.0,0\n")
+            parse_rows("wrong\n1,empirical,0.1,0.0,0\n")
