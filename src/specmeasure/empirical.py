@@ -221,7 +221,7 @@ def select_extremes(pobs: PseudoObservations, k: int, p: float) -> AngularSample
     ``min(m1, m2) <= k`` for the max norm and for p > k, where it is
     exact, and ``k^p (m1^p + m2^p) >= (m1 m2)^p`` in Python integers
     otherwise.  Only rows among the top 2k + 1 of a column can qualify,
-    and only their ranks are computed: ``pobs.u`` is never built.  This
+    and only their ranks are computed, by ``pobs._tail``.  This
     is the batch of one sample of the Monte Carlo selection, which applies
     the same rule to a batch of samples on a whole k grid at once; at a
     single k its union is this selection.

