@@ -7,6 +7,7 @@ increasing transformations of either margin.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import warnings
@@ -28,7 +29,7 @@ __all__ = [
 PathOrStream = Union[str, os.PathLike, IO[str]]
 
 #: lines per np.loadtxt call; a batch it rejects goes to the line parser
-_BATCH = 1 << 16
+_BATCH = 1 << 14
 
 
 class InputError(ValueError):
@@ -55,9 +56,8 @@ class BivariateSample:
             raise InputError(f"sample must have shape (n, 2), got {values.shape}")
         if values.shape[0] < 1:
             raise InputError("sample must contain at least one row")
-        bad = ~np.isfinite(values)
-        if bad.any():
-            row, col = np.argwhere(bad)[0]
+        if not np.isfinite(values).all():
+            row, col = np.argwhere(~np.isfinite(values))[0]
             raise InputError(
                 f"non-finite value {values[row, col]!r} at row {row + 1}, column {col + 1}"
             )
@@ -70,45 +70,55 @@ class BivariateSample:
 
 @dataclass(frozen=True, eq=False)
 class PseudoObservations:
-    """Each column of ``sample`` sorted, for the pseudo-observations
-    u_ij = (n + 1 - R_ij) / n: R_ij is the maximal rank
-    ``#{l : x_lj <= x_ij}``, so ties share the larger rank and
-    ``tie_flag`` records whether any column had ties.  Every u_ij lies in
-    (0, 1]; large observations map to small u.  ``ordered`` holds each
-    column sorted increasingly, one per row.  ``_tail`` ranks the rows a
-    selection can take, and ``_tail(n + 1)`` every row.  ``==`` is identity.
-    """
+    """A raw sample, for the pseudo-observations u_ij = (n + 1 - R_ij) / n:
+    R_ij is the maximal rank ``#{l : x_lj <= x_ij}``, so ties share the
+    larger rank and ``tie_flag`` records whether any column had ties.
+    Every u_ij lies in (0, 1]; large observations map to small u.  No
+    sorted copy of a column is kept: ``_tail`` ranks the rows a selection
+    can take, and ``_tail(n + 1)`` every row.  ``==`` is identity."""
 
     sample: BivariateSample
-    ordered: np.ndarray
-    tie_flag: bool
 
     @property
     def n(self) -> int:
         return self.sample.n
 
+    @functools.cached_property
+    def tie_flag(self) -> bool:
+        """Whether a column has equal values; every ``_tail`` records it."""
+        self._tail(1)
+        return self.tie_flag  # now an instance attribute, set by _tail
+
     def _tail(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         """The increasing rows whose value in either column is at least that
         column's m-th largest (a tie group at the cut goes in whole), and
-        their u, counting ``#{l : x_lj <= x_ij}`` by binary search."""
+        their u, counting ``#{l : x_lj <= x_ij}`` by binary search in each
+        column sorted in turn into one transient copy."""
         n, values = self.n, self.sample.values
-        cut = self.ordered[:, n - min(m, n)]
-        rows = np.flatnonzero((values[:, 0] >= cut[0]) | (values[:, 1] >= cut[1]))
+        at = n - min(m, n)
+        cut = np.partition(values[:, 0], at)[at]
+        column = np.sort(values[:, 1])
+        high = values[:, 0] >= cut
+        high |= values[:, 1] >= column[at]
+        rows = np.flatnonzero(high)
         tail = np.take(values, rows, axis=0)
         ranks = np.empty(tail.shape, dtype=np.int64)
-        for j, column in enumerate(self.ordered):
+        tied = False
+        for j in (1, 0):
+            if j == 0:  # into the same buffer: one sorted column at a time
+                column[:] = values[:, 0]
+                column.sort()
             # keys in increasing order search several times faster than in row order
             order = np.argsort(tail[:, j])
             ranks[order, j] = np.searchsorted(column, tail[order, j], side="right")
+            tied = tied or np.count_nonzero(column[1:] == column[:-1]) > 0
+        object.__setattr__(self, "tie_flag", tied)
         return rows, (n + 1 - ranks) / n
 
 
 def pseudo_observations(sample: BivariateSample) -> PseudoObservations:
-    """Sort each column of a raw sample once; equal sorted neighbours flag
-    ties.  Ranks are computed only for the rows ``_tail`` returns."""
-    ordered = sample.values.T.copy()
-    ordered.sort()
-    return PseudoObservations(sample, ordered, bool(np.any(ordered[:, 1:] == ordered[:, :-1])))
+    """The pseudo-observations of a raw sample, ranked only by ``_tail``."""
+    return PseudoObservations(sample)
 
 
 def read_sample(source: PathOrStream) -> BivariateSample:
@@ -134,12 +144,25 @@ def read_sample(source: PathOrStream) -> BivariateSample:
         If no data rows remain, or a parsed value is not finite.
     """
     if hasattr(source, "read"):
-        return _read_stream(source)
+        return _read_stream(source, _BATCH)
     with open(source, "r", encoding="utf-8") as handle:
-        return _read_stream(handle)
+        return _read_stream(handle, _line_ends(source) + 1 if handle.seekable() else _BATCH)
 
 
-def _read_stream(stream: IO[str]) -> BivariateSample:
+def _line_ends(path: Union[str, os.PathLike]) -> int:
+    """The "\\n" and "\\r" bytes of a file, at least its lines less one."""
+    count = 0
+    with open(path, "rb") as raw:
+        while chunk := raw.read(1 << 20):
+            data = np.frombuffer(chunk, dtype=np.uint8)
+            count += np.count_nonzero(data == 10) + np.count_nonzero(data == 13)
+    return count
+
+
+def _read_stream(stream: IO[str], size: int) -> BivariateSample:
+    """Parse ``stream`` into one buffer of ``size`` rows, doubled when full,
+    and return its filled prefix: a copy freed after reading would leave
+    its pages resident in the heap, so a file's buffer is sized once."""
     records = iter(stream)
     records = itertools.chain([next(records, "").removeprefix("\ufeff")], records)
     for lineno, line in enumerate(records, start=1):
@@ -151,7 +174,7 @@ def _read_stream(stream: IO[str]) -> BivariateSample:
     if _is_number(parts[0]):  # not a header: the first batch starts at this record
         records = itertools.chain([line], records)
         lineno -= 1
-    blocks = [np.empty((0, 2))]
+    buffer, filled = np.empty((size, 2)), 0
     while batch := list(itertools.islice(records, _BATCH)):
         try:
             with warnings.catch_warnings():
@@ -161,12 +184,14 @@ def _read_stream(stream: IO[str]) -> BivariateSample:
             values = None
         if values is None or values.shape[1] != 2:
             values = _parse_lines(batch, lineno)
-        blocks.append(values)
+        if filled + len(values) > len(buffer):
+            buffer.resize((2 * (filled + len(values)), 2), refcheck=False)
+        buffer[filled : filled + len(values)] = values
+        filled += len(values)
         lineno += len(batch)
-    values = np.concatenate(blocks)
-    if not len(values):
+    if not filled:
         raise InputError("no data rows found")
-    return BivariateSample(values)
+    return BivariateSample(buffer[:filled])
 
 
 def _parse_lines(lines: list[str], offset: int) -> np.ndarray:

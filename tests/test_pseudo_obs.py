@@ -2,6 +2,9 @@
 
 import io
 import math
+import os
+import threading
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -11,10 +14,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from specmeasure import pseudo_obs
+from specmeasure.empirical import select_extremes
+from specmeasure.models import sample_logistic
 from specmeasure.pseudo_obs import (
     BivariateSample,
     InputError,
     ParseError,
+    PseudoObservations,
     format_value,
     pseudo_observations,
     read_sample,
@@ -205,7 +211,9 @@ class TestTail:
         np.testing.assert_array_equal(rows, np.arange(n))
         # the rank-sum rule: distinct maximal ranks sum to n(n+1)/2, and a
         # tie group of size g adds g(g-1)/2
-        assert pobs.tie_flag == any(int(col.sum()) != n * (n + 1) // 2 for col in counts.T)
+        tied = any(int(col.sum()) != n * (n + 1) // 2 for col in counts.T)
+        assert pobs.tie_flag == tied  # recorded by the last _tail
+        assert PseudoObservations(pobs.sample).tie_flag == tied  # before any _tail
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -432,3 +440,65 @@ class TestBatchedRead:
         want = [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
         for source in [str(path), io.StringIO(text), Piped(text)]:
             np.testing.assert_array_equal(read_sample(source).values, want)
+
+    def test_reads_past_two_batches_from_every_source(self, tmp_path, monkeypatch):
+        # a stream's buffer starts at one batch and doubles; a file's is
+        # sized from its line ends, "\r" and "\n" alike, and never grows
+        monkeypatch.setattr(pseudo_obs, "_BATCH", 4)
+        lines = ["x1,x2"] + numbered_rows(6) + ["", "# gap"] + numbered_rows(9)
+        want = np.array([[float(i), i / 7] for i in [*range(6), *range(9)]])
+        for ending in ["\n", "\r", "\r\n"]:
+            text = ending.join(lines) + ending
+            path = tmp_path / "rows.csv"
+            path.write_bytes(text.encode())
+            sample = read_sample(str(path))
+            assert sample.values.tobytes() == want.tobytes()
+            assert sample.values.base.shape == (text.count("\r") + text.count("\n") + 1, 2)
+            for stream in [io.StringIO(text, newline=None), Piped(text, newline=None)]:
+                assert read_sample(stream).values.tobytes() == want.tobytes()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_named_pipe_path(self, tmp_path, monkeypatch):
+        # a path that is a pipe is read once: its lines are not counted first
+        monkeypatch.setattr(pseudo_obs, "_BATCH", 4)
+        path = tmp_path / "pipe"
+        os.mkfifo(path)
+        text = "x1,x2\n" + "\n".join(numbered_rows(10)) + "\n"
+        writer = threading.Thread(target=path.write_text, args=(text,), daemon=True)
+        writer.start()
+        try:
+            values = read_sample(str(path)).values
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        np.testing.assert_array_equal(values, [[float(i), i / 7] for i in range(10)])
+
+
+class TestMemory:
+    """The sample is held once: reading it and ranking its tail allocate
+    little beyond the parsed array (tracemalloc peaks, which count the
+    sample once it is read)."""
+
+    def test_read_and_select_peaks(self, tmp_path):
+        path = tmp_path / "logistic.csv"
+        write_sample(sample_logistic(200_000, 2.0, np.random.default_rng(2009)), path)
+        tracemalloc.start()
+        try:
+            sample = read_sample(str(path))
+            read_peak = tracemalloc.get_traced_memory()[1]
+            select_peaks = []
+            for p in [1.0, 2.0, math.inf]:
+                tracemalloc.reset_peak()
+                pobs = pseudo_observations(sample)
+                select_extremes(pobs, 1000, p)
+                assert not pobs.tie_flag
+                select_peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        size = sample.values.nbytes
+        # one parsed copy and a batch of lines; a list of batches and its
+        # concatenation peaked at 4.6 times the sample
+        assert read_peak < 2.5 * size
+        # the sample and one sorted column at a time; keeping both columns
+        # sorted peaked at 2.2 to 3.1 times the sample
+        assert max(select_peaks) < 1.8 * size
