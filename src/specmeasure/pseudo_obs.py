@@ -29,7 +29,11 @@ __all__ = [
 PathOrStream = Union[str, os.PathLike, IO[str]]
 
 #: lines per np.loadtxt call; a batch it rejects goes to the line parser
-_BATCH = 1 << 14
+_BATCH = 1 << 13
+#: about the most values of a column that ``_tail`` sorts at once
+_PIECE = 1 << 17
+#: rows per step of a pass over the sample
+_CHUNK = 1 << 15
 
 
 class InputError(ValueError):
@@ -56,11 +60,12 @@ class BivariateSample:
             raise InputError(f"sample must have shape (n, 2), got {values.shape}")
         if values.shape[0] < 1:
             raise InputError("sample must contain at least one row")
-        if not np.isfinite(values).all():
-            row, col = np.argwhere(~np.isfinite(values))[0]
-            raise InputError(
-                f"non-finite value {values[row, col]!r} at row {row + 1}, column {col + 1}"
-            )
+        for start in range(0, values.shape[0], _CHUNK):  # bool temporaries of one chunk
+            if not np.isfinite(block := values[start : start + _CHUNK]).all():
+                row, col = np.argwhere(~np.isfinite(block))[0] + (start, 0)
+                raise InputError(
+                    f"non-finite value {values[row, col]!r} at row {row + 1}, column {col + 1}"
+                )
         object.__setattr__(self, "values", values)
 
     @property
@@ -73,9 +78,9 @@ class PseudoObservations:
     """A raw sample, for the pseudo-observations u_ij = (n + 1 - R_ij) / n:
     R_ij is the maximal rank ``#{l : x_lj <= x_ij}``, so ties share the
     larger rank and ``tie_flag`` records whether any column had ties.
-    Every u_ij lies in (0, 1]; large observations map to small u.  No
-    sorted copy of a column is kept: ``_tail`` ranks the rows a selection
-    can take, and ``_tail(n + 1)`` every row.  ``==`` is identity."""
+    Every u_ij lies in (0, 1]; large observations map to small u.  ``_tail``
+    ranks the rows a selection can take (``_tail(n + 1)`` every row) in sorted
+    pieces of about ``_PIECE`` values, no whole copy of a longer column.  ``==`` is identity."""
 
     sample: BivariateSample
 
@@ -92,28 +97,64 @@ class PseudoObservations:
     def _tail(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         """The increasing rows whose value in either column is at least that
         column's m-th largest (a tie group at the cut goes in whole), and
-        their u, counting ``#{l : x_lj <= x_ij}`` by binary search in each
-        column sorted in turn into one transient copy."""
+        their u, counting ``#{l : x_lj <= x_ij}`` over the sorted pieces of ``_pieces``."""
         n, values = self.n, self.sample.values
         at = n - min(m, n)
-        cut = np.partition(values[:, 0], at)[at]
-        column = np.sort(values[:, 1])
-        high = values[:, 0] >= cut
-        high |= values[:, 1] >= column[at]
-        rows = np.flatnonzero(high)
+        if n <= _PIECE:  # one piece a column: the column sorted, its cut read off
+            walks = [[np.sort(values[:, j])] for j in (0, 1)]
+            cut0, cut1 = (walk[0][at] for walk in walks)
+        else:
+            walks = [_pieces(values[:, j]) for j in (0, 1)]
+            cut0, cut1 = (_largest(values[:, j], n - at) for j in (0, 1))
+        blocks = ((i, values[i : i + _CHUNK]) for i in range(0, n, _CHUNK))
+        high = [i + np.flatnonzero((b[:, 0] >= cut0) | (b[:, 1] >= cut1)) for i, b in blocks]
+        rows = np.concatenate(high)
         tail = np.take(values, rows, axis=0)
-        ranks = np.empty(tail.shape, dtype=np.int64)
-        tied = False
-        for j in (1, 0):
-            if j == 0:  # into the same buffer: one sorted column at a time
-                column[:] = values[:, 0]
-                column.sort()
+        ranks, tied = np.empty(tail.shape, dtype=np.int64), False
+        for j, walk in enumerate(walks):
             # keys in increasing order search several times faster than in row order
             order = np.argsort(tail[:, j])
-            ranks[order, j] = np.searchsorted(column, tail[order, j], side="right")
-            tied = tied or np.count_nonzero(column[1:] == column[:-1]) > 0
+            keys, count = tail[order, j], 0
+            for piece in walk:
+                count = count + np.searchsorted(piece, keys, side="right")
+                tied = tied or np.count_nonzero(piece[1:] == piece[:-1]) > 0
+            ranks[order, j] = count
+            del piece  # its buffer goes before the next column's is made
         object.__setattr__(self, "tie_flag", tied)
         return rows, (n + 1 - ranks) / n
+
+
+def _largest(column: np.ndarray, m: int) -> float:
+    """The m-th largest of m or more finite values, by a top-m partition a chunk at a time."""
+    top = np.full(m + _CHUNK, -np.inf)
+    for start in range(0, column.size, _CHUNK):
+        chunk = column[start : start + _CHUNK]
+        top[m : m + chunk.size] = chunk
+        top[: m + chunk.size].partition(chunk.size)
+        top[:m] = top[chunk.size : m + chunk.size]
+    return top[0]
+
+
+def _pieces(column: np.ndarray):
+    """A column's values as sorted pieces, one pass each, for disjoint half-open value
+    ranges in increasing order (so equal values, -0.0 and 0.0 too, share one), their edges from
+    a strided probe of 1024 values a piece, for about ``_PIECE`` values; ties can make more."""
+    n, count = column.size, -(-column.size // _PIECE)
+    probe = np.sort(column[:: max(1, _PIECE >> 10)])
+    edges = sorted(set(probe[probe.size * np.arange(1, count) // count].tolist()))
+    piece, chunk = np.empty(n // count + _CHUNK), np.empty(_CHUNK)
+    for lo, hi in zip([-np.inf, *edges], [*edges, np.inf]):
+        size = 0
+        for start in range(0, n, _CHUNK):
+            part = chunk[: min(_CHUNK, n - start)]
+            part[:] = column[start : start + _CHUNK]  # compares run faster on a contiguous copy
+            keep = np.compress((part >= lo) & (part < hi), part)
+            if size + keep.size > piece.size:  # a heavy tie group, or an uneven probe
+                piece = np.concatenate([piece[:size], np.empty(keep.size + _CHUNK)])
+            piece[size : size + keep.size] = keep
+            size += keep.size
+        piece[:size].sort()
+        yield piece[:size]
 
 
 def pseudo_observations(sample: BivariateSample) -> PseudoObservations:
@@ -151,11 +192,10 @@ def read_sample(source: PathOrStream) -> BivariateSample:
 
 def _line_ends(path: Union[str, os.PathLike]) -> int:
     """The "\\n" and "\\r" bytes of a file, at least its lines less one."""
-    count = 0
+    count, data = 0, np.empty(1 << 16, dtype=np.uint8)
     with open(path, "rb") as raw:
-        while chunk := raw.read(1 << 20):
-            data = np.frombuffer(chunk, dtype=np.uint8)
-            count += np.count_nonzero(data == 10) + np.count_nonzero(data == 13)
+        while size := raw.readinto(data):
+            count += np.count_nonzero(data[:size] == 10) + np.count_nonzero(data[:size] == 13)
     return count
 
 

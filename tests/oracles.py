@@ -68,10 +68,12 @@ def mele_oracle(scores) -> np.ndarray:
     return w
 
 
-def rank_oracle(column) -> np.ndarray:
-    """Quadratic-time maximal ranks R_i = #{l : x_l <= x_i}."""
+def rank_oracle(column, keys=None) -> np.ndarray:
+    """Quadratic-time maximal ranks R_i = #{l : x_l <= x_i}, of the
+    column's own values or of ``keys``."""
     col = np.asarray(column, dtype=float)
-    return np.array([int(np.sum(col <= x)) for x in col], dtype=np.int64)
+    keys = col if keys is None else np.asarray(keys, dtype=float)
+    return np.array([int(np.sum(col <= x)) for x in keys], dtype=np.int64)
 
 
 def sample_text_oracle(text: str):

@@ -207,8 +207,8 @@ class TestTail:
             rows, u = pobs._tail(m)
             np.testing.assert_array_equal(rows, np.flatnonzero((counts >= n + 1 - m).any(axis=1)))
             assert u.tobytes() == ((n + 1 - counts[rows]) / n).tobytes()
-        rows, u = pobs._tail(n + 3)  # a cut past n keeps every row
-        np.testing.assert_array_equal(rows, np.arange(n))
+        for m in (n + 1, n + 3):  # a cut past n keeps every row
+            np.testing.assert_array_equal(pobs._tail(m)[0], np.arange(n))
         # the rank-sum rule: distinct maximal ranks sum to n(n+1)/2, and a
         # tie group of size g adds g(g-1)/2
         tied = any(int(col.sum()) != n * (n + 1) // 2 for col in counts.T)
@@ -235,6 +235,86 @@ class TestTail:
         rng = np.random.default_rng(seed)
         pool = np.round(rng.standard_normal(distinct), 2)
         self.check_every_cut(rng.choice(pool, (n, 2)) * rng.choice([-1.0, 1.0], (n, 2)))
+
+
+@pytest.fixture(scope="class", params=[2, 7, 64])
+def small_pieces(request):
+    """Columns ranked in pieces of a few values, one row chunk a pass."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pseudo_obs, "_PIECE", request.param)
+        yield request.param
+
+
+@pytest.mark.usefixtures("small_pieces")
+class TestRanksInPieces(TestRanks):
+    """The rank tests again, every column of more than a few values in pieces."""
+
+
+@pytest.mark.usefixtures("small_pieces")
+class TestTailInPieces(TestTail):
+    """The tail tests again, every column of more than a few values in pieces."""
+
+
+def distinct_with(n, seed, *groups):
+    """n distinct values with, in random rows, each (value, size) group."""
+    rng = np.random.default_rng(seed)
+    column = rng.permutation(n).astype(float) - n / 2 + 0.5
+    rows = rng.permutation(n)
+    start = 0
+    for value, size in groups:
+        column[rows[start : start + size]] = value
+        start += size
+    return column
+
+
+class TestPieceBoundaries:
+    """Ranks and tie flags across the edges of pieces and of row chunks,
+    against the counting definition at every cut."""
+
+    @pytest.mark.parametrize("piece, chunk", [(2, 3), (7, 2), (7, 5), (64, 16)])
+    @pytest.mark.parametrize(
+        "column",
+        [
+            np.full(30, 2.5),  # one value: every piece edge collapses
+            distinct_with(30, 1, (-0.0, 5), (0.0, 6)),  # -0.0 and 0.0 at an edge
+            distinct_with(30, 2, (-0.0, 1), (0.0, 1)),
+            distinct_with(40, 3, (7.0, 15)),  # a tie group longer than a piece
+            distinct_with(40, 4, (1.5, 9), (-4.0, 8), (20.0, 3)),
+        ],
+        ids=["all-equal", "zeros-both-signs", "one-zero-each", "long-tie-group", "tie-groups"],
+    )
+    def test_every_cut(self, column, piece, chunk, monkeypatch):
+        monkeypatch.setattr(pseudo_obs, "_PIECE", piece)
+        monkeypatch.setattr(pseudo_obs, "_CHUNK", chunk)
+        other = distinct_with(column.size, 5)
+        TestTail.check_every_cut(np.column_stack([column, other]))
+        TestTail.check_every_cut(np.column_stack([other, column]))
+
+    @pytest.mark.parametrize("chunk", [3, 1 << 15])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_one_piece_or_two(self, offset, chunk, monkeypatch):
+        # a column of _PIECE values is one sorted piece, one more makes two
+        monkeypatch.setattr(pseudo_obs, "_PIECE", 64)
+        monkeypatch.setattr(pseudo_obs, "_CHUNK", chunk)
+        rng = np.random.default_rng(64 + offset)
+        values = np.round(rng.standard_normal((64 + offset, 2)), 1)
+        TestTail.check_every_cut(values)
+
+    def test_default_pieces_against_counts(self):
+        # 2 _PIECE + 1 rows: three pieces a column at the default size;
+        # the ranks of the tail rows by counting, and a tie placed far apart
+        n = 2 * pseudo_obs._PIECE + 1
+        values = np.random.default_rng(2009).standard_normal((n, 2))
+        for m in [1, 2, 401]:
+            pobs = pseudo_observations(BivariateSample(values))
+            rows, u = pobs._tail(m)
+            cuts = np.sort(values, axis=0)[n - m]
+            np.testing.assert_array_equal(rows, np.flatnonzero((values >= cuts).any(axis=1)))
+            counts = np.column_stack([rank_oracle(col, col[rows]) for col in values.T])
+            assert u.tobytes() == ((n + 1 - counts) / n).tobytes()
+            assert not pobs.tie_flag
+        values[n - 1, 1] = values[0, 1]
+        assert pseudo_observations(BivariateSample(values)).tie_flag
 
 
 class TestSampleValidation:
@@ -496,9 +576,24 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         size = sample.values.nbytes
-        # one parsed copy and a batch of lines; a list of batches and its
-        # concatenation peaked at 4.6 times the sample
-        assert read_peak < 2.5 * size
-        # the sample and one sorted column at a time; keeping both columns
-        # sorted peaked at 2.2 to 3.1 times the sample
-        assert max(select_peaks) < 1.8 * size
+        # one parsed copy and a batch of lines: 1.54 times the sample; a
+        # list of batches and its concatenation peaked at 4.6 times, and a
+        # bool copy of the sample and batches twice as long at 2.07
+        assert read_peak < 1.75 * size
+        # the sample and one piece of a column at a time: 1.62 times; a
+        # sorted column at a time peaked at 1.67, both sorted at 2.2 to 3.1
+        assert max(select_peaks) < 1.7 * size
+
+    def test_selection_beside_a_large_sample(self):
+        # 1e6 rows in memory: a selection holds about _PIECE values of a
+        # column at a time, 0.12 times the sample; sorting each column into
+        # one transient copy peaked at 0.63 times
+        sample = sample_logistic(1_000_000, 2.0, np.random.default_rng(29))
+        tracemalloc.start()
+        try:
+            for p in [1.0, 2.0, math.inf]:
+                tracemalloc.reset_peak()
+                select_extremes(pseudo_observations(sample), 1000, p)
+                assert tracemalloc.get_traced_memory()[1] < 0.25 * sample.values.nbytes
+        finally:
+            tracemalloc.stop()
