@@ -32,10 +32,10 @@ class AngularSample:
     """Angles and scores of the observations selected as extreme.
 
     ``indices`` are the 0-based member rows, increasing, ``angles`` their
-    pseudo-angles arctan(u2 / u1) in (0, pi/2) and ``scores`` their moment
-    scores f(angle) under the norm order ``p`` of the selection; ``k`` is
-    the tail sample fraction parameter, 1 <= k <= n, of a sample of size
-    ``n``.
+    pseudo-angles arctan(u2 / u1) in (0, pi/2), u = m / n of the ranks m,
+    and ``scores`` their moment scores f(angle) under the norm order ``p``
+    of the selection; ``k`` is the tail sample fraction parameter,
+    1 <= k <= n, of a sample of size ``n``.
     """
 
     indices: np.ndarray
@@ -184,23 +184,21 @@ def _select(batch: Iterable[PseudoObservations], grid: tuple, p: float):
         # (1 - 2 MARGIN) n / k_max
         tails.append(pobs._tail(2 * k_max + 1))
     bounds = np.cumsum([0] + [tail.size for tail, _ in tails])
-    tail, u = (np.concatenate(part) for part in zip(*tails))
+    tail, m = (np.concatenate(part) for part in zip(*tails))
     del tails  # the batch's candidates are held once
-    u1, u2 = u.T
+    u1, u2 = (m / n).T
     norm = lp_norm(1.0 / u1, 1.0 / u2, p)
     rows = np.flatnonzero(norm >= (1.0 - 2.0 * MARGIN) * threshold[0])
     norm = norm[rows]
     if math.isinf(p) or p.is_integer():
         # the float rule counts the thresholds up to a norm; it is certain
         # unless one lies within 2 MARGIN of the norm, and those rows are
-        # decided again from their ranks, rounding recovering m, as the
-        # float error of (m / n) * n is far below 1/2
+        # decided again from their ranks
         low, high = (np.searchsorted(threshold, norm * (1.0 + s * MARGIN)) for s in (-2.0, 2.0))
         entry = ks.size - low
         near = np.flatnonzero(low != high)
         if near.size:
-            ranks = np.rint(u[rows[near]] * n).astype(np.int64)
-            entry[near] = ks.size - np.sum(_members(norm[near], ranks, ks, n, p), axis=0)
+            entry[near] = ks.size - np.sum(_members(norm[near], m[rows[near]], ks, n, p), axis=0)
     else:
         entry = ks.size - np.searchsorted(threshold, norm, side="right")
     keep = entry < ks.size
@@ -213,18 +211,18 @@ def _select(batch: Iterable[PseudoObservations], grid: tuple, p: float):
 def select_extremes(pobs: PseudoObservations, k: int, p: float) -> AngularSample:
     """Indices, angles and scores of the L_p-extreme observations.
 
-    An observation is a member when the inverted pseudo-observation pair
-    satisfies ``||(1/u1, 1/u2)||_p >= n/k``, evaluated in floating point
-    for every p.  For integer p and the max norm the rule has exact ties
-    (for example 1/3 + 1/6 = 1/2), so the rows within ``MARGIN`` of n/k
-    are decided again from their integer ranks m = n*u:
-    ``min(m1, m2) <= k`` for the max norm and for p > k, where it is
-    exact, and ``k^p (m1^p + m2^p) >= (m1 m2)^p`` in Python integers
-    otherwise.  Only rows among the top 2k + 1 of a column can qualify,
-    and only their ranks are computed, by ``pobs._tail``.  This
-    is the batch of one sample of the Monte Carlo selection, which applies
-    the same rule to a batch of samples on a whole k grid at once; at a
-    single k its union is this selection.
+    ``pobs._tail`` gives the ranks m = n + 1 - R of each column, and an
+    observation is a member when its pseudo-observations u = m / n satisfy
+    ``||(1/u1, 1/u2)||_p >= n/k``, evaluated in floating point for every p.
+    For integer p and the max norm the rule has exact ties (for example
+    1/3 + 1/6 = 1/2), so the rows within ``MARGIN`` of n/k are decided
+    again from their integer ranks: ``min(m1, m2) <= k`` for the max norm
+    and for p > k, where it is exact, and ``k^p (m1^p + m2^p) >= (m1 m2)^p``
+    in Python integers otherwise.  Only rows among the top 2k + 1 of a
+    column can qualify, and only their ranks are computed.  This is the
+    batch of one sample of the Monte Carlo selection, which applies the
+    same rule to a batch of samples on a whole k grid at once; at a single
+    k its union is this selection.
 
     At least one observation is always selected (the rank-n row in
     either column qualifies for every k >= 1).

@@ -81,11 +81,12 @@ def score_f(theta, p: float):
     f(pi/2) = 1, all three exact; odd about pi/4 in the sense
     f(pi/4 + d) = -f(pi/4 - d).  A discrete angular measure Q satisfies
     the spectral moment constraints exactly when the Q-mean of this
-    score vanishes.
+    score vanishes.  Raises ``ValueError`` for an angle outside [0, pi/2].
     """
     p = check_norm_order(p)
     scalar = np.ndim(theta) == 0
     theta = np.asarray(theta, dtype=float)
+    _check_angles(theta)
     s = np.sin(theta)
     c = np.cos(theta)
     out = (s - c) / lp_norm(s, c, p)

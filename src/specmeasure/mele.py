@@ -122,10 +122,10 @@ def psi(mu: float, scores) -> float:
     Raises
     ------
     ValueError
-        If some ``1 + mu * A_i <= 0`` (outside the positivity domain).
+        If ``mu`` is not finite or some ``1 + mu * A_i <= 0`` (outside the domain).
     """
     a = _check_scores(scores)
-    if np.any(1.0 + mu * a <= 0.0):
+    if not np.isfinite(mu) or np.any(1.0 + mu * a <= 0.0):
         raise ValueError(f"mu = {mu!r} leaves the weight positivity domain")
     return float(_psi_rows(np.array([mu], dtype=float), *_segment(a))[0][0])
 

@@ -52,7 +52,7 @@ class PickandsFunction:
     def __call__(self, v):
         scalar = np.ndim(v) == 0
         v = np.asarray(v, dtype=float)
-        if v.size and (v.min() < 0.0 or v.max() > 1.0):
+        if v.size and not (v.min() >= 0.0 and v.max() <= 1.0):  # NaN fails
             raise ValueError("the dependence function is defined on [0, 1]")
         out = np.interp(v, self.knots, self.values)
         return float(out) if scalar else out
@@ -88,7 +88,8 @@ def pickands_function(phi: DiscreteSpectralMeasure) -> PickandsFunction:
         cluster = np.cumsum(np.concatenate(([True], np.diff(points) > MERGE_TOL))) - 1
         mass = np.bincount(cluster, weights)
         points, weights = np.bincount(cluster, weights * points) / mass, mass
-    knots = np.unique(np.concatenate(([0.0, 1.0], points)))
+    # the plain np.unique would import numpy.ma on a first call, about 10 ms
+    knots = np.unique(np.concatenate(([0.0, 1.0], points)), return_inverse=True)[0]
     cum_w = np.concatenate(([0.0], np.cumsum(weights)))
     cum_xw = np.concatenate(([0.0], np.cumsum(weights * points)))
     idx = np.searchsorted(points, knots, side="right")

@@ -75,12 +75,12 @@ class BivariateSample:
 
 @dataclass(frozen=True, eq=False)
 class PseudoObservations:
-    """A raw sample, for the pseudo-observations u_ij = (n + 1 - R_ij) / n:
-    R_ij is the maximal rank ``#{l : x_lj <= x_ij}``, so ties share the
-    larger rank and ``tie_flag`` records whether any column had ties.
-    Every u_ij lies in (0, 1]; large observations map to small u.  ``_tail``
-    ranks the rows a selection can take (``_tail(n + 1)`` every row) in sorted
-    pieces of about ``_PIECE`` values, no whole copy of a longer column.  ``==`` is identity."""
+    """A raw sample, for its ranks from the top m_ij = n + 1 - R_ij: R_ij is
+    the maximal rank ``#{l : x_lj <= x_ij}``, so ties share the larger R and
+    ``tie_flag`` records whether any column had ties.  ``_tail`` hands out
+    the integer m of the rows a selection can take (``_tail(n + 1)`` every
+    row), ranked in sorted pieces of about ``_PIECE`` values, no whole copy
+    of a longer column; u = m / n exists only in the selection.  ``==`` is identity."""
 
     sample: BivariateSample
 
@@ -96,8 +96,8 @@ class PseudoObservations:
 
     def _tail(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         """The increasing rows whose value in either column is at least that
-        column's m-th largest (a tie group at the cut goes in whole), and
-        their u, counting ``#{l : x_lj <= x_ij}`` over the sorted pieces of ``_pieces``."""
+        column's m-th largest (a tie group at the cut goes in whole), and their
+        int64 n + 1 - R, counting R = ``#{l : x_lj <= x_ij}`` over ``_pieces``."""
         n, values = self.n, self.sample.values
         at = n - min(m, n)
         if n <= _PIECE:  # one piece a column: the column sorted, its cut read off
@@ -121,7 +121,7 @@ class PseudoObservations:
             ranks[order, j] = count
             del piece  # its buffer goes before the next column's is made
         object.__setattr__(self, "tie_flag", tied)
-        return rows, (n + 1 - ranks) / n
+        return rows, n + 1 - ranks
 
 
 def _largest(column: np.ndarray, m: int) -> float:

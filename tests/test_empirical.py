@@ -28,8 +28,8 @@ from oracles import membership_oracle
 
 
 def top_ranks(pobs):
-    """Each row's rank from the top of its column, m = n u = n + 1 - R."""
-    return np.rint(pobs._tail(pobs.n + 1)[1] * pobs.n).astype(int)
+    """Each row's rank from the top of its column, m = n + 1 - R."""
+    return pobs._tail(pobs.n + 1)[1]
 
 
 def data_with_ranks(r1, r2):

@@ -90,6 +90,11 @@ class TestScore:
             right = score_f(theta, p)
             np.testing.assert_allclose(left, -right, atol=1e-12)
 
+    @pytest.mark.parametrize("theta", [2.0, -0.1, math.nan, [0.5, math.nan]])
+    def test_rejects_angles_outside_the_quadrant(self, theta):
+        with pytest.raises(ValueError, match="pi/2"):
+            score_f(theta, 1.0)
+
     def test_strictly_increasing_and_bounded(self):
         theta = np.linspace(0.0, math.pi / 2, 301)
         for p in ALL_ORDERS:

@@ -73,6 +73,13 @@ class TestPsi:
         with pytest.raises(ValueError):
             psi(2.0, [-0.5, 0.5])
 
+    @pytest.mark.parametrize(
+        "mu, scores", [(math.nan, [-0.5, 0.5]), (math.inf, [0.5, 0.2]), (-math.inf, [-0.5, -0.2])]
+    )
+    def test_rejects_non_finite_mu(self, mu, scores):
+        with pytest.raises(ValueError):
+            psi(mu, scores)
+
     def test_strictly_decreasing(self):
         scores = np.array([-0.7, -0.1, 0.2, 0.5])
         lo, hi = -1.0 / 0.5, 1.0 / 0.7

@@ -1,6 +1,10 @@
 """Pickands dependence functions built from discrete spectral measures."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -126,6 +130,28 @@ class TestPickandsFunction:
             PickandsFunction(
                 knots=np.array([0.0, 0.6, 0.3, 1.0]), values=np.ones(4)
             )
+
+    @pytest.mark.parametrize("v", [math.nan, [0.5, math.nan]])
+    def test_nan_argument_raises(self, v):
+        A = pickands_function(sum_norm([QUARTER_PI], [2.0]))
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            A(v)
+
+    def test_knots_leave_numpy_ma_unimported(self):
+        # a plain np.unique imports numpy.ma on its first call in a process
+        code = (
+            "import sys\n"
+            "from specmeasure.empirical import DiscreteSpectralMeasure\n"
+            "from specmeasure.pickands import pickands_function\n"
+            "phi = DiscreteSpectralMeasure.from_atoms([0.3, 1.2, 0.3], [0.5, 1.0, 0.5], 1.0)\n"
+            "assert pickands_function(phi).knots.size == 4\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_results_compare_by_identity_and_hash(self):
         # array fields make field-wise == ambiguous; identity is the equality

@@ -87,51 +87,54 @@ def sample_texts(draw):
     return text + ending if draw(st.booleans()) else text
 
 
-def every_u(values):
-    """The pseudo-observations of every row: the tail at a cut past n."""
+def every_m(values):
+    """The ranks from the top of every row: the tail at a cut past n."""
     pobs = pseudo_observations(BivariateSample(values))
-    rows, u = pobs._tail(pobs.n + 1)
+    rows, m = pobs._tail(pobs.n + 1)
     np.testing.assert_array_equal(rows, np.arange(pobs.n))
-    return u
+    return m
 
 
-def oracle_u(values):
-    """u = (n + 1 - R) / n from the counting definition of the ranks."""
-    n = len(values)
-    return (n + 1 - np.column_stack([rank_oracle(col) for col in values.T])) / n
+def oracle_m(values):
+    """m = n + 1 - R from the counting definition of the ranks."""
+    return len(values) + 1 - np.column_stack([rank_oracle(col) for col in values.T])
+
+
+def assert_ranks(got, want):
+    """Ranks equal as integers, handed out as int64."""
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, want)
 
 
 class TestRanks:
     def test_sorted_column(self):
-        u = every_u(np.array([[10.0, 30.0], [20.0, 20.0], [30.0, 10.0]]))
-        np.testing.assert_array_equal(u, [[1.0, 1.0 / 3.0], [2.0 / 3.0, 2.0 / 3.0], [1.0 / 3.0, 1.0]])
+        m = every_m(np.array([[10.0, 30.0], [20.0, 20.0], [30.0, 10.0]]))
+        assert_ranks(m, [[3, 1], [2, 2], [1, 3]])
 
     def test_pseudo_observations_hand_case(self):
         pobs = pseudo_observations(sample_of([[10, 10], [20, 20], [30, 30]]))
-        u = pobs._tail(4)[1]
-        np.testing.assert_allclose(u[:, 0], [1.0, 2.0 / 3.0, 1.0 / 3.0])
-        np.testing.assert_allclose(u[:, 1], [1.0, 2.0 / 3.0, 1.0 / 3.0])
+        assert_ranks(pobs._tail(4)[1], [[3, 3], [2, 2], [1, 1]])
         assert not pobs.tie_flag
 
     def test_single_row(self):
-        np.testing.assert_array_equal(every_u(np.array([[3.5, -2.0]])), [[1.0, 1.0]])
+        assert_ranks(every_m(np.array([[3.5, -2.0]])), [[1, 1]])
 
     def test_matches_counting_definition(self):
         rng = np.random.default_rng(5150)
         for _ in range(25):
             values = rng.integers(0, 12, size=(40, 2)).astype(float)  # many ties
-            assert every_u(values).tobytes() == oracle_u(values).tobytes()
+            assert_ranks(every_m(values), oracle_m(values))
 
     def test_ties_get_maximal_rank(self):
         # ranks 3, 3, 1 in the first column
-        u = every_u(np.array([[5.0, 1.0], [5.0, 2.0], [1.0, 3.0]]))
-        np.testing.assert_array_equal(u[:, 0], [1.0 / 3.0, 1.0 / 3.0, 1.0])
+        m = every_m(np.array([[5.0, 1.0], [5.0, 2.0], [1.0, 3.0]]))
+        assert_ranks(m[:, 0], [1, 1, 3])
 
     def test_column_sum_without_ties(self):
         rng = np.random.default_rng(99)
         n = 101
-        u = every_u(rng.standard_normal((n, 2)))
-        np.testing.assert_allclose(u.sum(axis=0), (n + 1) / 2.0, rtol=1e-12)
+        m = every_m(rng.standard_normal((n, 2)))
+        assert_ranks(m.sum(axis=0), [n * (n + 1) // 2] * 2)
 
     def test_monotone_transform_bitwise_invariance(self):
         rng = np.random.default_rng(31)
@@ -139,7 +142,7 @@ class TestRanks:
         base = pseudo_observations(BivariateSample(values))
         transformed = np.column_stack([np.exp(values[:, 0]), values[:, 1] ** 3])
         other = pseudo_observations(BivariateSample(transformed))
-        assert np.array_equal(every_u(values), every_u(transformed))
+        assert_ranks(every_m(transformed), every_m(values))
         assert base.tie_flag == other.tie_flag
 
     def test_tie_flag_set(self):
@@ -158,7 +161,7 @@ class TestRanks:
     @example([[-0.0, 1.0], [0.0, 1.0]])
     def test_ranks_and_tie_flag_on_tie_heavy_columns(self, rows):
         values = np.asarray(rows, dtype=float)
-        assert every_u(values).tobytes() == oracle_u(values).tobytes()
+        assert_ranks(every_m(values), oracle_m(values))
         tied = any(len(set(col.tolist())) < len(col) for col in values.T)
         assert pseudo_observations(BivariateSample(values)).tie_flag == tied
 
@@ -180,7 +183,7 @@ class TestRanks:
         values = np.where(
             rng.random((n, 2)) < special_share, rng.choice(specials, (n, 2)), rng.choice(pool, (n, 2))
         )
-        assert every_u(values).tobytes() == oracle_u(values).tobytes()
+        assert_ranks(every_m(values), oracle_m(values))
         tied = any(len(set(col.tolist())) < n for col in values.T)
         assert pseudo_observations(BivariateSample(values)).tie_flag == tied
 
@@ -190,8 +193,9 @@ class TestRanks:
         assert not pseudo_observations(BivariateSample(values)).tie_flag
         values[7321, 1] = values[15, 1]
         assert pseudo_observations(BivariateSample(values)).tie_flag
-        u = every_u(values)[:, 1]
-        assert u[7321] == u[15] and u.tobytes() == oracle_u(values)[:, 1].tobytes()
+        m = every_m(values)[:, 1]
+        assert m[7321] == m[15]
+        assert_ranks(m, oracle_m(values)[:, 1])
 
 
 class TestTail:
@@ -204,9 +208,9 @@ class TestTail:
         pobs = pseudo_observations(BivariateSample(values))
         counts = np.column_stack([rank_oracle(col) for col in values.T])
         for m in range(1, n + 1):
-            rows, u = pobs._tail(m)
+            rows, ranks = pobs._tail(m)
             np.testing.assert_array_equal(rows, np.flatnonzero((counts >= n + 1 - m).any(axis=1)))
-            assert u.tobytes() == ((n + 1 - counts[rows]) / n).tobytes()
+            assert_ranks(ranks, n + 1 - counts[rows])
         for m in (n + 1, n + 3):  # a cut past n keeps every row
             np.testing.assert_array_equal(pobs._tail(m)[0], np.arange(n))
         # the rank-sum rule: distinct maximal ranks sum to n(n+1)/2, and a
@@ -307,11 +311,11 @@ class TestPieceBoundaries:
         values = np.random.default_rng(2009).standard_normal((n, 2))
         for m in [1, 2, 401]:
             pobs = pseudo_observations(BivariateSample(values))
-            rows, u = pobs._tail(m)
+            rows, ranks = pobs._tail(m)
             cuts = np.sort(values, axis=0)[n - m]
             np.testing.assert_array_equal(rows, np.flatnonzero((values >= cuts).any(axis=1)))
             counts = np.column_stack([rank_oracle(col, col[rows]) for col in values.T])
-            assert u.tobytes() == ((n + 1 - counts) / n).tobytes()
+            assert_ranks(ranks, n + 1 - counts)
             assert not pobs.tie_flag
         values[n - 1, 1] = values[0, 1]
         assert pseudo_observations(BivariateSample(values)).tie_flag
