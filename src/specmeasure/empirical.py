@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Iterable
 import numpy as np
 
 from .lp_geometry import _check_angles, check_norm_order, lp_norm, score_f
-from .pseudo_obs import PseudoObservations
+from .pseudo_obs import PseudoObservations, _tails
 
 if TYPE_CHECKING:
     from .mele import MultiplierSolution
@@ -163,9 +163,9 @@ def _grid(ks, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _select(batch: Iterable[PseudoObservations], grid: tuple, p: float):
     """The rule of :func:`select_extremes` at every k of a ``grid`` (see
-    :func:`_grid`) at once, for a batch of samples of one size n.  Each
-    sample ranks its own candidate rows (``PseudoObservations._tail``);
-    the rest runs on the candidates of the whole batch as one array.  One
+    :func:`_grid`) at once, for a batch of samples of one size n.  The
+    batch's candidate rows are ranked in one pass (``pseudo_obs._tails``),
+    and the rest runs on them as one array.  One
     L_p norm per candidate row serves every k, the members at the largest
     k are the union, and each member's entry counts the k at which it is
     not a member: the float rule by one binary search of its norm among
@@ -176,16 +176,13 @@ def _select(batch: Iterable[PseudoObservations], grid: tuple, p: float):
     p = check_norm_order(p)
     ks, threshold = grid
     k_max = int(ks.max())
-    tails = []
-    for pobs in batch:
-        n = pobs.n
-        # a norm is at most 2 n / min(m1, m2), so only rows in the top
-        # 2 k_max + 1 of a column reach the largest k's band,
-        # (1 - 2 MARGIN) n / k_max
-        tails.append(pobs._tail(2 * k_max + 1))
-    bounds = np.cumsum([0] + [tail.size for tail, _ in tails])
-    tail, m = (np.concatenate(part) for part in zip(*tails))
-    del tails  # the batch's candidates are held once
+    batch = list(batch)
+    n = batch[0].n
+    # a norm is at most 2 n / min(m1, m2), so only rows in the top
+    # 2 k_max + 1 of a column reach the largest k's band,
+    # (1 - 2 MARGIN) n / k_max
+    tail, m, size = _tails(batch, 2 * k_max + 1)
+    bounds = np.concatenate(([0], np.cumsum(size)))
     u1, u2 = (m / n).T
     norm = lp_norm(1.0 / u1, 1.0 / u2, p)
     rows = np.flatnonzero(norm >= (1.0 - 2.0 * MARGIN) * threshold[0])
@@ -194,9 +191,11 @@ def _select(batch: Iterable[PseudoObservations], grid: tuple, p: float):
         # the float rule counts the thresholds up to a norm; it is certain
         # unless one lies within 2 MARGIN of the norm, and those rows are
         # decided again from their ranks
-        low, high = (np.searchsorted(threshold, norm * (1.0 + s * MARGIN)) for s in (-2.0, 2.0))
+        low = np.searchsorted(threshold, norm * (1.0 - 2.0 * MARGIN))
         entry = ks.size - low
-        near = np.flatnonzero(low != high)
+        # the first threshold at or above the band's low end lies in it
+        band = threshold.take(low, mode="clip") < norm * (1.0 + 2.0 * MARGIN)
+        near = np.flatnonzero(band & (low < ks.size))
         if near.size:
             entry[near] = ks.size - np.sum(_members(norm[near], m[rows[near]], ks, n, p), axis=0)
     else:

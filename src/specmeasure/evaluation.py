@@ -296,9 +296,9 @@ def _passes(model: SpectralModel, n: int, k_grid, interval: tuple, seed, reps):
     index into ``reps`` and solve the columns of ``mele._solve_rows``.
 
     Replications go in selection batches of ``_CELLS // (2 n)`` (at least
-    one), each with one selection of all its samples; a block makes one
-    ``cdf_integrals`` call for the cell edges of its replications and one
-    row-wise solve, and forms the atom weights, the normalizers and the
+    one), each with one rank pass and one selection of all its samples and
+    one ``cdf_integrals`` call for all its cell edges; a block makes one
+    row-wise solve and forms the atom weights, the normalizers and the
     ISEs of all its (replication, k) rows at once.
     """
     k_grid = np.asarray(k_grid)
@@ -315,44 +315,44 @@ def _passes(model: SpectralModel, n: int, k_grid, interval: tuple, seed, reps):
             for rep in reps[first : first + batch]
         )
         tail = _TailGrid(*_select(samples, grid, model.p), grid[0], position, interval)
+        cells = _cells(model, tail.edges, tail.edge_start)
         for block in _blocks(tail.size, k_grid.size):
-            rep, k, *scores = _scored(tail, block, model)
+            rep, k, *scores = _scored(tail, cells, block)
             yield first + rep, k, *scores
-        del tail  # before the next batch is drawn
+        del tail, cells  # before the next batch is drawn
 
 
-def _scored(grid: _TailGrid, block: list, model: SpectralModel):
+def _scored(grid: _TailGrid, cells: tuple, block: list):
     """The rows of one block of a grid: (sample, k index, emp, mel, solve),
     from one row-wise MELE solve, both estimators' atom weights, the
     normalizers, checked on each row's members, and one ISE pass per
-    estimator; the block's arrays go when it is done, each cell array as
-    soon as it is used."""
+    estimator, on the block's samples' rows of the grid's ``cells``
+    (:func:`_cells`), cut to the block's widest; the block's arrays go
+    when it is done, each cell array as soon as it is used."""
     rows = _Segments(grid, block)
-    first, last = block[0][0], block[-1][0]
-    edges = slice(grid.edge_start[first], grid.edge_start[last + 1])
-    cells = _cells(model, grid.edges[edges], grid.edge_start[first : last + 2] - edges.start)
-    width = cells[0].shape[1]
-    bins = grid.column[rows.cells]
-    bins += np.repeat(rows.slot * width, rows.length)
+    width_rows, mean_rows, size, spread = cells
+    reps = slice(block[0][0], block[-1][0] + 1)
+    width = int(size[reps].max()) + 2
+    cells = width_rows[reps, :width], mean_rows[reps, :width], size[reps], spread[reps]
 
     a = grid.scores[rows.cells]
-    solve = _solve_rows(a, rows.starts)
+    solve = _solve_rows(a, rows.starts, rows.length)
     # an infeasible row's weights, and so its normalizer, are NaN
     weights = _weight_rows(solve[0], a, rows.length)
     del a
     weights[rows.starts] = 0.0  # the zero cells weigh nothing
     factors = (np.take(factor, rows.cells) for factor in (grid.sin, grid.cos))
     scale = 1.0 / _normalizers(weights, factors, rows.starts)
+    bins = grid.column[rows.cells]
+    bins += np.repeat(rows.slot * width, rows.length)
     mel = rows.per_atom(bins, weights, width)
     row_scale = np.zeros(mel.shape[0])  # of each row of step columns
     row_scale[rows.slot] = scale
     mel *= row_scale[:, None]
+    mel = _ise_rows(cells, mel)[rows.slot]  # each row array goes before the next is made
     weights = np.repeat(1.0 / grid.ks[rows.k], rows.length)
     weights[rows.starts] = 0.0
-    emp = rows.per_atom(bins, weights, width)
-    del weights, bins
-
-    emp, mel = (_ise_rows(cells, steps)[rows.slot] for steps in (emp, mel))
+    emp = _ise_rows(cells, rows.per_atom(bins, weights, width))[rows.slot]
     return rows.rep, rows.k, emp, mel, solve
 
 
@@ -406,13 +406,13 @@ def mise_sweep(
 
     The replications are an array axis.  Each draws its own sample, and
     the samples of a selection batch (as many as fit ``_CELLS`` sample
-    values) are selected at once, the k grid checked once per sweep.
-    Consecutive replications of a batch are then scored together, in
-    blocks within a fixed budget of (replication, k, member) cells, a
-    replication's k split over blocks where they exceed it: a block's MELE
-    rows are solved at once, Newton trips evaluating only the open rows;
-    its cell edges take one truth-integral call, and its atom weights,
-    normalizers and ISEs are one pass each over all its rows.  The solver
+    values) are ranked and selected at once, the k grid checked once per
+    sweep, and their cell edges take one truth-integral call.  Consecutive
+    replications of a batch are then scored together, in blocks within a
+    fixed budget of (replication, k, member) cells, a replication's k
+    split over blocks where they exceed it: a block's MELE rows are solved
+    at once, a Newton trip a few dozen calls on the open rows' state, and
+    its atom weights, normalizers and ISEs are one pass each.  The solver
     statistics are read as arrays.  Each row's values depend on its own
     cells only, so every replication's ISEs are bitwise those of
     :func:`replication_ise`, whatever batch or block it falls in.

@@ -106,7 +106,7 @@ def _segment(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _psi_rows(mu: np.ndarray, a: np.ndarray, starts, length) -> tuple[np.ndarray, np.ndarray]:
     """Psi and its slope at mu[i] for each segment of ``a``: a zero cell at
     starts[i], then length[i] - 1 scores (see :func:`_segment`)."""
-    t = np.repeat(mu, length)
+    t = mu.repeat(length)
     t *= a
     t += 1.0
     np.divide(a, t, out=t)  # A / (1 + mu A)
@@ -160,7 +160,7 @@ def solve_multiplier(scores) -> MultiplierSolution:
         If the scores do not straddle zero (no interior root exists).
     """
     a = _check_scores(scores)
-    (solution,) = _solutions(_solve_rows(*_segment(a)[:2]))
+    (solution,) = _solutions(_solve_rows(*_segment(a)))
     if solution is None:
         raise ConstraintInfeasible(a)
     return solution
@@ -176,81 +176,101 @@ def _solutions(rows) -> list:
     ]
 
 
-def _solve_rows(a: np.ndarray, starts: np.ndarray):
+def _solve_rows(a: np.ndarray, starts: np.ndarray, length: np.ndarray):
     """:func:`solve_multiplier` on every segment of ``a`` at once: segment i
-    is a zero cell at starts[i], then its scores (see :func:`_segment`).
-    Each segment has its own bracket, iterate and stop rule.  A Newton
-    trip evaluates Psi on the open segments only, their cells gathered
-    into one array again whenever some close, so a segment's solution
-    depends on its own cells only.  Returns arrays of each segment's
-    root, residual, Psi evaluations and feasible interval; root and
-    residual are NaN for a segment whose scores do not straddle zero."""
-    length = np.diff(starts, append=a.size)
+    is a zero cell at starts[i], then its scores, ``length[i]`` cells in
+    all (see :func:`_segment`).  Each segment has its own bracket, iterate
+    and stop rule (:func:`_newton`), so its solution depends on its own
+    cells only.  Returns arrays of each segment's root, residual, Psi
+    evaluations and feasible interval; root and residual are NaN for a
+    segment whose scores do not straddle zero."""
     count = length - 1
     smin, smax = np.minimum.reduceat(a, starts), np.maximum.reduceat(a, starts)
     zero = (smin == 0.0) & (smax == 0.0)
-    with np.errstate(divide="ignore"):
-        lo = np.where(zero, -math.inf, -1.0 / smax)
-        hi = np.where(zero, math.inf, -1.0 / smin)
-    evals = np.zeros(starts.size, dtype=np.int64)
     straddle = (smin < 0.0) & (smax > 0.0)
     root, value = np.where(zero | straddle, 0.0, math.nan), np.zeros(starts.size)
-
-    rows = np.flatnonzero(straddle)
-    f0 = np.add.reduceat(a, starts)[rows] / count[rows]  # Psi(0), the mean score
-    rows, f0 = rows[f0 != 0.0], f0[f0 != 0.0]
-    # the cells of the open segments, by their starts and lengths
-    open_rows = np.zeros(starts.size, dtype=bool)
-    open_rows[rows] = True
-    cells, span = a if open_rows.all() else a[np.repeat(open_rows, length)], length[rows]
-
-    def f(j: np.ndarray, mu: np.ndarray):
-        evals[rows[j]] += 1
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return _psi_rows(mu, cells, np.cumsum(span) - span, span)
-
-    # sign bracket (blo, bhi): Psi decreases from +inf at lo to -inf at hi,
-    # so 0 and the feasible end on the root's side enclose the root
-    blo = np.where(f0 > 0.0, 0.0, lo[rows])
-    bhi = np.where(f0 > 0.0, hi[rows], 0.0)
-
-    # warm start at the first-order multiplier if it falls inside the bracket
-    mu_bar = f0 / (np.add.reduceat(a * a, starts)[rows] / count[rows])
-    x = np.where((blo < mu_bar) & (mu_bar < bhi), mu_bar, 0.5 * (blo + bhi))
-    j = np.arange(rows.size)
-    fx, slope = f(j, x)
-    best_x, best_f = x.copy(), fx.copy()
-    for _ in range(SOLVER_MAX_ITER):
-        if not j.size:
-            break
-        xj, fj, sj = x[j], fx[j], slope[j]
-        better = np.abs(fj) < np.abs(best_f[j])
-        best_x[j[better]], best_f[j[better]] = xj[better], fj[better]
-        blo[j] = np.where(fj > 0.0, xj, blo[j])
-        bhi[j] = np.where(fj < 0.0, xj, bhi[j])
-        bx, bl, bh = best_x[j], blo[j], bhi[j]
-        width = WIDTH_TOL * (1.0 + np.abs(bx))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cand = np.where((sj < 0.0) & np.isfinite(sj), xj - fj / sj, math.nan)
-        # Newton has converged: close the bracket half a width past the root
-        cand = np.where(np.abs(cand - xj) < 0.5 * width, xj + np.copysign(0.5 * width, fj), cand)
-        cand = np.where((bl < cand) & (cand < bh), cand, 0.5 * (bl + bh))
-        # stop at an exact root, once the larger of the moment error |Psi|
-        # and the mass error |mu Psi| meets SOLVER_TOL on a closed bracket, or
-        # when no new point is left
-        done = (
-            ~((fj > 0.0) | (fj < 0.0))
-            | ((np.abs(best_f[j]) * np.maximum(1.0, np.abs(bx)) <= SOLVER_TOL) & (bh - bl <= width))
-            | (cand == bl) | (cand == bh) | (cand == xj)
-        )
-        if np.any(done):
-            cells, span = cells[np.repeat(~done, span)], span[~done]
-            j, cand = j[~done], cand[~done]
-        x[j] = cand
-        fx[j], slope[j] = f(j, cand)
-    root[rows], value[rows] = best_x, np.abs(best_f)
+    evals = np.zeros(starts.size, dtype=np.int64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lo = np.where(zero, -math.inf, -1.0 / smax)
+        hi = np.where(zero, math.inf, -1.0 / smin)
+        rows = np.flatnonzero(straddle)
+        f0 = np.add.reduceat(a, starts)[rows] / count[rows]  # Psi(0), the mean score
+        rows, f0 = rows[f0 != 0.0], f0[f0 != 0.0]
+        if rows.size:
+            # warm start at the first-order multiplier if it falls inside the bracket
+            mu_bar = f0 / (np.add.reduceat(a * a, starts)[rows] / count[rows])
+            solved = _newton(_gather(a, length, rows), length[rows], f0, mu_bar, lo[rows], hi[rows])
+            root[rows], value[rows], evals[rows] = solved
     value[np.isnan(root)] = math.nan
     return root, value, evals, lo, hi
+
+
+def _newton(cells, span, f0, mu_bar, lo, hi):
+    """The Newton trips of :func:`_solve_rows` on segments of ``span`` cells
+    of ``cells`` whose mean scores ``f0`` are not zero: each one's root,
+    residual and Psi evaluations.  The state of the segments held is one
+    array, a column each, and a trip takes the open ones' columns, so that
+    it is a few dozen calls on small arrays.  Psi is evaluated on all held
+    cells, a closed segment's at its last point; they are gathered again
+    once closed segments hold most of them."""
+    out, evals = np.empty((2, f0.size)), np.full(f0.size, SOLVER_MAX_ITER + 1)
+    # per held segment: iterate x, Psi f, the best point bx and its Psi bf,
+    # the slope and the sign bracket (bl, bh); Psi falls from +inf at lo to
+    # -inf at hi, so 0 and the feasible end on the root's side enclose it
+    state = np.empty((7, f0.size))
+    x, f, bx, bf, slope, bl, bh = state
+    bl[:], bh[:] = np.where(f0 > 0.0, 0.0, lo), np.where(f0 > 0.0, hi, 0.0)
+    x[:] = np.where((bl < mu_bar) & (mu_bar < bh), mu_bar, 0.5 * (bl + bh))
+    held, first, open_ = np.arange(f0.size), np.cumsum(span) - span, None  # None: all open
+    state[1], state[4] = _psi_rows(x, cells, first, span)
+    state[2:4] = state[0:2]
+    for trip in range(1, SOLVER_MAX_ITER + 1):
+        live = state if open_ is None else state[:, open_]
+        x, f, bx, bf, slope, bl, bh = live
+        size = np.abs(live[:4])
+        better = size[1] < size[3]
+        np.copyto(live[2:4], live[0:2], where=better)
+        np.copyto(size[2:4], size[0:2], where=better)  # |bx| and |bf| of the best point
+        np.copyto(bl, x, where=f > 0.0)
+        np.copyto(bh, x, where=f < 0.0)
+        width = WIDTH_TOL * (1.0 + size[2])
+        half = 0.5 * width
+        # Newton has converged: close the bracket half a width past the
+        # root; a step that is not finite, or leaves the bracket, bisects
+        cand = x - f / slope
+        np.copyto(cand, x + np.copysign(half, f), where=np.abs(cand - x) < half)
+        inside = (bl < cand) & (cand < bh) & (slope > -math.inf)
+        np.copyto(cand, 0.5 * (bl + bh), where=~inside)
+        # stop at an exact root, once the larger of the moment error |Psi|
+        # and the mass error |mu Psi| meets SOLVER_TOL on a closed bracket,
+        # or when no new point is left (x is a bracket end by now)
+        done = ~(size[1] > 0.0) | (cand == bl) | (cand == bh)
+        done |= (size[3] * np.maximum(1.0, size[2]) <= SOLVER_TOL) & (bh - bl <= width)
+        np.copyto(x, cand, where=~done)
+        if open_ is not None:
+            state[:, open_] = live
+        if np.count_nonzero(done):
+            evals[held[np.flatnonzero(done) if open_ is None else open_[done]]] = trip
+            open_ = np.flatnonzero(~done) if open_ is None else open_[~done]
+            if not open_.size:
+                break
+            if 2 * span[open_].sum() < cells.size:  # closed segments hold most cells
+                out[:, held] = state[2], np.abs(state[3])
+                cells, span = _gather(cells, span, open_), span[open_]
+                state, held = state[:, open_], held[open_]
+                first, open_ = np.cumsum(span) - span, None
+        state[1], state[4] = _psi_rows(state[0], cells, first, span)
+    out[:, held] = state[2], np.abs(state[3])
+    return out[0], out[1], evals
+
+
+def _gather(cells: np.ndarray, span: np.ndarray, segments: np.ndarray) -> np.ndarray:
+    """The cells of the given segments, of ``span`` cells each, in order."""
+    if segments.size == span.size:
+        return cells
+    keep = np.zeros(span.size, dtype=bool)
+    keep[segments] = True
+    return cells[np.repeat(keep, span)]
 
 
 def _weight_rows(mu: np.ndarray, a: np.ndarray, length) -> np.ndarray:

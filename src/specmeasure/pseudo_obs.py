@@ -30,7 +30,7 @@ PathOrStream = Union[str, os.PathLike, IO[str]]
 
 #: lines per np.loadtxt call; a batch it rejects goes to the line parser
 _BATCH = 1 << 13
-#: about the most values of a column that ``_tail`` sorts at once
+#: about the most values of a column that a tail sorts at once
 _PIECE = 1 << 17
 #: rows per step of a pass over the sample
 _CHUNK = 1 << 15
@@ -79,8 +79,8 @@ class PseudoObservations:
     the maximal rank ``#{l : x_lj <= x_ij}``, so ties share the larger R and
     ``tie_flag`` records whether any column had ties.  ``_tail`` hands out
     the integer m of the rows a selection can take (``_tail(n + 1)`` every
-    row), ranked in sorted pieces of about ``_PIECE`` values, no whole copy
-    of a longer column; u = m / n exists only in the selection.  ``==`` is identity."""
+    row), a column of at most ``_PIECE`` values ranked whole and a longer one
+    in sorted pieces; u = m / n exists only in the selection.  ``==`` is identity."""
 
     sample: BivariateSample
 
@@ -97,31 +97,71 @@ class PseudoObservations:
     def _tail(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         """The increasing rows whose value in either column is at least that
         column's m-th largest (a tie group at the cut goes in whole), and their
-        int64 n + 1 - R, counting R = ``#{l : x_lj <= x_ij}`` over ``_pieces``."""
-        n, values = self.n, self.sample.values
-        at = n - min(m, n)
-        if n <= _PIECE:  # one piece a column: the column sorted, its cut read off
-            walks = [[np.sort(values[:, j])] for j in (0, 1)]
-            cut0, cut1 = (walk[0][at] for walk in walks)
-        else:
-            walks = [_pieces(values[:, j]) for j in (0, 1)]
-            cut0, cut1 = (_largest(values[:, j], n - at) for j in (0, 1))
-        blocks = ((i, values[i : i + _CHUNK]) for i in range(0, n, _CHUNK))
-        high = [i + np.flatnonzero((b[:, 0] >= cut0) | (b[:, 1] >= cut1)) for i, b in blocks]
-        rows = np.concatenate(high)
-        tail = np.take(values, rows, axis=0)
-        ranks, tied = np.empty(tail.shape, dtype=np.int64), False
-        for j, walk in enumerate(walks):
-            # keys in increasing order search several times faster than in row order
-            order = np.argsort(tail[:, j])
-            keys, count = tail[order, j], 0
-            for piece in walk:
-                count = count + np.searchsorted(piece, keys, side="right")
-                tied = tied or np.count_nonzero(piece[1:] == piece[:-1]) > 0
-            ranks[order, j] = count
-            del piece  # its buffer goes before the next column's is made
-        object.__setattr__(self, "tie_flag", tied)
-        return rows, n + 1 - ranks
+        int64 n + 1 - R: the batch of one of :func:`_tails`."""
+        rows, ranks, _ = _tails([self], m)
+        return rows, ranks
+
+
+def _tails(batch: list, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``PseudoObservations._tail(m)`` of each sample of a batch of one size
+    n, concatenated, and each sample's number of rows; each sample records
+    its ``tie_flag``.  At n <= ``_PIECE`` the batch is ranked as one array:
+    one argsort of every column, whose cut is read off the sorted values and
+    where R is 1 + the position of the last value equal to x_ij.  A longer
+    column is ranked in pieces, a sample at a time (:func:`_tail_in_pieces`)."""
+    n = batch[0].n
+    if n > _PIECE:
+        rows, ranks = zip(*(_tail_in_pieces(pobs, m) for pobs in batch))
+        return np.concatenate(rows), np.concatenate(ranks), np.array([r.size for r in rows])
+    columns = np.array([pobs.sample.values.T for pobs in batch])  # (sample, column, row)
+    # each column in increasing order, as flat positions into columns
+    order = np.argsort(columns, axis=-1)
+    order += np.arange(0, columns.size, n).reshape(-1, 2, 1)
+    above = columns >= np.take(columns, order[:, :, n - min(m, n), None])
+    hit = np.flatnonzero(above[:, 0] | above[:, 1])  # sample * n + row
+    del above
+    columns.sort(axis=-1)
+    last = np.ones(order.size, dtype=bool)  # the last of its equal values in a column
+    np.not_equal(columns.ravel()[1:], columns.ravel()[:-1], out=last[:-1])
+    last[n - 1 :: n] = True
+    for pobs, distinct in zip(batch, last.reshape(len(batch), -1).all(axis=1).tolist()):
+        object.__setattr__(pobs, "tie_flag", not distinct)
+    ranks = columns.view(np.int64).ravel()  # R, in the sorted values' buffer
+    np.put(ranks, order, np.arange(1, n + 1))  # the values repeat for each column
+    tied = np.flatnonzero(~last)
+    if tied.size:
+        ends = np.flatnonzero(last)
+        ranks[order.ravel()[tied]] = ends[np.searchsorted(ends, tied)] % n + 1
+    del order
+    sample = hit // n
+    at = hit + sample * n  # the row's flat position in column 0, n more in column 1
+    top = np.stack([n + 1 - np.take(ranks, at + j * n) for j in (0, 1)], axis=1)
+    return hit - sample * n, top, np.bincount(sample, minlength=len(batch))
+
+
+def _tail_in_pieces(pobs: PseudoObservations, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_tail(m)`` of a sample of more than ``_PIECE`` rows, no whole column
+    copied: R = ``#{l : x_lj <= x_ij}`` counted over :func:`_pieces`."""
+    n, values = pobs.n, pobs.sample.values
+    at = n - min(m, n)
+    walks = [_pieces(values[:, j]) for j in (0, 1)]
+    cut0, cut1 = (_largest(values[:, j], n - at) for j in (0, 1))
+    blocks = ((i, values[i : i + _CHUNK]) for i in range(0, n, _CHUNK))
+    high = [i + np.flatnonzero((b[:, 0] >= cut0) | (b[:, 1] >= cut1)) for i, b in blocks]
+    rows = np.concatenate(high)
+    tail = np.take(values, rows, axis=0)
+    ranks, tied = np.empty(tail.shape, dtype=np.int64), False
+    for j, walk in enumerate(walks):
+        # keys in increasing order search several times faster than in row order
+        order = np.argsort(tail[:, j])
+        keys, count = tail[order, j], 0
+        for piece in walk:
+            count = count + np.searchsorted(piece, keys, side="right")
+            tied = tied or np.count_nonzero(piece[1:] == piece[:-1]) > 0
+        ranks[order, j] = count
+        del piece  # its buffer goes before the next column's is made
+    object.__setattr__(pobs, "tie_flag", tied)
+    return rows, n + 1 - ranks
 
 
 def _largest(column: np.ndarray, m: int) -> float:

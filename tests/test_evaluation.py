@@ -21,6 +21,7 @@ from specmeasure.empirical import (
 from specmeasure.evaluation import (
     ESTIMATORS,
     MiseTable,
+    _cells,
     _scored,
     _TailGrid,
     integrated_squared_error,
@@ -233,7 +234,8 @@ class TestGridPass:
         position = [order.index(i) for i in range(len(k_grid))]
         union, entry, size = _select([pobs], _grid(k_grid, n), p)
         grid = _TailGrid(union, entry, size, np.array(k_grid), position, (a, b))
-        _, _, emp, mel, solve = _scored(grid, [(0, 0, len(k_grid))], model)
+        cells = _cells(model, grid.edges, grid.edge_start)
+        _, _, emp, mel, solve = _scored(grid, cells, [(0, 0, len(k_grid))])
         solutions = _solutions(solve)
         for i, k in enumerate(k_grid):
             ang = select_extremes(pobs, k, p)
@@ -347,8 +349,8 @@ class TestGridPass:
                 assert tables[0].infeasible[1, 1] >= 1
 
     def test_one_pass_per_block(self, monkeypatch):
-        # count guard: a sweep selects once per batch of replications, and
-        # makes one row-wise solve and one truth integral call per block
+        # count guard: each batch of replications makes one selection and
+        # one truth integral call, then one row-wise solve per block
         calls = []
         model = asym_logistic_model(2.0)
         integrals = model.cdf_integrals  # built once per model, before counting
@@ -357,21 +359,30 @@ class TestGridPass:
             calls.append("cdf_integrals")
             return integrals(theta)
 
+        def counted_blocks(*args, _f=evaluation._blocks):
+            for block in _f(*args):
+                calls.append("block")
+                yield block
+
         monkeypatch.setitem(model.__dict__, "cdf_integrals", counted_integrals)
+        monkeypatch.setattr(evaluation, "_blocks", counted_blocks)
         for name in ("_select", "_solve_rows"):
             original = getattr(evaluation, name)
             monkeypatch.setattr(
                 evaluation, name, lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a)
             )
         mise_sweep(model, 1000, 40, range(10, 201, 10), seed=1)
-        blocks = calls.count("_solve_rows")
-        assert calls.count("_select") == math.ceil(40 / (evaluation._CELLS // 2000))
-        assert calls.count("cdf_integrals") == blocks < 40
+        batches = " ".join(calls).split("_select")[1:]
+        assert len(batches) == math.ceil(40 / (evaluation._CELLS // 2000))
+        for batch in batches:
+            blocks = batch.split()[1:].count("block")
+            assert batch.split() == ["cdf_integrals"] + ["block", "_solve_rows"] * blocks
+        assert 3 < calls.count("_solve_rows") < 40
 
     def test_sweep_in_bounded_memory(self):
-        # memory guard at the paper's sizes: the traced peak is about 1.0 MB
-        # at the default cell budget, 0.64 MB with one row per block and
-        # 1.5 MB at twice the budget
+        # memory guard at the paper's sizes: the traced peak is about 1.36 MB
+        # at the default cell budget, 0.44 MB with one row per block and
+        # 2.55 MB at twice the budget
         model = asym_logistic_model(2.0)
         mise_sweep(model, 1000, 1, range(10, 201, 10), seed=1)  # tables and first-call state
         tracemalloc.start()

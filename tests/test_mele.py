@@ -15,6 +15,8 @@ from specmeasure.mele import (
     WIDTH_TOL,
     ConstraintInfeasible,
     _psi_rows,
+    _segment,
+    _solve_rows,
     mele_spectral_measure,
     mele_spectral_prob,
     mele_weights,
@@ -261,6 +263,43 @@ class TestSolverWidthContract:
             # [mu - width, mu + width]
             assert exact_psi_sign(mu - width, scores) >= 0
             assert exact_psi_sign(mu + width, scores) <= 0
+
+
+@st.composite
+def solver_segments(draw):
+    """A segment's scores of each kind the row-wise solve meets: straddling
+    zero, on one side of it (zeros allowed), all zero, or a single score;
+    no score is subnormal, whose feasible end -1 / score would overflow."""
+    kind = draw(st.sampled_from(["straddling", "one-sided", "zero", "single"]))
+    score = st.floats(0.0, 1.0 - 1e-12, allow_subnormal=False)
+    if kind == "straddling":
+        return draw(straddling_scores())
+    if kind == "one-sided":
+        side = draw(st.sampled_from([1.0, -1.0]))
+        return side * np.array(draw(st.lists(score, min_size=1, max_size=50)))
+    if kind == "zero":
+        return np.zeros(draw(st.integers(1, 5)))
+    return draw(st.sampled_from([1.0, -1.0])) * np.array([draw(score)])
+
+
+class TestSolveRows:
+    """Each row of the row-wise solve is its segment's one-row solve, bit for
+    bit, whatever segments lie beside it: root, residual, evaluations and
+    both ends of the feasible interval."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(segments=st.lists(solver_segments(), min_size=1, max_size=8))
+    @example(segments=[np.array([-0.5, 0.5]), np.zeros(3), np.array([0.2]), np.array([-0.3, 0.0])])
+    @example(segments=[np.append(np.full(399, 1.0 - 1e-12), -1e-15), np.array([-0.9, 0.1])])
+    def test_rows_are_their_one_row_solves(self, segments):
+        parts = [_segment(scores) for scores in segments]
+        cells = np.concatenate([part[0] for part in parts])
+        length = np.array([part[0].size for part in parts])
+        columns = _solve_rows(cells, np.cumsum(length) - length, length)
+        for i, part in enumerate(parts):
+            for column, alone in zip(columns, _solve_rows(*part)):
+                assert column.dtype == alone.dtype
+                assert column[i : i + 1].tobytes() == alone.tobytes()
 
 
 def test_mean_evaluations_per_fit():

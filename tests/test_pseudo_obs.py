@@ -321,6 +321,64 @@ class TestPieceBoundaries:
         assert pseudo_observations(BivariateSample(values)).tie_flag
 
 
+#: values of tie-heavy columns: signed zeros and repeats
+TIED_VALUES = st.sampled_from([-0.0, 0.0, 1.0, -2.5, 3.0, 7.25])
+
+
+@st.composite
+def batches(draw):
+    """Samples of one size n, tie-heavy, some with a column of one value."""
+    n = draw(st.integers(1, 30))
+    samples = []
+    for _ in range(draw(st.integers(1, 5))):
+        values = np.array(draw(st.lists(TIED_VALUES, min_size=2 * n, max_size=2 * n)))
+        values = values.reshape(n, 2)
+        if draw(st.booleans()):
+            values[:, draw(st.integers(0, 1))] = draw(TIED_VALUES)
+        samples.append(values)
+    return samples
+
+
+class TestTailBatches:
+    """``pseudo_obs._tails`` on a batch of samples of one size: each sample's
+    rows, int64 ranks and tie flag are those of its batch of one, and its
+    ranks those of the counting definition, at the default ``_PIECE``
+    (the batch ranked as one array) and at a small one (in pieces)."""
+
+    @staticmethod
+    def check(samples, m):
+        batch = [pseudo_observations(BivariateSample(values)) for values in samples]
+        rows, ranks, size = pseudo_obs._tails(batch, m)
+        bounds = np.concatenate(([0], np.cumsum(size)))
+        for pobs, values, lo, hi in zip(batch, samples, bounds[:-1], bounds[1:]):
+            alone = pseudo_observations(BivariateSample(values))
+            alone_rows, alone_ranks = alone._tail(m)
+            np.testing.assert_array_equal(rows[lo:hi], alone_rows)
+            assert_ranks(ranks[lo:hi], alone_ranks)
+            assert pobs.tie_flag == alone.tie_flag
+            counts = np.column_stack([rank_oracle(col) for col in values.T])
+            assert_ranks(ranks[lo:hi], len(values) + 1 - counts[alone_rows])
+
+    @pytest.mark.parametrize("piece", [None, 7])
+    @settings(max_examples=60, deadline=None)
+    @given(samples=batches(), cut=st.integers(1, 40))
+    @example(samples=[np.full((9, 2), 2.5), np.arange(18.0).reshape(9, 2)], cut=3)
+    @example(samples=[np.array([[-0.0, 1.0], [0.0, 1.0], [0.0, -0.0]])] * 3, cut=1)
+    def test_batch_is_its_samples(self, piece, samples, cut):
+        with pytest.MonkeyPatch.context() as patch:
+            if piece is not None:
+                patch.setattr(pseudo_obs, "_PIECE", piece)
+            self.check(samples, cut)
+
+    def test_default_batch_against_counts(self):
+        # the sweep's batch at the paper's size: 16 samples of 1000 rows,
+        # two of them rounded to one decimal for ties
+        rng = np.random.default_rng(31)
+        samples = [rng.standard_normal((1000, 2)) for _ in range(16)]
+        samples[3], samples[11] = np.round(samples[3], 1), np.round(samples[11], 1)
+        self.check(samples, 401)
+
+
 class TestSampleValidation:
     def test_wrong_shape(self):
         with pytest.raises(InputError, match=r"\(n, 2\)"):
