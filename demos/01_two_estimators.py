@@ -13,7 +13,6 @@ from specmeasure import (
     cauchy_quadrant_model,
     empirical_spectral_measure,
     mele_spectral_measure,
-    pseudo_observations,
     select_extremes,
 )
 
@@ -21,8 +20,7 @@ model = cauchy_quadrant_model(p=1.0)
 rng = np.random.default_rng(7)
 sample = model.sample(2000, rng)
 
-pobs = pseudo_observations(sample)
-ang = select_extremes(pobs, k=60, p=1.0)
+ang = select_extremes(sample, k=60, p=1.0)
 print(f"n = {sample.n} observations, {ang.n_members} selected as extreme")
 
 empirical = empirical_spectral_measure(ang)

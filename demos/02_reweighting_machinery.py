@@ -14,7 +14,6 @@ import numpy as np
 from specmeasure import (
     cauchy_quadrant_model,
     mele_weights,
-    pseudo_observations,
     score_f,
     select_extremes,
     solve_multiplier,
@@ -22,7 +21,7 @@ from specmeasure import (
 
 rng = np.random.default_rng(11)
 sample = cauchy_quadrant_model(p=1.0).sample(800, rng)
-ang = select_extremes(pseudo_observations(sample), k=25, p=1.0)
+ang = select_extremes(sample, k=25, p=1.0)
 
 print(f"k = {ang.k}, members = {ang.n_members}")
 print(f"score range: [{ang.scores.min():+.4f}, {ang.scores.max():+.4f}]")

@@ -19,7 +19,6 @@ from specmeasure import (
     asym_logistic_model,
     mele_spectral_measure,
     pickands_function,
-    pseudo_observations,
     select_extremes,
 )
 
@@ -27,7 +26,7 @@ model = asym_logistic_model(r=2.0, p=1.0)
 rng = np.random.default_rng(21)
 sample = model.sample(3000, rng)
 
-ang = select_extremes(pseudo_observations(sample), k=80, p=1.0)
+ang = select_extremes(sample, k=80, p=1.0)
 mele = mele_spectral_measure(ang)
 A = pickands_function(mele)
 

@@ -29,7 +29,7 @@ from .models import (
     mixture_model,
 )
 from .pickands import pickands_function
-from .pseudo_obs import format_value, pseudo_observations, read_sample, write_sample, write_text
+from .pseudo_obs import format_value, read_sample, write_sample, write_text
 
 __all__ = ["build_parser", "run_cli", "main"]
 
@@ -219,10 +219,9 @@ def _read_extremes(args, p: float):
         # split lines at "\r", "\n" and "\r\n", as open() does for --input
         sys.stdin.reconfigure(newline=None)
     sample = read_sample(sys.stdin if args.input is None else args.input)
-    pobs = pseudo_observations(sample)
-    ang = select_extremes(pobs, args.k, p)
+    ang = select_extremes(sample, args.k, p)
     info = [f"n = {sample.n}", f"N = {ang.n_members}", f"k = {ang.k}", f"p = {format_value(p)}"]
-    if pobs.tie_flag:
+    if sample.tie_flag:
         info.append("ties present: maximal-rank convention applied")
     return ang, info
 

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Iterable
 import numpy as np
 
 from .lp_geometry import _check_angles, check_norm_order, lp_norm, score_f
-from .pseudo_obs import PseudoObservations, _tails
+from .pseudo_obs import BivariateSample, _tails
 
 if TYPE_CHECKING:
     from .mele import MultiplierSolution
@@ -161,18 +161,18 @@ def _grid(ks, n: int) -> tuple[np.ndarray, np.ndarray]:
     return ks, np.sort(n / ks)
 
 
-def _select(batch: Iterable[PseudoObservations], grid: tuple, p: float):
+def _select(batch: Iterable[BivariateSample], grid: tuple, p: float):
     """The rule of :func:`select_extremes` at every k of a ``grid`` (see
-    :func:`_grid`) at once, for a batch of samples of one size n.  The
-    batch's candidate rows are ranked in one pass (``pseudo_obs._tails``),
-    and the rest runs on them as one array.  One
-    L_p norm per candidate row serves every k, the members at the largest
-    k are the union, and each member's entry counts the k at which it is
-    not a member: the float rule by one binary search of its norm among
-    the thresholds n/k, and for integer p and the max norm the exact rule
-    again for the members near a threshold.  Returns the samples' unions
-    in turn, as one AngularSample whose indices are each sample's own
-    rows, the entries and each sample's number of members."""
+    :func:`_grid`) at once, for a batch of raw samples of one size n.  The
+    batch's candidate rows are ranked in one pass (``pseudo_obs._tails``,
+    which records each sample's ``tie_flag``), and the rest runs on them as
+    one array.  One L_p norm per candidate row serves every k, the members
+    at the largest k are the union, and each member's entry counts the k at
+    which it is not a member: the float rule by one binary search of its
+    norm among the thresholds n/k, and for integer p and the max norm the
+    exact rule again for the members near a threshold.  Returns the
+    samples' unions in turn, as one AngularSample whose indices are each
+    sample's own rows, the entries and each sample's number of members."""
     p = check_norm_order(p)
     ks, threshold = grid
     k_max = int(ks.max())
@@ -207,11 +207,12 @@ def _select(batch: Iterable[PseudoObservations], grid: tuple, p: float):
     return union, entry[keep], np.diff(np.searchsorted(rows, bounds))
 
 
-def select_extremes(pobs: PseudoObservations, k: int, p: float) -> AngularSample:
+def select_extremes(sample: BivariateSample, k: int, p: float) -> AngularSample:
     """Indices, angles and scores of the L_p-extreme observations.
 
-    ``pobs._tail`` gives the ranks m = n + 1 - R of each column, and an
-    observation is a member when its pseudo-observations u = m / n satisfy
+    One rank pass (``pseudo_obs._tails``, which sets ``sample.tie_flag``)
+    gives the ranks m = n + 1 - R of each column, and an observation is a
+    member when its pseudo-observations u = m / n satisfy
     ``||(1/u1, 1/u2)||_p >= n/k``, evaluated in floating point for every p.
     For integer p and the max norm the rule has exact ties (for example
     1/3 + 1/6 = 1/2), so the rows within ``MARGIN`` of n/k are decided
@@ -226,7 +227,7 @@ def select_extremes(pobs: PseudoObservations, k: int, p: float) -> AngularSample
     At least one observation is always selected (the rank-n row in
     either column qualifies for every k >= 1).
     """
-    return _select([pobs], _grid([k], pobs.n), p)[0]
+    return _select([sample], _grid([k], sample.n), p)[0]
 
 
 def empirical_spectral_measure(ang: AngularSample) -> DiscreteSpectralMeasure:

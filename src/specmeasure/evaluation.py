@@ -18,7 +18,7 @@ import numpy as np
 from .empirical import AngularSample, DiscreteSpectralMeasure, _grid, _moment_factors, _select
 from .mele import _normalizers, _solutions, _solve_rows, _weight_rows
 from .models import HALF_PI, SpectralModel, _check_integer
-from .pseudo_obs import format_value, pseudo_observations, write_text
+from .pseudo_obs import format_value, write_text
 
 __all__ = [
     "MiseTable",
@@ -311,8 +311,7 @@ def _passes(model: SpectralModel, n: int, k_grid, interval: tuple, seed, reps):
     batch = max(1, _CELLS // (2 * n))
     for first in range(0, len(reps), batch):
         samples = (
-            pseudo_observations(model.sample(n, np.random.default_rng([seed, rep])))
-            for rep in reps[first : first + batch]
+            model.sample(n, np.random.default_rng([seed, r])) for r in reps[first : first + batch]
         )
         tail = _TailGrid(*_select(samples, grid, model.p), grid[0], position, interval)
         cells = _cells(model, tail.edges, tail.edge_start)

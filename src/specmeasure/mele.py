@@ -158,11 +158,17 @@ def solve_multiplier(scores) -> MultiplierSolution:
     ------
     ConstraintInfeasible
         If the scores do not straddle zero (no interior root exists).
+    ArithmeticError
+        If the root is not met to ``SOLVER_TOL`` in ``SOLVER_MAX_ITER`` trips.
     """
     a = _check_scores(scores)
     (solution,) = _solutions(_solve_rows(*_segment(a)))
     if solution is None:
         raise ConstraintInfeasible(a)
+    if solution.iterations > SOLVER_MAX_ITER:
+        error = max(1.0, abs(solution.mu)) * solution.residual
+        raise ArithmeticError(f"multiplier not settled: {solution.iterations} evaluations of Psi "
+                              f"left max(|Psi|, |mu Psi|) = {error:.3g}")
     return solution
 
 
@@ -190,7 +196,7 @@ def _solve_rows(a: np.ndarray, starts: np.ndarray, length: np.ndarray):
     straddle = (smin < 0.0) & (smax > 0.0)
     root, value = np.where(zero | straddle, 0.0, math.nan), np.zeros(starts.size)
     evals = np.zeros(starts.size, dtype=np.int64)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         lo = np.where(zero, -math.inf, -1.0 / smax)
         hi = np.where(zero, math.inf, -1.0 / smin)
         rows = np.flatnonzero(straddle)

@@ -1,4 +1,4 @@
-"""Rank-based pseudo-observations and plain-text sample I/O.
+"""Raw samples, the ranks of their pseudo-observations, and text I/O.
 
 Raw bivariate data enter the estimators only through their within-column
 ranks, so every quantity computed downstream is invariant under strictly
@@ -20,8 +20,6 @@ __all__ = [
     "InputError",
     "ParseError",
     "BivariateSample",
-    "PseudoObservations",
-    "pseudo_observations",
     "read_sample",
     "write_sample",
 ]
@@ -50,7 +48,10 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True)
 class BivariateSample:
-    """An n-by-2 array of finite raw observations."""
+    """An n-by-2 array of finite raw observations, seen by the estimators only
+    through its ranks from the top m_ij = n + 1 - R_ij (:func:`_tails`): R_ij
+    is the maximal rank ``#{l : x_lj <= x_ij}``, so ties share the larger R,
+    and ``tie_flag``, recorded by every rank pass, tells whether any did."""
 
     values: np.ndarray
 
@@ -72,48 +73,27 @@ class BivariateSample:
     def n(self) -> int:
         return self.values.shape[0]
 
-
-@dataclass(frozen=True, eq=False)
-class PseudoObservations:
-    """A raw sample, for its ranks from the top m_ij = n + 1 - R_ij: R_ij is
-    the maximal rank ``#{l : x_lj <= x_ij}``, so ties share the larger R and
-    ``tie_flag`` records whether any column had ties.  ``_tail`` hands out
-    the integer m of the rows a selection can take (``_tail(n + 1)`` every
-    row), a column of at most ``_PIECE`` values ranked whole and a longer one
-    in sorted pieces; u = m / n exists only in the selection.  ``==`` is identity."""
-
-    sample: BivariateSample
-
-    @property
-    def n(self) -> int:
-        return self.sample.n
-
     @functools.cached_property
     def tie_flag(self) -> bool:
-        """Whether a column has equal values; every ``_tail`` records it."""
-        self._tail(1)
-        return self.tie_flag  # now an instance attribute, set by _tail
-
-    def _tail(self, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """The increasing rows whose value in either column is at least that
-        column's m-th largest (a tie group at the cut goes in whole), and their
-        int64 n + 1 - R: the batch of one of :func:`_tails`."""
-        rows, ranks, _ = _tails([self], m)
-        return rows, ranks
+        """Whether a column has equal values; every rank pass records it."""
+        _tails([self], 1)
+        return self.tie_flag  # now an instance attribute, set by _tails
 
 
 def _tails(batch: list, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``PseudoObservations._tail(m)`` of each sample of a batch of one size
-    n, concatenated, and each sample's number of rows; each sample records
-    its ``tie_flag``.  At n <= ``_PIECE`` the batch is ranked as one array:
-    one argsort of every column, whose cut is read off the sorted values and
-    where R is 1 + the position of the last value equal to x_ij.  A longer
-    column is ranked in pieces, a sample at a time (:func:`_tail_in_pieces`)."""
+    """For each sample of a batch of one size n: the increasing rows whose value
+    in either column is at least that column's m-th largest (a tie group at the
+    cut goes in whole; m > n keeps every row) and their int64 n + 1 - R, all
+    concatenated, and each sample's number of rows; each sample records its
+    ``tie_flag``.  At n <= ``_PIECE`` the batch is ranked as one array: one
+    argsort of every column, whose cut is read off the sorted values and where
+    R is 1 + the position of the last value equal to x_ij; a longer column is
+    ranked in pieces, a sample at a time (:func:`_tail_in_pieces`)."""
     n = batch[0].n
     if n > _PIECE:
-        rows, ranks = zip(*(_tail_in_pieces(pobs, m) for pobs in batch))
+        rows, ranks = zip(*(_tail_in_pieces(sample, m) for sample in batch))
         return np.concatenate(rows), np.concatenate(ranks), np.array([r.size for r in rows])
-    columns = np.array([pobs.sample.values.T for pobs in batch])  # (sample, column, row)
+    columns = np.array([sample.values.T for sample in batch])  # (sample, column, row)
     # each column in increasing order, as flat positions into columns
     order = np.argsort(columns, axis=-1)
     order += np.arange(0, columns.size, n).reshape(-1, 2, 1)
@@ -124,8 +104,8 @@ def _tails(batch: list, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     last = np.ones(order.size, dtype=bool)  # the last of its equal values in a column
     np.not_equal(columns.ravel()[1:], columns.ravel()[:-1], out=last[:-1])
     last[n - 1 :: n] = True
-    for pobs, distinct in zip(batch, last.reshape(len(batch), -1).all(axis=1).tolist()):
-        object.__setattr__(pobs, "tie_flag", not distinct)
+    for sample, distinct in zip(batch, last.reshape(len(batch), -1).all(axis=1).tolist()):
+        object.__setattr__(sample, "tie_flag", not distinct)
     ranks = columns.view(np.int64).ravel()  # R, in the sorted values' buffer
     np.put(ranks, order, np.arange(1, n + 1))  # the values repeat for each column
     tied = np.flatnonzero(~last)
@@ -139,10 +119,10 @@ def _tails(batch: list, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return hit - sample * n, top, np.bincount(sample, minlength=len(batch))
 
 
-def _tail_in_pieces(pobs: PseudoObservations, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_tail(m)`` of a sample of more than ``_PIECE`` rows, no whole column
-    copied: R = ``#{l : x_lj <= x_ij}`` counted over :func:`_pieces`."""
-    n, values = pobs.n, pobs.sample.values
+def _tail_in_pieces(sample: BivariateSample, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_tails` of one sample of more than ``_PIECE`` rows, no whole
+    column copied: R = ``#{l : x_lj <= x_ij}`` counted over :func:`_pieces`."""
+    n, values = sample.n, sample.values
     at = n - min(m, n)
     walks = [_pieces(values[:, j]) for j in (0, 1)]
     cut0, cut1 = (_largest(values[:, j], n - at) for j in (0, 1))
@@ -160,7 +140,7 @@ def _tail_in_pieces(pobs: PseudoObservations, m: int) -> tuple[np.ndarray, np.nd
             tied = tied or np.count_nonzero(piece[1:] == piece[:-1]) > 0
         ranks[order, j] = count
         del piece  # its buffer goes before the next column's is made
-    object.__setattr__(pobs, "tie_flag", tied)
+    object.__setattr__(sample, "tie_flag", tied)
     return rows, n + 1 - ranks
 
 
@@ -195,11 +175,6 @@ def _pieces(column: np.ndarray):
             size += keep.size
         piece[:size].sort()
         yield piece[:size]
-
-
-def pseudo_observations(sample: BivariateSample) -> PseudoObservations:
-    """The pseudo-observations of a raw sample, ranked only by ``_tail``."""
-    return PseudoObservations(sample)
 
 
 def read_sample(source: PathOrStream) -> BivariateSample:

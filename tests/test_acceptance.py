@@ -28,7 +28,7 @@ from specmeasure.models import (
     sample_logistic,
 )
 from specmeasure.pickands import pickands_function
-from specmeasure.pseudo_obs import pseudo_observations, read_sample
+from specmeasure.pseudo_obs import read_sample
 
 from oracles import (
     asym_logistic_joint_cdf,
@@ -63,9 +63,8 @@ def test_moment_constraint_guarantee():
     worst_score = worst_sum = worst_mass = 0.0
     for i in range(100):
         sample = model.sample(1000, np.random.default_rng([101, i]))
-        pobs = pseudo_observations(sample)
         for p in [1.0, 2.0, math.inf]:
-            ang = select_extremes(pobs, 30, p)
+            ang = select_extremes(sample, 30, p)
             solution = solve_multiplier(ang.scores)
             weights = mele_weights(solution, ang.scores)
             balance = abs(float(weights @ score_f(ang.angles, p)))
@@ -117,7 +116,7 @@ def cdf_at_quarter_pi():
     model = cauchy_quadrant_model(1.0)
     for rep in range(200):
         sample = model.sample(1000, np.random.default_rng([303, rep]))
-        ang = select_extremes(pseudo_observations(sample), 30, 1.0)
+        ang = select_extremes(sample, 30, 1.0)
         values[rep] = mele_spectral_measure(ang).cdf(QUARTER_PI)
     return values
 
@@ -185,7 +184,7 @@ def test_dependence_function_genuineness():
     mids = np.empty(100)
     for i in range(100):
         sample = sample_logistic(1000, 2.0, np.random.default_rng([505, i]))
-        ang = select_extremes(pseudo_observations(sample), 40, 1.0)
+        ang = select_extremes(sample, 40, 1.0)
         A = pickands_function(mele_spectral_measure(ang))
         assert abs(A(0.0) - 1.0) <= 1e-8
         assert abs(A(1.0) - 1.0) <= 1e-8

@@ -11,11 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from specmeasure import __version__
+from specmeasure import __version__, empirical, pseudo_obs
 from specmeasure.cli import run_cli
 from specmeasure.empirical import select_extremes
 from specmeasure.mele import SOLVER_TOL, mele_spectral_measure
-from specmeasure.pseudo_obs import format_value, pseudo_observations, read_sample
+from specmeasure.pseudo_obs import format_value, read_sample
 
 from oracles import scores_feasible
 
@@ -61,6 +61,24 @@ class TestExitCodes:
                    "--seed", "1", "--interval", "0.9,0.1") == 2
         assert run("simulate", "--model", "logistic", "--r", "2",
                    "--n", "5", "--seed", "18446744073709551616") == 2
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--k-grid", "10:x:5", "non-integer component"),
+            ("--k-grid", "50:10:5", "1 <= a <= b and step >= 1"),
+            ("--k-grid", "10:50:0", "1 <= a <= b and step >= 1"),
+            ("--interval", "0.5", "expected a,b"),
+            ("--interval", "0.1,0.2,0.3", "expected a,b"),
+            ("--interval", "a,0.5", "non-numeric endpoint"),
+        ],
+        ids=["grid-non-integer", "grid-reversed", "grid-zero-step", "interval-one-part",
+             "interval-three-parts", "interval-non-numeric"],
+    )
+    def test_benchmark_grid_and_interval_grammar(self, capsys, flag, value, message):
+        assert run("benchmark", "--model", "cauchy-quadrant", "--n", "50",
+                   "--seed", "1", flag, value) == 2
+        assert message in capsys.readouterr().err
 
     def test_model_parameter_grammar(self, capsys):
         # logistic and mixture need --r; the Cauchy models reject it
@@ -200,8 +218,8 @@ class TestEstimate:
     def test_multiplier_is_the_library_solve(self, tmp_path, capsys, p):
         data = simulate_file(tmp_path, n=400, seed=8)
         assert run("estimate", "--k", "40", "--p", p, "--input", str(data)) == 0
-        pobs = pseudo_observations(read_sample(str(data)))
-        ang = select_extremes(pobs, 40, math.inf if p == "inf" else float(p))
+        sample = read_sample(str(data))
+        ang = select_extremes(sample, 40, math.inf if p == "inf" else float(p))
         solution = mele_spectral_measure(ang).solution
         info = summary(capsys.readouterr().err)
         assert info["multiplier"] == format_value(solution.mu)
@@ -350,6 +368,25 @@ class TestPickands:
         keys = ["n", "N", "k", "p", "multiplier", "solver residual"]
         assert list(info) == keys
         assert info == {key: from_estimate[key] for key in keys}
+
+    @pytest.mark.parametrize("command", ["estimate", "pickands"])
+    def test_one_rank_pass_reports_ties(self, tmp_path, capsys, monkeypatch, command):
+        # the tie flag is read off the selection's own rank pass
+        data = tmp_path / "tied.csv"
+        values = np.round(read_sample(str(simulate_file(tmp_path, seed=4))).values, 1)
+        data.write_text("x,y\n" + "".join(f"{a},{b}\n" for a, b in values))
+        passes = []
+
+        def counted(batch, m):
+            passes.append(m)
+            return tails(batch, m)
+
+        tails = pseudo_obs._tails
+        monkeypatch.setattr(pseudo_obs, "_tails", counted)
+        monkeypatch.setattr(empirical, "_tails", counted)
+        assert run(command, "--k", "20", "--input", str(data)) == 0
+        assert len(passes) == 1
+        assert "# ties present: maximal-rank convention applied" in capsys.readouterr().err
 
     def test_stderr_reports_ties(self, tmp_path, capsys):
         data = tmp_path / "tied.csv"

@@ -22,14 +22,14 @@ from specmeasure.cli import run_cli
 from specmeasure.evaluation import replication_ise
 from specmeasure.mele import mele_spectral_measure, mele_spectral_prob
 from specmeasure.models import asym_logistic_model, cauchy_quadrant_model
-from specmeasure.pseudo_obs import BivariateSample, pseudo_observations, write_sample
+from specmeasure.pseudo_obs import BivariateSample, _tails, write_sample
 
 from oracles import membership_oracle
 
 
-def top_ranks(pobs):
+def top_ranks(sample):
     """Each row's rank from the top of its column, m = n + 1 - R."""
-    return pobs._tail(pobs.n + 1)[1]
+    return _tails([sample], sample.n + 1)[1]
 
 
 def data_with_ranks(r1, r2):
@@ -42,7 +42,7 @@ def data_with_ranks(r1, r2):
 @pytest.fixture
 def four_point():
     # rank pairs (4,4), (3,1), (2,3), (1,2)
-    return pseudo_observations(data_with_ranks([4, 3, 2, 1], [4, 1, 3, 2]))
+    return data_with_ranks([4, 3, 2, 1], [4, 1, 3, 2])
 
 
 class TestSelection:
@@ -68,10 +68,8 @@ class TestSelection:
     def test_exact_threshold_tie_is_a_member(self):
         # ranks give 1/3 + 1/6 = 1/2 exactly at the k = 2 threshold;
         # integer arithmetic must not lose the equality
-        pobs = pseudo_observations(
-            data_with_ranks([4, 1, 2, 3, 5, 6], [1, 2, 3, 4, 5, 6])
-        )
-        ang = select_extremes(pobs, 2, 1.0)
+        sample = data_with_ranks([4, 1, 2, 3, 5, 6], [1, 2, 3, 4, 5, 6])
+        ang = select_extremes(sample, 2, 1.0)
         assert 0 in ang.indices
 
     def test_matches_exact_rank_rule(self):
@@ -79,12 +77,10 @@ class TestSelection:
         n = 60
         for p in [1.0, 2.0, 3.0, 5.0, math.inf]:
             for _ in range(5):
-                pobs = pseudo_observations(
-                    BivariateSample(rng.standard_normal((n, 2)))
-                )
-                m = top_ranks(pobs)
+                sample = BivariateSample(rng.standard_normal((n, 2)))
+                m = top_ranks(sample)
                 for k in [1, 5, 17, 60]:
-                    ang = select_extremes(pobs, k, p)
+                    ang = select_extremes(sample, k, p)
                     expected = [
                         i
                         for i in range(n)
@@ -98,10 +94,10 @@ class TestSelection:
         # max-norm rule decides)
         rng = np.random.default_rng(77)
         n = 50
-        pobs = pseudo_observations(BivariateSample(rng.standard_normal((n, 2))))
-        m = top_ranks(pobs)
+        sample = BivariateSample(rng.standard_normal((n, 2)))
+        m = top_ranks(sample)
         for k in [2, 9, 25]:
-            ang = select_extremes(pobs, k, 16.0)
+            ang = select_extremes(sample, k, 16.0)
             expected = [
                 i for i in range(n) if membership_oracle(int(m[i, 0]), int(m[i, 1]), k, 16.0)
             ]
@@ -110,9 +106,9 @@ class TestSelection:
     def test_fractional_order_agrees_with_float_rule(self):
         rng = np.random.default_rng(21)
         n = 40
-        pobs = pseudo_observations(BivariateSample(rng.standard_normal((n, 2))))
-        m = top_ranks(pobs)
-        ang = select_extremes(pobs, 7, 2.5)
+        sample = BivariateSample(rng.standard_normal((n, 2)))
+        m = top_ranks(sample)
+        ang = select_extremes(sample, 7, 2.5)
         expected = [
             i for i in range(n) if membership_oracle(int(m[i, 0]), int(m[i, 1]), 7, 2.5)
         ]
@@ -120,27 +116,25 @@ class TestSelection:
 
     def test_membership_shrinks_as_order_grows(self):
         rng = np.random.default_rng(303)
-        pobs = pseudo_observations(BivariateSample(rng.standard_normal((80, 2))))
+        sample = BivariateSample(rng.standard_normal((80, 2)))
         orders = [1.0, 1.5, 2.0, 4.0, 10.0, math.inf]
         for k in [3, 12, 40]:
-            sets = [set(select_extremes(pobs, k, p).indices.tolist()) for p in orders]
+            sets = [set(select_extremes(sample, k, p).indices.tolist()) for p in orders]
             for smaller, larger in zip(sets[1:], sets[:-1]):
                 assert smaller <= larger
 
     def test_never_empty(self):
         rng = np.random.default_rng(62)
-        pobs = pseudo_observations(BivariateSample(rng.standard_normal((30, 2))))
+        sample = BivariateSample(rng.standard_normal((30, 2)))
         for p in [1.0, 2.0, math.inf]:
             for k in range(1, 31):
-                assert select_extremes(pobs, k, p).n_members >= 1
+                assert select_extremes(sample, k, p).n_members >= 1
 
     @pytest.mark.parametrize("k", [0, -1, 31, 2.5])
     def test_invalid_k(self, k):
-        pobs = pseudo_observations(
-            BivariateSample(np.random.default_rng(0).standard_normal((30, 2)))
-        )
+        sample = BivariateSample(np.random.default_rng(0).standard_normal((30, 2)))
         with pytest.raises((ValueError, TypeError)):
-            select_extremes(pobs, k, 1.0)
+            select_extremes(sample, k, 1.0)
 
 
 def boundary_rich_ranks(n, ks, p, rng):
@@ -183,12 +177,12 @@ class TestBoundaryRule:
         ks = [k for k in (2, 3, 4, 6, 12, 24, 60, 120, 360) if k < n]
         m1 = np.arange(1, n + 1)
         m2 = boundary_rich_ranks(n, ks, p, rng)
-        pobs = pseudo_observations(data_with_ranks(n + 1 - m1, n + 1 - m2))
-        np.testing.assert_array_equal(top_ranks(pobs), np.column_stack([m1, m2]))
+        sample = data_with_ranks(n + 1 - m1, n + 1 - m2)
+        np.testing.assert_array_equal(top_ranks(sample), np.column_stack([m1, m2]))
         pairs = list(zip(m1.tolist(), m2.tolist()))
         ties = 0
         for k in ks:
-            ang = select_extremes(pobs, k, p)
+            ang = select_extremes(sample, k, p)
             expected = [i for i, (a, b) in enumerate(pairs) if membership_oracle(a, b, k, p)]
             np.testing.assert_array_equal(ang.indices, expected)
             ties += sum(on_boundary(a, b, k, p) for a, b in pairs)
@@ -198,10 +192,10 @@ class TestBoundaryRule:
     @pytest.mark.parametrize("n, p", [(50_000, 2.0), (2_000, 3.0)])
     def test_orders_past_the_int64_range_match_oracle(self, n, p):
         rng = np.random.default_rng(4242)
-        pobs = pseudo_observations(BivariateSample(rng.standard_normal((n, 2))))
-        m = top_ranks(pobs).tolist()
+        sample = BivariateSample(rng.standard_normal((n, 2)))
+        m = top_ranks(sample).tolist()
         for k in [3, 40, n // 10]:
-            ang = select_extremes(pobs, k, p)
+            ang = select_extremes(sample, k, p)
             expected = [i for i, (a, b) in enumerate(m) if membership_oracle(a, b, k, p)]
             np.testing.assert_array_equal(ang.indices, expected)
 
@@ -214,10 +208,10 @@ class TestBoundaryRule:
         code = (
             "import json, numpy as np\n"
             "from specmeasure.empirical import select_extremes\n"
-            "from specmeasure.pseudo_obs import BivariateSample, pseudo_observations\n"
+            "from specmeasure.pseudo_obs import BivariateSample\n"
             f"values = np.random.default_rng(5).standard_normal(({n}, 2))\n"
-            "pobs = pseudo_observations(BivariateSample(values))\n"
-            f"print(json.dumps([select_extremes(pobs, k, 1e300).indices.tolist() for k in {ks}]))\n"
+            "sample = BivariateSample(values)\n"
+            f"print(json.dumps([select_extremes(sample, k, 1e300).indices.tolist() for k in {ks}]))\n"
         )
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
@@ -227,8 +221,8 @@ class TestBoundaryRule:
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
         )
         assert proc.returncode == 0, proc.stderr
-        pobs = pseudo_observations(BivariateSample(np.random.default_rng(5).standard_normal((n, 2))))
-        m = top_ranks(pobs).tolist()
+        sample = BivariateSample(np.random.default_rng(5).standard_normal((n, 2)))
+        m = top_ranks(sample).tolist()
         for k, got in zip(ks, json.loads(proc.stdout)):
             expected = [i for i, (a, b) in enumerate(m) if membership_oracle(a, b, k, math.inf)]
             assert got == expected
@@ -245,10 +239,10 @@ class TestBoundaryRule:
         m2 = np.concatenate(([1, 2], rng.permutation(np.arange(3, n + 1))))
         top = int(np.flatnonzero(m2 == n)[0])
         m2[[k - 1, top]] = m2[[top, k - 1]]
-        pobs = pseudo_observations(data_with_ranks(n + 1 - m1, n + 1 - m2))
+        sample = data_with_ranks(n + 1 - m1, n + 1 - m2)
         pairs = list(zip(m1.tolist(), m2.tolist()))
         for p in (k, k + 1, k + 2):
-            ang = select_extremes(pobs, k, float(p))
+            ang = select_extremes(sample, k, float(p))
             expected = [i for i, (a, b) in enumerate(pairs) if membership_oracle(a, b, k, p)]
             np.testing.assert_array_equal(ang.indices, expected)
 
@@ -257,10 +251,8 @@ class TestBoundaryRule:
         # rank pairs m = (3, 6), (6, 5), (5, 4), (4, 3), (2, 2), (1, 1) at
         # k = 2: 1/3 + 1/6 = 1/2 puts row 0 on the sum-norm boundary, and
         # min(m) = 2 = k puts row 4 on the max-norm boundary
-        pobs = pseudo_observations(
-            data_with_ranks([4, 1, 2, 3, 5, 6], [1, 2, 3, 4, 5, 6])
-        )
-        np.testing.assert_array_equal(select_extremes(pobs, 2, p).indices, expected)
+        sample = data_with_ranks([4, 1, 2, 3, 5, 6], [1, 2, 3, 4, 5, 6])
+        np.testing.assert_array_equal(select_extremes(sample, 2, p).indices, expected)
 
 
 class TestEmpiricalMeasure:
@@ -307,6 +299,13 @@ class TestDiscreteSpectralMeasure:
         with pytest.raises(ValueError, match="positive"):
             DiscreteSpectralMeasure(np.array([0.2, 0.5]), np.array([1.0, 0.0]), 1.0)
 
+    @pytest.mark.parametrize(
+        "angles, weights", [([0.2, 0.5], [1.0]), ([[0.2, 0.5]], [[1.0, 1.0]]), (0.2, 1.0)]
+    )
+    def test_rejects_mismatched_shapes(self, angles, weights):
+        with pytest.raises(ValueError, match="1-d arrays of equal length"):
+            DiscreteSpectralMeasure(np.array(angles), np.array(weights), 1.0)
+
     def test_rejects_out_of_range_angle(self):
         with pytest.raises(ValueError, match="pi/2"):
             DiscreteSpectralMeasure(np.array([2.0]), np.array([1.0]), 1.0)
@@ -350,9 +349,9 @@ class TestTailOnly:
 
     def test_select_extremes(self, refuse_grids):
         sample = asym_logistic_model(2.0).sample(3000, np.random.default_rng(4))
-        pobs = pseudo_observations(BivariateSample(np.round(sample.values, 1)))
+        tied = BivariateSample(np.round(sample.values, 1))
         for p in [1.0, 2.0, 2.5, math.inf]:
-            ang = select_extremes(pobs, 100, p)
+            ang = select_extremes(tied, 100, p)
             empirical_spectral_measure(ang)
             mele_spectral_prob(ang)
             mele_spectral_measure(ang)

@@ -44,7 +44,7 @@ from specmeasure.models import (
     cauchy_quadrant_model,
     mixture_model,
 )
-from specmeasure.pseudo_obs import BivariateSample, pseudo_observations
+from specmeasure.pseudo_obs import BivariateSample
 
 from oracles import ise_oracle, mise_oracle, parse_rows
 
@@ -93,7 +93,7 @@ class TestIntegratedSquaredError:
         a, b = 0.05 * HALF_PI, 0.95 * HALF_PI
         for seed in range(5):
             sample = model.sample(300, np.random.default_rng(seed))
-            ang = select_extremes(pseudo_observations(sample), 30, 1.0)
+            ang = select_extremes(sample, 30, 1.0)
             for est in [empirical_spectral_measure(ang), mele_spectral_measure(ang)]:
                 val = integrated_squared_error(est, model, a, b)
                 ref = ise_oracle(est, model.cdf_continuous, a, b)
@@ -122,7 +122,7 @@ class TestIntegratedSquaredError:
         a, b = model.default_ise_interval
         for seed in range(3):
             sample = model.sample(300, np.random.default_rng(seed))
-            ang = select_extremes(pseudo_observations(sample), 30, model.p)
+            ang = select_extremes(sample, 30, model.p)
             for est in [empirical_spectral_measure(ang), mele_spectral_measure(ang)]:
                 val = integrated_squared_error(est, model, a, b)
                 ref = ise_oracle(est, model.cdf_continuous, a, b)
@@ -134,7 +134,7 @@ class TestIntegratedSquaredError:
         # on that cell alone lost 2e-8 of the error, the tables lose none
         model = asym_logistic_model(1.5, p=3.0)
         sample = model.sample(1000, np.random.default_rng([7, 17]))
-        est = empirical_spectral_measure(select_extremes(pseudo_observations(sample), 10, 3.0))
+        est = empirical_spectral_measure(select_extremes(sample, 10, 3.0))
         assert est.angles[0] < 0.005 < 0.2 < est.angles[1]
         val = integrated_squared_error(est, model, 0.0, HALF_PI)
         ref = ise_oracle(est, model.cdf_continuous, 0.0, HALF_PI)
@@ -168,9 +168,9 @@ class TestSharedPartition:
         seen = 0
         for rep in range(3):
             emp, mel, infeasible, _ = replication_ise(model, n, k_grid, (a, b), seed, rep)
-            pobs = pseudo_observations(model.sample(n, np.random.default_rng([seed, rep])))
+            sample = model.sample(n, np.random.default_rng([seed, rep]))
             for i, k in enumerate(k_grid):
-                ang = select_extremes(pobs, k, model.p)
+                ang = select_extremes(sample, k, model.p)
                 assert emp[i] == pytest.approx(
                     integrated_squared_error(empirical_spectral_measure(ang), model, a, b), rel=1e-12
                 )
@@ -228,17 +228,17 @@ class TestGridPass:
         model = GRID_MODELS[p]
         a, b = 0.1, 1.4
         values = model.sample(n, np.random.default_rng(seed)).values
-        pobs = pseudo_observations(BivariateSample(np.round(values, 1) if tied else values))
+        sample = BivariateSample(np.round(values, 1) if tied else values)
         # each k's rank in the grid sorted stably, by Python's stable sort
         order = sorted(range(len(k_grid)), key=k_grid.__getitem__)
         position = [order.index(i) for i in range(len(k_grid))]
-        union, entry, size = _select([pobs], _grid(k_grid, n), p)
+        union, entry, size = _select([sample], _grid(k_grid, n), p)
         grid = _TailGrid(union, entry, size, np.array(k_grid), position, (a, b))
         cells = _cells(model, grid.edges, grid.edge_start)
         _, _, emp, mel, solve = _scored(grid, cells, [(0, 0, len(k_grid))])
         solutions = _solutions(solve)
         for i, k in enumerate(k_grid):
-            ang = select_extremes(pobs, k, p)
+            ang = select_extremes(sample, k, p)
             members = union.indices[entry <= position[i]]
             assert grid.count[0, i] == members.size
             np.testing.assert_array_equal(members, ang.indices)

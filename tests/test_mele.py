@@ -1,6 +1,7 @@
 """Multiplier equation, constrained weights, and the normalized estimate."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -14,6 +15,7 @@ from specmeasure.mele import (
     SOLVER_TOL,
     WIDTH_TOL,
     ConstraintInfeasible,
+    MultiplierSolution,
     _psi_rows,
     _segment,
     _solve_rows,
@@ -25,7 +27,6 @@ from specmeasure.mele import (
     spectral_normalizer,
 )
 from specmeasure.models import asym_logistic_model, cauchy_quadrant_model
-from specmeasure.pseudo_obs import pseudo_observations
 
 from oracles import mele_oracle, scores_feasible
 
@@ -153,6 +154,36 @@ class TestSolveMultiplier:
             hi = -1.0 / scores.min()
             ref = bisect_root(scores, lo + 1e-12 * (hi - lo), hi - 1e-12 * (hi - lo))
             assert sol.mu == pytest.approx(ref, abs=1e-11 * (1.0 + abs(ref)))
+
+    @pytest.mark.parametrize("tiny", [2.3e-308, 2.2e-311])
+    def test_out_of_trips_raises(self, tiny):
+        # the root runs off towards the far end of a bracket of width 1 / tiny;
+        # the last point has |Psi| of 1.6e-61 but a mass error |mu Psi| of 0.5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArithmeticError, match=r"201 evaluations of Psi .* = 0\.5"):
+                solve_multiplier([-0.5, tiny])
+
+    def test_tiny_score_within_trips(self):
+        sol = solve_multiplier([-0.5, 1e-40])
+        assert sol.iterations == 136
+        assert max(1.0, abs(sol.mu)) * sol.residual <= SOLVER_TOL
+
+    @pytest.mark.parametrize(
+        "scores, message",
+        [
+            ([], "nonempty 1-d"),
+            ([[-0.5, 0.5]], "nonempty 1-d"),
+            ([-0.5, math.nan], "open interval"),
+            ([-0.5, math.inf], "open interval"),
+            ([-0.5, 1.0], "open interval"),
+            ([-1.0, 0.5], "open interval"),
+        ],
+        ids=["empty", "two-d", "nan", "inf", "one", "minus-one"],
+    )
+    def test_rejects_bad_scores(self, scores, message):
+        with pytest.raises(ValueError, match=message):
+            solve_multiplier(scores)
 
     def test_extreme_asymmetry(self):
         # root pinned very near the feasibility boundary
@@ -309,9 +340,9 @@ def test_mean_evaluations_per_fit():
     iterations = []
     for model in (asym_logistic_model(2.0, p=1.0), cauchy_quadrant_model(1.0)):
         for rep in range(20):
-            pobs = pseudo_observations(model.sample(1000, np.random.default_rng([11, rep])))
+            sample = model.sample(1000, np.random.default_rng([11, rep]))
             for k in range(10, 201, 10):
-                scores = select_extremes(pobs, k, 1.0).scores
+                scores = select_extremes(sample, k, 1.0).scores
                 if scores_feasible(scores):
                     iterations.append(solve_multiplier(scores).iterations)
     assert len(iterations) >= 700
@@ -322,6 +353,12 @@ class TestWeights:
     def test_two_point_weights(self):
         sol = solve_multiplier([-0.2, 0.6])
         np.testing.assert_allclose(mele_weights(sol, [-0.2, 0.6]), [0.75, 0.25], atol=1e-11)
+
+    def test_rejects_multiplier_outside_domain(self):
+        # 1 + mu * a = -0.5 at a = -0.5
+        solution = MultiplierSolution(3.0, 0.0, 0, (-2.0, 2.0))
+        with pytest.raises(ValueError, match="positivity domain"):
+            mele_weights(solution, [-0.5, 0.5])
 
     def test_identities_on_random_feasible_sets(self):
         rng = np.random.default_rng(5)

@@ -73,6 +73,11 @@ class TestLogisticDensity:
         with pytest.raises(ValueError):
             asym_logistic_model(0.99)
 
+    @pytest.mark.parametrize("psi1, psi2", [(-0.1, 1.0), (1.0, 1.5), (math.nan, 0.5)])
+    def test_rejects_asymmetry_off_the_unit_interval(self, psi1, psi2):
+        with pytest.raises(ValueError, match=r"asymmetry weights must lie in \[0, 1\]"):
+            asym_logistic_model(2.0, psi1, psi2)
+
     def test_r_two_collapses_to_arc_norm(self):
         theta = np.linspace(0.01, HALF_PI - 0.01, 25)
         for p in [1.0, 2.0, math.inf]:

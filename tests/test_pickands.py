@@ -17,7 +17,6 @@ from specmeasure.empirical import (
 from specmeasure.mele import mele_spectral_measure
 from specmeasure.models import cauchy_quadrant_model, sample_logistic
 from specmeasure.pickands import MERGE_TOL, PickandsFunction, pickands_function
-from specmeasure.pseudo_obs import pseudo_observations
 
 from oracles import logistic_pickands, pickands_max_kernel
 
@@ -42,7 +41,7 @@ def sum_norm(angles, weights):
 
 def mele_phi(model, n, k, seed):
     sample = model.sample(n, np.random.default_rng(seed))
-    ang = select_extremes(pseudo_observations(sample), k, 1.0)
+    ang = select_extremes(sample, k, 1.0)
     return mele_spectral_measure(ang)
 
 
@@ -131,6 +130,13 @@ class TestPickandsFunction:
                 knots=np.array([0.0, 0.6, 0.3, 1.0]), values=np.ones(4)
             )
 
+    @pytest.mark.parametrize(
+        "knots, values", [([0.0, 1.0], [1.0]), ([1.0], [1.0]), ([[0.0, 1.0]], [[1.0, 1.0]])]
+    )
+    def test_rejects_malformed_knots(self, knots, values):
+        with pytest.raises(ValueError, match="matching 1-d arrays, length >= 2"):
+            PickandsFunction(knots=np.array(knots), values=np.array(values))
+
     @pytest.mark.parametrize("v", [math.nan, [0.5, math.nan]])
     def test_nan_argument_raises(self, v):
         A = pickands_function(sum_norm([QUARTER_PI], [2.0]))
@@ -197,7 +203,7 @@ class TestConstrainedEstimates:
         raw_gap, fixed_gap = [], []
         for seed in range(10):
             sample = model.sample(400, np.random.default_rng(seed))
-            ang = select_extremes(pseudo_observations(sample), 40, 1.0)
+            ang = select_extremes(sample, 40, 1.0)
             raw = pickands_function(empirical_spectral_measure(ang))
             fixed = pickands_function(mele_spectral_measure(ang))
             raw_gap.append(abs(raw(1.0) - 1.0))
@@ -211,7 +217,7 @@ class TestConstrainedEstimates:
         vals = []
         for seed in range(30):
             sample = sample_logistic(1000, 2.0, np.random.default_rng([41, seed]))
-            ang = select_extremes(pseudo_observations(sample), 40, 1.0)
+            ang = select_extremes(sample, 40, 1.0)
             A = pickands_function(mele_spectral_measure(ang))
             vals.append(A(0.5))
         assert np.mean(vals) == pytest.approx(logistic_pickands(0.5, 2.0), abs=0.03)

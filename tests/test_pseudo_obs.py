@@ -20,9 +20,8 @@ from specmeasure.pseudo_obs import (
     BivariateSample,
     InputError,
     ParseError,
-    PseudoObservations,
+    _tails,
     format_value,
-    pseudo_observations,
     read_sample,
     write_sample,
 )
@@ -89,9 +88,8 @@ def sample_texts(draw):
 
 def every_m(values):
     """The ranks from the top of every row: the tail at a cut past n."""
-    pobs = pseudo_observations(BivariateSample(values))
-    rows, m = pobs._tail(pobs.n + 1)
-    np.testing.assert_array_equal(rows, np.arange(pobs.n))
+    rows, m, _ = _tails([BivariateSample(values)], len(values) + 1)
+    np.testing.assert_array_equal(rows, np.arange(len(values)))
     return m
 
 
@@ -112,9 +110,9 @@ class TestRanks:
         assert_ranks(m, [[3, 1], [2, 2], [1, 3]])
 
     def test_pseudo_observations_hand_case(self):
-        pobs = pseudo_observations(sample_of([[10, 10], [20, 20], [30, 30]]))
-        assert_ranks(pobs._tail(4)[1], [[3, 3], [2, 2], [1, 1]])
-        assert not pobs.tie_flag
+        sample = sample_of([[10, 10], [20, 20], [30, 30]])
+        assert_ranks(_tails([sample], 4)[1], [[3, 3], [2, 2], [1, 1]])
+        assert not sample.tie_flag
 
     def test_single_row(self):
         assert_ranks(every_m(np.array([[3.5, -2.0]])), [[1, 1]])
@@ -139,15 +137,14 @@ class TestRanks:
     def test_monotone_transform_bitwise_invariance(self):
         rng = np.random.default_rng(31)
         values = rng.uniform(-3.0, 3.0, size=(200, 2))
-        base = pseudo_observations(BivariateSample(values))
+        base = BivariateSample(values)
         transformed = np.column_stack([np.exp(values[:, 0]), values[:, 1] ** 3])
-        other = pseudo_observations(BivariateSample(transformed))
+        other = BivariateSample(transformed)
         assert_ranks(every_m(transformed), every_m(values))
         assert base.tie_flag == other.tie_flag
 
     def test_tie_flag_set(self):
-        pobs = pseudo_observations(sample_of([[1, 1], [1, 2], [2, 3]]))
-        assert pobs.tie_flag
+        assert sample_of([[1, 1], [1, 2], [2, 3]]).tie_flag
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -163,7 +160,7 @@ class TestRanks:
         values = np.asarray(rows, dtype=float)
         assert_ranks(every_m(values), oracle_m(values))
         tied = any(len(set(col.tolist())) < len(col) for col in values.T)
-        assert pseudo_observations(BivariateSample(values)).tie_flag == tied
+        assert BivariateSample(values).tie_flag == tied
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -185,39 +182,39 @@ class TestRanks:
         )
         assert_ranks(every_m(values), oracle_m(values))
         tied = any(len(set(col.tolist())) < n for col in values.T)
-        assert pseudo_observations(BivariateSample(values)).tie_flag == tied
+        assert BivariateSample(values).tie_flag == tied
 
     def test_single_tied_pair_sets_flag(self):
         rng = np.random.default_rng(10_000)
         values = rng.standard_normal((10_000, 2))
-        assert not pseudo_observations(BivariateSample(values)).tie_flag
+        assert not BivariateSample(values).tie_flag
         values[7321, 1] = values[15, 1]
-        assert pseudo_observations(BivariateSample(values)).tie_flag
+        assert BivariateSample(values).tie_flag
         m = every_m(values)[:, 1]
         assert m[7321] == m[15]
         assert_ranks(m, oracle_m(values)[:, 1])
 
 
 class TestTail:
-    """``PseudoObservations._tail(m)`` against the counting definition of
-    the ranks, at every cut m."""
+    """``_tails([sample], m)`` against the counting definition of the ranks,
+    at every cut m."""
 
     @staticmethod
     def check_every_cut(values):
         n = len(values)
-        pobs = pseudo_observations(BivariateSample(values))
+        sample = BivariateSample(values)
         counts = np.column_stack([rank_oracle(col) for col in values.T])
         for m in range(1, n + 1):
-            rows, ranks = pobs._tail(m)
+            rows, ranks, _ = _tails([sample], m)
             np.testing.assert_array_equal(rows, np.flatnonzero((counts >= n + 1 - m).any(axis=1)))
             assert_ranks(ranks, n + 1 - counts[rows])
         for m in (n + 1, n + 3):  # a cut past n keeps every row
-            np.testing.assert_array_equal(pobs._tail(m)[0], np.arange(n))
+            np.testing.assert_array_equal(_tails([sample], m)[0], np.arange(n))
         # the rank-sum rule: distinct maximal ranks sum to n(n+1)/2, and a
         # tie group of size g adds g(g-1)/2
         tied = any(int(col.sum()) != n * (n + 1) // 2 for col in counts.T)
-        assert pobs.tie_flag == tied  # recorded by the last _tail
-        assert PseudoObservations(pobs.sample).tie_flag == tied  # before any _tail
+        assert sample.tie_flag == tied  # recorded by the last _tails
+        assert BivariateSample(values).tie_flag == tied  # before any _tails
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -310,15 +307,15 @@ class TestPieceBoundaries:
         n = 2 * pseudo_obs._PIECE + 1
         values = np.random.default_rng(2009).standard_normal((n, 2))
         for m in [1, 2, 401]:
-            pobs = pseudo_observations(BivariateSample(values))
-            rows, ranks = pobs._tail(m)
+            sample = BivariateSample(values)
+            rows, ranks, _ = _tails([sample], m)
             cuts = np.sort(values, axis=0)[n - m]
             np.testing.assert_array_equal(rows, np.flatnonzero((values >= cuts).any(axis=1)))
             counts = np.column_stack([rank_oracle(col, col[rows]) for col in values.T])
             assert_ranks(ranks, n + 1 - counts)
-            assert not pobs.tie_flag
+            assert not sample.tie_flag
         values[n - 1, 1] = values[0, 1]
-        assert pseudo_observations(BivariateSample(values)).tie_flag
+        assert BivariateSample(values).tie_flag
 
 
 #: values of tie-heavy columns: signed zeros and repeats
@@ -347,15 +344,15 @@ class TestTailBatches:
 
     @staticmethod
     def check(samples, m):
-        batch = [pseudo_observations(BivariateSample(values)) for values in samples]
-        rows, ranks, size = pseudo_obs._tails(batch, m)
+        batch = [BivariateSample(values) for values in samples]
+        rows, ranks, size = _tails(batch, m)
         bounds = np.concatenate(([0], np.cumsum(size)))
-        for pobs, values, lo, hi in zip(batch, samples, bounds[:-1], bounds[1:]):
-            alone = pseudo_observations(BivariateSample(values))
-            alone_rows, alone_ranks = alone._tail(m)
+        for sample, values, lo, hi in zip(batch, samples, bounds[:-1], bounds[1:]):
+            alone = BivariateSample(values)
+            alone_rows, alone_ranks, _ = _tails([alone], m)
             np.testing.assert_array_equal(rows[lo:hi], alone_rows)
             assert_ranks(ranks[lo:hi], alone_ranks)
-            assert pobs.tie_flag == alone.tie_flag
+            assert sample.tie_flag == alone.tie_flag
             counts = np.column_stack([rank_oracle(col) for col in values.T])
             assert_ranks(ranks[lo:hi], len(values) + 1 - counts[alone_rows])
 
@@ -631,9 +628,8 @@ class TestMemory:
             select_peaks = []
             for p in [1.0, 2.0, math.inf]:
                 tracemalloc.reset_peak()
-                pobs = pseudo_observations(sample)
-                select_extremes(pobs, 1000, p)
-                assert not pobs.tie_flag
+                select_extremes(sample, 1000, p)
+                assert not sample.tie_flag
                 select_peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -655,7 +651,7 @@ class TestMemory:
         try:
             for p in [1.0, 2.0, math.inf]:
                 tracemalloc.reset_peak()
-                select_extremes(pseudo_observations(sample), 1000, p)
+                select_extremes(sample, 1000, p)
                 assert tracemalloc.get_traced_memory()[1] < 0.25 * sample.values.nbytes
         finally:
             tracemalloc.stop()
