@@ -375,13 +375,12 @@ class TestPickands:
         data = tmp_path / "tied.csv"
         values = np.round(read_sample(str(simulate_file(tmp_path, seed=4))).values, 1)
         data.write_text("x,y\n" + "".join(f"{a},{b}\n" for a, b in values))
-        passes = []
+        passes, tails = [], pseudo_obs._tails
 
         def counted(batch, m):
             passes.append(m)
             return tails(batch, m)
 
-        tails = pseudo_obs._tails
         monkeypatch.setattr(pseudo_obs, "_tails", counted)
         monkeypatch.setattr(empirical, "_tails", counted)
         assert run(command, "--k", "20", "--input", str(data)) == 0
