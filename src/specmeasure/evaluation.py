@@ -132,7 +132,7 @@ def _ise_rows(cells: tuple, steps: np.ndarray) -> np.ndarray:
     return _row_sums(steps, np.repeat(size, depth)) + np.repeat(spread, depth)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MiseTable:
     """Mean integrated squared errors over a k grid, per estimator.
 

@@ -46,9 +46,9 @@ def lp_norm(x, y, p: float):
     Parameters
     ----------
     x, y : array_like
-        Nonnegative components.
+        Real components; the norm takes their absolute values.
     p : float
-        Norm order in [1, inf]; ``math.inf`` gives ``max(x, y)``.
+        Norm order in [1, inf]; ``math.inf`` gives ``max(|x|, |y|)``.
 
     Notes
     -----
@@ -58,8 +58,8 @@ def lp_norm(x, y, p: float):
     """
     p = check_norm_order(p)
     scalar = np.ndim(x) == 0 and np.ndim(y) == 0
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x = np.abs(np.asarray(x, dtype=float))
+    y = np.abs(np.asarray(y, dtype=float))
     if math.isinf(p):
         out = np.maximum(x, y)
     elif p == 1.0:

@@ -39,7 +39,6 @@ from .pseudo_obs import BivariateSample
 __all__ = [
     "SpectralModel",
     "asym_logistic_model",
-    "sample_logistic",
     "cauchy_quadrant_model",
     "cauchy_fullplane_model",
     "mixture_model",
@@ -267,17 +266,6 @@ def _by_parts_cdf(phi1: Callable, p: float) -> Callable:
 # asymmetric logistic family
 
 
-def _check_logistic_params(r, psi1, psi2):
-    r = float(r)
-    if not (r >= 1.0 and math.isfinite(r)):
-        raise ValueError(f"dependence parameter must satisfy 1 <= r < inf, got {r!r}")
-    psi1 = float(psi1)
-    psi2 = float(psi2)
-    if not (0.0 <= psi1 <= 1.0 and 0.0 <= psi2 <= 1.0):
-        raise ValueError("asymmetry weights must lie in [0, 1]")
-    return r, psi1, psi2
-
-
 def _logistic_factor(theta, r: float, psi1: float, psi2: float):
     """The p-free density factor g of the asymmetric logistic measure,
 
@@ -328,55 +316,40 @@ def _logistic_sum_norm_cdf(t, r: float, psi1: float, psi2: float):
     )
 
 
-def sample_logistic(n: int, r: float, rng: np.random.Generator) -> BivariateSample:
-    """Sample the symmetric logistic max-stable law with unit Frechet margins.
-
-    Uses the positive stable mixing construction: with S positive
-    alpha-stable (alpha = 1/r, Laplace transform exp(-t**alpha)) drawn
-    by the Kanter / Chambers-Mallows-Stuck formula and E1, E2 unit
-    exponentials,
-
-        V_j = (S / E_j)**(1/r)
-
-    has joint law exp(-(v1**-r + v2**-r)**(1/r)).  r = 1 reduces to
-    independent unit Frechet coordinates.
-    """
-    r = _check_logistic_params(r, 1.0, 1.0)[0]
-    n = _check_integer(n, "sample size", 1)
-    if r == 1.0:
-        e = np.clip(rng.exponential(size=(n, 2)), 1e-300, None)
-        return BivariateSample(1.0 / e)
-    alpha = 1.0 / r
-    theta = math.pi * np.clip(rng.random(n), 1e-16, 1.0 - 1e-16)
-    w = np.clip(rng.exponential(size=n), 1e-300, None)
-    # log S keeps the heavy-tailed stable factor out of overflow range
-    log_s = (
-        np.log(np.sin(alpha * theta))
-        - r * np.log(np.sin(theta))
-        + ((1.0 - alpha) / alpha) * (np.log(np.sin((1.0 - alpha) * theta)) - np.log(w))
-    )
-    e = np.clip(rng.exponential(size=(n, 2)), 1e-300, None)
-    v = np.exp(alpha * (log_s[:, None] - np.log(e)))
-    return BivariateSample(v)
-
-
 def _sample_asym_logistic(
     n: int, rng: np.random.Generator, r: float, psi1: float, psi2: float
 ) -> BivariateSample:
-    """Tawn's asymmetric logistic law by componentwise maxima (Stephenson).
+    """Tawn's asymmetric logistic law with unit Frechet margins.
 
-    With V from :func:`sample_logistic` and Z_j independent unit Frechet,
-    X_j = max((1 - psi_j) Z_j, psi_j V_j) has joint law
+    V, with joint law exp(-(v1**-r + v2**-r)**(1/r)), comes from the
+    positive stable mixing construction: with S positive alpha-stable
+    (alpha = 1/r, Laplace transform exp(-t**alpha)) drawn by the
+    Kanter / Chambers-Mallows-Stuck formula and E1, E2 unit exponentials,
+    V_j = (S / E_j)**(1/r); r = 1 gives independent V_j = 1 / E_j.
+    Stephenson's componentwise maxima then mix in Z_j, independent unit
+    Frechet: X_j = max((1 - psi_j) Z_j, psi_j V_j) has joint law
     exp(-(1 - psi1)/x1 - (1 - psi2)/x2 - ((psi1/x1)**r + (psi2/x2)**r)**(1/r)).
-    Z_j is drawn only for a column with psi_j < 1, so the symmetric case
-    is :func:`sample_logistic` itself, random stream included.
+    Z_j is drawn only for a column with psi_j < 1.
     """
-    sample = sample_logistic(n, r, rng)
+    if r == 1.0:
+        v = 1.0 / np.clip(rng.exponential(size=(n, 2)), 1e-300, None)
+    else:
+        alpha = 1.0 / r
+        theta = math.pi * np.clip(rng.random(n), 1e-16, 1.0 - 1e-16)
+        w = np.clip(rng.exponential(size=n), 1e-300, None)
+        # log S keeps the heavy-tailed stable factor out of overflow range
+        log_s = (
+            np.log(np.sin(alpha * theta))
+            - r * np.log(np.sin(theta))
+            + ((1.0 - alpha) / alpha) * (np.log(np.sin((1.0 - alpha) * theta)) - np.log(w))
+        )
+        e = np.clip(rng.exponential(size=(n, 2)), 1e-300, None)
+        v = np.exp(alpha * (log_s[:, None] - np.log(e)))
     for j, psi in enumerate((psi1, psi2)):
         if psi < 1.0:
             z = 1.0 / np.clip(rng.exponential(size=n), 1e-300, None)
-            sample.values[:, j] = np.maximum((1.0 - psi) * z, psi * sample.values[:, j])
-    return sample
+            v[:, j] = np.maximum((1.0 - psi) * z, psi * v[:, j])
+    return BivariateSample(v)
 
 
 def asym_logistic_model(
@@ -388,7 +361,13 @@ def asym_logistic_model(
     r > 1 and psi1 psi2 > 0; tail independence (r = 1 or a vanishing
     weight) concentrates mass 1 on each endpoint with empty interior.
     """
-    r, psi1, psi2 = _check_logistic_params(r, psi1, psi2)
+    r = float(r)
+    if not (r >= 1.0 and math.isfinite(r)):
+        raise ValueError(f"dependence parameter must satisfy 1 <= r < inf, got {r!r}")
+    psi1 = float(psi1)
+    psi2 = float(psi2)
+    if not (0.0 <= psi1 <= 1.0 and 0.0 <= psi2 <= 1.0):
+        raise ValueError("asymmetry weights must lie in [0, 1]")
     symmetric = psi1 == 1.0 and psi2 == 1.0
     dependent = r > 1.0 and psi1 * psi2 > 0.0
     parts = {"r": r, "psi1": psi1, "psi2": psi2}

@@ -46,7 +46,7 @@ class ParseError(ValueError):
         self.lineno = lineno
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BivariateSample:
     """An n-by-2 array of finite raw observations, seen by the estimators only
     through its ranks from the top m_ij = n + 1 - R_ij (:func:`_tails`): R_ij

@@ -25,7 +25,6 @@ from specmeasure.models import (
     cauchy_quadrant_model,
     mixture_model,
     moment_sums,
-    sample_logistic,
 )
 from specmeasure.pickands import pickands_function
 from specmeasure.pseudo_obs import read_sample
@@ -183,7 +182,7 @@ def test_dependence_function_genuineness():
     envelope = np.maximum(grid, 1.0 - grid)
     mids = np.empty(100)
     for i in range(100):
-        sample = sample_logistic(1000, 2.0, np.random.default_rng([505, i]))
+        sample = asym_logistic_model(2.0).sample(1000, np.random.default_rng([505, i]))
         ang = select_extremes(sample, 40, 1.0)
         A = pickands_function(mele_spectral_measure(ang))
         assert abs(A(0.0) - 1.0) <= 1e-8
@@ -211,7 +210,7 @@ def test_sampler_distributions():
     cases = [
         (
             "logistic r=2",
-            sample_logistic(n, 2.0, np.random.default_rng(606)).values,
+            asym_logistic_model(2.0).sample(n, np.random.default_rng(606)).values,
             lambda q: -1.0 / np.log(q),
             lambda x, y: logistic_joint_cdf(x, y, 2.0),
             frechet_cdf,

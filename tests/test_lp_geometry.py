@@ -56,6 +56,12 @@ class TestLpNorm:
             assert np.all(norms >= math.sqrt(2.0) / 2.0 - 1e-15)
             assert np.all(norms <= 2.0 + 1e-15)
 
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+    def test_sign_of_a_component_is_ignored(self, p):
+        for x, y in [(-1.0, 1.0), (-3.0, 1.0)]:
+            assert lp_norm(x, y, p) == lp_norm(-x, y, p)
+            assert lp_norm(y, x, p) == lp_norm(y, -x, p)
+
     def test_scalar_in_scalar_out(self):
         assert isinstance(lp_norm(1.0, 2.0, 3.0), float)
 

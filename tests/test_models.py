@@ -17,7 +17,6 @@ from specmeasure.models import (
     cauchy_quadrant_model,
     mixture_model,
     moment_sums,
-    sample_logistic,
 )
 
 from oracles import (
@@ -310,26 +309,20 @@ class TestSamplers:
         n = 20000
         eps = dkw_epsilon(n, 0.001)
         for r in [1.0, 2.0, 5.0]:
-            values = sample_logistic(n, r, np.random.default_rng(123)).values
+            values = asym_logistic_model(r).sample(n, np.random.default_rng(123)).values
             for j in range(2):
                 col = np.sort(values[:, j])
                 ecdf = np.arange(1, n + 1) / n
                 assert np.max(np.abs(ecdf - frechet_cdf(col))) < eps, r
 
-    def test_symmetric_logistic_model_is_sample_logistic(self):
-        # psi1 = psi2 = 1 draws nothing beyond sample_logistic's stream
-        rng_a, rng_b = np.random.default_rng(12), np.random.default_rng(12)
-        got = asym_logistic_model(2.0).sample(1000, rng_a).values
-        assert got.tobytes() == sample_logistic(1000, 2.0, rng_b).values.tobytes()
-        assert rng_a.random() == rng_b.random()
-
     def test_sample_size_is_an_integer(self):
         # an integral size of any type is that integer; any other size fails
-        got = sample_logistic(50.0, 2.0, np.random.default_rng(1)).values
-        assert got.tobytes() == sample_logistic(50, 2.0, np.random.default_rng(1)).values.tobytes()
+        model = asym_logistic_model(2.0)
+        got = model.sample(50.0, np.random.default_rng(1)).values
+        assert got.tobytes() == model.sample(50, np.random.default_rng(1)).values.tobytes()
         for n in (50.9, 0):
             with pytest.raises(ValueError, match=f"sample size must be a positive integer, got {n}"):
-                sample_logistic(n, 2.0, np.random.default_rng(1))
+                model.sample(n, np.random.default_rng(1))
 
     def test_zero_weight_column_is_the_independent_frechet_draw(self):
         # psi2 = 0: the second column is Z2 = 1 / E2 itself, drawn after V
@@ -339,7 +332,7 @@ class TestSamplers:
             n, np.random.default_rng(9)
         ).values
         rng = np.random.default_rng(9)
-        sample_logistic(n, 3.0, rng)
+        asym_logistic_model(3.0).sample(n, rng)
         rng.exponential(size=n)
         z2 = 1.0 / np.clip(rng.exponential(size=n), 1e-300, None)
         assert values[:, 1].tobytes() == z2.tobytes()
@@ -347,9 +340,22 @@ class TestSamplers:
         eps = dkw_epsilon(n, 0.001)
         assert np.max(np.abs(np.arange(1, n + 1) / n - frechet_cdf(col))) < eps
 
+    def test_r_one_with_one_weight_below_one(self):
+        # V = 1 / E at r = 1, then Z is drawn for the psi2 < 1 column only:
+        # the psi1 = 1 column draws nothing, so the streams end together
+        n = 5000
+        rng = np.random.default_rng(33)
+        values = asym_logistic_model(1.0, psi1=1.0, psi2=0.4).sample(n, rng).values
+        ref = np.random.default_rng(33)
+        v = 1.0 / np.clip(ref.exponential(size=(n, 2)), 1e-300, None)
+        z = 1.0 / np.clip(ref.exponential(size=n), 1e-300, None)
+        v[:, 1] = np.maximum(0.6 * z, 0.4 * v[:, 1])
+        assert values.tobytes() == v.tobytes()
+        assert rng.random() == ref.random()
+
     def test_independence_at_r_one(self):
         # empirical correlation of ranks vanishes for r = 1
-        values = sample_logistic(50000, 1.0, np.random.default_rng(3)).values
+        values = asym_logistic_model(1.0).sample(50000, np.random.default_rng(3)).values
         u = np.argsort(np.argsort(values, axis=0), axis=0) / 50000.0
         corr = np.corrcoef(u[:, 0], u[:, 1])[0, 1]
         assert abs(corr) < 0.02
@@ -358,7 +364,7 @@ class TestSamplers:
         # l(1, 1) for r = 2 is sqrt(2); estimate it by joint threshold
         # exceedances at the k-th order statistics
         n, k = 100000, 1000
-        values = sample_logistic(n, 2.0, np.random.default_rng(42)).values
+        values = asym_logistic_model(2.0).sample(n, np.random.default_rng(42)).values
         x_thr = np.partition(values[:, 0], n - k)[n - k]
         y_thr = np.partition(values[:, 1], n - k)[n - k]
         exceed = np.logical_or(values[:, 0] > x_thr, values[:, 1] > y_thr).sum()

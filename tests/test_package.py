@@ -1,5 +1,6 @@
 """The package namespace re-exports exactly the library modules' names,
-and the library runs on numpy alone."""
+the library runs on numpy alone, and its records that hold arrays compare
+by identity."""
 
 import importlib
 import os
@@ -8,7 +9,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import specmeasure
+from specmeasure import (
+    BivariateSample,
+    cauchy_quadrant_model,
+    empirical_spectral_measure,
+    mise_sweep,
+    pickands_function,
+    select_extremes,
+)
 
 
 def test_all_is_the_union_of_the_library_modules():
@@ -42,3 +54,27 @@ def test_library_never_imports_scipy(tmp_path):
     proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def _selection():
+    sample = cauchy_quadrant_model().sample(50, np.random.default_rng(1))
+    return select_extremes(sample, 10, 1.0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: BivariateSample(np.zeros((3, 2))),
+        _selection,
+        lambda: empirical_spectral_measure(_selection()),
+        lambda: pickands_function(empirical_spectral_measure(_selection())),
+        lambda: mise_sweep(cauchy_quadrant_model(), 50, 2, [5, 10], seed=1),
+    ],
+    ids=["sample", "selection", "measure", "pickands", "mise-table"],
+)
+def test_records_holding_arrays_compare_by_identity(build):
+    # equal values, distinct objects: no elementwise comparison, and each hashes
+    a, b = build(), build()
+    assert (a == b) is False
+    assert (a == a) is True
+    assert {a: 1, b: 2}[a] == 1

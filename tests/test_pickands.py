@@ -15,7 +15,7 @@ from specmeasure.empirical import (
     select_extremes,
 )
 from specmeasure.mele import mele_spectral_measure
-from specmeasure.models import cauchy_quadrant_model, sample_logistic
+from specmeasure.models import asym_logistic_model, cauchy_quadrant_model
 from specmeasure.pickands import MERGE_TOL, PickandsFunction, pickands_function
 
 from oracles import logistic_pickands, pickands_max_kernel
@@ -216,7 +216,7 @@ class TestConstrainedEstimates:
         # 2**(-1/2) for r = 2
         vals = []
         for seed in range(30):
-            sample = sample_logistic(1000, 2.0, np.random.default_rng([41, seed]))
+            sample = asym_logistic_model(2.0).sample(1000, np.random.default_rng([41, seed]))
             ang = select_extremes(sample, 40, 1.0)
             A = pickands_function(mele_spectral_measure(ang))
             vals.append(A(0.5))

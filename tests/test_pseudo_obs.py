@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from specmeasure import pseudo_obs
 from specmeasure.empirical import select_extremes
-from specmeasure.models import sample_logistic
+from specmeasure.models import asym_logistic_model
 from specmeasure.pseudo_obs import (
     BivariateSample,
     InputError,
@@ -620,7 +620,7 @@ class TestMemory:
 
     def test_read_and_select_peaks(self, tmp_path):
         path = tmp_path / "logistic.csv"
-        write_sample(sample_logistic(200_000, 2.0, np.random.default_rng(2009)), path)
+        write_sample(asym_logistic_model(2.0).sample(200_000, np.random.default_rng(2009)), path)
         tracemalloc.start()
         try:
             sample = read_sample(str(path))
@@ -646,7 +646,7 @@ class TestMemory:
         # 1e6 rows in memory: a selection holds about _PIECE values of a
         # column at a time, 0.12 times the sample; sorting each column into
         # one transient copy peaked at 0.63 times
-        sample = sample_logistic(1_000_000, 2.0, np.random.default_rng(29))
+        sample = asym_logistic_model(2.0).sample(1_000_000, np.random.default_rng(29))
         tracemalloc.start()
         try:
             for p in [1.0, 2.0, math.inf]:
