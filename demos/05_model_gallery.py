@@ -34,7 +34,7 @@ print(f"{'model':>42s}  atom@0  atom@pi/2  sin-mom  cos-mom   mass")
 for model in gallery:
     s1, s2 = moment_sums(model)
     print(
-        f"{model.describe():>42s}  {model.atom_zero:6.3f}  {model.atom_half_pi:9.3f}"
+        f"{model.name:>42s}  {model.atom_zero:6.3f}  {model.atom_half_pi:9.3f}"
         f"  {s1:7.4f}  {s2:7.4f}  {model.total_mass:6.4f}"
     )
 
@@ -60,4 +60,4 @@ for model in (asym_logistic_model(r=2.0, p=1.0), asym_logistic_model(r=3.0, psi1
     for label, column in (("x1", sample.values[:, 0]), ("x2", sample.values[:, 1])):
         empirical = (column[:, None] <= grid).mean(axis=0)
         gap = np.abs(empirical - frechet).max()
-        print(f"{model.describe()} margin {label}: max |F_n - Frechet| on grid = {gap:.4f}")
+        print(f"{model.name} margin {label}: max |F_n - Frechet| on grid = {gap:.4f}")

@@ -29,7 +29,7 @@ from .models import (
     mixture_model,
 )
 from .pickands import pickands_function
-from .pseudo_obs import format_value, read_sample, write_sample, write_text
+from .pseudo_obs import format_value, read_sample, table_text, write_sample, write_text
 
 __all__ = ["build_parser", "run_cli", "main"]
 
@@ -242,10 +242,8 @@ def _cmd_estimate(args) -> int:
     if want_mele:
         columns.append(("weight_mele", phi.weights))
     columns.append(("score_f", score_f(atoms, p)))
-    lines = [",".join(name for name, _ in columns)]
-    for row in zip(*(values for _, values in columns)):
-        lines.append(",".join(format_value(v) for v in row))
-    _write_text(args.output, "\n".join(lines) + "\n")
+    header = ",".join(name for name, _ in columns)
+    _write_text(args.output, table_text(header, zip(*(values for _, values in columns))))
 
     if want_emp:
         sin_sum, cos_sum = emp.moment_sums()
@@ -308,11 +306,7 @@ def _cmd_pickands(args) -> int:
     ang, info = _read_extremes(args, 1.0)
     phi = mele_spectral_measure(ang)
     estimate = pickands_function(phi)
-    lines = ["v,A"]
-    lines.extend(
-        f"{format_value(v)},{format_value(a)}" for v, a in zip(estimate.knots, estimate.values)
-    )
-    _write_text(args.output, "\n".join(lines) + "\n")
+    _write_text(args.output, table_text("v,A", zip(estimate.knots, estimate.values)))
     info.append(f"multiplier = {format_value(phi.solution.mu)}")
     info.append(f"solver residual = {format_value(phi.solution.residual)}")
     _summary(info)

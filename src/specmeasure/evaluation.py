@@ -18,7 +18,7 @@ import numpy as np
 from .empirical import AngularSample, DiscreteSpectralMeasure, _grid, _moment_factors, _select
 from .mele import _normalizers, _solutions, _solve_rows, _weight_rows
 from .models import HALF_PI, SpectralModel, _check_integer
-from .pseudo_obs import format_value, write_text
+from .pseudo_obs import table_text, write_text
 
 __all__ = [
     "MiseTable",
@@ -170,10 +170,7 @@ class MiseTable:
                 )
 
     def to_text(self) -> str:
-        lines = [self.HEADER]
-        for k, est, mise, se, cnt in self.rows():
-            lines.append(f"{k},{est},{format_value(mise)},{format_value(se)},{cnt}")
-        return "\n".join(lines) + "\n"
+        return table_text(self.HEADER, self.rows())
 
     def write(self, dest: Union[str, IO[str]]) -> None:
         write_text(dest, self.to_text())
@@ -448,7 +445,7 @@ def mise_sweep(
         if counts[i] > 1:
             stderr[i, 1] = vals.std(ddof=1) / math.sqrt(counts[i])
     return MiseTable(
-        model=model.describe(),
+        model=model.name,
         n=int(n),
         replications=replications,
         p=float(model.p),

@@ -22,8 +22,8 @@ __all__ = [
     "score_f",
 ]
 
-_QUARTER_PI = math.pi / 4.0
-_HALF_PI = math.pi / 2.0
+QUARTER_PI = math.pi / 4.0
+HALF_PI = math.pi / 2.0
 
 
 def check_norm_order(p: float) -> float:
@@ -36,7 +36,7 @@ def check_norm_order(p: float) -> float:
 
 def _check_angles(theta: np.ndarray) -> None:
     """Raise unless every angle lies in [0, pi/2] (to 1e-12); NaN fails."""
-    if theta.size and not (theta.min() >= 0.0 and theta.max() <= _HALF_PI + 1e-12):
+    if theta.size and not (theta.min() >= 0.0 and theta.max() <= HALF_PI + 1e-12):
         raise ValueError("angles must lie in [0, pi/2]")
 
 
@@ -93,6 +93,6 @@ def score_f(theta, p: float):
     # the float pi/4 stands for the exact diagonal angle (rank ties map
     # to it through arctan(1)), but sin/cos round one-sidedly there and
     # at pi/2; pin both symmetry points to their exact scores
-    out = np.where(theta == _QUARTER_PI, 0.0, out)
-    out = np.where(theta == _HALF_PI, 1.0, out)
+    out = np.where(theta == QUARTER_PI, 0.0, out)
+    out = np.where(theta == HALF_PI, 1.0, out)
     return float(out) if scalar else out

@@ -33,7 +33,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .lp_geometry import _check_angles, check_norm_order, lp_norm
+from .lp_geometry import HALF_PI, QUARTER_PI, _check_angles, check_norm_order, lp_norm
 from .pseudo_obs import BivariateSample
 
 __all__ = [
@@ -44,9 +44,6 @@ __all__ = [
     "mixture_model",
     "moment_sums",
 ]
-
-HALF_PI = math.pi / 2.0
-QUARTER_PI = math.pi / 4.0
 
 _LEGENDRE = np.polynomial.legendre
 _GL_NODES, _GL_WEIGHTS = _LEGENDRE.leggauss(16)
@@ -127,7 +124,7 @@ def _check_integer(value, name: str, low: int) -> int:
     return number
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralModel:
     """A spectral measure on [0, pi/2] with its bivariate sampler.
 
@@ -137,9 +134,9 @@ class SpectralModel:
     Attributes
     ----------
     name : str
-        Model family identifier (for example ``"cauchy-quadrant"``).
-    params : dict
-        Family parameters, empty when there are none.
+        The family and its parameters, as ``benchmark`` prints them (for
+        example ``"logistic(r=2)"``, or ``"cauchy-quadrant"`` for a family
+        without parameters).
     p : float
         Norm order the angular decomposition refers to, validated on
         construction.
@@ -160,7 +157,6 @@ class SpectralModel:
     """
 
     name: str
-    params: dict
     p: float
     atom_zero: float
     atom_half_pi: float
@@ -189,12 +185,6 @@ class SpectralModel:
     @property
     def total_mass(self) -> float:
         return float(self.cdf(HALF_PI))
-
-    def describe(self) -> str:
-        if not self.params:
-            return self.name
-        inner = ",".join(f"{k}={v:g}" for k, v in self.params.items())
-        return f"{self.name}({inner})"
 
     def cdf_continuous(self, theta):
         """Cumulative mass on [0, theta] excluding the atom at pi/2.
@@ -368,12 +358,11 @@ def asym_logistic_model(
     psi2 = float(psi2)
     if not (0.0 <= psi1 <= 1.0 and 0.0 <= psi2 <= 1.0):
         raise ValueError("asymmetry weights must lie in [0, 1]")
-    symmetric = psi1 == 1.0 and psi2 == 1.0
     dependent = r > 1.0 and psi1 * psi2 > 0.0
     parts = {"r": r, "psi1": psi1, "psi2": psi2}
+    label = ",".join(f"{key}={value:g}" for key, value in parts.items())
     return SpectralModel(
-        name="logistic" if symmetric else "asymmetric-logistic",
-        params={"r": r} if symmetric else parts,
+        name=f"logistic(r={r:g})" if psi1 == psi2 == 1.0 else f"asymmetric-logistic({label})",
         p=p,
         atom_zero=1.0 - psi2 if dependent else 1.0,
         atom_half_pi=1.0 - psi1 if dependent else 1.0,
@@ -396,6 +385,23 @@ def _sample_cauchy(n: int, rng: np.random.Generator, fold: bool) -> BivariateSam
     return BivariateSample(pair / denom[:, None])
 
 
+def _cauchy_model(p: float, fold: bool) -> SpectralModel:
+    """The quadrant Cauchy measure, or with ``fold`` False its unfolded law:
+    atoms of 0 or 1/2 at both endpoints, and 1 - atom times the quadrant's
+    density factor and sum-norm cdf (1.0 * x is x, so folded they are bitwise
+    the unscaled ones)."""
+    atom = 0.0 if fold else 0.5
+    return SpectralModel(
+        name="cauchy-quadrant" if fold else "cauchy-fullplane",
+        p=p,
+        atom_zero=atom,
+        atom_half_pi=atom,
+        density_factor=lambda t: np.full_like(t, 1.0 - atom, dtype=float),
+        sum_norm_cdf=lambda t: (1.0 - atom) * (np.sin(t) - np.cos(t) + 1.0),
+        sampler=partial(_sample_cauchy, fold=fold),
+    )
+
+
 def cauchy_quadrant_model(p: float = 1.0) -> SpectralModel:
     """Spectral measure of the positive-quadrant bivariate Cauchy law.
 
@@ -404,16 +410,7 @@ def cauchy_quadrant_model(p: float = 1.0) -> SpectralModel:
     symmetric Cauchy pair into the quadrant:
     (|Z1|, |Z2|) / |Z0| for iid standard normals.
     """
-    return SpectralModel(
-        name="cauchy-quadrant",
-        params={},
-        p=p,
-        atom_zero=0.0,
-        atom_half_pi=0.0,
-        density_factor=np.ones_like,
-        sum_norm_cdf=lambda t: np.sin(t) - np.cos(t) + 1.0,
-        sampler=partial(_sample_cauchy, fold=True),
-    )
+    return _cauchy_model(p, fold=True)
 
 
 def cauchy_fullplane_model(p: float = 1.0) -> SpectralModel:
@@ -423,16 +420,7 @@ def cauchy_fullplane_model(p: float = 1.0) -> SpectralModel:
     atoms: masses 1/2 at 0 and pi/2, interior density
     ||(sin, cos)||_p / 2.
     """
-    return SpectralModel(
-        name="cauchy-fullplane",
-        params={},
-        p=p,
-        atom_zero=0.5,
-        atom_half_pi=0.5,
-        density_factor=lambda t: np.full_like(t, 0.5, dtype=float),
-        sum_norm_cdf=lambda t: 0.5 * (np.sin(t) - np.cos(t) + 1.0),
-        sampler=partial(_sample_cauchy, fold=False),
-    )
+    return _cauchy_model(p, fold=False)
 
 
 # ---------------------------------------------------------------------------
@@ -487,8 +475,7 @@ def mixture_model(r: float, p: float = 1.0) -> SpectralModel:
     if not 0.0 <= r <= 1.0:
         raise ValueError(f"mixture weight must lie in [0, 1], got {r!r}")
     return SpectralModel(
-        name="mixture",
-        params={"r": r},
+        name=f"mixture(r={r:g})",
         p=p,
         atom_zero=1.0 - r,
         atom_half_pi=1.0 - r,

@@ -287,12 +287,18 @@ def format_value(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def table_text(header: str, rows) -> str:
+    """CSV text: the ``header`` row, then a line per row of strings as they are and numbers
+    by :func:`format_value` (an integer below 1e17 prints as itself), and a final newline."""
+    cells = ((v if isinstance(v, str) else format_value(v) for v in row) for row in rows)
+    return "\n".join([header, *map(",".join, cells)]) + "\n"
+
+
 def write_sample(sample: BivariateSample, dest: PathOrStream) -> None:
     """Write a sample, under the header row ``x1,x2``, in the same format
     accepted by :func:`read_sample`."""
-    lines = ["x1,x2"]
-    lines.extend(f"{format_value(a)},{format_value(b)}" for a, b in sample.values)
-    write_text(dest, "\n".join(lines) + "\n")
+    # rows as Python floats, which format faster than numpy scalars
+    write_text(dest, table_text("x1,x2", map(np.ndarray.tolist, sample.values)))
 
 
 def write_text(dest: PathOrStream, text: str) -> None:

@@ -306,7 +306,7 @@ def test_model_self_consistency():
         sin_sum, cos_sum = moment_sums(model)
         gap = max(abs(sin_sum - 1.0), abs(cos_sum - 1.0))
         worst = max(worst, gap)
-        assert gap <= 1e-8, model.describe()
+        assert gap <= 1e-8, model.name
 
     for r in [0.0, 0.5, 1.0]:
         mass = mixture_model(r, p=1.0).total_mass

@@ -132,11 +132,14 @@ class TestLogisticModel:
                 assert c == pytest.approx(1.0, abs=1e-8), (args, p)
 
     def test_describe(self):
-        assert asym_logistic_model(2.0).describe() == "logistic(r=2)"
+        assert asym_logistic_model(2.0).name == "logistic(r=2)"
+        assert asym_logistic_model(2.0, psi1=0.5).name == "asymmetric-logistic(r=2,psi1=0.5,psi2=1)"
         assert (
-            asym_logistic_model(2.0, psi1=0.5).describe()
-            == "asymmetric-logistic(r=2,psi1=0.5,psi2=1)"
+            asym_logistic_model(1.0, psi2=0.4).name == "asymmetric-logistic(r=1,psi1=1,psi2=0.4)"
         )
+        assert cauchy_quadrant_model().name == "cauchy-quadrant"
+        assert cauchy_fullplane_model().name == "cauchy-fullplane"
+        assert mixture_model(0.0).name == "mixture(r=0)"
 
     def test_samples_the_asymmetric_law(self):
         # unit Frechet margins, and the stable tail dependence function
@@ -526,7 +529,6 @@ def quadrant_parts(p):
     """The Cauchy quadrant measure declared from its p-free parts."""
     return SpectralModel(
         name="quadrant-parts",
-        params={},
         p=p,
         atom_zero=0.0,
         atom_half_pi=0.0,

@@ -1,6 +1,6 @@
 """The package namespace re-exports exactly the library modules' names,
-the library runs on numpy alone, and its records that hold arrays compare
-by identity."""
+the library runs on numpy alone, the CLI reads without numpy.random, and
+its records compare by identity."""
 
 import importlib
 import os
@@ -15,6 +15,7 @@ import pytest
 import specmeasure
 from specmeasure import (
     BivariateSample,
+    asym_logistic_model,
     cauchy_quadrant_model,
     empirical_spectral_measure,
     mise_sweep,
@@ -49,11 +50,36 @@ def test_library_never_imports_scipy(tmp_path):
         "    assert run([command, '--k', '20', '--input', data, '--output', out]) == 0\n"
         "print('scipy' in sys.modules)\n"
     )
+    assert _fresh_interpreter(code, tmp_path) == "False"
+
+
+def test_cli_reads_without_numpy_random(tmp_path):
+    # numpy.random costs megabytes of memory and milliseconds to load, and
+    # reading, ranking, estimating and writing draw nothing
+    code = (
+        "import sys\n"
+        "import specmeasure, specmeasure.cli\n"
+        "data, out = sys.argv[1:]\n"
+        "with open(data, 'w') as handle:\n"
+        "    handle.write('x1,x2\\n')\n"
+        "    for i in range(1, 501):\n"
+        "        handle.write(f'{(i * 37) % 503 + 1 / i},{(i * 91) % 509 + i / 7}\\n')\n"
+        "for command in ('estimate', 'pickands'):\n"
+        "    assert specmeasure.cli.run_cli([command, '--k', '40', '--input', data,\n"
+        "                                    '--output', out]) == 0\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    assert _fresh_interpreter(code, tmp_path) == "False"
+
+
+def _fresh_interpreter(code: str, tmp_path) -> str:
+    """The stripped stdout of ``code`` run in a new interpreter, with a data
+    and an output path under ``tmp_path`` as its arguments."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     argv = [sys.executable, "-c", code, str(tmp_path / "data.csv"), str(tmp_path / "out.csv")]
     proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip()
 
 
 def _selection():
@@ -69,8 +95,9 @@ def _selection():
         lambda: empirical_spectral_measure(_selection()),
         lambda: pickands_function(empirical_spectral_measure(_selection())),
         lambda: mise_sweep(cauchy_quadrant_model(), 50, 2, [5, 10], seed=1),
+        lambda: asym_logistic_model(2.0),
     ],
-    ids=["sample", "selection", "measure", "pickands", "mise-table"],
+    ids=["sample", "selection", "measure", "pickands", "mise-table", "model"],
 )
 def test_records_holding_arrays_compare_by_identity(build):
     # equal values, distinct objects: no elementwise comparison, and each hashes

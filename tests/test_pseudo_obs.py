@@ -451,8 +451,9 @@ class TestTextFormat:
     @example("1,2\r3,4\n")
     @example("1_0,2\n\u0661,3\n")
     def test_fast_path_matches_line_parser(self, text):
-        # a StringIO is seekable and takes the loadtxt path; the same text
-        # piped goes through the line parser alone
+        # a seekable StringIO and the same text piped both go through
+        # _read_stream's np.loadtxt batches, a rejected batch through the
+        # line parser: whether a stream seeks does not change the outcome
         assert read_outcome(io.StringIO(text)) == read_outcome(Piped(text))
 
     def test_late_bad_row_falls_back_to_cited_line(self, tmp_path):
