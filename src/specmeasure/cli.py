@@ -81,7 +81,10 @@ def _k_grid(text: str) -> np.ndarray:
         raise argparse.ArgumentTypeError(f"non-integer component in {text!r}") from None
     if a < 1 or b < a or step < 1:
         raise argparse.ArgumentTypeError("k-grid needs 1 <= a <= b and step >= 1")
-    return np.arange(a, b + 1, step, dtype=np.int64)
+    try:
+        return np.arange(a, b + 1, step, dtype=np.int64)
+    except (OverflowError, ValueError):  # a component above int64, or too many points
+        raise argparse.ArgumentTypeError(f"k-grid {text!r} is too large") from None
 
 
 def _interval(text: str) -> tuple:

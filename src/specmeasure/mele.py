@@ -185,98 +185,69 @@ def _solutions(rows) -> list:
 def _solve_rows(a: np.ndarray, starts: np.ndarray, length: np.ndarray):
     """:func:`solve_multiplier` on every segment of ``a`` at once: segment i
     is a zero cell at starts[i], then its scores, ``length[i]`` cells in
-    all (see :func:`_segment`).  Each segment has its own bracket, iterate
-    and stop rule (:func:`_newton`), so its solution depends on its own
-    cells only.  Returns arrays of each segment's root, residual, Psi
-    evaluations and feasible interval; root and residual are NaN for a
-    segment whose scores do not straddle zero."""
+    all (see :func:`_segment`).  Returns arrays of each segment's root,
+    residual, Psi evaluations and feasible interval.  A segment whose
+    scores do not straddle zero has root and residual NaN, one whose mean
+    score is zero has both 0, and neither takes an evaluation.  The others
+    are open at first, each with its own bracket, iterate and stop rule, so
+    a segment's solution depends on its own cells only.  The state of the
+    segments is one array, a column each, and a trip takes the open ones'
+    columns, so that it is a few dozen calls on small arrays.  Psi is
+    evaluated on every segment, a closed one's at its last point."""
     count = length - 1
     smin, smax = np.minimum.reduceat(a, starts), np.maximum.reduceat(a, starts)
     zero = (smin == 0.0) & (smax == 0.0)
     straddle = (smin < 0.0) & (smax > 0.0)
-    root, value = np.where(zero | straddle, 0.0, math.nan), np.zeros(starts.size)
     evals = np.zeros(starts.size, dtype=np.int64)
+    # per segment: iterate x, Psi f, the best point bx and its Psi bf, the
+    # slope and the sign bracket (bl, bh); Psi falls from +inf at lo to
+    # -inf at hi, so 0 and the feasible end on the root's side enclose it
+    state = np.empty((7, starts.size))
+    x, f, bx, bf, slope, bl, bh = state
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         lo = np.where(zero, -math.inf, -1.0 / smax)
         hi = np.where(zero, math.inf, -1.0 / smin)
-        rows = np.flatnonzero(straddle)
-        f0 = np.add.reduceat(a, starts)[rows] / count[rows]  # Psi(0), the mean score
-        rows, f0 = rows[f0 != 0.0], f0[f0 != 0.0]
-        if rows.size:
-            # warm start at the first-order multiplier if it falls inside the bracket
-            mu_bar = f0 / (np.add.reduceat(a * a, starts)[rows] / count[rows])
-            solved = _newton(_gather(a, length, rows), length[rows], f0, mu_bar, lo[rows], hi[rows])
-            root[rows], value[rows], evals[rows] = solved
-    value[np.isnan(root)] = math.nan
-    return root, value, evals, lo, hi
-
-
-def _newton(cells, span, f0, mu_bar, lo, hi):
-    """The Newton trips of :func:`_solve_rows` on segments of ``span`` cells
-    of ``cells`` whose mean scores ``f0`` are not zero: each one's root,
-    residual and Psi evaluations.  The state of the segments held is one
-    array, a column each, and a trip takes the open ones' columns, so that
-    it is a few dozen calls on small arrays.  Psi is evaluated on all held
-    cells, a closed segment's at its last point; they are gathered again
-    once closed segments hold most of them."""
-    out, evals = np.empty((2, f0.size)), np.full(f0.size, SOLVER_MAX_ITER + 1)
-    # per held segment: iterate x, Psi f, the best point bx and its Psi bf,
-    # the slope and the sign bracket (bl, bh); Psi falls from +inf at lo to
-    # -inf at hi, so 0 and the feasible end on the root's side enclose it
-    state = np.empty((7, f0.size))
-    x, f, bx, bf, slope, bl, bh = state
-    bl[:], bh[:] = np.where(f0 > 0.0, 0.0, lo), np.where(f0 > 0.0, hi, 0.0)
-    x[:] = np.where((bl < mu_bar) & (mu_bar < bh), mu_bar, 0.5 * (bl + bh))
-    held, first, open_ = np.arange(f0.size), np.cumsum(span) - span, None  # None: all open
-    state[1], state[4] = _psi_rows(x, cells, first, span)
-    state[2:4] = state[0:2]
-    for trip in range(1, SOLVER_MAX_ITER + 1):
-        live = state if open_ is None else state[:, open_]
-        x, f, bx, bf, slope, bl, bh = live
-        size = np.abs(live[:4])
-        better = size[1] < size[3]
-        np.copyto(live[2:4], live[0:2], where=better)
-        np.copyto(size[2:4], size[0:2], where=better)  # |bx| and |bf| of the best point
-        np.copyto(bl, x, where=f > 0.0)
-        np.copyto(bh, x, where=f < 0.0)
-        width = WIDTH_TOL * (1.0 + size[2])
-        half = 0.5 * width
-        # Newton has converged: close the bracket half a width past the
-        # root; a step that is not finite, or leaves the bracket, bisects
-        cand = x - f / slope
-        np.copyto(cand, x + np.copysign(half, f), where=np.abs(cand - x) < half)
-        inside = (bl < cand) & (cand < bh) & (slope > -math.inf)
-        np.copyto(cand, 0.5 * (bl + bh), where=~inside)
-        # stop at an exact root, once the larger of the moment error |Psi|
-        # and the mass error |mu Psi| meets SOLVER_TOL on a closed bracket,
-        # or when no new point is left (x is a bracket end by now)
-        done = ~(size[1] > 0.0) | (cand == bl) | (cand == bh)
-        done |= (size[3] * np.maximum(1.0, size[2]) <= SOLVER_TOL) & (bh - bl <= width)
-        np.copyto(x, cand, where=~done)
-        if open_ is not None:
+        f0 = np.add.reduceat(a, starts) / count  # Psi(0), the mean score
+        open_ = straddle & (f0 != 0.0)
+        bl[:], bh[:] = np.where(f0 > 0.0, 0.0, lo), np.where(f0 > 0.0, hi, 0.0)
+        x[:] = np.where(zero | straddle, 0.0, math.nan)  # the root of a segment never open
+        # warm start at the first-order multiplier if it falls inside the bracket
+        mu_bar = f0 / (np.add.reduceat(a * a, starts) / count)
+        np.copyto(x, np.where((bl < mu_bar) & (mu_bar < bh), mu_bar, 0.5 * (bl + bh)), where=open_)
+        open_ = np.flatnonzero(open_)
+        evals[open_] = SOLVER_MAX_ITER + 1  # unless a trip closes the row
+        state[1], state[4] = _psi_rows(x, a, starts, length)
+        state[2:4] = state[0:2]
+        for trip in range(1, SOLVER_MAX_ITER + 1):
+            live = state[:, open_]
+            x, f, bx, bf, slope, bl, bh = live
+            size = np.abs(live[:4])
+            better = size[1] < size[3]
+            np.copyto(live[2:4], live[0:2], where=better)
+            np.copyto(size[2:4], size[0:2], where=better)  # |bx| and |bf| of the best point
+            np.copyto(bl, x, where=f > 0.0)
+            np.copyto(bh, x, where=f < 0.0)
+            width = WIDTH_TOL * (1.0 + size[2])
+            half = 0.5 * width
+            # Newton has converged: close the bracket half a width past the
+            # root; a step that is not finite, or leaves the bracket, bisects
+            cand = x - f / slope
+            np.copyto(cand, x + np.copysign(half, f), where=np.abs(cand - x) < half)
+            inside = (bl < cand) & (cand < bh) & (slope > -math.inf)
+            np.copyto(cand, 0.5 * (bl + bh), where=~inside)
+            # stop at an exact root, once the larger of the moment error |Psi|
+            # and the mass error |mu Psi| meets SOLVER_TOL on a closed bracket,
+            # or when no new point is left (x is a bracket end by now)
+            done = ~(size[1] > 0.0) | (cand == bl) | (cand == bh)
+            done |= (size[3] * np.maximum(1.0, size[2]) <= SOLVER_TOL) & (bh - bl <= width)
+            np.copyto(x, cand, where=~done)
             state[:, open_] = live
-        if np.count_nonzero(done):
-            evals[held[np.flatnonzero(done) if open_ is None else open_[done]]] = trip
-            open_ = np.flatnonzero(~done) if open_ is None else open_[~done]
+            evals[open_[done]] = trip
+            open_ = open_[~done]
             if not open_.size:
                 break
-            if 2 * span[open_].sum() < cells.size:  # closed segments hold most cells
-                out[:, held] = state[2], np.abs(state[3])
-                cells, span = _gather(cells, span, open_), span[open_]
-                state, held = state[:, open_], held[open_]
-                first, open_ = np.cumsum(span) - span, None
-        state[1], state[4] = _psi_rows(state[0], cells, first, span)
-    out[:, held] = state[2], np.abs(state[3])
-    return out[0], out[1], evals
-
-
-def _gather(cells: np.ndarray, span: np.ndarray, segments: np.ndarray) -> np.ndarray:
-    """The cells of the given segments, of ``span`` cells each, in order."""
-    if segments.size == span.size:
-        return cells
-    keep = np.zeros(span.size, dtype=bool)
-    keep[segments] = True
-    return cells[np.repeat(keep, span)]
+            state[1], state[4] = _psi_rows(state[0], a, starts, length)
+    return state[2], np.abs(state[3]), evals, lo, hi
 
 
 def _weight_rows(mu: np.ndarray, a: np.ndarray, length) -> np.ndarray:

@@ -71,9 +71,13 @@ class TestExitCodes:
             ("--interval", "0.5", "expected a,b"),
             ("--interval", "0.1,0.2,0.3", "expected a,b"),
             ("--interval", "a,0.5", "non-numeric endpoint"),
+            ("--k-grid", "99999999999999999999:99999999999999999999:1",
+             "k-grid '99999999999999999999:99999999999999999999:1' is too large"),
+            ("--k-grid", "1:99999999999999999999:1", "k-grid '1:99999999999999999999:1' is too large"),
         ],
         ids=["grid-non-integer", "grid-reversed", "grid-zero-step", "interval-one-part",
-             "interval-three-parts", "interval-non-numeric"],
+             "interval-three-parts", "interval-non-numeric", "grid-above-int64",
+             "grid-too-many-points"],
     )
     def test_benchmark_grid_and_interval_grammar(self, capsys, flag, value, message):
         assert run("benchmark", "--model", "cauchy-quadrant", "--n", "50",

@@ -322,6 +322,8 @@ class TestSolveRows:
     @given(segments=st.lists(solver_segments(), min_size=1, max_size=8))
     @example(segments=[np.array([-0.5, 0.5]), np.zeros(3), np.array([0.2]), np.array([-0.3, 0.0])])
     @example(segments=[np.append(np.full(399, 1.0 - 1e-12), -1e-15), np.array([-0.9, 0.1])])
+    # a row out of trips (201 evaluations) beside a settled, a zero and a one-sided row
+    @example(segments=[np.array([-0.9, 0.1]), np.array([-0.5, 2.3e-308]), np.zeros(2), np.array([0.3])])
     def test_rows_are_their_one_row_solves(self, segments):
         parts = [_segment(scores) for scores in segments]
         cells = np.concatenate([part[0] for part in parts])
