@@ -71,7 +71,7 @@ _positive_int = _integer(1, math.inf, "value must be a positive integer")
 _uint64 = _integer(0, 2**64, "seed must fit in an unsigned 64-bit integer")
 
 
-def _k_grid(text: str) -> np.ndarray:
+def _k_grid(text: str) -> range:
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected a:b:step, got {text!r}")
@@ -81,10 +81,9 @@ def _k_grid(text: str) -> np.ndarray:
         raise argparse.ArgumentTypeError(f"non-integer component in {text!r}") from None
     if a < 1 or b < a or step < 1:
         raise argparse.ArgumentTypeError("k-grid needs 1 <= a <= b and step >= 1")
-    try:
-        return np.arange(a, b + 1, step, dtype=np.int64)
-    except (OverflowError, ValueError):  # a component above int64, or too many points
-        raise argparse.ArgumentTypeError(f"k-grid {text!r} is too large") from None
+    if b > np.iinfo(np.int64).max:
+        raise argparse.ArgumentTypeError(f"k-grid {text!r} is too large")
+    return range(a, b + 1, step)  # lazy: benchmark builds at most n + 1 of its points
 
 
 def _interval(text: str) -> tuple:
@@ -280,7 +279,10 @@ def _cmd_benchmark(args) -> int:
     interval = None
     if args.interval is not None:
         interval = (args.interval[0] * HALF_PI, args.interval[1] * HALF_PI)
-    table = mise_sweep(model, args.n, args.reps, args.k_grid, interval=interval, seed=args.seed)
+    # a grid of more than n points has a k above n among its first n + 1,
+    # and the sweep names the first such k
+    k_grid = args.k_grid[: args.n + 1]
+    table = mise_sweep(model, args.n, args.reps, k_grid, interval=interval, seed=args.seed)
     _write_text(args.output, table.to_text())
     k = table.k_grid
     step = k[1] - k[0] if k.size > 1 else 1

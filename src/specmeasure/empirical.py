@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .lp_geometry import _check_angles, check_norm_order, lp_norm, score_f
+from .lp_geometry import _check_angles, _geometry, check_norm_order, lp_norm
 from .pseudo_obs import BivariateSample, _tails
 
 if TYPE_CHECKING:
@@ -55,15 +55,6 @@ def _merge_duplicates(locations, weights) -> tuple[np.ndarray, np.ndarray]:
     uniq, inverse = np.unique(np.asarray(locations, dtype=float), return_inverse=True)
     merged = np.bincount(inverse, np.asarray(weights, dtype=float), minlength=uniq.size)
     return uniq, merged
-
-
-def _moment_factors(angles: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
-    """sin/||.||_p and cos/||.||_p of each angle, the factors of the two
-    moment sums."""
-    s = np.sin(angles)
-    c = np.cos(angles)
-    norm = lp_norm(s, c, p)
-    return s / norm, c / norm
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,7 +110,7 @@ class DiscreteSpectralMeasure:
 
     def moment_sums(self) -> tuple[float, float]:
         """Sums of sin/||.||_p and cos/||.||_p atom contributions."""
-        return tuple(float(np.sum(self.weights * f)) for f in _moment_factors(self.angles, self.p))
+        return tuple(float(np.sum(self.weights * f)) for f in _geometry(self.angles, self.p)[1:])
 
 
 # Relative half-width of the band around n/k in which the selection rule
@@ -172,7 +163,7 @@ def _select(batch: Iterable[BivariateSample], grid: tuple, p: float):
     norm among the thresholds n/k, and for integer p and the max norm the
     exact rule again for the members near a threshold.  Returns the
     samples' unions in turn, as one AngularSample whose indices are each
-    sample's own rows, the entries and each sample's number of members."""
+    sample's own rows, the entries, the member counts and the moment factors."""
     p = check_norm_order(p)
     ks, threshold = grid
     k_max = int(ks.max())
@@ -203,8 +194,9 @@ def _select(batch: Iterable[BivariateSample], grid: tuple, p: float):
     keep = entry < ks.size
     rows = rows[keep]
     angles = np.arctan(u2[rows] / u1[rows])
-    union = AngularSample(tail[rows], angles, score_f(angles, p), k_max, p, n)
-    return union, entry[keep], np.diff(np.searchsorted(rows, bounds))
+    scores, *factors = _geometry(angles, p)
+    union = AngularSample(tail[rows], angles, scores, k_max, p, n)
+    return union, entry[keep], np.diff(np.searchsorted(rows, bounds)), factors
 
 
 def select_extremes(sample: BivariateSample, k: int, p: float) -> AngularSample:

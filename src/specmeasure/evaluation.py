@@ -15,7 +15,7 @@ from typing import IO, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .empirical import AngularSample, DiscreteSpectralMeasure, _grid, _moment_factors, _select
+from .empirical import AngularSample, DiscreteSpectralMeasure, _grid, _select
 from .mele import _normalizers, _solutions, _solve_rows, _weight_rows
 from .models import HALF_PI, SpectralModel, _check_integer
 from .pseudo_obs import table_text, write_text
@@ -187,18 +187,18 @@ _CELLS = 1 << 15
 
 class _TailGrid:
     """The extremes of a batch of samples at every k of a grid ``ks``, from
-    the union, entries and member counts of
-    :func:`~specmeasure.empirical._select`, with the cells of ``interval``.
+    the union, entries, member counts and moment factors (formed with the
+    scores by ``lp_geometry._geometry``) of :func:`~specmeasure.empirical._select`.
 
     Sample r has ``count[r, i]`` members at ks[i] (``position`` ranks each
     k in the sorted grid): the first ones in entry order, which sorts its
     union by entry stably, so rows stay increasing within an entry.  Its
-    pool, from ``start[r]``, is a zero cell and then those members'
+    pool, from ``start[r]``, is a zero cell of zeros, then those members'
     ``scores``, moment factors ``sin`` and ``cos`` (of the normalizer) and
     step ``column`` (of the ISE rows); ``edges[edge_start[r]:]`` are the
-    cell edges of its distinct angles (:func:`_edges`)."""
+    cell edges of ``interval`` at its distinct angles (:func:`_edges`)."""
 
-    def __init__(self, union: AngularSample, entry, size, ks, position, interval: tuple):
+    def __init__(self, union: AngularSample, entry, size, factors, ks, position, interval: tuple):
         self.ks, self.size = ks, size
         sample = np.repeat(np.arange(size.size), size)
         atom, *distinct = _distinct(union.angles, sample)
@@ -211,10 +211,8 @@ class _TailGrid:
         # a type small enough for a radix sort, as in _distinct
         order = np.argsort(key.astype(np.min_scalar_type(size.size * ks.size)), kind="stable")
         slot = np.arange(order.size) + sample + 1
-        pools = [_pool(values, order, slot) for values in (union.scores, column[atom], union.angles)]
-        self.scores, self.column = pools[:2]
-        # a zero cell's factors are finite, and its weight 0
-        self.sin, self.cos = _moment_factors(pools[2], union.p)
+        pools = (_pool(values, order, slot) for values in (union.scores, column[atom], *factors))
+        self.scores, self.column, self.sin, self.cos = pools
 
 
 def _distinct(angles: np.ndarray, sample: np.ndarray):

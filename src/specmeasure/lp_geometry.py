@@ -74,6 +74,18 @@ def lp_norm(x, y, p: float):
     return float(out) if scalar else out
 
 
+def _geometry(theta: np.ndarray, p: float) -> tuple:
+    """The score of :func:`score_f` at each angle and its moment factors
+    sin/||.||_p and cos/||.||_p, from one sin, one cos and one norm."""
+    s = np.sin(theta)
+    c = np.cos(theta)
+    norm = lp_norm(s, c, p)
+    # the float pi/4 stands for the exact diagonal (rank ties reach it by
+    # arctan(1)); sin/cos round one-sidedly there and at pi/2: pin both
+    score = np.where(theta == QUARTER_PI, 0.0, (s - c) / norm)
+    return np.where(theta == HALF_PI, 1.0, score), s / norm, c / norm
+
+
 def score_f(theta, p: float):
     """Angular moment score f(theta) = (sin - cos) / ||(sin, cos)||_p.
 
@@ -87,12 +99,5 @@ def score_f(theta, p: float):
     scalar = np.ndim(theta) == 0
     theta = np.asarray(theta, dtype=float)
     _check_angles(theta)
-    s = np.sin(theta)
-    c = np.cos(theta)
-    out = (s - c) / lp_norm(s, c, p)
-    # the float pi/4 stands for the exact diagonal angle (rank ties map
-    # to it through arctan(1)), but sin/cos round one-sidedly there and
-    # at pi/2; pin both symmetry points to their exact scores
-    out = np.where(theta == QUARTER_PI, 0.0, out)
-    out = np.where(theta == HALF_PI, 1.0, out)
+    out = _geometry(theta, p)[0]
     return float(out) if scalar else out

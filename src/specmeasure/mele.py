@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .empirical import AngularSample, DiscreteSpectralMeasure, _merge_duplicates, _moment_factors
+from .empirical import AngularSample, DiscreteSpectralMeasure, _merge_duplicates
+from .lp_geometry import _geometry
 
 __all__ = [
     "ConstraintInfeasible",
@@ -277,7 +278,7 @@ def mele_weights(solution: MultiplierSolution, scores) -> np.ndarray:
 def _normalizers(q: np.ndarray, factors: tuple, starts) -> np.ndarray:
     """:func:`spectral_normalizer` of each segment of the cell weights ``q``,
     from starts[i]: the sums of q against the cells' sin/||.||_p and
-    cos/||.||_p ``factors`` (:func:`~specmeasure.empirical._moment_factors`),
+    cos/||.||_p ``factors`` (:func:`~specmeasure.lp_geometry._geometry`),
     two arrays that it overwrites.  A segment of NaNs (an infeasible fit)
     gives NaN and passes the checks."""
     mass = np.add.reduceat(q, starts)
@@ -308,7 +309,7 @@ def spectral_normalizer(q: DiscreteSpectralMeasure) -> float:
         normalizer disagree beyond ``NORMALIZER_TOL`` (the moment
         constraint was violated).
     """
-    return float(_normalizers(q.weights, _moment_factors(q.angles, q.p), [0])[0])
+    return float(_normalizers(q.weights, _geometry(q.angles, q.p)[1:], [0])[0])
 
 
 def mele_spectral_prob(ang: AngularSample) -> DiscreteSpectralMeasure:

@@ -74,10 +74,14 @@ class TestExitCodes:
             ("--k-grid", "99999999999999999999:99999999999999999999:1",
              "k-grid '99999999999999999999:99999999999999999999:1' is too large"),
             ("--k-grid", "1:99999999999999999999:1", "k-grid '1:99999999999999999999:1' is too large"),
+            # only the first n + 1 points of a grid are built, so a grid too
+            # long for np.arange names its first k above n, as 1:51:1 does
+            ("--k-grid", "1:9223372036854775805:1", "1 <= k <= n = 50, got 51"),
+            ("--k-grid", "1:9223372036854775806:1", "1 <= k <= n = 50, got 51"),
         ],
         ids=["grid-non-integer", "grid-reversed", "grid-zero-step", "interval-one-part",
              "interval-three-parts", "interval-non-numeric", "grid-above-int64",
-             "grid-too-many-points"],
+             "grid-too-many-points", "grid-2^63-3-points", "grid-2^63-2-points"],
     )
     def test_benchmark_grid_and_interval_grammar(self, capsys, flag, value, message):
         assert run("benchmark", "--model", "cauchy-quadrant", "--n", "50",

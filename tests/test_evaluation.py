@@ -232,8 +232,8 @@ class TestGridPass:
         # each k's rank in the grid sorted stably, by Python's stable sort
         order = sorted(range(len(k_grid)), key=k_grid.__getitem__)
         position = [order.index(i) for i in range(len(k_grid))]
-        union, entry, size = _select([sample], _grid(k_grid, n), p)
-        grid = _TailGrid(union, entry, size, np.array(k_grid), position, (a, b))
+        union, entry, size, factors = _select([sample], _grid(k_grid, n), p)
+        grid = _TailGrid(union, entry, size, factors, np.array(k_grid), position, (a, b))
         cells = _cells(model, grid.edges, grid.edge_start)
         _, _, emp, mel, solve = _scored(grid, cells, [(0, 0, len(k_grid))])
         solutions = _solutions(solve)
@@ -513,6 +513,16 @@ class TestMiseSweep:
         assert table.stderr[0, 0] == pytest.approx(
             emp.std(ddof=1) / math.sqrt(reps), rel=1e-12
         )
+
+    def test_mele_stderr_from_two_feasible_fits(self):
+        # replication 0 is one-sided at k = 2, which leaves two MELE fits
+        model = cauchy_quadrant_model(1.0)
+        table = mise_sweep(model, 60, 3, [2, 10], interval=(0.1, 1.4), seed=3)
+        mel = np.array(
+            [replication_ise(model, 60, [2, 10], (0.1, 1.4), 3, r)[1][0] for r in range(3)]
+        )
+        assert table.infeasible[0, 1] == 1 and math.isnan(mel[0])
+        assert table.stderr[0, 1] == pytest.approx(mel[1:].std(ddof=1) / math.sqrt(2), rel=1e-12)
 
     def test_validation(self):
         model = cauchy_quadrant_model(2.0)

@@ -96,7 +96,8 @@ class TestScore:
             right = score_f(theta, p)
             np.testing.assert_allclose(left, -right, atol=1e-12)
 
-    @pytest.mark.parametrize("theta", [2.0, -0.1, math.nan, [0.5, math.nan]])
+    # pi/2 + 1e-9 is past the 1e-12 slack that absorbs rounding only
+    @pytest.mark.parametrize("theta", [2.0, -0.1, math.nan, [0.5, math.nan], math.pi / 2 + 1e-9])
     def test_rejects_angles_outside_the_quadrant(self, theta):
         with pytest.raises(ValueError, match="pi/2"):
             score_f(theta, 1.0)

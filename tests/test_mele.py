@@ -230,6 +230,18 @@ class TestSolverContract:
         assert abs(w.sum() - 1.0) <= 1e-10
         assert abs(np.dot(w, scores)) <= 1e-10
 
+    @pytest.mark.parametrize("seed", [20, 45])
+    def test_mass_within_solver_tol_far_from_zero(self, seed):
+        # a thousand scores in (0, 1) balanced by two in (-1e-3, 0) put mu
+        # in the thousands; the stop rule bounds the mass error |mu Psi| as
+        # well as |Psi|, so both constraints hold to SOLVER_TOL
+        rng = np.random.default_rng(seed)
+        scores = np.concatenate([rng.uniform(0.0, 1.0, 1000), -rng.uniform(0.0, 1e-3, 2)])
+        sol = solve_multiplier(scores)
+        assert abs(sol.mu) > 1000.0
+        assert abs(sol.mu) * sol.residual <= SOLVER_TOL
+        assert abs(mele_weights(sol, scores).sum() - 1.0) <= SOLVER_TOL
+
 
 def exact_psi_sign(mu, scores) -> int:
     """Sign of Psi at the mpmath number mu, evaluated in 50 digits.
@@ -438,6 +450,17 @@ class TestNormalizer:
         q = DiscreteSpectralMeasure.from_atoms([0.2, 0.4], [0.5, 0.5], 1.0)
         with pytest.raises(ValueError, match="moment constraint"):
             spectral_normalizer(q)
+
+    def test_rejects_mass_a_millionth_off(self):
+        # a MELE Q scaled by 1 + 1e-6 still meets the moment constraint, so
+        # only the 1e-8 mass check tells it from a probability measure
+        sample = asym_logistic_model(2.0, p=2.5).sample(500, np.random.default_rng(7))
+        q = mele_spectral_prob(select_extremes(sample, 40, 2.5))
+        scaled = DiscreteSpectralMeasure(q.angles, q.weights * (1.0 + 1e-6), 2.5)
+        sin_sum, cos_sum = scaled.moment_sums()
+        assert abs(sin_sum - cos_sum) <= 1e-12
+        with pytest.raises(ValueError, match="probability"):
+            spectral_normalizer(scaled)
 
 
 class TestSpectralMeasure:

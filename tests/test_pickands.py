@@ -129,6 +129,9 @@ class TestPickandsFunction:
             PickandsFunction(
                 knots=np.array([0.0, 0.6, 0.3, 1.0]), values=np.ones(4)
             )
+        # a repeated knot would leave the slope between its copies 0 / 0
+        with pytest.raises(ValueError, match="increase strictly"):
+            PickandsFunction([0.0, 0.5, 0.5, 1.0], [1.0, 0.75, 0.75, 1.0])
 
     @pytest.mark.parametrize(
         "knots, values", [([0.0, 1.0], [1.0]), ([1.0], [1.0]), ([[0.0, 1.0]], [[1.0, 1.0]])]
