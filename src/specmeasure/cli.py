@@ -2,8 +2,8 @@
 
 Every subcommand emits comma-delimited text with a single header row;
 floats are serialized with 17 significant digits so emitted tables
-round-trip exactly.  Exit codes: 0 success, 2 parse or configuration
-error, 3 infeasible moment constraint, 4 I/O failure.
+round-trip exactly.  Exit codes: 0 success, 2 parse, configuration or
+allocation error, 3 infeasible moment constraint, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -347,7 +347,7 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except ConstraintInfeasible as exc:
         return _fail(3, str(exc))
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         return _fail(2, str(exc))
     except OSError as exc:
         return _fail(4, str(exc))

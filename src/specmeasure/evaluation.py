@@ -285,10 +285,11 @@ def _blocks(size: np.ndarray, rows: int):
         yield block
 
 
-def _passes(model: SpectralModel, n: int, k_grid, interval: tuple, seed, reps):
-    """Score replications ``reps`` in blocks; yield (replication, k index,
-    emp, mel, solve) for the rows of each block, the replication as an
-    index into ``reps`` and solve the columns of ``mele._solve_rows``.
+def _sweep(model: SpectralModel, n: int, k_grid, interval: tuple, seed, reps) -> np.ndarray:
+    """The (replication, k) table of replications ``reps``: rows emp, mel
+    and the columns of ``mele._solve_rows``, each indexed [index into
+    ``reps``, k index].  The grid, the seed and n are checked before the
+    table is made or a sample drawn.
 
     Replications go in selection batches of ``_CELLS // (2 n)`` (at least
     one), each with one rank pass and one selection of all its samples and
@@ -303,6 +304,7 @@ def _passes(model: SpectralModel, n: int, k_grid, interval: tuple, seed, reps):
     n = _check_integer(n, "sample size", 1)
     grid = _grid(k_grid, n)
     position = np.argsort(np.argsort(k_grid, kind="stable"))  # each k's rank in the sorted grid
+    table = np.empty((7, len(reps), k_grid.size))
     batch = max(1, _CELLS // (2 * n))
     for first in range(0, len(reps), batch):
         samples = (
@@ -311,9 +313,10 @@ def _passes(model: SpectralModel, n: int, k_grid, interval: tuple, seed, reps):
         tail = _TailGrid(*_select(samples, grid, model.p), grid[0], position, interval)
         cells = _cells(model, tail.edges, tail.edge_start)
         for block in _blocks(tail.size, k_grid.size):
-            rep, k, *scores = _scored(tail, cells, block)
-            yield first + rep, k, *scores
+            rep, k, emp, mel, solve = _scored(tail, cells, block)
+            table[:, first + rep, k] = emp, mel, *solve
         del tail, cells  # before the next batch is drawn
+    return table
 
 
 def _scored(grid: _TailGrid, cells: tuple, block: list):
@@ -364,21 +367,15 @@ def replication_ise(
     The replication stream is derived from (seed, rep) only; the mele
     entry is NaN where the moment constraint was infeasible.  This is the
     one-replication case of the pass of :func:`mise_sweep`, a selection
-    batch of one: one selection serves the whole grid, each estimator is
-    one row of atom weights per k over the distinct angles of all
-    members, and all rows are scored on one partition at those angles,
-    which refines each k's own, so the ISEs are those of the per-k
-    estimates, which build no grid, up to rounding.  The rows are scored
-    in slices that fit the cell budget, so memory stays bounded for any
-    grid; a row's values do not depend on its block.  Only here are the
-    solve's columns made into :class:`~specmeasure.mele.MultiplierSolution`
-    objects.
+    batch of one, so its ISEs are bitwise the sweep's for that
+    replication.  Only here are the solve's columns made into
+    :class:`~specmeasure.mele.MultiplierSolution` objects.
     """
     rep = _check_integer(rep, "rep", 0)
-    _, _, emp, mel, solve = zip(*_passes(model, n, k_grid, interval, seed, [rep]))
-    solutions = _solutions([np.concatenate(column) for column in zip(*solve)])
+    emp, mel, *solve = _sweep(model, n, k_grid, interval, seed, [rep])[:, 0]
+    solutions = _solutions(solve)
     infeasible = np.array([s is None for s in solutions])
-    return np.concatenate(emp), np.concatenate(mel), infeasible, solutions
+    return emp, mel, infeasible, solutions
 
 
 def mise_sweep(
@@ -398,18 +395,22 @@ def mise_sweep(
     default interval when omitted).  ``p``, when given, must match the
     model's norm order; it exists to make call sites explicit.
 
-    The replications are an array axis.  Each draws its own sample, and
-    the samples of a selection batch (as many as fit ``_CELLS`` sample
-    values) are ranked and selected at once, the k grid checked once per
-    sweep, and their cell edges take one truth-integral call.  Consecutive
+    The replications are an array axis, and one pass fills a (replication,
+    k) table of both ISEs and the solver statistics; it checks the grid,
+    the seed and n before it makes the table or draws a sample.  Each
+    replication draws its own sample, and the samples of a selection batch
+    (as many as fit ``_CELLS`` sample values) are ranked and selected at
+    once, and their cell edges take one truth-integral call.  Consecutive
     replications of a batch are then scored together, in blocks within a
     fixed budget of (replication, k, member) cells, a replication's k
     split over blocks where they exceed it: a block's MELE rows are solved
     at once, a Newton trip a few dozen calls on the open rows' state, and
-    its atom weights, normalizers and ISEs are one pass each.  The solver
-    statistics are read as arrays.  Each row's values depend on its own
-    cells only, so every replication's ISEs are bitwise those of
-    :func:`replication_ise`, whatever batch or block it falls in.
+    its atom weights, normalizers and ISEs are one pass each.  A row is
+    scored on one partition at its replication's distinct atoms, which
+    refines each k's own, so its ISEs are those of the per-k estimates up
+    to rounding.  Each row's values depend on its own cells only, so every
+    replication's ISEs are bitwise those of :func:`replication_ise`,
+    whatever batch or block it falls in.
     """
     if p is not None and p != model.p:
         raise ValueError(f"norm order mismatch: model has p = {model.p}, requested {p}")
@@ -418,14 +419,9 @@ def mise_sweep(
     # checked by the pass
     a, b = map(float, model.default_ise_interval if interval is None else interval)
 
-    nk = np.size(k_grid)
-    emp, mel, residual = np.empty((3, replications, nk))  # residual NaN if infeasible
-    evaluations = np.empty((replications, nk), dtype=np.int64)
-    passes = _passes(model, n, k_grid, (a, b), seed, range(replications))
-    for rep, k, emp_ise, mel_ise, (_, res, evals, _, _) in passes:
-        emp[rep, k], mel[rep, k] = emp_ise, mel_ise
-        residual[rep, k], evaluations[rep, k] = res, evals
-
+    table = _sweep(model, n, k_grid, (a, b), seed, range(replications))
+    emp, mel, _, residual, evaluations, _, _ = table  # residual NaN if infeasible
+    nk = emp.shape[1]
     feasible = ~np.isnan(mel)
     counts = feasible.sum(axis=0)
     mise = np.full((nk, 2), math.nan)
@@ -434,11 +430,9 @@ def mise_sweep(
     mise[:, 0] = emp.mean(axis=0)
     if replications > 1:
         stderr[:, 0] = emp.std(axis=0, ddof=1) / math.sqrt(replications)
-    for i in range(nk):
+    infeasible[:, 1] = replications - counts
+    for i in np.flatnonzero(counts):
         vals = mel[feasible[:, i], i]
-        infeasible[i, 1] = replications - counts[i]
-        if counts[i] == 0:
-            continue
         mise[i, 1] = vals.mean()
         if counts[i] > 1:
             stderr[i, 1] = vals.std(ddof=1) / math.sqrt(counts[i])

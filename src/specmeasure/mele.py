@@ -178,7 +178,7 @@ def _solutions(rows) -> list:
     ``None`` where it has no root."""
     mu, residual, evaluations, lo, hi = (c.tolist() for c in rows)
     return [
-        None if math.isnan(m) else MultiplierSolution(m, r, e, (left, right))
+        None if math.isnan(m) else MultiplierSolution(m, r, int(e), (left, right))
         for m, r, e, left, right in zip(mu, residual, evaluations, lo, hi)
     ]
 

@@ -150,6 +150,21 @@ class TestExitCodes:
             assert "--gnuplot-script requires --output" in err
             assert not script.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("simulate",), ("benchmark", "--reps", "1", "--k-grid", "10:20:10")],
+        ids=["simulate", "benchmark"],
+    )
+    def test_unallocatable_sample(self, capsys, argv):
+        # n = 1e14 asks for a 2 PiB sample, more than a 64-bit user address
+        # space holds, so the allocation fails without touching memory
+        assert run(*argv, "--model", "cauchy-quadrant", "--n", "100000000000000",
+                   "--seed", "1") == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("specmeasure: error: Unable to allocate")
+        assert "Traceback" not in err
+
     def test_help_and_version(self, capsys):
         assert run("--version") == 0
         assert "specmeasure" in capsys.readouterr().out

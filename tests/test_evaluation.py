@@ -380,9 +380,9 @@ class TestGridPass:
         assert 3 < calls.count("_solve_rows") < 40
 
     def test_sweep_in_bounded_memory(self):
-        # memory guard at the paper's sizes: the traced peak is about 1.36 MB
-        # at the default cell budget, 0.44 MB with one row per block and
-        # 2.55 MB at twice the budget
+        # memory guard at the paper's sizes: the traced peak is about 1.43 MiB
+        # at the default cell budget, 0.50 MiB with one row per block and
+        # 2.63 MiB at twice the budget
         model = asym_logistic_model(2.0)
         mise_sweep(model, 1000, 1, range(10, 201, 10), seed=1)  # tables and first-call state
         tracemalloc.start()
@@ -403,6 +403,7 @@ class TestGridPass:
             assert [s is None for s in solutions] == infeasible.tolist()
             fits += [s for s in solutions if s is not None]
         assert table.infeasible.sum() == 1 and len(fits) == 7
+        assert all(type(s.iterations) is int for s in fits)
         assert table.max_evaluations == max(s.iterations for s in fits) > 0
         assert table.max_residual == max(s.residual for s in fits) <= SOLVER_TOL
 
@@ -569,6 +570,25 @@ class TestMiseSweep:
         table = mise_sweep(asym_logistic_model(2.0, psi1=0.5), 100, 2, [10, 20], seed=0)
         assert table.model == "asymmetric-logistic(r=2,psi1=0.5,psi2=1)"
         assert np.all(np.isfinite(table.mise[:, 0]))
+
+    def test_long_bad_grid_fails_before_any_table_or_draw(self, monkeypatch):
+        # a grid with a k above n is refused before the (replication, k)
+        # table is made or a sample drawn: the traced peak is about 4.6 MiB,
+        # the grid as an array and its checks; a table made first would
+        # hold 7 x 100 x 99999 doubles (534 MiB)
+        draws = []
+        sample = SpectralModel.sample
+        monkeypatch.setattr(SpectralModel, "sample", lambda *a: draws.append(1) or sample(*a))
+        model = cauchy_quadrant_model(1.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="1 <= k <= n = 100, got 101"):
+                mise_sweep(model, 100, 100, range(1, 10**5), seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert draws == []
 
     def test_truth_cdf_sampled_once(self, monkeypatch):
         # the integral tables sample the truth once, at the table nodes;
