@@ -50,28 +50,45 @@ def integrated_squared_error(
         raise ValueError(
             f"norm order mismatch: estimate has p = {estimate.p}, model has p = {model.p}"
         )
-    edges, start, column = _edges(estimate.angles, np.zeros(estimate.angles.size, int), 1, a, b)
-    cells = _cells(model, edges, start)
+    owner = np.zeros(estimate.angles.size, int)
+    cells, column = _cells(model, estimate.angles, owner, 1, *_interval((a, b)))
     # float even with no atoms
     steps = np.bincount(column, estimate.weights, minlength=cells[0].shape[1])[None] * 1.0
     return float(_ise_rows(cells, steps)[0])
 
 
-def _edges(atoms: np.ndarray, owner: np.ndarray, sets: int, a, b):
-    """The cell edges of (a, b) cut at each of ``sets`` sets of distinct
-    atoms, ``atoms`` increasing within a set and owner[i] the set of
-    atoms[i]: per set, from start[i], a, its atoms in (a, b), then b.
-    Also each atom's step column: 1 + the cell from whose left edge on the
-    cdf counts it, 1 for an atom at or below a and 1 + the cell count for
-    one at or above b.  Column 0 is left to the zero cells."""
-    a = float(a)
-    b = float(b)
+def _interval(interval) -> tuple:
+    """The ISE interval (a, b) as floats, checked to lie in [0, pi/2]."""
+    a, b = map(float, interval)
     if not (0.0 <= a < b <= HALF_PI):
         raise ValueError(f"invalid angle interval ({a}, {b})")
+    return a, b
+
+
+def _cells(model: SpectralModel, angles: np.ndarray, owner: np.ndarray, sets: int, a, b):
+    """The cells of the interval (a, b) cut at the distinct angles of each of
+    ``sets`` sets, owner[i] the set of angles[i] and the owners nondecreasing,
+    from one ``cdf_integrals`` call: per set a row of cell widths and one of
+    model cdf means, each after a 0 and padded with zeros to a common length
+    one past the longest, then each set's cell count and its cells' sum of
+    dIG2 - w Gbar**2.  Also each angle's step column: 1 + the cell from
+    whose left edge on the cdf counts it, 1 for an angle at or below a and
+    1 + its set's cell count for one at or above b.  Column 0 is left to the
+    zero cells."""
+    by_angle = np.argsort(angles)
+    # a stable sort by set, of a type small enough for a radix sort
+    by_angle = by_angle[np.argsort(owner[by_angle].astype(np.min_scalar_type(sets)), kind="stable")]
+    atoms, owner = angles[by_angle], owner[by_angle]
+    new = np.ones(atoms.size, dtype=bool)
+    new[1:] = (atoms[1:] != atoms[:-1]) | (owner[1:] != owner[:-1])
+    index = np.empty(atoms.size, dtype=np.int64)
+    index[by_angle] = np.cumsum(new) - 1  # each angle's atom
+    atoms, owner = atoms[new], owner[new]
+    del by_angle, new  # before the cells are made
     inner = (atoms > a) & (atoms < b)
     below = np.bincount(owner[atoms <= a], minlength=sets)
-    cells = np.bincount(owner[inner], minlength=sets) + 1
-    start = np.concatenate(([0], np.cumsum(cells + 1)))
+    size = np.bincount(owner[inner], minlength=sets) + 1
+    start = np.concatenate(([0], np.cumsum(size + 1)))  # each set's edges: a, its inner atoms, b
     edges = np.empty(start[-1])
     edges[start[:-1]], edges[start[1:] - 1] = a, b
     ends = np.zeros(edges.size, dtype=bool)
@@ -79,29 +96,18 @@ def _edges(atoms: np.ndarray, owner: np.ndarray, sets: int, a, b):
     edges[~ends] = atoms[inner]
     # 1 + the index within its set, less those at or below a, clipped
     column = np.arange(atoms.size) - (np.searchsorted(owner, np.arange(sets)) + below - 1)[owner]
-    np.clip(column, 0, cells[owner], out=column)
+    np.clip(column, 0, size[owner], out=column)
     column += 1
-    return edges, start, column
-
-
-def _cells(model: SpectralModel, edges: np.ndarray, start: np.ndarray):
-    """The cells between consecutive edges of each set of
-    ``edges[start[i]:start[i + 1]]`` (see :func:`_edges`), from one
-    ``cdf_integrals`` call: per set a row of cell widths and one of model
-    cdf means, each after a 0 and padded with zeros to a common length one
-    past the longest, then each set's cell count and its cells' sum of
-    dIG2 - w Gbar**2."""
-    size = np.diff(start) - 1
-    shape = (size.size, int(size.max()) + 2)
+    shape = (sets, int(size.max()) + 2)
     between = np.delete(np.arange(edges.size - 1), start[1:-1] - 1)  # each cell's left edge
-    owner = np.repeat(np.arange(size.size), size)
+    owner = np.repeat(np.arange(sets), size)
     slot = between + 1 + owner * shape[1] - start[owner]
     width, ig, ig2 = (np.diff(x)[between] for x in (edges, *model.cdf_integrals(edges)))
     mean = ig / width
     rows = np.zeros((3,) + shape)
     for row, values in zip(rows, (width, mean, ig2 - ig * mean)):
         row.ravel()[slot] = values
-    return rows[0], rows[1], size, _row_sums(rows[2], size)
+    return (rows[0], rows[1], size, _row_sums(rows[2], size)), column[index]
 
 
 def _row_sums(rows: np.ndarray, size) -> np.ndarray:
@@ -195,39 +201,23 @@ class _TailGrid:
     union by entry stably, so rows stay increasing within an entry.  Its
     pool, from ``start[r]``, is a zero cell of zeros, then those members'
     ``scores``, moment factors ``sin`` and ``cos`` (of the normalizer) and
-    step ``column`` (of the ISE rows); ``edges[edge_start[r]:]`` are the
-    cell edges of ``interval`` at its distinct angles (:func:`_edges`)."""
+    step ``column`` (of the ISE rows); ``cells`` are the batch's ISE cells
+    of ``interval`` (:func:`_cells`), row r cut at sample r's distinct
+    angles."""
 
-    def __init__(self, union: AngularSample, entry, size, factors, ks, position, interval: tuple):
+    def __init__(self, model, union: AngularSample, entry, size, factors, ks, position, interval):
         self.ks, self.size = ks, size
         sample = np.repeat(np.arange(size.size), size)
-        atom, *distinct = _distinct(union.angles, sample)
-        self.edges, self.edge_start, column = _edges(*distinct, size.size, *interval)
-        del distinct  # the atoms live on as edges
+        self.cells, column = _cells(model, union.angles, sample, size.size, *interval)
         key = sample * ks.size + entry
         seen = np.bincount(key, minlength=size.size * ks.size).reshape(-1, ks.size)
         self.count = np.cumsum(seen, axis=1)[:, position]
         self.start = np.cumsum(size + 1) - size - 1
-        # a type small enough for a radix sort, as in _distinct
+        # a type small enough for a radix sort, as in _cells
         order = np.argsort(key.astype(np.min_scalar_type(size.size * ks.size)), kind="stable")
         slot = np.arange(order.size) + sample + 1
-        pools = (_pool(values, order, slot) for values in (union.scores, column[atom], *factors))
+        pools = (_pool(values, order, slot) for values in (union.scores, column, *factors))
         self.scores, self.column, self.sin, self.cos = pools
-
-
-def _distinct(angles: np.ndarray, sample: np.ndarray):
-    """The distinct angles of each sample, increasing, with their samples,
-    and the index among them of each angle."""
-    by_angle = np.argsort(angles)
-    # a stable sort by sample, of a type small enough for a radix sort
-    by_sample = sample[by_angle].astype(np.min_scalar_type(sample[-1]))
-    by_angle = by_angle[np.argsort(by_sample, kind="stable")]
-    angle, owner = angles[by_angle], sample[by_angle]
-    new = np.ones(angle.size, dtype=bool)
-    new[1:] = (angle[1:] != angle[:-1]) | (owner[1:] != owner[:-1])
-    index = np.empty(angle.size, dtype=np.int64)
-    index[by_angle] = np.cumsum(new) - 1
-    return index, angle[new], owner[new]
 
 
 def _pool(values: np.ndarray, order: np.ndarray, slot: np.ndarray) -> np.ndarray:
@@ -288,8 +278,8 @@ def _blocks(size: np.ndarray, rows: int):
 def _sweep(model: SpectralModel, n: int, k_grid, interval: tuple, seed, reps) -> np.ndarray:
     """The (replication, k) table of replications ``reps``: rows emp, mel
     and the columns of ``mele._solve_rows``, each indexed [index into
-    ``reps``, k index].  The grid, the seed and n are checked before the
-    table is made or a sample drawn.
+    ``reps``, k index].  The grid, the seed, n and the interval are checked
+    before the table is made or a sample drawn.
 
     Replications go in selection batches of ``_CELLS // (2 n)`` (at least
     one), each with one rank pass and one selection of all its samples and
@@ -303,6 +293,7 @@ def _sweep(model: SpectralModel, n: int, k_grid, interval: tuple, seed, reps) ->
     seed = _check_integer(seed, "seed", 0)
     n = _check_integer(n, "sample size", 1)
     grid = _grid(k_grid, n)
+    interval = _interval(interval)
     position = np.argsort(np.argsort(k_grid, kind="stable"))  # each k's rank in the sorted grid
     table = np.empty((7, len(reps), k_grid.size))
     batch = max(1, _CELLS // (2 * n))
@@ -310,24 +301,23 @@ def _sweep(model: SpectralModel, n: int, k_grid, interval: tuple, seed, reps) ->
         samples = (
             model.sample(n, np.random.default_rng([seed, r])) for r in reps[first : first + batch]
         )
-        tail = _TailGrid(*_select(samples, grid, model.p), grid[0], position, interval)
-        cells = _cells(model, tail.edges, tail.edge_start)
+        tail = _TailGrid(model, *_select(samples, grid, model.p), grid[0], position, interval)
         for block in _blocks(tail.size, k_grid.size):
-            rep, k, emp, mel, solve = _scored(tail, cells, block)
+            rep, k, emp, mel, solve = _scored(tail, block)
             table[:, first + rep, k] = emp, mel, *solve
-        del tail, cells  # before the next batch is drawn
+        del tail  # before the next batch is drawn
     return table
 
 
-def _scored(grid: _TailGrid, cells: tuple, block: list):
+def _scored(grid: _TailGrid, block: list):
     """The rows of one block of a grid: (sample, k index, emp, mel, solve),
     from one row-wise MELE solve, both estimators' atom weights, the
     normalizers, checked on each row's members, and one ISE pass per
-    estimator, on the block's samples' rows of the grid's ``cells``
-    (:func:`_cells`), cut to the block's widest; the block's arrays go
-    when it is done, each cell array as soon as it is used."""
+    estimator, on the block's samples' rows of ``grid.cells``, cut to the
+    block's widest; the block's arrays go when it is done, each cell array
+    as soon as it is used."""
     rows = _Segments(grid, block)
-    width_rows, mean_rows, size, spread = cells
+    width_rows, mean_rows, size, spread = grid.cells
     reps = slice(block[0][0], block[-1][0] + 1)
     width = int(size[reps].max()) + 2
     cells = width_rows[reps, :width], mean_rows[reps, :width], size[reps], spread[reps]
@@ -397,7 +387,8 @@ def mise_sweep(
 
     The replications are an array axis, and one pass fills a (replication,
     k) table of both ISEs and the solver statistics; it checks the grid,
-    the seed and n before it makes the table or draws a sample.  Each
+    the seed, n and the interval before it makes the table or draws a
+    sample.  Each
     replication draws its own sample, and the samples of a selection batch
     (as many as fit ``_CELLS`` sample values) are ranked and selected at
     once, and their cell edges take one truth-integral call.  Consecutive

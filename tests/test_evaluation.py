@@ -21,7 +21,6 @@ from specmeasure.empirical import (
 from specmeasure.evaluation import (
     ESTIMATORS,
     MiseTable,
-    _cells,
     _scored,
     _TailGrid,
     integrated_squared_error,
@@ -233,9 +232,8 @@ class TestGridPass:
         order = sorted(range(len(k_grid)), key=k_grid.__getitem__)
         position = [order.index(i) for i in range(len(k_grid))]
         union, entry, size, factors = _select([sample], _grid(k_grid, n), p)
-        grid = _TailGrid(union, entry, size, factors, np.array(k_grid), position, (a, b))
-        cells = _cells(model, grid.edges, grid.edge_start)
-        _, _, emp, mel, solve = _scored(grid, cells, [(0, 0, len(k_grid))])
+        grid = _TailGrid(model, union, entry, size, factors, np.array(k_grid), position, (a, b))
+        _, _, emp, mel, solve = _scored(grid, [(0, 0, len(k_grid))])
         solutions = _solutions(solve)
         for i, k in enumerate(k_grid):
             ang = select_extremes(sample, k, p)
@@ -380,9 +378,9 @@ class TestGridPass:
         assert 3 < calls.count("_solve_rows") < 40
 
     def test_sweep_in_bounded_memory(self):
-        # memory guard at the paper's sizes: the traced peak is about 1.43 MiB
-        # at the default cell budget, 0.50 MiB with one row per block and
-        # 2.63 MiB at twice the budget
+        # memory guard at the paper's sizes: the traced peak is about 1.45 MiB
+        # at the default cell budget, 0.53 MiB with one row per block and
+        # 2.65 MiB at twice the budget
         model = asym_logistic_model(2.0)
         mise_sweep(model, 1000, 1, range(10, 201, 10), seed=1)  # tables and first-call state
         tracemalloc.start()
@@ -588,6 +586,19 @@ class TestMiseSweep:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+        assert draws == []
+
+    def test_bad_interval_fails_before_any_draw(self, monkeypatch):
+        # the interval is checked with the grid, the seed and n, before the
+        # first selection batch (16 samples at n = 1000) is drawn
+        draws = []
+        sample = SpectralModel.sample
+        monkeypatch.setattr(SpectralModel, "sample", lambda *a: draws.append(1) or sample(*a))
+        model = cauchy_quadrant_model(1.0)
+        with pytest.raises(ValueError, match="invalid angle interval"):
+            mise_sweep(model, 1000, 200, [10], interval=(1.2, 0.3), seed=0)
+        with pytest.raises(ValueError, match="invalid angle interval"):
+            replication_ise(model, 1000, [10], (1.2, 0.3), 0, 0)
         assert draws == []
 
     def test_truth_cdf_sampled_once(self, monkeypatch):
