@@ -15,7 +15,7 @@ from typing import IO, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .empirical import AngularSample, DiscreteSpectralMeasure, _grid, _select
+from .empirical import DiscreteSpectralMeasure, _grid, _select
 from .mele import _normalizers, _solutions, _solve_rows, _weight_rows
 from .models import HALF_PI, SpectralModel, _check_integer
 from .pseudo_obs import table_text, write_text
@@ -51,15 +51,15 @@ def integrated_squared_error(
             f"norm order mismatch: estimate has p = {estimate.p}, model has p = {model.p}"
         )
     owner = np.zeros(estimate.angles.size, int)
-    cells, column = _cells(model, estimate.angles, owner, 1, *_interval((a, b)))
+    cells, column = _cells(model, estimate.angles, owner, 1, *_interval((a, b), model))
     # float even with no atoms
     steps = np.bincount(column, estimate.weights, minlength=cells[0].shape[1])[None] * 1.0
     return float(_ise_rows(cells, steps)[0])
 
 
-def _interval(interval) -> tuple:
-    """The ISE interval (a, b) as floats, checked to lie in [0, pi/2]."""
-    a, b = map(float, interval)
+def _interval(interval, model: SpectralModel) -> tuple:
+    """The ISE interval (a, b) as floats, the model's default for None, checked in [0, pi/2]."""
+    a, b = map(float, model.default_ise_interval if interval is None else interval)
     if not (0.0 <= a < b <= HALF_PI):
         raise ValueError(f"invalid angle interval ({a}, {b})")
     return a, b
@@ -192,12 +192,13 @@ _CELLS = 1 << 15
 
 
 class _TailGrid:
-    """The extremes of a batch of samples at every k of a grid ``ks``, from
-    the union, entries, member counts and moment factors (formed with the
-    scores by ``lp_geometry._geometry``) of :func:`~specmeasure.empirical._select`.
+    """The extremes of a batch of samples at every k of a ``grid`` (from
+    :func:`~specmeasure.empirical._grid`), from the union, entries, member
+    counts and moment factors of the batch's one selection, run here by
+    :func:`~specmeasure.empirical._select`, which forms the factors with the scores.
 
-    Sample r has ``count[r, i]`` members at ks[i] (``position`` ranks each
-    k in the sorted grid): the first ones in entry order, which sorts its
+    Sample r has ``count[r, i]`` members at ks[i] (each k ranked here in
+    the stably sorted grid): the first ones in entry order, which sorts its
     union by entry stably, so rows stay increasing within an entry.  Its
     pool, from ``start[r]``, is a zero cell of zeros, then those members'
     ``scores``, moment factors ``sin`` and ``cos`` (of the normalizer) and
@@ -205,54 +206,25 @@ class _TailGrid:
     of ``interval`` (:func:`_cells`), row r cut at sample r's distinct
     angles."""
 
-    def __init__(self, model, union: AngularSample, entry, size, factors, ks, position, interval):
+    def __init__(self, model, batch, grid: tuple, interval: tuple):
+        union, entry, size, factors = _select(batch, grid, model.p)
+        ks = grid[0]
         self.ks, self.size = ks, size
         sample = np.repeat(np.arange(size.size), size)
         self.cells, column = _cells(model, union.angles, sample, size.size, *interval)
         key = sample * ks.size + entry
         seen = np.bincount(key, minlength=size.size * ks.size).reshape(-1, ks.size)
+        position = np.argsort(np.argsort(ks, kind="stable"))  # each k's rank in the sorted grid
         self.count = np.cumsum(seen, axis=1)[:, position]
         self.start = np.cumsum(size + 1) - size - 1
         # a type small enough for a radix sort, as in _cells
         order = np.argsort(key.astype(np.min_scalar_type(size.size * ks.size)), kind="stable")
         slot = np.arange(order.size) + sample + 1
-        pools = (_pool(values, order, slot) for values in (union.scores, column, *factors))
+        values = (union.scores, column, *factors)
+        pools = [np.zeros(slot[-1] + 1, dtype=v.dtype) for v in values]
+        for pool, v in zip(pools, values):
+            pool[slot] = v[order]  # zero elsewhere
         self.scores, self.column, self.sin, self.cos = pools
-
-
-def _pool(values: np.ndarray, order: np.ndarray, slot: np.ndarray) -> np.ndarray:
-    """``values`` in ``order`` at ``slot``, zero elsewhere."""
-    pool = np.zeros(slot[-1] + 1, dtype=values.dtype)
-    pool[slot] = values[order]
-    return pool
-
-
-class _Segments:
-    """The rows of a block of a grid as one flat array of cells.  The
-    block's parts (r, first, stop) are the rows first to stop - 1 of sample
-    r, the samples consecutive.  Segment s, of ``length[s]`` cells from
-    ``starts[s]``, is row k[s] of sample rep[s]: a zero cell followed by
-    its members in entry order, the prefix of the sample's pool that
-    ``cells`` indexes, laid out as ``mele._segment`` lays out one row.  A
-    row's values thus depend on its own segment only, never on the rows
-    beside it.  In the rows of step columns, part p holds rows p * ``depth``
-    on, the longest part's row count; segment s is row ``slot[s]``."""
-
-    def __init__(self, grid: _TailGrid, block: list):
-        rep, first, stop = np.array(block).T
-        rows = stop - first
-        self.rep = np.repeat(rep, rows)
-        self.k = np.arange(rows.sum()) + np.repeat(first - np.cumsum(rows) + rows, rows)
-        self.length = grid.count[self.rep, self.k] + 1
-        self.starts = np.cumsum(self.length) - self.length
-        self.cells = np.arange(self.length.sum()) + np.repeat(grid.start[self.rep] - self.starts, self.length)
-        self.parts, self.depth = rows.size, int(rows.max())
-        self.slot = self.k + np.repeat(np.arange(rows.size) * self.depth - first, rows)
-
-    def per_atom(self, bins: np.ndarray, values: np.ndarray, width: int) -> np.ndarray:
-        """Cell ``values`` summed by ``bins`` (slot * width + step column) into
-        the rows of ``width`` step columns."""
-        return np.bincount(bins, values, minlength=self.parts * self.depth * width).reshape(-1, width)
 
 
 def _blocks(size: np.ndarray, rows: int):
@@ -278,8 +250,8 @@ def _blocks(size: np.ndarray, rows: int):
 def _sweep(model: SpectralModel, n: int, k_grid, interval: tuple, seed, reps) -> np.ndarray:
     """The (replication, k) table of replications ``reps``: rows emp, mel
     and the columns of ``mele._solve_rows``, each indexed [index into
-    ``reps``, k index].  The grid, the seed, n and the interval are checked
-    before the table is made or a sample drawn.
+    ``reps``, k index].  The grid, the seed, n and the interval (None for
+    the model's default) are checked before the table is made or a sample drawn.
 
     Replications go in selection batches of ``_CELLS // (2 n)`` (at least
     one), each with one rank pass and one selection of all its samples and
@@ -293,15 +265,14 @@ def _sweep(model: SpectralModel, n: int, k_grid, interval: tuple, seed, reps) ->
     seed = _check_integer(seed, "seed", 0)
     n = _check_integer(n, "sample size", 1)
     grid = _grid(k_grid, n)
-    interval = _interval(interval)
-    position = np.argsort(np.argsort(k_grid, kind="stable"))  # each k's rank in the sorted grid
+    interval = _interval(interval, model)
     table = np.empty((7, len(reps), k_grid.size))
     batch = max(1, _CELLS // (2 * n))
     for first in range(0, len(reps), batch):
         samples = (
             model.sample(n, np.random.default_rng([seed, r])) for r in reps[first : first + batch]
         )
-        tail = _TailGrid(model, *_select(samples, grid, model.p), grid[0], position, interval)
+        tail = _TailGrid(model, samples, grid, interval)
         for block in _blocks(tail.size, k_grid.size):
             rep, k, emp, mel, solve = _scored(tail, block)
             table[:, first + rep, k] = emp, mel, *solve
@@ -315,44 +286,64 @@ def _scored(grid: _TailGrid, block: list):
     normalizers, checked on each row's members, and one ISE pass per
     estimator, on the block's samples' rows of ``grid.cells``, cut to the
     block's widest; the block's arrays go when it is done, each cell array
-    as soon as it is used."""
-    rows = _Segments(grid, block)
+    as soon as it is used.
+
+    The block's parts (r, first, stop) are the rows first to stop - 1 of
+    sample r, the samples consecutive, and its rows are one flat array of
+    cells.  Segment s, of ``length[s]`` cells from ``starts[s]``, is row
+    k[s] of sample rep[s]: a zero cell followed by its members in entry
+    order, the prefix of the sample's pool that ``gather`` indexes, laid
+    out as ``mele._segment`` lays out one row.  A row's values thus depend
+    on its own segment only, never on the rows beside it.  In the rows of
+    step columns, part p holds rows p * ``depth`` on, the longest part's
+    row count; segment s is row ``slot[s]``."""
+    rep, first, stop = np.array(block).T
+    rows = stop - first
+    rep = np.repeat(rep, rows)
+    k = np.arange(rows.sum()) + np.repeat(first - np.cumsum(rows) + rows, rows)
+    length = grid.count[rep, k] + 1
+    starts = np.cumsum(length) - length
+    gather = np.arange(length.sum()) + np.repeat(grid.start[rep] - starts, length)
+    depth = int(rows.max())
+    slot = k + np.repeat(np.arange(rows.size) * depth - first, rows)
     width_rows, mean_rows, size, spread = grid.cells
     reps = slice(block[0][0], block[-1][0] + 1)
     width = int(size[reps].max()) + 2
     cells = width_rows[reps, :width], mean_rows[reps, :width], size[reps], spread[reps]
 
-    a = grid.scores[rows.cells]
-    solve = _solve_rows(a, rows.starts, rows.length)
+    a = grid.scores[gather]
+    solve = _solve_rows(a, starts, length)
     # an infeasible row's weights, and so its normalizer, are NaN
-    weights = _weight_rows(solve[0], a, rows.length)
+    weights = _weight_rows(solve[0], a, length)
     del a
-    weights[rows.starts] = 0.0  # the zero cells weigh nothing
-    factors = (np.take(factor, rows.cells) for factor in (grid.sin, grid.cos))
-    scale = 1.0 / _normalizers(weights, factors, rows.starts)
-    bins = grid.column[rows.cells]
-    bins += np.repeat(rows.slot * width, rows.length)
-    mel = rows.per_atom(bins, weights, width)
+    weights[starts] = 0.0  # the zero cells weigh nothing
+    factors = (np.take(factor, gather) for factor in (grid.sin, grid.cos))
+    scale = 1.0 / _normalizers(weights, factors, starts)
+    bins = grid.column[gather]
+    bins += np.repeat(slot * width, length)  # slot * width + step column
+    steps = rows.size * depth * width  # cells in the rows of step columns
+    mel = np.bincount(bins, weights, minlength=steps).reshape(-1, width)
     row_scale = np.zeros(mel.shape[0])  # of each row of step columns
-    row_scale[rows.slot] = scale
+    row_scale[slot] = scale
     mel *= row_scale[:, None]
-    mel = _ise_rows(cells, mel)[rows.slot]  # each row array goes before the next is made
-    weights = np.repeat(1.0 / grid.ks[rows.k], rows.length)
-    weights[rows.starts] = 0.0
-    emp = _ise_rows(cells, rows.per_atom(bins, weights, width))[rows.slot]
-    return rows.rep, rows.k, emp, mel, solve
+    mel = _ise_rows(cells, mel)[slot]  # each row array goes before the next is made
+    weights = np.repeat(1.0 / grid.ks[k], length)
+    weights[starts] = 0.0
+    emp = _ise_rows(cells, np.bincount(bins, weights, minlength=steps).reshape(-1, width))[slot]
+    return rep, k, emp, mel, solve
 
 
 def replication_ise(
     model: SpectralModel,
     n: int,
     k_grid: Sequence[int],
-    interval: tuple,
+    interval: Optional[tuple],
     seed: int,
     rep: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
-    """ISEs of one replication: arrays (empirical, mele, infeasible flags)
-    and the MELE solutions (``None`` where infeasible).
+    """ISEs of one replication over ``interval`` (the model's default when
+    ``None``): arrays (empirical, mele, infeasible flags) and the MELE
+    solutions (``None`` where infeasible).
 
     The replication stream is derived from (seed, rep) only; the mele
     entry is NaN where the moment constraint was infeasible.  This is the
@@ -406,11 +397,9 @@ def mise_sweep(
     if p is not None and p != model.p:
         raise ValueError(f"norm order mismatch: model has p = {model.p}, requested {p}")
     replications = _check_integer(replications, "replications", 1)
-    # the grid, each k (an integer in [1, n]), the seed and the interval are
-    # checked by the pass
-    a, b = map(float, model.default_ise_interval if interval is None else interval)
-
-    table = _sweep(model, n, k_grid, (a, b), seed, range(replications))
+    # the grid, each k (an integer in [1, n]), the seed and the interval,
+    # the model's default for None, are checked by the pass
+    table = _sweep(model, n, k_grid, interval, seed, range(replications))
     emp, mel, _, residual, evaluations, _, _ = table  # residual NaN if infeasible
     nk = emp.shape[1]
     feasible = ~np.isnan(mel)
@@ -433,7 +422,7 @@ def mise_sweep(
         replications=replications,
         p=float(model.p),
         k_grid=np.asarray(k_grid, dtype=np.int64),
-        interval=(a, b),
+        interval=_interval(interval, model),
         seed=int(seed),
         mise=mise,
         stderr=stderr,

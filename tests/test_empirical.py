@@ -345,7 +345,7 @@ class TestTailOnly:
             raise AssertionError("k-grid machinery was built")
 
         monkeypatch.setattr(evaluation, "_TailGrid", refuse)
-        monkeypatch.setattr(evaluation, "_Segments", refuse)
+        monkeypatch.setattr(evaluation, "_scored", refuse)
 
     def test_select_extremes(self, refuse_grids):
         sample = asym_logistic_model(2.0).sample(3000, np.random.default_rng(4))

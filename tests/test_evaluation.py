@@ -195,6 +195,17 @@ class TestReplicationIse:
         emp3, *_ = replication_ise(*args, rep=4)
         assert not np.array_equal(emp1, emp3)
 
+    def test_default_interval_is_models(self):
+        # the mixture's default interval is not the full quadrant
+        model = mixture_model(0.5)
+        default = replication_ise(model, 200, [10, 20], None, 1, 0)
+        given = replication_ise(model, 200, [10, 20], model.default_ise_interval, 1, 0)
+        for x, y in zip(default[:3], given[:3]):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        table = mise_sweep(model, 200, 1, [10, 20], seed=1)
+        assert table.interval == model.default_ise_interval
+        assert default[0].tobytes() == table.mise[:, 0].tobytes()
+
     def test_infeasible_marked_nan(self):
         # seed 3, rep 0 at k = 2 draws diagonal ties plus extremes on a
         # single side only, which cannot satisfy the moment constraint
@@ -231,8 +242,8 @@ class TestGridPass:
         # each k's rank in the grid sorted stably, by Python's stable sort
         order = sorted(range(len(k_grid)), key=k_grid.__getitem__)
         position = [order.index(i) for i in range(len(k_grid))]
-        union, entry, size, factors = _select([sample], _grid(k_grid, n), p)
-        grid = _TailGrid(model, union, entry, size, factors, np.array(k_grid), position, (a, b))
+        union, entry, _, _ = _select([sample], _grid(k_grid, n), p)
+        grid = _TailGrid(model, [sample], _grid(k_grid, n), (a, b))
         _, _, emp, mel, solve = _scored(grid, [(0, 0, len(k_grid))])
         solutions = _solutions(solve)
         for i, k in enumerate(k_grid):
