@@ -2,7 +2,7 @@
 
 Simulates a bivariate Cauchy sample restricted to the positive quadrant,
 whose true angular measure under the sum norm has density
-2 / (1 + sin(2 theta)) and cdf exactly 1 at pi/4.  Both estimators see
+sin(theta) + cos(theta) and cdf exactly 1 at pi/4.  Both estimators see
 only the within-column ranks of the data, so any monotone distortion of
 the margins is invisible to them.
 """

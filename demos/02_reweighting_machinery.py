@@ -1,6 +1,6 @@
 """Inside the reweighting step: scores, multiplier, weights.
 
-The empirical measure puts mass 2/k on each selected angle and misses
+The empirical measure puts mass 1/k on each selected angle and misses
 the moment constraints by O(k^{-1/2}).  Reweighting tilts the masses to
 w_j proportional to 1 / (1 + mu f(theta_j)) where f is the centered
 score function and mu solves the one-dimensional dual equation

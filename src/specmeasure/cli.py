@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .empirical import empirical_spectral_measure, select_extremes
-from .evaluation import mise_sweep
+from .evaluation import ESTIMATORS, mise_sweep
 from .lp_geometry import check_norm_order, score_f
 from .mele import ConstraintInfeasible, mele_spectral_measure
 from .models import (
@@ -87,6 +87,7 @@ def _k_grid(text: str) -> range:
 
 
 def _interval(text: str) -> tuple:
+    """Argument type of an ISE interval given as fractions of pi/2; in radians."""
     parts = text.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"expected a,b, got {text!r}")
@@ -98,7 +99,7 @@ def _interval(text: str) -> tuple:
         raise argparse.ArgumentTypeError(
             "interval endpoints are fractions of pi/2 and need 0 <= a < b <= 1"
         )
-    return (a, b)
+    return (a * HALF_PI, b * HALF_PI)
 
 
 def _model_options(parser: argparse.ArgumentParser) -> None:
@@ -129,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="norm order, a real >= 1 or 'inf' (default 1)")
     est.add_argument("--k", type=_positive_int, required=True, metavar="INT",
                      help="number of tail order statistics")
-    est.add_argument("--estimator", choices=("empirical", "mele", "both"), default="both",
+    est.add_argument("--estimator", choices=(*ESTIMATORS, "both"), default="both",
                      help="which weight columns to emit (default both)")
     est.add_argument("--gnuplot-script", metavar="PATH",
                      help="also write a gnuplot script referencing --output")
@@ -215,6 +216,11 @@ def _summary(lines: Sequence[str]) -> None:
         print(f"# {line}", file=sys.stderr)
 
 
+def _solver_lines(solution) -> list:
+    return [f"multiplier = {format_value(solution.mu)}",
+            f"solver residual = {format_value(solution.residual)}"]
+
+
 def _read_extremes(args, p: float):
     """Angular sample of the input's extremes and its summary lines."""
     if args.input is None and hasattr(sys.stdin, "reconfigure"):
@@ -231,32 +237,21 @@ def _read_extremes(args, p: float):
 def _cmd_estimate(args) -> int:
     p = args.p
     ang, info = _read_extremes(args, p)
-    want_emp = args.estimator in ("empirical", "both")
-    want_mele = args.estimator in ("mele", "both")
-
-    emp = empirical_spectral_measure(ang) if want_emp else None
-    phi = mele_spectral_measure(ang) if want_mele else None
-
-    atoms = (emp if emp is not None else phi).angles
+    build = {"empirical": empirical_spectral_measure, "mele": mele_spectral_measure}
+    # all built before any output: an infeasible MELE fit writes nothing
+    estimates = {name: build[name](ang) for name in ESTIMATORS if args.estimator in (name, "both")}
+    atoms = next(iter(estimates.values())).angles
     columns = [("theta", atoms)]
-    if want_emp:
-        columns.append(("weight_empirical", emp.weights))
-    if want_mele:
-        columns.append(("weight_mele", phi.weights))
+    for name, phi in estimates.items():
+        columns.append((f"weight_{name}", phi.weights))
+        if phi.solution is not None:
+            info += _solver_lines(phi.solution)
+        sin_sum, cos_sum = phi.moment_sums()
+        info.append(f"{name} total mass = {format_value(phi.total_mass)}")
+        info.append(f"{name} moment sums = {format_value(sin_sum)}, {format_value(cos_sum)}")
     columns.append(("score_f", score_f(atoms, p)))
     header = ",".join(name for name, _ in columns)
     _write_text(args.output, table_text(header, zip(*(values for _, values in columns))))
-
-    if want_emp:
-        sin_sum, cos_sum = emp.moment_sums()
-        info.append(f"empirical total mass = {format_value(emp.total_mass)}")
-        info.append(f"empirical moment sums = {format_value(sin_sum)}, {format_value(cos_sum)}")
-    if want_mele:
-        sin_sum, cos_sum = phi.moment_sums()
-        info.append(f"multiplier = {format_value(phi.solution.mu)}")
-        info.append(f"solver residual = {format_value(phi.solution.residual)}")
-        info.append(f"mele total mass = {format_value(phi.total_mass)}")
-        info.append(f"mele moment sums = {format_value(sin_sum)}, {format_value(cos_sum)}")
     _summary(info)
 
     plot = ", ".join(
@@ -276,13 +271,10 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_benchmark(args) -> int:
     model = _build_model(args, args.p)
-    interval = None
-    if args.interval is not None:
-        interval = (args.interval[0] * HALF_PI, args.interval[1] * HALF_PI)
     # a grid of more than n points has a k above n among its first n + 1,
     # and the sweep names the first such k
     k_grid = args.k_grid[: args.n + 1]
-    table = mise_sweep(model, args.n, args.reps, k_grid, interval=interval, seed=args.seed)
+    table = mise_sweep(model, args.n, args.reps, k_grid, interval=args.interval, seed=args.seed)
     _write_text(args.output, table.to_text())
     k = table.k_grid
     step = k[1] - k[0] if k.size > 1 else 1
@@ -312,9 +304,7 @@ def _cmd_pickands(args) -> int:
     phi = mele_spectral_measure(ang)
     estimate = pickands_function(phi)
     _write_text(args.output, table_text("v,A", zip(estimate.knots, estimate.values)))
-    info.append(f"multiplier = {format_value(phi.solution.mu)}")
-    info.append(f"solver residual = {format_value(phi.solution.residual)}")
-    _summary(info)
+    _summary(info + _solver_lines(phi.solution))
     plot = (
         f'plot "{args.output}" using 1:2 with lines title "A", '
         '(x <= 1 ? (x > 0.5 ? x : 1 - x) : 1/0) title "max(v,1-v)", '

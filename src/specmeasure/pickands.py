@@ -44,8 +44,10 @@ class PickandsFunction:
         values = np.asarray(self.values, dtype=float)
         if knots.shape != values.shape or knots.ndim != 1 or knots.size < 2:
             raise ValueError("knots and values must be matching 1-d arrays, length >= 2")
-        if knots[0] != 0.0 or knots[-1] != 1.0 or np.any(np.diff(knots) <= 0.0):
+        if knots[0] != 0.0 or knots[-1] != 1.0 or not np.all(np.diff(knots) > 0.0):  # NaN fails
             raise ValueError("knots must increase strictly from 0 to 1")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("the values of a dependence function must be finite")
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "values", values)
 

@@ -14,7 +14,9 @@ import pytest
 from specmeasure import __version__, empirical, pseudo_obs
 from specmeasure.cli import run_cli
 from specmeasure.empirical import select_extremes
+from specmeasure.evaluation import mise_sweep
 from specmeasure.mele import SOLVER_TOL, mele_spectral_measure
+from specmeasure.models import HALF_PI, asym_logistic_model
 from specmeasure.pseudo_obs import format_value, read_sample
 
 from oracles import scores_feasible
@@ -133,6 +135,18 @@ class TestExitCodes:
         code = run("estimate", "--k", "2", "--input", str(data), "--estimator", "mele")
         assert code == 3
         assert "specmeasure: error" in capsys.readouterr().err
+        # the empirical estimate solves nothing, so it reports no multiplier
+        code = run("estimate", "--k", "2", "--input", str(data), "--estimator", "empirical")
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("theta,weight_empirical,score_f\n")
+        assert "multiplier" not in captured.err
+        # both estimates are built before any output, so the table is never begun
+        code = run("estimate", "--k", "2", "--input", str(data), "--estimator", "both")
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "specmeasure: error" in captured.err
 
     def test_gnuplot_script_requires_output(self, tmp_path, capsys):
         # the pairing is checked before any work: nothing reaches stdout
@@ -325,6 +339,10 @@ class TestBenchmark:
         rows = out.read_text().strip().splitlines()[1:]
         ks = [int(row.split(",")[0]) for row in rows]
         assert ks == [10, 10, 20, 20]
+        # the interval's fractions of pi/2 reach the sweep as radians
+        table = mise_sweep(asym_logistic_model(2.0, p=math.inf), 80, 2, [10, 20],
+                           interval=(0.05 * HALF_PI, 0.95 * HALF_PI), seed=5)
+        assert out.read_bytes() == table.to_text().encode()
 
     def test_stderr_summary(self, tmp_path, capsys):
         out = tmp_path / "t.csv"

@@ -11,8 +11,12 @@ import mpmath
 import numpy as np
 import pytest
 
+from specmeasure.evaluation import ESTIMATORS
+from specmeasure.models import cauchy_quadrant_model
+
 from golden.regenerate import COMMANDS, HERE, INDEX, fingerprint, run, values_match, write_inputs
-from oracles import membership_oracle, rank_oracle, sample_text_oracle
+from oracles import membership_oracle, mise_oracle, rank_oracle, sample_text_oracle
+from test_evaluation import TestMiseOracle as MiseOracle
 
 RECORDS = json.loads(INDEX.read_text(encoding="utf-8"))
 #: bytes where the build matches the recording one; sin, cos, arctan, exp
@@ -104,6 +108,30 @@ def test_record_agrees_with_exact_ranks(name, ranks):
     mass = np.array([count[r] / k for r in ratios])
     np.testing.assert_allclose(np.bincount(atom, weight), mass, rtol=1e-15, atol=0)
     assert np.all(np.abs(score - exact_score[atom]) <= 2 * np.finfo(float).eps)
+
+
+def test_infeasible_benchmark_record_agrees_with_the_oracle():
+    # the committed table against the plain (replication, k) loop of
+    # oracles.mise_oracle, to the tolerances of TestMiseOracle
+    name = "benchmark_infeasible"
+    assert COMMANDS[name] == (
+        "benchmark --model cauchy-quadrant --n 60 --reps 20 --seed 3 --k-grid 1:10:1"
+    )
+    model = cauchy_quadrant_model(1.0)
+    mise, stderr, infeasible = mise_oracle(model, 60, 20, range(1, 11), 3,
+                                           model.default_ise_interval)
+    text = gzip.decompress((HERE / f"{name}.out.gz").read_bytes()).decode()
+    rows = [line.split(",") for line in text.splitlines()[1:]]
+    assert [(int(k), est) for k, est, *_ in rows] == [
+        (k, est) for k in range(1, 11) for est in ESTIMATORS
+    ]
+    table = np.array([row[2:] for row in rows], dtype=float).reshape(10, 2, 3)
+    np.testing.assert_array_equal(table[..., 2], infeasible)
+    rtol = MiseOracle.RTOL
+    np.testing.assert_allclose(table[..., 0], mise, rtol=rtol)
+    np.testing.assert_allclose(table[..., 1], stderr, rtol=rtol, atol=rtol * np.nanmax(mise))
+    err = (HERE / f"{name}.err").read_text(encoding="utf-8")
+    assert f"# infeasible mele fits = {infeasible.sum()}\n" in err
 
 
 class TestValuesMatch:

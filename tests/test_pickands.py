@@ -132,6 +132,12 @@ class TestPickandsFunction:
         # a repeated knot would leave the slope between its copies 0 / 0
         with pytest.raises(ValueError, match="increase strictly"):
             PickandsFunction([0.0, 0.5, 0.5, 1.0], [1.0, 0.75, 0.75, 1.0])
+        # a NaN knot compares False both ways, and would evaluate to nan
+        with pytest.raises(ValueError, match="increase strictly"):
+            PickandsFunction([0.0, math.nan, 1.0], [1.0, 0.7, 1.0])
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="must be finite"):
+                PickandsFunction([0.0, 1.0], [1.0, bad])
 
     @pytest.mark.parametrize(
         "knots, values", [([0.0, 1.0], [1.0]), ([1.0], [1.0]), ([[0.0, 1.0]], [[1.0, 1.0]])]
