@@ -102,9 +102,17 @@ def _interval(text: str) -> tuple:
     return (a * HALF_PI, b * HALF_PI)
 
 
+# each --model family: its constructor and the model options it takes
+_FAMILIES = {
+    "logistic": (asym_logistic_model, ("r", "psi1", "psi2")),
+    "cauchy-quadrant": (cauchy_quadrant_model, ()),
+    "cauchy-fullplane": (cauchy_fullplane_model, ()),
+    "mixture": (mixture_model, ("r",)),
+}
+
+
 def _model_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--model", required=True,
-                        choices=("logistic", "cauchy-quadrant", "cauchy-fullplane", "mixture"))
+    parser.add_argument("--model", required=True, choices=tuple(_FAMILIES))
     parser.add_argument("--r", type=float, metavar="REAL", help="model dependence parameter")
     parser.add_argument("--psi1", type=float, metavar="REAL",
                         help="first asymmetry weight (logistic)")
@@ -173,47 +181,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _build_model(args, p: float) -> SpectralModel:
-    name = args.model
-    r, psi1, psi2 = args.r, args.psi1, args.psi2
-    if name == "logistic":
-        if r is None:
-            raise ValueError("model logistic requires --r")
-        return asym_logistic_model(
-            r, 1.0 if psi1 is None else psi1, 1.0 if psi2 is None else psi2, p=p
-        )
-    if psi1 is not None or psi2 is not None:
-        raise ValueError(f"model {name} does not take --psi1/--psi2")
-    if name == "mixture":
-        if r is None:
-            raise ValueError("model mixture requires --r")
-        return mixture_model(r, p=p)
-    if r is not None:
-        raise ValueError(f"model {name} does not take --r")
-    if name == "cauchy-quadrant":
-        return cauchy_quadrant_model(p)
-    return cauchy_fullplane_model(p)
+    constructor, takes = _FAMILIES[args.model]
+    given = {name: getattr(args, name) for name in ("r", "psi1", "psi2")
+             if getattr(args, name) is not None}
+    if given.keys() - {"r", *takes}:
+        raise ValueError(f"model {args.model} does not take --psi1/--psi2")
+    if "r" in takes and "r" not in given:
+        raise ValueError(f"model {args.model} requires --r")
+    if "r" in given and "r" not in takes:
+        raise ValueError(f"model {args.model} does not take --r")
+    return constructor(**given, p=p)
 
 
-def _write_text(path: Optional[str], text: str) -> None:
-    write_text(sys.stdout if path is None else path, text)
-
-
-def _write_gnuplot(args, header_lines: list, plot_line: str) -> None:
-    if args.gnuplot_script is None:
-        return
-    lines = [
-        f"# companion plot script for {args.output}",
-        'set datafile separator ","',
-        "set key autotitle columnhead",
-        *header_lines,
-        plot_line,
-    ]
-    write_text(args.gnuplot_script, "\n".join(lines) + "\n")
-
-
-def _summary(lines: Sequence[str]) -> None:
-    for line in lines:
+def _emit(args, text: str, info: Sequence[str], labels: Sequence[str], plot: str) -> int:
+    """Write a subcommand's table (to standard output without --output),
+    its ``# key = value`` lines to standard error, then, when --gnuplot-script
+    asks for one, the script of axis ``labels`` that plots ``plot``."""
+    write_text(sys.stdout if args.output is None else args.output, text)
+    for line in info:
         print(f"# {line}", file=sys.stderr)
+    if args.gnuplot_script is not None:
+        head = [f"# companion plot script for {args.output}", 'set datafile separator ","',
+                "set key autotitle columnhead"]
+        write_text(args.gnuplot_script, "\n".join([*head, *labels, "plot " + plot]) + "\n")
+    return 0
 
 
 def _solver_lines(solution) -> list:
@@ -251,15 +242,12 @@ def _cmd_estimate(args) -> int:
         info.append(f"{name} moment sums = {format_value(sin_sum)}, {format_value(cos_sum)}")
     columns.append(("score_f", score_f(atoms, p)))
     header = ",".join(name for name, _ in columns)
-    _write_text(args.output, table_text(header, zip(*(values for _, values in columns))))
-    _summary(info)
-
     plot = ", ".join(
         f'"{args.output}" using 1:{col} with impulses title "{name}"'
         for col, (name, _) in enumerate(columns[1:-1], start=2)
     )
-    _write_gnuplot(args, ['set xlabel "theta"', 'set ylabel "weight"'], "plot " + plot)
-    return 0
+    return _emit(args, table_text(header, zip(*(values for _, values in columns))), info,
+                 ['set xlabel "theta"', 'set ylabel "weight"'], plot)
 
 
 def _cmd_simulate(args) -> int:
@@ -275,10 +263,9 @@ def _cmd_benchmark(args) -> int:
     # and the sweep names the first such k
     k_grid = args.k_grid[: args.n + 1]
     table = mise_sweep(model, args.n, args.reps, k_grid, interval=args.interval, seed=args.seed)
-    _write_text(args.output, table.to_text())
     k = table.k_grid
     step = k[1] - k[0] if k.size > 1 else 1
-    _summary([
+    info = [
         f"model = {table.model}",
         f"n = {table.n}",
         f"reps = {table.replications}",
@@ -288,34 +275,27 @@ def _cmd_benchmark(args) -> int:
         f"infeasible mele fits = {int(table.infeasible.sum())}",
         f"solver max evaluations = {table.max_evaluations}",
         f"solver max residual = {format_value(table.max_residual)}",
-    ])
-    plot = (
-        f'plot "{args.output}" using 1:(strcol(2) eq "empirical" ? $3 : 1/0) '
-        'with linespoints title "empirical", \\\n'
-        f'     "{args.output}" using 1:(strcol(2) eq "mele" ? $3 : 1/0) '
-        'with linespoints title "mele"'
+    ]
+    plot = ", \\\n     ".join(
+        f'"{args.output}" using 1:(strcol(2) eq "{name}" ? $3 : 1/0) '
+        f'with linespoints title "{name}"'
+        for name in ESTIMATORS
     )
-    _write_gnuplot(args, ['set xlabel "k"', 'set ylabel "MISE"'], plot)
-    return 0
+    return _emit(args, table.to_text(), info, ['set xlabel "k"', 'set ylabel "MISE"'], plot)
 
 
 def _cmd_pickands(args) -> int:
     ang, info = _read_extremes(args, 1.0)
     phi = mele_spectral_measure(ang)
     estimate = pickands_function(phi)
-    _write_text(args.output, table_text("v,A", zip(estimate.knots, estimate.values)))
-    _summary(info + _solver_lines(phi.solution))
+    labels = ['set xlabel "v"', 'set ylabel "A(v)"', "set xrange [0:1]", "set yrange [0.45:1.05]"]
     plot = (
-        f'plot "{args.output}" using 1:2 with lines title "A", '
+        f'"{args.output}" using 1:2 with lines title "A", '
         '(x <= 1 ? (x > 0.5 ? x : 1 - x) : 1/0) title "max(v,1-v)", '
         "1 title \"independence\""
     )
-    _write_gnuplot(
-        args,
-        ['set xlabel "v"', 'set ylabel "A(v)"', "set xrange [0:1]", "set yrange [0.45:1.05]"],
-        plot,
-    )
-    return 0
+    return _emit(args, table_text("v,A", zip(estimate.knots, estimate.values)),
+                 info + _solver_lines(phi.solution), labels, plot)
 
 
 def _fail(code: int, message: str) -> int:

@@ -69,7 +69,8 @@ def lp_norm(x, y, p: float):
     else:
         hi = np.maximum(x, y)
         lo = np.minimum(x, y)
-        ratio = np.where(hi > 0.0, lo / np.where(hi > 0.0, hi, 1.0), 0.0)
+        # equal components, both infinite too, have the ratio 1
+        ratio = np.where(lo < hi, lo / np.where(lo < hi, hi, 1.0), 1.0)
         out = hi * (1.0 + ratio**p) ** (1.0 / p)
     return float(out) if scalar else out
 

@@ -309,6 +309,8 @@ def spectral_normalizer(q: DiscreteSpectralMeasure) -> float:
         normalizer disagree beyond ``NORMALIZER_TOL`` (the moment
         constraint was violated).
     """
+    if q.weights.size == 0:
+        raise ValueError("expected a probability measure, got one without atoms")
     return float(_normalizers(q.weights, _geometry(q.angles, q.p)[1:], [0])[0])
 
 

@@ -32,6 +32,14 @@ def summary(err):
     return {key: value for key, value in pairs}
 
 
+def gnuplot_script(output, *lines):
+    """The companion script's text for ``--output output``: its fixed head,
+    then ``lines``."""
+    head = (f"# companion plot script for {output}", 'set datafile separator ","',
+            "set key autotitle columnhead")
+    return "\n".join(head + lines) + "\n"
+
+
 def simulate_file(tmp_path, name="data.csv", model="cauchy-quadrant", n=200, seed=11,
                   extra=()):
     path = tmp_path / name
@@ -91,17 +99,28 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
 
     def test_model_parameter_grammar(self, capsys):
-        # logistic and mixture need --r; the Cauchy models reject it
-        assert run("simulate", "--model", "logistic", "--n", "5", "--seed", "1") == 2
-        assert run("simulate", "--model", "mixture", "--n", "5", "--seed", "1") == 2
-        assert run("simulate", "--model", "cauchy-quadrant", "--r", "2",
-                   "--n", "5", "--seed", "1") == 2
-        assert run("simulate", "--model", "mixture", "--r", "2", "--psi1", "0.5",
-                   "--n", "5", "--seed", "1") == 2
-        assert run("simulate", "--model", "mixture", "--r", "1.5",
-                   "--n", "5", "--seed", "1") == 2
-        err = capsys.readouterr().err
-        assert "specmeasure: error" in err
+        # logistic and mixture need --r; a family given an option it does
+        # not take names it; the constructors check the values themselves
+        cases = [
+            (("logistic",), "model logistic requires --r"),
+            (("logistic", "--psi1", "0.5"), "model logistic requires --r"),
+            (("mixture",), "model mixture requires --r"),
+            (("mixture", "--r", "2", "--psi1", "0.5"),
+             "model mixture does not take --psi1/--psi2"),
+            (("cauchy-quadrant", "--r", "2"), "model cauchy-quadrant does not take --r"),
+            (("cauchy-fullplane", "--r", "2", "--psi2", "0.5"),
+             "model cauchy-fullplane does not take --psi1/--psi2"),
+            (("mixture", "--r", "1.5"), "mixture weight must lie in [0, 1], got 1.5"),
+            (("logistic", "--r", "2", "--psi1", "1.5"), "asymmetry weights must lie in [0, 1]"),
+        ]
+        for model, message in cases:
+            assert run("simulate", "--model", *model, "--n", "5", "--seed", "1") == 2, model
+            out, err = capsys.readouterr()
+            assert (out, err) == ("", f"specmeasure: error: {message}\n"), model
+        # --help lists the choices in the order build_parser() gives them
+        for command in ("simulate", "benchmark"):
+            assert run(command, "--help") == 0
+            assert "{logistic,cauchy-quadrant,cauchy-fullplane,mixture}" in capsys.readouterr().out
 
     def test_asymmetric_logistic_runs(self, capsys):
         # --psi1/--psi2 below 1 sample Tawn's asymmetric logistic law
@@ -307,15 +326,20 @@ class TestEstimate:
         assert out1.read_bytes() == out2.read_bytes()
         capsys.readouterr()
 
-    def test_gnuplot_companion(self, tmp_path, capsys):
+    def test_gnuplot_companion(self, tmp_path, capsys, monkeypatch):
+        # one impulse series per weight column
         data = simulate_file(tmp_path, n=200, seed=3)
-        out = tmp_path / "atoms.csv"
-        script = tmp_path / "atoms.gp"
-        assert run("estimate", "--k", "20", "--input", str(data),
-                   "--output", str(out), "--gnuplot-script", str(script)) == 0
-        text = script.read_text()
-        assert str(out) in text
-        assert "plot" in text
+        monkeypatch.chdir(tmp_path)
+        for estimator, series in (
+            ("both", '"a.csv" using 1:2 with impulses title "weight_empirical", '
+                     '"a.csv" using 1:3 with impulses title "weight_mele"'),
+            ("mele", '"a.csv" using 1:2 with impulses title "weight_mele"'),
+        ):
+            assert run("estimate", "--k", "20", "--input", str(data), "--estimator", estimator,
+                       "--output", "a.csv", "--gnuplot-script", "a.gp") == 0
+            assert (tmp_path / "a.gp").read_text() == gnuplot_script(
+                "a.csv", 'set xlabel "theta"', 'set ylabel "weight"', f"plot {series}"
+            ), estimator
         capsys.readouterr()
 
 
@@ -364,14 +388,19 @@ class TestBenchmark:
         assert 1 <= evaluations <= 200
         assert 0.0 <= residual <= SOLVER_TOL
 
-    def test_gnuplot_companion(self, tmp_path):
-        out = tmp_path / "t.csv"
-        script = tmp_path / "t.gp"
+    def test_gnuplot_companion(self, tmp_path, monkeypatch):
+        # one line per estimator
+        monkeypatch.chdir(tmp_path)
         assert run("benchmark", "--model", "mixture", "--r", "0.5", "--n", "60",
                    "--reps", "2", "--k-grid", "10:10:1", "--seed", "1",
-                   "--output", str(out), "--gnuplot-script", str(script)) == 0
-        text = script.read_text()
-        assert "empirical" in text and "mele" in text
+                   "--output", "b.csv", "--gnuplot-script", "b.gp") == 0
+        assert (tmp_path / "b.gp").read_text() == gnuplot_script(
+            "b.csv", 'set xlabel "k"', 'set ylabel "MISE"',
+            'plot "b.csv" using 1:(strcol(2) eq "empirical" ? $3 : 1/0) '
+            'with linespoints title "empirical", \\\n'
+            '     "b.csv" using 1:(strcol(2) eq "mele" ? $3 : 1/0) '
+            'with linespoints title "mele"',
+        )
 
 
 class TestPickands:
@@ -392,6 +421,20 @@ class TestPickands:
         # convexity of the piecewise-affine interpolant
         slopes = np.diff(a) / np.diff(v)
         assert np.all(np.diff(slopes) >= -1e-9)
+
+    def test_gnuplot_companion(self, tmp_path, capsys, monkeypatch):
+        # A with the bounds max(v, 1 - v) and 1
+        data = simulate_file(tmp_path, n=200, seed=3)
+        monkeypatch.chdir(tmp_path)
+        assert run("pickands", "--k", "20", "--input", str(data),
+                   "--output", "k.csv", "--gnuplot-script", "k.gp") == 0
+        assert (tmp_path / "k.gp").read_text() == gnuplot_script(
+            "k.csv", 'set xlabel "v"', 'set ylabel "A(v)"', "set xrange [0:1]",
+            "set yrange [0.45:1.05]",
+            'plot "k.csv" using 1:2 with lines title "A", '
+            '(x <= 1 ? (x > 0.5 ? x : 1 - x) : 1/0) title "max(v,1-v)", 1 title "independence"',
+        )
+        capsys.readouterr()
 
     def test_infeasible_maps_to_exit_3(self, tmp_path, capsys):
         data = simulate_file(tmp_path, n=60, seed=3)

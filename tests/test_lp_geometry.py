@@ -62,6 +62,13 @@ class TestLpNorm:
             assert lp_norm(x, y, p) == lp_norm(-x, y, p)
             assert lp_norm(y, x, p) == lp_norm(y, -x, p)
 
+    @pytest.mark.parametrize("p", ALL_ORDERS + [2.5, 1e300])
+    def test_two_infinite_components(self, p):
+        # equal components give the ratio 1, also when both are infinite
+        for x, y in [(math.inf, math.inf), (-math.inf, math.inf)]:
+            assert lp_norm(x, y, p) == math.inf
+        assert np.array_equal(lp_norm([math.inf, 0.0], [math.inf, 0.0], p), [math.inf, 0.0])
+
     def test_scalar_in_scalar_out(self):
         assert isinstance(lp_norm(1.0, 2.0, 3.0), float)
 

@@ -446,6 +446,11 @@ class TestNormalizer:
         with pytest.raises(ValueError, match="probability"):
             spectral_normalizer(q)
 
+    def test_rejects_atomless_measure(self):
+        # a measure without atoms has total mass 0
+        with pytest.raises(ValueError, match="expected a probability measure"):
+            spectral_normalizer(DiscreteSpectralMeasure([], [], 1.0))
+
     def test_rejects_constraint_violation(self):
         q = DiscreteSpectralMeasure.from_atoms([0.2, 0.4], [0.5, 0.5], 1.0)
         with pytest.raises(ValueError, match="moment constraint"):
