@@ -182,12 +182,12 @@ class MiseTable:
         write_text(dest, self.to_text())
 
 
-#: cell budget of a pass over k grids: a block holds the rows of as many
-#: consecutive replications as fit in _CELLS cells, a row counting as its
-#: replication's union size, which bounds both its member cells and its
-#: row of atom weights; a selection batch holds as many replications as
-#: fit in _CELLS sample values, two per sample row, which keeps its
-#: candidates and grid about as large as a block
+#: cell budget of a pass over k grids: a block (_blocks) holds as many
+#: rows as fit in _CELLS cells, a row counting as its batch's widest union
+#: size, which bounds both its member cells and its row of atom weights; a
+#: selection batch holds as many replications as fit in _CELLS sample
+#: values, two per sample row, which keeps its candidates and grid about
+#: as large as a block
 _CELLS = 1 << 15
 
 
@@ -227,24 +227,21 @@ class _TailGrid:
         self.scores, self.column, self.sin, self.cos = pools
 
 
-def _blocks(size: np.ndarray, rows: int):
-    """Parts (r, first, stop) of the rows of samples with ``size`` members
-    each, in blocks of at most ``_CELLS`` cells, a row costing its sample's
-    size: each sample's rows in slices of as many as fit a block (at least
-    one), packed greedily into blocks in order."""
-    block, used = [], 0
-    for rep, members in enumerate(size.tolist()):
-        step = max(1, _CELLS // members)
-        for first in range(0, rows, step):
-            stop = min(first + step, rows)
-            cost = members * (stop - first)
-            if block and used + cost > _CELLS:
-                yield block
-                block, used = [], 0
-            block.append((rep, first, stop))
-            used += cost
-    if block:
-        yield block
+def _blocks(size: np.ndarray, rows: int) -> list:
+    """Blocks (r0, r1, first, stop) of the rows of samples with ``size``
+    members each: rows first to stop - 1 of samples r0 to r1 - 1, a
+    rectangle of at most ``_CELLS`` cells (or one row), a row costing the
+    widest sample's size, which bounds both its members and its row of
+    step columns.  Runs of whole samples, as many as fit, or else each
+    sample alone, in slices of as many rows as fit (at least one)."""
+    widest = int(size.max())
+    per = _CELLS // (widest * rows)
+    if per >= 1:
+        return [(r, min(r + per, size.size), 0, rows) for r in range(0, size.size, per)]
+    step = max(1, _CELLS // widest)
+    return [
+        (r, r + 1, k, min(k + step, rows)) for r in range(size.size) for k in range(0, rows, step)
+    ]
 
 
 def _sweep(model: SpectralModel, n: int, k_grid, interval: tuple, seed, reps) -> np.ndarray:
@@ -255,9 +252,9 @@ def _sweep(model: SpectralModel, n: int, k_grid, interval: tuple, seed, reps) ->
 
     Replications go in selection batches of ``_CELLS // (2 n)`` (at least
     one), each with one rank pass and one selection of all its samples and
-    one ``cdf_integrals`` call for all its cell edges; a block makes one
-    row-wise solve and forms the atom weights, the normalizers and the
-    ISEs of all its (replication, k) rows at once.
+    one ``cdf_integrals`` call for all its cell edges; a block of
+    :func:`_blocks` makes one row-wise solve, forms all its rows' atom
+    weights, normalizers and ISEs at once and fills its slab of the table.
     """
     k_grid = np.asarray(k_grid)
     if k_grid.ndim != 1 or k_grid.size == 0:
@@ -273,43 +270,33 @@ def _sweep(model: SpectralModel, n: int, k_grid, interval: tuple, seed, reps) ->
             model.sample(n, np.random.default_rng([seed, r])) for r in reps[first : first + batch]
         )
         tail = _TailGrid(model, samples, grid, interval)
-        for block in _blocks(tail.size, k_grid.size):
-            rep, k, emp, mel, solve = _scored(tail, block)
-            table[:, first + rep, k] = emp, mel, *solve
+        for r0, r1, k0, k1 in _blocks(tail.size, k_grid.size):
+            table[:, first + r0 : first + r1, k0:k1] = _scored(tail, r0, r1, k0, k1)
         del tail  # before the next batch is drawn
     return table
 
 
-def _scored(grid: _TailGrid, block: list):
-    """The rows of one block of a grid: (sample, k index, emp, mel, solve),
-    from one row-wise MELE solve, both estimators' atom weights, the
-    normalizers, checked on each row's members, and one ISE pass per
-    estimator, on the block's samples' rows of ``grid.cells``, cut to the
-    block's widest; the block's arrays go when it is done, each cell array
-    as soon as it is used.
+def _scored(grid: _TailGrid, r0: int, r1: int, first: int, stop: int) -> np.ndarray:
+    """Rows first to stop - 1 of samples r0 to r1 - 1 of a grid, as their
+    (7, r1 - r0, stop - first) slab of the table of :func:`_sweep`: one
+    row-wise MELE solve, both estimators' atom weights, the normalizers,
+    checked on each row's members, and one ISE pass per estimator, on the
+    samples' rows of ``grid.cells``, cut to the widest; the block's arrays
+    go when it is done, each cell array as soon as it is used.
 
-    The block's parts (r, first, stop) are the rows first to stop - 1 of
-    sample r, the samples consecutive, and its rows are one flat array of
-    cells.  Segment s, of ``length[s]`` cells from ``starts[s]``, is row
-    k[s] of sample rep[s]: a zero cell followed by its members in entry
-    order, the prefix of the sample's pool that ``gather`` indexes, laid
-    out as ``mele._segment`` lays out one row.  A row's values thus depend
-    on its own segment only, never on the rows beside it.  In the rows of
-    step columns, part p holds rows p * ``depth`` on, the longest part's
-    row count; segment s is row ``slot[s]``."""
-    rep, first, stop = np.array(block).T
-    rows = stop - first
-    rep = np.repeat(rep, rows)
-    k = np.arange(rows.sum()) + np.repeat(first - np.cumsum(rows) + rows, rows)
-    length = grid.count[rep, k] + 1
+    The rows, sample by sample, are one flat array of cells: row s is the
+    segment of ``length[s]`` cells from ``starts[s]``, a zero cell then its
+    members in entry order, the prefix of its sample's pool that ``gather``
+    indexes, laid out as ``mele._segment`` lays out one row, and row s of
+    the step columns.  A row's values thus depend on its own segment only."""
+    count = grid.count[r0:r1, first:stop]
+    length = count.ravel() + 1
     starts = np.cumsum(length) - length
-    gather = np.arange(length.sum()) + np.repeat(grid.start[rep] - starts, length)
-    depth = int(rows.max())
-    slot = k + np.repeat(np.arange(rows.size) * depth - first, rows)
+    start = np.repeat(grid.start[r0:r1], count.shape[1])  # each row's pool
+    gather = np.arange(length.sum()) + np.repeat(start - starts, length)
     width_rows, mean_rows, size, spread = grid.cells
-    reps = slice(block[0][0], block[-1][0] + 1)
-    width = int(size[reps].max()) + 2
-    cells = width_rows[reps, :width], mean_rows[reps, :width], size[reps], spread[reps]
+    width = int(size[r0:r1].max()) + 2
+    cells = width_rows[r0:r1, :width], mean_rows[r0:r1, :width], size[r0:r1], spread[r0:r1]
 
     a = grid.scores[gather]
     solve = _solve_rows(a, starts, length)
@@ -320,17 +307,15 @@ def _scored(grid: _TailGrid, block: list):
     factors = (np.take(factor, gather) for factor in (grid.sin, grid.cos))
     scale = 1.0 / _normalizers(weights, factors, starts)
     bins = grid.column[gather]
-    bins += np.repeat(slot * width, length)  # slot * width + step column
-    steps = rows.size * depth * width  # cells in the rows of step columns
+    bins += np.repeat(np.arange(length.size) * width, length)  # row * width + step column
+    steps = length.size * width  # cells in the rows of step columns
     mel = np.bincount(bins, weights, minlength=steps).reshape(-1, width)
-    row_scale = np.zeros(mel.shape[0])  # of each row of step columns
-    row_scale[slot] = scale
-    mel *= row_scale[:, None]
-    mel = _ise_rows(cells, mel)[slot]  # each row array goes before the next is made
-    weights = np.repeat(1.0 / grid.ks[k], length)
+    mel *= scale[:, None]
+    mel = _ise_rows(cells, mel)  # each row array goes before the next is made
+    weights = np.repeat(np.tile(1.0 / grid.ks[first:stop], r1 - r0), length)
     weights[starts] = 0.0
-    emp = _ise_rows(cells, np.bincount(bins, weights, minlength=steps).reshape(-1, width))[slot]
-    return rep, k, emp, mel, solve
+    emp = _ise_rows(cells, np.bincount(bins, weights, minlength=steps).reshape(-1, width))
+    return np.reshape((emp, mel, *solve), (7,) + count.shape)
 
 
 def replication_ise(
@@ -379,20 +364,19 @@ def mise_sweep(
     The replications are an array axis, and one pass fills a (replication,
     k) table of both ISEs and the solver statistics; it checks the grid,
     the seed, n and the interval before it makes the table or draws a
-    sample.  Each
-    replication draws its own sample, and the samples of a selection batch
-    (as many as fit ``_CELLS`` sample values) are ranked and selected at
-    once, and their cell edges take one truth-integral call.  Consecutive
-    replications of a batch are then scored together, in blocks within a
-    fixed budget of (replication, k, member) cells, a replication's k
-    split over blocks where they exceed it: a block's MELE rows are solved
-    at once, a Newton trip a few dozen calls on the open rows' state, and
-    its atom weights, normalizers and ISEs are one pass each.  A row is
-    scored on one partition at its replication's distinct atoms, which
-    refines each k's own, so its ISEs are those of the per-k estimates up
-    to rounding.  Each row's values depend on its own cells only, so every
-    replication's ISEs are bitwise those of :func:`replication_ise`,
-    whatever batch or block it falls in.
+    sample.  Each replication draws its own sample, and the samples of a
+    selection batch (as many as fit ``_CELLS`` sample values) are ranked
+    and selected at once, and their cell edges take one truth-integral
+    call.  A batch is then scored in blocks within a fixed budget of
+    cells, a row costing the batch's widest replication: runs of whole
+    replications, or else one replication's k in slices.  A block's MELE
+    rows are solved at once, a Newton trip a few dozen calls on the open
+    rows' state, and its atom weights, normalizers and ISEs are one pass
+    each.  A row is scored on one partition at its replication's distinct
+    atoms, which refines each k's own, so its ISEs are those of the per-k
+    estimates up to rounding.  Each row's values depend on its own cells
+    only, so every replication's ISEs are bitwise those of
+    :func:`replication_ise`, whatever batch or block it falls in.
     """
     if p is not None and p != model.p:
         raise ValueError(f"norm order mismatch: model has p = {model.p}, requested {p}")

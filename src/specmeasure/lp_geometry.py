@@ -78,13 +78,13 @@ def lp_norm(x, y, p: float):
 def _geometry(theta: np.ndarray, p: float) -> tuple:
     """The score of :func:`score_f` at each angle and its moment factors
     sin/||.||_p and cos/||.||_p, from one sin, one cos and one norm."""
-    s = np.sin(theta)
-    c = np.cos(theta)
+    s = np.sin(theta)  # 1 at pi/2 and in the 1e-12 slack above it (_check_angles)
+    c = np.cos(np.minimum(theta, HALF_PI))  # the slack counts as pi/2
     norm = lp_norm(s, c, p)
     # the float pi/4 stands for the exact diagonal (rank ties reach it by
     # arctan(1)); sin/cos round one-sidedly there and at pi/2: pin both
     score = np.where(theta == QUARTER_PI, 0.0, (s - c) / norm)
-    return np.where(theta == HALF_PI, 1.0, score), s / norm, c / norm
+    return np.where(theta >= HALF_PI, 1.0, score), s / norm, c / norm
 
 
 def score_f(theta, p: float):

@@ -78,12 +78,15 @@ def pickands_function(phi: DiscreteSpectralMeasure) -> PickandsFunction:
     Raises
     ------
     ValueError
-        If the measure was built with a norm order other than 1.
+        If the measure was built with a norm order other than 1, or has
+        no atoms.
     """
     if phi.p != 1.0:
         raise ValueError(
             f"the angular transport requires the sum norm (p = 1), got p = {phi.p!r}"
         )
+    if phi.weights.size == 0:
+        raise ValueError("expected a spectral measure, got one without atoms")
     s = np.sin(phi.angles)
     points, weights = _merge_duplicates(s / (s + np.cos(phi.angles)), phi.weights)
     if points.size > 1:

@@ -244,7 +244,7 @@ class TestGridPass:
         position = [order.index(i) for i in range(len(k_grid))]
         union, entry, _, _ = _select([sample], _grid(k_grid, n), p)
         grid = _TailGrid(model, [sample], _grid(k_grid, n), (a, b))
-        _, _, emp, mel, solve = _scored(grid, [(0, 0, len(k_grid))])
+        emp, mel, *solve = _scored(grid, 0, 1, 0, len(k_grid))[:, 0]
         solutions = _solutions(solve)
         for i, k in enumerate(k_grid):
             ang = select_extremes(sample, k, p)
@@ -306,8 +306,8 @@ class TestGridPass:
 
     def test_full_resolution_grid_in_bounded_memory(self, monkeypatch):
         # every k in 1..n: the whole grid at once holds n x n cells per dense
-        # array, 32 MB each at n = 2000 and a peak near 290 MB; blocks of
-        # evaluation._CELLS cells keep the peak near 24 MB
+        # array, 32 MB each at n = 2000, and traces a peak of about 101 MiB;
+        # blocks of evaluation._CELLS cells keep the peak near 2.0 MiB
         model = cauchy_quadrant_model(1.0)
         model.cdf_integrals  # build the model's tables before tracing
         solves = []
@@ -357,6 +357,28 @@ class TestGridPass:
             if p == 1.0:
                 assert tables[0].infeasible[1, 1] >= 1
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        size=st.lists(st.integers(1, 600), min_size=1, max_size=20),
+        rows=st.integers(1, 300),
+        cells=st.integers(1, 2**17),
+    )
+    def test_blocks_are_rectangles_within_the_budget(self, size, rows, cells):
+        # the blocks tile every (sample, row) once, in order: runs of whole
+        # samples, or slices of one sample, of at most _CELLS cells at the
+        # widest sample's size, unless a block is one row
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(evaluation, "_CELLS", cells)
+            blocks = evaluation._blocks(np.array(size), rows)
+        covered = []
+        for r0, r1, first, stop in blocks:
+            assert 0 <= r0 < r1 <= len(size) and 0 <= first < stop <= rows
+            assert (first, stop) == (0, rows) or r1 == r0 + 1
+            span = (r1 - r0) * (stop - first)
+            assert span == 1 or span * max(size) <= cells
+            covered += [(r, k) for r in range(r0, r1) for k in range(first, stop)]
+        assert covered == [(r, k) for r in range(len(size)) for k in range(rows)]
+
     def test_one_pass_per_block(self, monkeypatch):
         # count guard: each batch of replications makes one selection and
         # one truth integral call, then one row-wise solve per block
@@ -389,9 +411,9 @@ class TestGridPass:
         assert 3 < calls.count("_solve_rows") < 40
 
     def test_sweep_in_bounded_memory(self):
-        # memory guard at the paper's sizes: the traced peak is about 1.45 MiB
-        # at the default cell budget, 0.53 MiB with one row per block and
-        # 2.65 MiB at twice the budget
+        # memory guard at the paper's sizes: the traced peak is about 1.44 MiB
+        # at the default cell budget, 0.52 MiB with one row per block and
+        # 2.64 MiB at twice the budget
         model = asym_logistic_model(2.0)
         mise_sweep(model, 1000, 1, range(10, 201, 10), seed=1)  # tables and first-call state
         tracemalloc.start()

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from specmeasure.empirical import DiscreteSpectralMeasure
 from specmeasure.lp_geometry import (
+    _geometry,
     check_norm_order,
     lp_norm,
     score_f,
@@ -108,6 +110,17 @@ class TestScore:
     def test_rejects_angles_outside_the_quadrant(self, theta):
         with pytest.raises(ValueError, match="pi/2"):
             score_f(theta, 1.0)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 2.5, 3.0, math.inf])
+    def test_angles_in_the_slack_count_as_half_pi(self, p):
+        # the angle check admits angles up to 1e-12 past pi/2; they count as
+        # pi/2, so the score stays 1 and the cosine factor positive
+        theta = math.pi / 2 + 5e-13
+        assert score_f(theta, p) == 1.0
+        at_half_pi = _geometry(np.array([math.pi / 2]), p)
+        assert np.array_equal(_geometry(np.array([theta]), p), at_half_pi)
+        s, c = DiscreteSpectralMeasure([theta], [1.0], p).moment_sums()
+        assert s == 1.0 and c > 0.0
 
     def test_strictly_increasing_and_bounded(self):
         theta = np.linspace(0.0, math.pi / 2, 301)

@@ -70,6 +70,11 @@ class TestSpectralToH:
         with pytest.raises(ValueError, match="sum norm"):
             pickands_function(phi)
 
+    def test_rejects_atomless_measure(self):
+        # without atoms the transport would give A = 1 - v, so A(1) = 0
+        with pytest.raises(ValueError, match="without atoms"):
+            pickands_function(DiscreteSpectralMeasure([], [], 1.0))
+
 
 class TestPickandsFunction:
     def test_point_mass_at_half_gives_envelope(self):
