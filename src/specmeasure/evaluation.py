@@ -370,12 +370,13 @@ def mise_sweep(
     call.  A batch is then scored in blocks within a fixed budget of
     cells, a row costing the batch's widest replication: runs of whole
     replications, or else one replication's k in slices.  A block's MELE
-    rows are solved at once, a Newton trip a few dozen calls on the open
-    rows' state, and its atom weights, normalizers and ISEs are one pass
-    each.  A row is scored on one partition at its replication's distinct
-    atoms, which refines each k's own, so its ISEs are those of the per-k
-    estimates up to rounding.  Each row's values depend on its own cells
-    only, so every replication's ISEs are bitwise those of
+    rows are solved at once, a Newton trip (a few dozen calls) on all of
+    them, as a closed row is a fixed point of a trip, so a trip's cost grows
+    with the block's rows; its atom weights, normalizers and ISEs are one
+    pass each.  A row is scored on one partition at its replication's
+    distinct atoms, which refines each k's own, so its ISEs are those of the
+    per-k estimates up to rounding.  Each row's values depend on its own
+    cells only, so every replication's ISEs are bitwise those of
     :func:`replication_ise`, whatever batch or block it falls in.
     """
     if p is not None and p != model.p:

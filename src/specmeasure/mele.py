@@ -192,9 +192,10 @@ def _solve_rows(a: np.ndarray, starts: np.ndarray, length: np.ndarray):
     score is zero has both 0, and neither takes an evaluation.  The others
     are open at first, each with its own bracket, iterate and stop rule, so
     a segment's solution depends on its own cells only.  The state of the
-    segments is one array, a column each, and a trip takes the open ones'
-    columns, so that it is a few dozen calls on small arrays.  Psi is
-    evaluated on every segment, a closed one's at its last point."""
+    segments is one array, a column each; a trip, a few dozen calls, and Psi
+    run on all of it, as a closed segment's column is a fixed point of a
+    trip (Psi at its last point does not beat its best, its bracket and stop
+    test repeat).  So a trip costs every segment of the block, open or not."""
     count = length - 1
     smin, smax = np.minimum.reduceat(a, starts), np.maximum.reduceat(a, starts)
     zero = (smin == 0.0) & (smax == 0.0)
@@ -215,16 +216,13 @@ def _solve_rows(a: np.ndarray, starts: np.ndarray, length: np.ndarray):
         # warm start at the first-order multiplier if it falls inside the bracket
         mu_bar = f0 / (np.add.reduceat(a * a, starts) / count)
         np.copyto(x, np.where((bl < mu_bar) & (mu_bar < bh), mu_bar, 0.5 * (bl + bh)), where=open_)
-        open_ = np.flatnonzero(open_)
         evals[open_] = SOLVER_MAX_ITER + 1  # unless a trip closes the row
-        state[1], state[4] = _psi_rows(x, a, starts, length)
+        f[:], slope[:] = _psi_rows(x, a, starts, length)
         state[2:4] = state[0:2]
         for trip in range(1, SOLVER_MAX_ITER + 1):
-            live = state[:, open_]
-            x, f, bx, bf, slope, bl, bh = live
-            size = np.abs(live[:4])
+            size = np.abs(state[:4])
             better = size[1] < size[3]
-            np.copyto(live[2:4], live[0:2], where=better)
+            np.copyto(state[2:4], state[0:2], where=better)
             np.copyto(size[2:4], size[0:2], where=better)  # |bx| and |bf| of the best point
             np.copyto(bl, x, where=f > 0.0)
             np.copyto(bh, x, where=f < 0.0)
@@ -242,12 +240,11 @@ def _solve_rows(a: np.ndarray, starts: np.ndarray, length: np.ndarray):
             done = ~(size[1] > 0.0) | (cand == bl) | (cand == bh)
             done |= (size[3] * np.maximum(1.0, size[2]) <= SOLVER_TOL) & (bh - bl <= width)
             np.copyto(x, cand, where=~done)
-            state[:, open_] = live
-            evals[open_[done]] = trip
-            open_ = open_[~done]
-            if not open_.size:
+            evals[open_ & done] = trip
+            open_ &= ~done
+            if not open_.any():
                 break
-            state[1], state[4] = _psi_rows(state[0], a, starts, length)
+            f[:], slope[:] = _psi_rows(x, a, starts, length)
     return state[2], np.abs(state[3]), evals, lo, hi
 
 

@@ -26,6 +26,7 @@ polynomial per panel (:meth:`SpectralModel.cdf_integrals`).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -73,6 +74,18 @@ for _n, _k in ((n, k) for n in range(17) for k in range(n // 2 + 1)):
 _CHUNK = 512
 
 
+def _prefix_sums(row) -> list:
+    """The sums of every prefix of ``row``, ``row[:0]`` to ``row[:]``, each
+    correctly rounded, so bitwise ``math.fsum(row[:i])``: the values, as
+    integers over the row's largest power-of-two denominator, are summed
+    exactly and each sum is divided back once (int / int true division
+    rounds correctly)."""
+    ratios = [x.as_integer_ratio() for x in row]
+    scale = max((d for _, d in ratios), default=1)
+    sums = itertools.accumulate((n * (scale // d) for n, d in ratios), initial=0)
+    return [s / scale for s in sums]
+
+
 def _panel_antiderivatives(values) -> Callable:
     """Antiderivatives from 0 of functions sampled at ``_NODES``.
 
@@ -81,14 +94,21 @@ def _panel_antiderivatives(values) -> Callable:
     integrated from the left knot and kept as power coefficients in the
     local variable x in [-1, 1]; prefix sums of the panel totals carry
     it across panels.  Returns theta -> one row per function.
+
+    Raises
+    ------
+    ValueError
+        If a sample is not finite.
     """
+    if not np.all(np.isfinite(values)):
+        raise ValueError("the sampled functions are not finite at every panel node")
     legendre = np.einsum("kj,fpj->kpf", _TO_LEGENDRE, values)
     anti = _LEGENDRE.legint(legendre, lbnd=-1.0) * _HALF[:, None]
     power = np.einsum("dk,kpf->pfd", _TO_POWER, anti, order="C")
-    # panel totals by the Gauss rule and prefix sums by exact summation,
-    # so that differences between nearby angles keep their digits
+    # panel totals by the Gauss rule and prefix sums, each correctly
+    # rounded, so that differences between nearby angles keep their digits
     totals = (2.0 * legendre[0].T * _HALF).tolist()
-    table = np.array([[math.fsum(row[:i]) for i in range(len(row) + 1)] for row in totals]).T
+    table = np.array([_prefix_sums(row) for row in totals]).T
 
     def integrals(theta):
         t = np.asarray(theta, dtype=float)

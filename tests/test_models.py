@@ -5,12 +5,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
+
+from specmeasure.empirical import DiscreteSpectralMeasure
+from specmeasure.evaluation import integrated_squared_error
 
 from specmeasure.lp_geometry import lp_norm
 from specmeasure.models import (
     _CHUNK,
     _invert_mixture_conditional,
+    _prefix_sums,
     SpectralModel,
     asym_logistic_model,
     cauchy_fullplane_model,
@@ -525,7 +531,7 @@ class TestCdfIntegrals:
         assert model.cdf_integrals(np.full((3, 4), 0.3)).shape == (2, 3, 4)
 
 
-def quadrant_parts(p):
+def quadrant_parts(p, sum_norm_cdf=lambda t: np.sin(t) - np.cos(t) + 1.0):
     """The Cauchy quadrant measure declared from its p-free parts."""
     return SpectralModel(
         name="quadrant-parts",
@@ -533,9 +539,39 @@ def quadrant_parts(p):
         atom_zero=0.0,
         atom_half_pi=0.0,
         density_factor=np.ones_like,
-        sum_norm_cdf=lambda t: np.sin(t) - np.cos(t) + 1.0,
+        sum_norm_cdf=sum_norm_cdf,
         sampler=cauchy_quadrant_model().sampler,
     )
+
+
+#: floats of either sign from subnormals to about 1e301, and zeros of both signs
+panel_totals = st.one_of(
+    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1074, 1000)),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+)
+
+
+class TestPanelTables:
+    """The prefix sums under the panel tables, and their refusal of cdfs
+    that are not finite."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(row=st.lists(panel_totals, max_size=120))
+    def test_prefix_sums_are_fsum_prefixes(self, row):
+        want = [math.fsum(row[:i]) for i in range(len(row) + 1)]
+        assert np.array(_prefix_sums(row)).tobytes() == np.array(want).tobytes()
+
+    def test_cdf_not_finite_at_a_node_fails(self):
+        # a cdf gone NaN above theta = 1: the ISE tables (p = 1) and the
+        # by-parts table (p = 2, built with the model) both refuse it
+        def phi1(t):
+            return np.where(t > 1.0, np.nan, np.sin(t) - np.cos(t) + 1.0)
+
+        estimate = DiscreteSpectralMeasure([0.4, 1.2], [1.0, 1.0], 1.0)
+        with pytest.raises(ValueError, match="not finite"):
+            integrated_squared_error(estimate, quadrant_parts(1.0, phi1), 0.0, 1.5)
+        with pytest.raises(ValueError, match="not finite"):
+            quadrant_parts(2.0, phi1)
 
 
 class TestNormOrder:
