@@ -103,8 +103,7 @@ class DiscreteSpectralMeasure:
     def cdf(self, x):
         """Right-continuous cumulative mass on [0, x]."""
         scalar = np.ndim(x) == 0
-        x = np.asarray(x, dtype=float)
-        _check_angles(x)
+        x = _check_angles(x)
         out = self._cumweights[np.searchsorted(self.angles, x, side="right")]
         return float(out) if scalar else out
 

@@ -68,13 +68,15 @@ def _interval(interval, model: SpectralModel) -> tuple:
 def _cells(model: SpectralModel, angles: np.ndarray, owner: np.ndarray, sets: int, a, b):
     """The cells of the interval (a, b) cut at the distinct angles of each of
     ``sets`` sets, owner[i] the set of angles[i] and the owners nondecreasing,
-    from one ``cdf_integrals`` call: per set a row of cell widths and one of
-    model cdf means, each after a 0 and padded with zeros to a common length
-    one past the longest, then each set's cell count and its cells' sum of
-    dIG2 - w Gbar**2.  Also each angle's step column: 1 + the cell from
-    whose left edge on the cdf counts it, 1 for an angle at or below a and
-    1 + its set's cell count for one at or above b.  Column 0 is left to the
-    zero cells."""
+    from one ``cdf_integrals`` call on a (set, edge) rectangle: per set the
+    edges a, a, its inner atoms at their step columns, then b to the end.
+    Its differences are per set a row of cell widths and one of model cdf
+    means: the zero cell, the set's cells, then empty padding cells (width
+    and mean 0) to a common length one past the longest.  Also each set's
+    cell count and its cells' sum of dIG2 - w Gbar**2, and each angle's step
+    column: 1 + the cell from whose left edge on the cdf counts it, 1 for
+    an angle at or below a and 1 + its set's cell count for one at or above
+    b.  Column 0 is left to the zero cells."""
     by_angle = np.argsort(angles)
     # a stable sort by set, of a type small enough for a radix sort
     by_angle = by_angle[np.argsort(owner[by_angle].astype(np.min_scalar_type(sets)), kind="stable")]
@@ -88,26 +90,16 @@ def _cells(model: SpectralModel, angles: np.ndarray, owner: np.ndarray, sets: in
     inner = (atoms > a) & (atoms < b)
     below = np.bincount(owner[atoms <= a], minlength=sets)
     size = np.bincount(owner[inner], minlength=sets) + 1
-    start = np.concatenate(([0], np.cumsum(size + 1)))  # each set's edges: a, its inner atoms, b
-    edges = np.empty(start[-1])
-    edges[start[:-1]], edges[start[1:] - 1] = a, b
-    ends = np.zeros(edges.size, dtype=bool)
-    ends[start[:-1]] = ends[start[1:] - 1] = True
-    edges[~ends] = atoms[inner]
     # 1 + the index within its set, less those at or below a, clipped
     column = np.arange(atoms.size) - (np.searchsorted(owner, np.arange(sets)) + below - 1)[owner]
     np.clip(column, 0, size[owner], out=column)
     column += 1
-    shape = (sets, int(size.max()) + 2)
-    between = np.delete(np.arange(edges.size - 1), start[1:-1] - 1)  # each cell's left edge
-    owner = np.repeat(np.arange(sets), size)
-    slot = between + 1 + owner * shape[1] - start[owner]
-    width, ig, ig2 = (np.diff(x)[between] for x in (edges, *model.cdf_integrals(edges)))
-    mean = ig / width
-    rows = np.zeros((3,) + shape)
-    for row, values in zip(rows, (width, mean, ig2 - ig * mean)):
-        row.ravel()[slot] = values
-    return (rows[0], rows[1], size, _row_sums(rows[2], size)), column[index]
+    edges = np.full((sets, int(size.max()) + 3), b)
+    edges[:, :2] = a
+    edges[owner[inner], column[inner]] = atoms[inner]
+    width, ig, ig2 = (np.diff(x) for x in (edges, *model.cdf_integrals(edges)))
+    mean = np.divide(ig, width, out=np.zeros_like(ig), where=width > 0.0)
+    return (width, mean, size, _row_sums(ig2 - ig * mean, size)), column[index]
 
 
 def _row_sums(rows: np.ndarray, size) -> np.ndarray:

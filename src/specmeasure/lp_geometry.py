@@ -34,10 +34,13 @@ def check_norm_order(p: float) -> float:
     return p
 
 
-def _check_angles(theta: np.ndarray) -> None:
-    """Raise unless every angle lies in [0, pi/2] (to 1e-12); NaN fails."""
+def _check_angles(theta) -> np.ndarray:
+    """``theta`` as a float array; raise unless every angle lies in [0, pi/2]
+    (to 1e-12), NaN failing."""
+    theta = np.asarray(theta, dtype=float)
     if theta.size and not (theta.min() >= 0.0 and theta.max() <= HALF_PI + 1e-12):
         raise ValueError("angles must lie in [0, pi/2]")
+    return theta
 
 
 def lp_norm(x, y, p: float):
@@ -98,7 +101,6 @@ def score_f(theta, p: float):
     """
     p = check_norm_order(p)
     scalar = np.ndim(theta) == 0
-    theta = np.asarray(theta, dtype=float)
-    _check_angles(theta)
+    theta = _check_angles(theta)
     out = _geometry(theta, p)[0]
     return float(out) if scalar else out

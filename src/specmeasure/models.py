@@ -213,21 +213,23 @@ class SpectralModel:
         differs from :meth:`cdf` only at the single point pi/2.
         """
         scalar = np.ndim(theta) == 0
-        theta = np.asarray(theta, dtype=float)
-        _check_angles(theta)
+        theta = _check_angles(theta)
         out = self.atom_zero + self._interior_cdf(np.minimum(theta, HALF_PI))
         return float(out) if scalar else out
 
     @cached_property
     def cdf_integrals(self) -> Callable:
         """theta -> integrals over [0, theta] of ``cdf_continuous`` (row 0)
-        and of its square (row 1), for theta in [0, pi/2]; built on first
-        use from the cdf at ``_NODES`` and kept on the model."""
+        and of its square (row 1), for theta in [0, pi/2], checked as by
+        ``cdf_continuous``, whose 1e-12 slack above pi/2 counts as pi/2;
+        built on first use from the cdf at ``_NODES`` and kept on the model."""
         if self.density_factor is None:
             level = self.atom_zero
-            return lambda t: np.multiply.outer([level, level * level], t)
-        g = self.cdf_continuous(_NODES)
-        return _panel_antiderivatives([g, g * g])
+            table = partial(np.multiply.outer, [level, level * level])
+        else:
+            g = self.cdf_continuous(_NODES)
+            table = _panel_antiderivatives([g, g * g])
+        return lambda theta: table(np.minimum(_check_angles(theta), HALF_PI))
 
     def cdf(self, theta):
         """Right-continuous cumulative mass on [0, theta], atoms included."""

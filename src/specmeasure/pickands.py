@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .empirical import DiscreteSpectralMeasure, _merge_duplicates
+from .lp_geometry import HALF_PI
 
 __all__ = ["PickandsFunction", "pickands_function"]
 
@@ -88,7 +89,8 @@ def pickands_function(phi: DiscreteSpectralMeasure) -> PickandsFunction:
     if phi.weights.size == 0:
         raise ValueError("expected a spectral measure, got one without atoms")
     s = np.sin(phi.angles)
-    points, weights = _merge_duplicates(s / (s + np.cos(phi.angles)), phi.weights)
+    c = np.cos(np.minimum(phi.angles, HALF_PI))  # the 1e-12 slack above pi/2 counts as pi/2
+    points, weights = _merge_duplicates(s / (s + c), phi.weights)
     if points.size > 1:
         cluster = np.cumsum(np.concatenate(([True], np.diff(points) > MERGE_TOL))) - 1
         mass = np.bincount(cluster, weights)

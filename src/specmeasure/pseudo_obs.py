@@ -65,7 +65,7 @@ class BivariateSample:
             if not np.isfinite(block := values[start : start + _CHUNK]).all():
                 row, col = np.argwhere(~np.isfinite(block))[0] + (start, 0)
                 raise InputError(
-                    f"non-finite value {values[row, col]!r} at row {row + 1}, column {col + 1}"
+                    f"non-finite value {float(values[row, col])} at row {row + 1}, column {col + 1}"
                 )
         object.__setattr__(self, "values", values)
 

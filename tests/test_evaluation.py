@@ -152,6 +152,45 @@ class TestIntegratedSquaredError:
                 integrated_squared_error(est, model, a, b)
 
 
+class TestCells:
+    """The (set, cell) rectangle of ``evaluation._cells``, several sets at once."""
+
+    @pytest.mark.parametrize("interval", [(0.2, 1.3), (0.0, HALF_PI)])
+    @pytest.mark.parametrize(
+        "model", [cauchy_quadrant_model(1.0), asym_logistic_model(1.5, p=2.5), mixture_model(0.0)]
+    )
+    def test_each_set_is_its_one_set_call(self, model, interval):
+        a, b = interval
+        sets = [
+            np.random.default_rng(2).uniform(a, b, 400),  # beside sets of 1
+            np.array([0.7]),
+            np.array([a / 2, a, 0.0, a]),  # at or below a
+            np.array([b, (b + HALF_PI) / 2, HALF_PI]),  # at or above b
+            np.array([a, b, a / 2]),  # at or below a, or at or above b
+            np.array([0.5, 0.9, 0.5, 0.9, 0.5, 0.3]),  # repeated
+            np.array([]),  # an estimate without atoms
+            np.array([1.0]),
+        ]
+        owner = np.repeat(np.arange(len(sets)), [s.size for s in sets])
+        angles = np.concatenate(sets)
+        cells, column = evaluation._cells(model, angles, owner, len(sets), a, b)
+        width, mean, size, spread = cells
+        assert width.shape == mean.shape == (len(sets), 403)
+        for i, angles_i in enumerate(sets):
+            one, column_i = evaluation._cells(model, angles_i, np.zeros(angles_i.size, int), 1, a, b)
+            cut = one[0].shape[1]
+            assert cut == one[2][0] + 2
+            assert np.array_equal(width[i, :cut], one[0][0])
+            assert np.array_equal(mean[i, :cut], one[1][0])
+            assert size[i] == one[2][0] and spread[i] == one[3][0]
+            assert np.array_equal(column[owner == i], column_i)
+            # the zero cell and the padding are empty, the set's cells are not
+            for row in (width[i], mean[i]):
+                assert row[0] == 0.0 and not np.any(row[size[i] + 1 :])
+            assert np.all(width[i, 1 : size[i] + 1] > 0.0)
+        assert np.array_equal(size, [401, 2, 1, 1, 1, 4, 1, 2])
+
+
 class TestSharedPartition:
     """Both estimators at one k share atoms, so one partition and one
     pass of truth cdf values serve both of their ISEs."""

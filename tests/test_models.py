@@ -525,6 +525,17 @@ class TestCdfIntegrals:
         per_point = np.array([model.cdf_integrals(t) for t in theta]).T
         assert np.array_equal(model.cdf_integrals(theta), per_point)
 
+    @pytest.mark.parametrize(
+        "model", [asym_logistic_model(1.5), asym_logistic_model(1.5, p=2.5), mixture_model(0.0)]
+    )
+    def test_angles_checked_and_slack_counts_as_half_pi(self, model):
+        # cdf_continuous accepts angles up to pi/2 + 1e-12; the end panel
+        # is far narrower than that slack
+        for theta in (-0.1, HALF_PI + 1e-11, math.nan):
+            with pytest.raises(ValueError, match=r"angles must lie in \[0, pi/2\]"):
+                model.cdf_integrals(np.array([0.3, theta]))
+        assert np.array_equal(model.cdf_integrals(HALF_PI + 5e-13), model.cdf_integrals(HALF_PI))
+
     def test_shape_follows_theta(self):
         model = cauchy_quadrant_model(3.0)
         assert model.cdf_integrals(0.3).shape == (2,)

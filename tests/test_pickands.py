@@ -65,6 +65,13 @@ class TestSpectralToH:
                 phi.total_mass, rel=1e-12
             )
 
+    def test_atom_in_the_slack_above_half_pi_lands_on_one(self):
+        # a measure accepts angles up to pi/2 + 1e-12, where the cosine is
+        # below 0 and would carry w past 1
+        A = pickands_function(sum_norm([0.3, HALF_PI + 5e-13], [1.0, 1.0]))
+        B = pickands_function(sum_norm([0.3, HALF_PI], [1.0, 1.0]))
+        assert np.array_equal(A.knots, B.knots) and np.array_equal(A.values, B.values)
+
     def test_rejects_other_norms(self):
         phi = DiscreteSpectralMeasure.from_atoms([QUARTER_PI], [1.0], 2.0)
         with pytest.raises(ValueError, match="sum norm"):

@@ -3,6 +3,7 @@
 import io
 import math
 import os
+import re
 import threading
 import tracemalloc
 import warnings
@@ -386,8 +387,11 @@ class TestSampleValidation:
             BivariateSample(np.zeros((0, 2)))
 
     def test_non_finite_cites_position(self):
-        with pytest.raises(InputError, match="row 2, column 1"):
-            sample_of([[1.0, 2.0], [math.nan, 3.0]])
+        # the value as a plain float, not its numpy repr
+        for value, text in ((math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf")):
+            message = f"non-finite value {text} at row 2, column 1"
+            with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+                sample_of([[1.0, 2.0], [value, 3.0]])
 
 
 class TestTextFormat:
