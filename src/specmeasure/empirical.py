@@ -61,9 +61,10 @@ def _merge_duplicates(locations, weights) -> tuple[np.ndarray, np.ndarray]:
 class DiscreteSpectralMeasure:
     """Finite atomic measure on the angle interval [0, pi/2].
 
-    Atoms are kept sorted with strictly positive weights; construction
-    through :meth:`from_atoms` merges duplicate locations by summing
-    their weights.  ``p`` records the norm order the measure refers to.
+    Atoms are kept sorted with strictly positive weights, an angle in the
+    1e-12 slack above pi/2 stored as pi/2; construction through
+    :meth:`from_atoms` merges duplicate locations by summing their
+    weights.  ``p`` records the norm order the measure refers to.
     ``solution`` is the :class:`~specmeasure.mele.MultiplierSolution`
     behind a MELE estimate, ``None`` for the empirical estimators.
     ``_cumweights`` holds the cumulative weights after a leading 0.
@@ -76,13 +77,12 @@ class DiscreteSpectralMeasure:
     solution: MultiplierSolution | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        angles = np.asarray(self.angles, dtype=float)
+        angles = _check_angles(self.angles)
         weights = np.asarray(self.weights, dtype=float)
         if angles.shape != weights.shape or angles.ndim != 1:
             raise ValueError("angles and weights must be 1-d arrays of equal length")
         if np.any(np.diff(angles) <= 0.0):
             raise ValueError("angles must be strictly increasing; use from_atoms")
-        _check_angles(angles)
         if np.any(weights <= 0.0) or not np.all(np.isfinite(weights)):
             raise ValueError("atom weights must be finite and strictly positive")
         object.__setattr__(self, "angles", angles)
@@ -93,7 +93,7 @@ class DiscreteSpectralMeasure:
     @classmethod
     def from_atoms(cls, angles, weights, p: float) -> "DiscreteSpectralMeasure":
         """Build a measure from possibly unsorted, possibly repeated atoms."""
-        angles, weights = _merge_duplicates(angles, weights)
+        angles, weights = _merge_duplicates(_check_angles(angles), weights)
         return cls(angles=angles, weights=weights, p=p)
 
     @property

@@ -35,12 +35,12 @@ def check_norm_order(p: float) -> float:
 
 
 def _check_angles(theta) -> np.ndarray:
-    """``theta`` as a float array; raise unless every angle lies in [0, pi/2]
-    (to 1e-12), NaN failing."""
+    """``theta`` as floats with the 1e-12 slack above pi/2 counted as pi/2;
+    raise unless every angle lies in [0, pi/2] (to 1e-12), NaN failing."""
     theta = np.asarray(theta, dtype=float)
     if theta.size and not (theta.min() >= 0.0 and theta.max() <= HALF_PI + 1e-12):
         raise ValueError("angles must lie in [0, pi/2]")
-    return theta
+    return np.minimum(theta, HALF_PI)
 
 
 def lp_norm(x, y, p: float):
@@ -79,10 +79,10 @@ def lp_norm(x, y, p: float):
 
 
 def _geometry(theta: np.ndarray, p: float) -> tuple:
-    """The score of :func:`score_f` at each angle and its moment factors
-    sin/||.||_p and cos/||.||_p, from one sin, one cos and one norm."""
-    s = np.sin(theta)  # 1 at pi/2 and in the 1e-12 slack above it (_check_angles)
-    c = np.cos(np.minimum(theta, HALF_PI))  # the slack counts as pi/2
+    """The score of :func:`score_f` at each checked angle (:func:`_check_angles`)
+    and its moment factors sin/||.||_p and cos/||.||_p, from one sin, cos and norm."""
+    s = np.sin(theta)
+    c = np.cos(theta)
     norm = lp_norm(s, c, p)
     # the float pi/4 stands for the exact diagonal (rank ties reach it by
     # arctan(1)); sin/cos round one-sidedly there and at pi/2: pin both

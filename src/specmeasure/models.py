@@ -195,12 +195,13 @@ class SpectralModel:
     @property
     def interior_density(self) -> Optional[Callable]:
         """theta -> ||(sin, cos)||_p g(theta), the density of the measure on
-        the open interval; None when the measure is purely atomic."""
+        the open interval, whose 1e-12 slack above pi/2 counts as pi/2;
+        None when the measure is purely atomic."""
         g, p = self.density_factor, self.p
         if g is None:
             return None
         # cos as sin(pi/2 - theta), so the float HALF_PI is the end point
-        return lambda t: lp_norm(np.sin(t), np.sin(HALF_PI - np.asarray(t, dtype=float)), p) * g(t)
+        return lambda t: lp_norm(np.sin(u := _check_angles(t)), np.sin(HALF_PI - u), p) * g(u)
 
     @property
     def total_mass(self) -> float:
@@ -214,7 +215,7 @@ class SpectralModel:
         """
         scalar = np.ndim(theta) == 0
         theta = _check_angles(theta)
-        out = self.atom_zero + self._interior_cdf(np.minimum(theta, HALF_PI))
+        out = self.atom_zero + self._interior_cdf(theta)
         return float(out) if scalar else out
 
     @cached_property
@@ -229,7 +230,7 @@ class SpectralModel:
         else:
             g = self.cdf_continuous(_NODES)
             table = _panel_antiderivatives([g, g * g])
-        return lambda theta: table(np.minimum(_check_angles(theta), HALF_PI))
+        return lambda theta: table(_check_angles(theta))
 
     def cdf(self, theta):
         """Right-continuous cumulative mass on [0, theta], atoms included."""

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .empirical import DiscreteSpectralMeasure, _merge_duplicates
-from .lp_geometry import HALF_PI
+from .lp_geometry import _geometry
 
 __all__ = ["PickandsFunction", "pickands_function"]
 
@@ -69,12 +69,12 @@ class PickandsFunction:
 def pickands_function(phi: DiscreteSpectralMeasure) -> PickandsFunction:
     """Pickands dependence function of a sum-norm spectral measure.
 
-    The angles go to w = sin / (sin + cos), so 0 and pi/2 land on 0 and
-    1.  Points closer than ``MERGE_TOL`` merge into their centre of mass:
-    angles distinct as floats can land only an ulp apart, and the slopes
-    between such knots would be pure rounding noise.  The slope on the
-    segment right of v equals H([0, v]) - 1, so the knot set is the
-    merged points extended by the endpoints.
+    The angles go to w = sin / (sin + cos), the sum norm's sine factor, so
+    0 and pi/2 land on 0 and 1.  Points closer than ``MERGE_TOL`` merge into
+    their centre of mass: angles distinct as floats can land only an ulp
+    apart, and the slopes between such knots would be pure rounding noise.
+    The slope on the segment right of v equals H([0, v]) - 1, so the knot
+    set is the merged points extended by the endpoints.
 
     Raises
     ------
@@ -88,9 +88,7 @@ def pickands_function(phi: DiscreteSpectralMeasure) -> PickandsFunction:
         )
     if phi.weights.size == 0:
         raise ValueError("expected a spectral measure, got one without atoms")
-    s = np.sin(phi.angles)
-    c = np.cos(np.minimum(phi.angles, HALF_PI))  # the 1e-12 slack above pi/2 counts as pi/2
-    points, weights = _merge_duplicates(s / (s + c), phi.weights)
+    points, weights = _merge_duplicates(_geometry(phi.angles, 1.0)[1], phi.weights)
     if points.size > 1:
         cluster = np.cumsum(np.concatenate(([True], np.diff(points) > MERGE_TOL))) - 1
         mass = np.bincount(cluster, weights)

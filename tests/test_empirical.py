@@ -320,6 +320,16 @@ class TestDiscreteSpectralMeasure:
         with pytest.raises(ValueError, match="pi/2"):
             phi.cdf(np.array([0.4, x]))
 
+    def test_atom_in_the_slack_is_stored_at_half_pi(self):
+        phi = DiscreteSpectralMeasure([0.3, math.pi / 2 + 5e-13], [1.0, 1.0], 1.0)
+        assert phi.angles[-1] == math.pi / 2
+        assert phi.cdf(math.pi / 2) == phi.total_mass == 2.0
+
+    def test_from_atoms_merges_the_slack_into_half_pi(self):
+        angles = [math.pi / 2 + 5e-13, math.pi / 2 + 1e-12, math.pi / 2]
+        phi = DiscreteSpectralMeasure.from_atoms(angles, [1.0, 1.0, 1.0], 2.0)
+        assert phi.angles.tolist() == [math.pi / 2] and phi.weights.tolist() == [3.0]
+
     def test_equality_is_identity(self):
         a = DiscreteSpectralMeasure.from_atoms([0.2, 0.5], [1, 1], 1)
         b = DiscreteSpectralMeasure.from_atoms([0.2, 0.5], [1, 1], 1)

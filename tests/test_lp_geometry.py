@@ -7,11 +7,15 @@ import pytest
 
 from specmeasure.empirical import DiscreteSpectralMeasure
 from specmeasure.lp_geometry import (
+    HALF_PI,
+    _check_angles,
     _geometry,
     check_norm_order,
     lp_norm,
     score_f,
 )
+from specmeasure.models import asym_logistic_model, cauchy_quadrant_model, mixture_model
+from specmeasure.pickands import pickands_function
 
 FINITE_ORDERS = [1.0, 1.5, 2.0, 3.0, 7.0]
 ALL_ORDERS = FINITE_ORDERS + [math.inf]
@@ -118,7 +122,7 @@ class TestScore:
         theta = math.pi / 2 + 5e-13
         assert score_f(theta, p) == 1.0
         at_half_pi = _geometry(np.array([math.pi / 2]), p)
-        assert np.array_equal(_geometry(np.array([theta]), p), at_half_pi)
+        assert np.array_equal(_geometry(_check_angles([theta]), p), at_half_pi)
         s, c = DiscreteSpectralMeasure([theta], [1.0], p).moment_sums()
         assert s == 1.0 and c > 0.0
 
@@ -128,3 +132,52 @@ class TestScore:
             vals = score_f(theta, p)
             assert np.all(np.diff(vals) > 0.0)
             assert np.all(np.abs(vals) <= 1.0)
+
+
+def _angle_functions():
+    """Every public function of an angle, as (id, theta -> float array)."""
+    for p in [1.0, 2.0, 2.5, math.inf]:
+        yield f"score_f-p{p}", lambda t, p=p: score_f(t, p)
+    models = [
+        asym_logistic_model(1.5, p=1.0),
+        asym_logistic_model(1.5, p=2.5),
+        asym_logistic_model(3.0, 0.7, 0.9, p=2.0),
+        cauchy_quadrant_model(math.inf),
+        mixture_model(0.0),
+    ]
+    for model in models:
+        label = f"{model.name}-p{model.p}"
+        yield f"{label}-cdf_continuous", model.cdf_continuous
+        yield f"{label}-cdf", model.cdf
+        yield f"{label}-cdf_integrals", model.cdf_integrals
+        if model.interior_density is not None:
+            yield f"{label}-interior_density", model.interior_density
+    measure = DiscreteSpectralMeasure([0.3, HALF_PI], [1.0, 2.0], 2.5)
+    yield "measure-cdf", measure.cdf
+    for p in [1.0, 2.5, math.inf]:
+        yield f"measure-moment_sums-p{p}", (
+            lambda t, p=p: DiscreteSpectralMeasure.from_atoms([0.3, t], [1.0, 2.0], p).moment_sums()
+        )
+
+    def pickands(t):
+        A = pickands_function(DiscreteSpectralMeasure.from_atoms([0.3, t], [1.0, 2.0], 1.0))
+        return np.concatenate([A.knots, A.values])
+
+    yield "measure-pickands_function", pickands
+
+
+ANGLE_FUNCTIONS = dict(_angle_functions())
+
+
+@pytest.mark.parametrize("name", ANGLE_FUNCTIONS)
+def test_every_angle_function_counts_the_slack_as_half_pi(name):
+    # _check_angles admits angles up to 1e-12 past pi/2 and counts them as
+    # pi/2; logistic r < 2 has an infinite density at pi/2, hence errstate
+    f = ANGLE_FUNCTIONS[name]
+    with np.errstate(divide="ignore"):
+        at_half_pi = np.asarray(f(HALF_PI), dtype=float).tobytes()
+        for theta in [HALF_PI + 5e-13, HALF_PI + 1e-12]:
+            assert np.asarray(f(theta), dtype=float).tobytes() == at_half_pi
+    for theta in [-5e-324, HALF_PI + 2e-12, math.nan]:
+        with pytest.raises(ValueError, match="pi/2"):
+            f(theta)
