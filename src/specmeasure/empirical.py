@@ -7,7 +7,6 @@ from them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
@@ -112,90 +111,75 @@ class DiscreteSpectralMeasure:
         return tuple(float(np.sum(self.weights * f)) for f in _geometry(self.angles, self.p)[1:])
 
 
-# Relative half-width of the band around n/k in which the selection rule
-# decides integer-p and max-norm membership exactly; outside it the float
-# rule is certain.  With eps = 2**-53, u = m/n and 1/u carry 2 eps each; in
-# lp_norm the ratio lo/hi carries 5 eps, its p-th power p times that, and
-# the outer 1/p-th root divides by p again, so the norm is within about
-# 11 eps (1.2e-15) of exact for every p, and n/k within 1 eps.  Measured
-# against 200-bit arithmetic: at most 3.3e-16 for p in [1, 1000], n <= 1e6.
-# 1e-12 leaves over 700x headroom on the bound.
+# Relative half-width of the band around a row's least k in which the
+# selection rule decides integer-p membership exactly; outside it the float
+# rule is certain.  With eps = 2**-53 and the ranks exact as floats, in
+# lp_norm(m1, m2, p) the ratio lo/hi carries 1 eps, its p-th power p + 1,
+# 1 + that power (p + 3)/2 (the power is at most 1), the outer root, with
+# its rounded 1/p, ((p + 3)/2 + 0.7)/p + 1 and the product with hi 1 more,
+# at most 4.7 eps; m2 / norm and m1 * that add 1 eps each, so the least k
+# m1 (m2 / ||(m1, m2)||_p) is within about 7 eps (7.8e-16) of exact for
+# every p.  Measured against 50-digit arithmetic on 122 500 rank pairs with
+# n <= 1e6 at 49 orders p in [1, 1000]: at most 3.7e-16.  1e-12 leaves over
+# 1000x headroom on the bound.
 MARGIN = 1e-12
 
 
-def _members(norm, ranks, ks, n: int, p: float) -> np.ndarray:
-    """Row i marks the entries of ``norm`` that are members at ``ks[i]``
-    under integer p or the max norm: the entries within ``MARGIN`` of n/k
-    are decided exactly from their ``ranks``."""
-    threshold = (n / ks)[:, None]
-    member = norm >= threshold
-    i, j = np.nonzero(np.abs(norm - threshold) <= MARGIN * threshold)
-    m1, m2 = ranks[j].T
-    # for p > k the integer rule is the max-norm rule: a term (k/m)^p is
-    # >= 1 when m <= k and at most (k/(k+1))^(k+1) < 1/e when m > k
-    q = int(p) if p <= ks.max() else None
-    member[i, j] = [
-        min(a, b) <= k if p > k else k**q * (a**q + b**q) >= (a * b) ** q
-        for k, a, b in zip(ks[i].tolist(), m1.tolist(), m2.tolist())
-    ]
-    return member
-
-
-def _grid(ks, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """A grid of k checked against the sample size n, as int64, and its
-    thresholds n / k in increasing order."""
+def _grid(ks, n: int) -> np.ndarray:
+    """A grid of k checked against the sample size n, as int64."""
     for k in np.ravel(ks).tolist():
         if not (float(k).is_integer() and 1 <= k <= n):
             raise ValueError(f"k must be an integer with 1 <= k <= n = {n}, got {k!r}")
-    ks = np.asarray(ks, dtype=np.int64)
-    return ks, np.sort(n / ks)
+    return np.asarray(ks, dtype=np.int64)
 
 
-def _select(batch: Iterable[BivariateSample], grid: tuple, p: float):
-    """The rule of :func:`select_extremes` at every k of a ``grid`` (see
+def _select(batch: Iterable[BivariateSample], ks: np.ndarray, p: float):
+    """The rule of :func:`select_extremes` at every k of a grid ``ks`` (see
     :func:`_grid`) at once, for a batch of raw samples of one size n.  The
     batch's candidate rows are ranked in one pass (``pseudo_obs._tails``,
     which records each sample's ``tie_flag``), and the rest runs on them as
-    one array.  One L_p norm per candidate row serves every k, the members
+    one array.  One least k per candidate row serves every k, the members
     at the largest k are the union, and each member's entry counts the k at
-    which it is not a member: the float rule by one binary search of its
-    norm among the thresholds n/k, and for integer p and the max norm the
-    exact rule again for the members near a threshold.  Returns the
-    samples' unions in turn, as one AngularSample whose indices are each
-    sample's own rows, the entries, the member counts and the moment factors."""
+    which it is not a member: one binary search of its least k among the
+    sorted grid, with the exact rule again for integer p where a grid k
+    lies near the least k.  Returns the samples' unions in turn, as one
+    AngularSample whose indices are each sample's own rows, the entries,
+    the member counts and the moment factors."""
     p = check_norm_order(p)
-    ks, threshold = grid
-    k_max = int(ks.max())
+    ks = np.sort(ks)
     batch = list(batch)
     n = batch[0].n
-    # a norm is at most 2 n / min(m1, m2), so only rows in the top
-    # 2 k_max + 1 of a column reach the largest k's band,
-    # (1 - 2 MARGIN) n / k_max
-    tail, m, size = _tails(batch, 2 * k_max + 1)
+    # a least k is at least m1 m2 / (m1 + m2) >= min(m1, m2) / 2, so only
+    # rows in the top 2 k_max + 1 of a column reach the largest k's band
+    tail, m, size = _tails(batch, 2 * int(ks[-1]) + 1)
     bounds = np.concatenate(([0], np.cumsum(size)))
-    u1, u2 = (m / n).T
-    norm = lp_norm(1.0 / u1, 1.0 / u2, p)
-    rows = np.flatnonzero(norm >= (1.0 - 2.0 * MARGIN) * threshold[0])
-    norm = norm[rows]
-    if math.isinf(p) or p.is_integer():
-        # the float rule counts the thresholds up to a norm; it is certain
-        # unless one lies within 2 MARGIN of the norm, and those rows are
-        # decided again from their ranks
-        low = np.searchsorted(threshold, norm * (1.0 - 2.0 * MARGIN))
-        entry = ks.size - low
-        # the first threshold at or above the band's low end lies in it
-        band = threshold.take(low, mode="clip") < norm * (1.0 + 2.0 * MARGIN)
-        near = np.flatnonzero(band & (low < ks.size))
-        if near.size:
-            entry[near] = ks.size - np.sum(_members(norm[near], m[rows[near]], ks, n, p), axis=0)
+    m1, m2 = np.array(m.T, dtype=float)
+    least = np.minimum(m1 * (m2 / lp_norm(m1, m2, p)), np.minimum(m1, m2))
+    rows = np.flatnonzero(least <= (1.0 + 2.0 * MARGIN) * ks[-1])
+    least = least[rows]
+    if p.is_integer():
+        # the float rule is certain unless a grid k lies within 2 MARGIN of
+        # the least k; the first one there is decided again from the ranks
+        entry = np.searchsorted(ks, least * (1.0 - 2.0 * MARGIN))
+        at = ks.take(entry, mode="clip")
+        near = np.flatnonzero(at < least * (1.0 + 2.0 * MARGIN))
+        # for p > k the integer rule is the max-norm rule: a term (k/m)^p is
+        # >= 1 when m <= k and at most (k/(k+1))^(k+1) < 1/e when m > k
+        q = int(p) if p <= ks[-1] else None
+        member = [
+            min(a, b) <= k if p > k else k**q * (a**q + b**q) >= (a * b) ** q
+            for k, (a, b) in zip(at[near].tolist(), m[rows[near]].tolist())
+        ]
+        # a member's least k is that k, a non-member's lies below k + 1
+        entry[near] = np.searchsorted(ks, at[near] + np.where(member, 0.0, 0.5))
     else:
-        entry = ks.size - np.searchsorted(threshold, norm, side="right")
+        entry = np.searchsorted(ks, least)
     keep = entry < ks.size
-    rows = rows[keep]
-    angles = np.arctan(u2[rows] / u1[rows])
+    rows, entry = rows[keep], entry[keep]
+    angles = np.arctan((m2[rows] / n) / (m1[rows] / n))
     scores, *factors = _geometry(angles, p)
-    union = AngularSample(tail[rows], angles, scores, k_max, p, n)
-    return union, entry[keep], np.diff(np.searchsorted(rows, bounds)), factors
+    union = AngularSample(tail[rows], angles, scores, int(ks[-1]), p, n)
+    return union, entry, np.diff(np.searchsorted(rows, bounds)), factors
 
 
 def select_extremes(sample: BivariateSample, k: int, p: float) -> AngularSample:
@@ -204,16 +188,18 @@ def select_extremes(sample: BivariateSample, k: int, p: float) -> AngularSample:
     One rank pass (``pseudo_obs._tails``, which sets ``sample.tie_flag``)
     gives the ranks m = n + 1 - R of each column, and an observation is a
     member when its pseudo-observations u = m / n satisfy
-    ``||(1/u1, 1/u2)||_p >= n/k``, evaluated in floating point for every p.
-    For integer p and the max norm the rule has exact ties (for example
-    1/3 + 1/6 = 1/2), so the rows within ``MARGIN`` of n/k are decided
-    again from their integer ranks: ``min(m1, m2) <= k`` for the max norm
-    and for p > k, where it is exact, and ``k^p (m1^p + m2^p) >= (m1 m2)^p``
-    in Python integers otherwise.  Only rows among the top 2k + 1 of a
-    column can qualify, and only their ranks are handed out.  This is the
-    batch of one sample of the Monte Carlo selection, which applies the
-    same rule to a batch of samples on a whole k grid at once; at a single
-    k its union is this selection.
+    ``||(1/u1, 1/u2)||_p >= n/k``, that is when k is at least its least k
+    m1 m2 / ||(m1, m2)||_p.  That is evaluated in floating point and capped
+    at min(m1, m2), its exact value under the max norm and its bound at
+    every p.  For integer p the rule has exact ties (for example
+    1/3 + 1/6 = 1/2), so a row whose least k lies within ``MARGIN`` of k is
+    decided again from its integer ranks: ``min(m1, m2) <= k`` for p > k,
+    where it is exact, and ``k^p (m1^p + m2^p) >= (m1 m2)^p`` in Python
+    integers otherwise.  Only rows among the top 2k + 1 of a column can
+    qualify, and only their ranks are handed out.  This is the batch of one
+    sample of the Monte Carlo selection, which applies the same rule to a
+    batch of samples on a whole k grid at once; at a single k its union is
+    this selection.
 
     At least one observation is always selected (the rank-n row in
     either column qualifies for every k >= 1).

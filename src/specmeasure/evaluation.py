@@ -184,7 +184,7 @@ _CELLS = 1 << 15
 
 
 class _TailGrid:
-    """The extremes of a batch of samples at every k of a ``grid`` (from
+    """The extremes of a batch of samples at every k of a grid ``ks`` (from
     :func:`~specmeasure.empirical._grid`), from the union, entries, member
     counts and moment factors of the batch's one selection, run here by
     :func:`~specmeasure.empirical._select`, which forms the factors with the scores.
@@ -198,9 +198,8 @@ class _TailGrid:
     of ``interval`` (:func:`_cells`), row r cut at sample r's distinct
     angles."""
 
-    def __init__(self, model, batch, grid: tuple, interval: tuple):
-        union, entry, size, factors = _select(batch, grid, model.p)
-        ks = grid[0]
+    def __init__(self, model, batch, ks: np.ndarray, interval: tuple):
+        union, entry, size, factors = _select(batch, ks, model.p)
         self.ks, self.size = ks, size
         sample = np.repeat(np.arange(size.size), size)
         self.cells, column = _cells(model, union.angles, sample, size.size, *interval)

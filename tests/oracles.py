@@ -3,14 +3,15 @@
 Everything here recomputes a quantity through a different algorithm
 than the production code: direct constrained optimization instead of a
 multiplier root find, quadratic-time counting instead of sorting,
-exact integer arithmetic instead of floats, library quadrature instead
-of the package's integrators, and plain string handling instead of
-batched C parsing.
+exact integer or 50-digit arithmetic instead of floats, library
+quadrature instead of the package's integrators, and plain string
+handling instead of batched C parsing.
 """
 
 import math
 import types
 
+import mpmath
 import numpy as np
 from scipy import integrate, stats
 from scipy.linalg import null_space
@@ -126,16 +127,25 @@ def parse_rows(text: str) -> list[tuple]:
 def membership_oracle(m1: int, m2: int, k: int, p: float) -> bool:
     """Exact tail-set membership from integer ranks m = n*u.
 
-    The float rule ||(1/u1, 1/u2)||_p >= n/k reduces to integer
-    comparisons for integer p and for the max norm; Python integers
-    make it exact at any size.
+    The rule ||(1/u1, 1/u2)||_p >= n/k reduces to integer comparisons for
+    integer p and for the max norm; Python integers make it exact at any
+    size.  Fractional p is decided in mpmath at 50 digits, or at more where
+    the pair lies too near the boundary for those to resolve (a far-out
+    rank's term (k/m)^p can be below 1e-50); it raises if 400 digits cannot.
     """
     if math.isinf(p):
         return min(m1, m2) <= k
     if float(p).is_integer():
         q = int(p)
         return (k**q) * (m1**q + m2**q) >= (m1 * m2) ** q
-    return (m1 ** -p + m2 ** -p) ** (1.0 / p) >= 1.0 / k
+    for digits in (50, 100, 200, 400):
+        with mpmath.workdps(digits):
+            q = mpmath.mpf(p)
+            gap = k * (mpmath.mpf(m1) ** -q + mpmath.mpf(m2) ** -q) ** (1 / q) - 1
+            # the gap carries a few units in the last of those digits
+            if abs(gap) > mpmath.mpf(10) ** (10 - digits):
+                return gap > 0
+    raise ArithmeticError(f"ranks {(m1, m2)} at k = {k}, p = {p} are undecided")
 
 
 def ise_oracle(measure, truth_cdf, a: float, b: float) -> float:

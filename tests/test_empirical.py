@@ -10,10 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from specmeasure.empirical import (
     AngularSample,
     DiscreteSpectralMeasure,
+    _grid,
+    _select,
     empirical_spectral_measure,
     select_extremes,
 )
@@ -104,6 +107,7 @@ class TestSelection:
             np.testing.assert_array_equal(ang.indices, expected)
 
     def test_fractional_order_agrees_with_float_rule(self):
+        # the float rule agrees with the exact one, in 50-digit arithmetic
         rng = np.random.default_rng(21)
         n = 40
         sample = BivariateSample(rng.standard_normal((n, 2)))
@@ -246,6 +250,29 @@ class TestBoundaryRule:
             expected = [i for i, (a, b) in enumerate(pairs) if membership_oracle(a, b, k, p)]
             np.testing.assert_array_equal(ang.indices, expected)
 
+    @pytest.mark.parametrize("p", [12.5, 7.5])
+    @pytest.mark.parametrize("k", [21, 29, 33, 35])
+    def test_smaller_rank_k_is_a_member_at_fractional_order(self, k, p):
+        # ||(n/m1, n/m2)||_p >= ||.||_inf = n/k at the rank pairs (k, n) and
+        # (n, k), although 1/(k/n) rounds below n/k at n = 2000 for these k
+        n = 2000
+        m1 = np.arange(1, n + 1)
+        m2 = m1.copy()
+        m2[[k - 1, n - 1]] = n, k
+        sample = data_with_ranks(n + 1 - m1, n + 1 - m2)
+        ang = select_extremes(sample, k, p)
+        assert {k - 1, n - 1} <= set(ang.indices.tolist())
+        pairs = zip(m1.tolist(), m2.tolist())
+        expected = [i for i, (a, b) in enumerate(pairs) if membership_oracle(a, b, k, p)]
+        np.testing.assert_array_equal(ang.indices, expected)
+
+    def test_tail_independence_keeps_every_smaller_rank_k(self):
+        # under tail independence at n = 1e6 the members at small k are the
+        # rows with one rank at most k and the other far out
+        sample = asym_logistic_model(1.0).sample(10**6, np.random.default_rng([1, 0]))
+        for k in (10, 20, 40):
+            assert select_extremes(sample, k, 3.7).n_members == 2 * k
+
     @pytest.mark.parametrize("p, expected", [(1.0, [0, 3, 4, 5]), (math.inf, [4, 5])])
     def test_rational_tie_at_sum_and_max_norm(self, p, expected):
         # rank pairs m = (3, 6), (6, 5), (5, 4), (4, 3), (2, 2), (1, 1) at
@@ -253,6 +280,36 @@ class TestBoundaryRule:
         # min(m) = 2 = k puts row 4 on the max-norm boundary
         sample = data_with_ranks([4, 1, 2, 3, 5, 6], [1, 2, 3, 4, 5, 6])
         np.testing.assert_array_equal(select_extremes(sample, 2, p).indices, expected)
+
+
+class TestGridEntries:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 5000),
+        p=st.sampled_from([1.0, 1.5, 2.0, 2.5, 3.0, 3.7, 7.5, 12.5, 16.0, math.inf]),
+        data=st.data(),
+    )
+    def test_entries_count_the_k_at_which_a_row_is_not_a_member(self, seed, n, p, data):
+        # p = inf takes the float rule alone, with no exact recheck
+        ks = data.draw(st.lists(st.integers(1, min(n, 60)), min_size=1, max_size=6))
+        rng = np.random.default_rng(seed)
+        m1, m2 = np.arange(1, n + 1), rng.permutation(np.arange(1, n + 1))
+        # rows whose smaller rank is a grid k and whose other rank is n
+        for m, other, k in ((m2, m1, ks[0]), (m1, m2, ks[-1])):
+            i, j = np.flatnonzero(other == k)[0], np.flatnonzero(m == n)[0]
+            m[[i, j]] = m[[j, i]]
+        sample = data_with_ranks(n + 1 - m1, n + 1 - m2)
+        union, entry, size, _ = _select([sample], _grid(ks, n), p)
+        pairs = list(zip(m1.tolist(), m2.tolist()))
+        assert size.tolist() == [union.n_members]
+        for i, e in zip(union.indices.tolist(), entry.tolist()):
+            assert e == sum(not membership_oracle(*pairs[i], k, p) for k in ks)
+        # a row whose smaller rank exceeds 2 max(ks) is outside the tail set
+        # at every p: m1 m2 / ||(m1, m2)||_p >= min(m1, m2) / 2
+        outside = set(np.flatnonzero(np.minimum(m1, m2) <= 2 * max(ks)).tolist())
+        for i in outside - set(union.indices.tolist()):
+            assert not membership_oracle(*pairs[i], max(ks), p)
 
 
 class TestEmpiricalMeasure:

@@ -1,7 +1,8 @@
 """The package namespace re-exports exactly the library modules' names,
-the library runs on numpy alone, the CLI reads without numpy.random, and
-its records compare by identity."""
+every import of the library is used, the library runs on numpy alone, the
+CLI reads without numpy.random, and its records compare by identity."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -32,6 +33,24 @@ def test_all_is_the_union_of_the_library_modules():
     assert sorted(specmeasure.__all__) == sorted(names)
     for name in specmeasure.__all__:
         assert getattr(specmeasure, name) is not None, name
+
+
+def test_every_import_of_the_library_is_used():
+    # a name that a module imports is read in it or exported by its __all__
+    for path in sorted(Path(specmeasure.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+            if alias.name != "*"
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        name = "specmeasure" if path.stem == "__init__" else f"specmeasure.{path.stem}"
+        exported = set(getattr(importlib.import_module(name), "__all__", ()))
+        assert imported <= used | exported, (path.name, sorted(imported - used - exported))
 
 
 def test_library_never_imports_scipy(tmp_path):
