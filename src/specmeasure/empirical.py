@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .lp_geometry import _check_angles, _geometry, check_norm_order, lp_norm
+from .lp_geometry import _check_angles, _geometry, _unwrap, check_norm_order, lp_norm
 from .pseudo_obs import BivariateSample, _tails
 
 if TYPE_CHECKING:
@@ -101,10 +101,8 @@ class DiscreteSpectralMeasure:
 
     def cdf(self, x):
         """Right-continuous cumulative mass on [0, x]."""
-        scalar = np.ndim(x) == 0
         x = _check_angles(x)
-        out = self._cumweights[np.searchsorted(self.angles, x, side="right")]
-        return float(out) if scalar else out
+        return _unwrap(self._cumweights[np.searchsorted(self.angles, x, side="right")])
 
     def moment_sums(self) -> tuple[float, float]:
         """Sums of sin/||.||_p and cos/||.||_p atom contributions."""
@@ -126,11 +124,14 @@ MARGIN = 1e-12
 
 
 def _grid(ks, n: int) -> np.ndarray:
-    """A grid of k checked against the sample size n, as int64."""
-    for k in np.ravel(ks).tolist():
+    """A nonempty 1-d grid of k checked against the sample size n, as int64."""
+    ks = np.asarray(ks)
+    if ks.ndim != 1 or ks.size == 0:
+        raise ValueError("k grid must be a nonempty 1-d sequence of integers")
+    for k in ks.tolist():
         if not (float(k).is_integer() and 1 <= k <= n):
             raise ValueError(f"k must be an integer with 1 <= k <= n = {n}, got {k!r}")
-    return np.asarray(ks, dtype=np.int64)
+    return ks.astype(np.int64)
 
 
 def _select(batch: Iterable[BivariateSample], ks: np.ndarray, p: float):

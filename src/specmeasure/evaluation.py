@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO, Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .empirical import DiscreteSpectralMeasure, _grid, _select
 from .mele import _normalizers, _solutions, _solve_rows, _weight_rows
 from .models import HALF_PI, SpectralModel, _check_integer
-from .pseudo_obs import table_text, write_text
+from .pseudo_obs import table_text
 
 __all__ = [
     "MiseTable",
@@ -170,9 +170,6 @@ class MiseTable:
     def to_text(self) -> str:
         return table_text(self.HEADER, self.rows())
 
-    def write(self, dest: Union[str, IO[str]]) -> None:
-        write_text(dest, self.to_text())
-
 
 #: cell budget of a pass over k grids: a block (_blocks) holds as many
 #: rows as fit in _CELLS cells, a row counting as its batch's widest union
@@ -223,16 +220,14 @@ def _blocks(size: np.ndarray, rows: int) -> list:
     members each: rows first to stop - 1 of samples r0 to r1 - 1, a
     rectangle of at most ``_CELLS`` cells (or one row), a row costing the
     widest sample's size, which bounds both its members and its row of
-    step columns.  Runs of whole samples, as many as fit, or else each
-    sample alone, in slices of as many rows as fit (at least one)."""
+    step columns.  A block takes as many of a sample's rows as fit (at
+    least one, at most all), then as many samples as fit at that many rows
+    (at least one): runs of whole samples, or one sample's rows in slices."""
     widest = int(size.max())
-    per = _CELLS // (widest * rows)
-    if per >= 1:
-        return [(r, min(r + per, size.size), 0, rows) for r in range(0, size.size, per)]
-    step = max(1, _CELLS // widest)
-    return [
-        (r, r + 1, k, min(k + step, rows)) for r in range(size.size) for k in range(0, rows, step)
-    ]
+    step = max(1, min(rows, _CELLS // widest))
+    per = max(1, _CELLS // (widest * step))
+    runs, slices = range(0, size.size, per), range(0, rows, step)
+    return [(r, min(r + per, size.size), k, min(k + step, rows)) for r in runs for k in slices]
 
 
 def _sweep(model: SpectralModel, n: int, k_grid, interval: tuple, seed, reps) -> np.ndarray:
@@ -244,24 +239,22 @@ def _sweep(model: SpectralModel, n: int, k_grid, interval: tuple, seed, reps) ->
     Replications go in selection batches of ``_CELLS // (2 n)`` (at least
     one), each with one rank pass and one selection of all its samples and
     one ``cdf_integrals`` call for all its cell edges; a block of
-    :func:`_blocks` makes one row-wise solve, forms all its rows' atom
-    weights, normalizers and ISEs at once and fills its slab of the table.
+    :func:`_blocks` (as many of a sample's k as fit, then as many samples)
+    makes one row-wise solve, forms all its rows' atom weights, normalizers
+    and ISEs at once and fills its slab of the table.
     """
-    k_grid = np.asarray(k_grid)
-    if k_grid.ndim != 1 or k_grid.size == 0:
-        raise ValueError("k grid must be a nonempty 1-d sequence of integers")
     seed = _check_integer(seed, "seed", 0)
     n = _check_integer(n, "sample size", 1)
     grid = _grid(k_grid, n)
     interval = _interval(interval, model)
-    table = np.empty((7, len(reps), k_grid.size))
+    table = np.empty((7, len(reps), grid.size))
     batch = max(1, _CELLS // (2 * n))
     for first in range(0, len(reps), batch):
         samples = (
             model.sample(n, np.random.default_rng([seed, r])) for r in reps[first : first + batch]
         )
         tail = _TailGrid(model, samples, grid, interval)
-        for r0, r1, k0, k1 in _blocks(tail.size, k_grid.size):
+        for r0, r1, k0, k1 in _blocks(tail.size, grid.size):
             table[:, first + r0 : first + r1, k0:k1] = _scored(tail, r0, r1, k0, k1)
         del tail  # before the next batch is drawn
     return table
@@ -359,12 +352,12 @@ def mise_sweep(
     selection batch (as many as fit ``_CELLS`` sample values) are ranked
     and selected at once, and their cell edges take one truth-integral
     call.  A batch is then scored in blocks within a fixed budget of
-    cells, a row costing the batch's widest replication: runs of whole
-    replications, or else one replication's k in slices.  A block's MELE
-    rows are solved at once, a Newton trip (a few dozen calls) on all of
-    them, as a closed row is a fixed point of a trip, so a trip's cost grows
-    with the block's rows; its atom weights, normalizers and ISEs are one
-    pass each.  A row is scored on one partition at its replication's
+    cells, a row costing the batch's widest replication: a block takes as
+    many of a replication's k as fit, then as many replications as fit at
+    that many k.  A block's MELE rows are solved at once, a Newton trip (a
+    few dozen calls) on all of them, as a closed row is a fixed point of a
+    trip, so a trip's cost grows with the block's rows; its atom weights,
+    normalizers and ISEs are one pass each.  A row is scored on one partition at its replication's
     distinct atoms, which refines each k's own, so its ISEs are those of the
     per-k estimates up to rounding.  Each row's values depend on its own
     cells only, so every replication's ISEs are bitwise those of

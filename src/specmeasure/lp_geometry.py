@@ -43,6 +43,11 @@ def _check_angles(theta) -> np.ndarray:
     return np.minimum(theta, HALF_PI)
 
 
+def _unwrap(out):
+    """A 0-d result as a float; an array as it is."""
+    return float(out) if np.ndim(out) == 0 else out
+
+
 def lp_norm(x, y, p: float):
     """L_p norm of the componentwise pair ``(x, y)``, elementwise.
 
@@ -60,7 +65,6 @@ def lp_norm(x, y, p: float):
     raw powers when p is large.  p = 1 and p = 2 use exact direct forms.
     """
     p = check_norm_order(p)
-    scalar = np.ndim(x) == 0 and np.ndim(y) == 0
     x = np.abs(np.asarray(x, dtype=float))
     y = np.abs(np.asarray(y, dtype=float))
     if math.isinf(p):
@@ -75,7 +79,7 @@ def lp_norm(x, y, p: float):
         # equal components, both infinite too, have the ratio 1
         ratio = np.where(lo < hi, lo / np.where(lo < hi, hi, 1.0), 1.0)
         out = hi * (1.0 + ratio**p) ** (1.0 / p)
-    return float(out) if scalar else out
+    return _unwrap(out)
 
 
 def _geometry(theta: np.ndarray, p: float) -> tuple:
@@ -100,7 +104,4 @@ def score_f(theta, p: float):
     score vanishes.  Raises ``ValueError`` for an angle outside [0, pi/2].
     """
     p = check_norm_order(p)
-    scalar = np.ndim(theta) == 0
-    theta = _check_angles(theta)
-    out = _geometry(theta, p)[0]
-    return float(out) if scalar else out
+    return _unwrap(_geometry(_check_angles(theta), p)[0])

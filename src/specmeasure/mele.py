@@ -44,7 +44,7 @@ SOLVER_TOL = 1e-12
 SOLVER_MAX_ITER = 200
 #: relative bracket width target for the multiplier root
 WIDTH_TOL = 1e-14
-#: allowed disagreement between the two normalizer forms
+#: allowed error of the normalizer's measure, in its mass and its moment constraint
 NORMALIZER_TOL = 1e-9
 
 
@@ -265,8 +265,9 @@ def _weight_rows(mu: np.ndarray, a: np.ndarray, length) -> np.ndarray:
 def mele_weights(solution: MultiplierSolution, scores) -> np.ndarray:
     """Empirical likelihood weights w_i = (1/N) / (1 + mu A_i).
 
-    At the exact root these sum to one and orthogonalize the scores;
-    both identities hold to roughly ``N * |Psi(mu)|`` here.
+    At the exact root these sum to one and orthogonalize the scores; as
+    sum(w A) = Psi and sum(w) - 1 = -mu Psi, the stop rule of
+    :func:`solve_multiplier` bounds both errors by ``SOLVER_TOL``.
     """
     cells, _, length = _segment(_check_scores(scores))
     return _weight_rows(np.array([solution.mu]), cells, length)[1:]
@@ -279,7 +280,7 @@ def _normalizers(q: np.ndarray, factors: tuple, starts) -> np.ndarray:
     two arrays that it overwrites.  A segment of NaNs (an infeasible fit)
     gives NaN and passes the checks."""
     mass = np.add.reduceat(q, starts)
-    if np.any(np.abs(mass - 1.0) > 1e-8):
+    if np.any(np.abs(mass - 1.0) > NORMALIZER_TOL):
         raise ValueError(f"expected a probability measure, total mass {mass.tolist()}")
     # each factor array takes its products in place
     sin_sum, cos_sum = (np.add.reduceat(np.multiply(f, q, out=f), starts) for f in factors)
@@ -302,9 +303,9 @@ def spectral_normalizer(q: DiscreteSpectralMeasure) -> float:
     Raises
     ------
     ValueError
-        If q is not a probability measure, or the two forms of the
-        normalizer disagree beyond ``NORMALIZER_TOL`` (the moment
-        constraint was violated).
+        If the total mass of q differs from 1 by more than
+        ``NORMALIZER_TOL``, or the two forms of the normalizer disagree
+        by more than it (the moment constraint was violated).
     """
     if q.weights.size == 0:
         raise ValueError("expected a probability measure, got one without atoms")

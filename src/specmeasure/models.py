@@ -34,7 +34,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .lp_geometry import HALF_PI, QUARTER_PI, _check_angles, check_norm_order, lp_norm
+from .lp_geometry import HALF_PI, QUARTER_PI, _check_angles, _unwrap, check_norm_order, lp_norm
 from .pseudo_obs import BivariateSample
 
 __all__ = [
@@ -205,7 +205,7 @@ class SpectralModel:
 
     @property
     def total_mass(self) -> float:
-        return float(self.cdf(HALF_PI))
+        return self.cdf(HALF_PI)
 
     def cdf_continuous(self, theta):
         """Cumulative mass on [0, theta] excluding the atom at pi/2.
@@ -213,10 +213,7 @@ class SpectralModel:
         This is the version integrated against in ISE computations; it
         differs from :meth:`cdf` only at the single point pi/2.
         """
-        scalar = np.ndim(theta) == 0
-        theta = _check_angles(theta)
-        out = self.atom_zero + self._interior_cdf(theta)
-        return float(out) if scalar else out
+        return _unwrap(self.atom_zero + self._interior_cdf(_check_angles(theta)))
 
     @cached_property
     def cdf_integrals(self) -> Callable:
@@ -234,10 +231,8 @@ class SpectralModel:
 
     def cdf(self, theta):
         """Right-continuous cumulative mass on [0, theta], atoms included."""
-        scalar = np.ndim(theta) == 0
         theta = np.asarray(theta, dtype=float)
-        out = self.cdf_continuous(theta) + self.atom_half_pi * (theta >= HALF_PI)
-        return float(out) if scalar else out
+        return _unwrap(self.cdf_continuous(theta) + self.atom_half_pi * (theta >= HALF_PI))
 
     def sample(self, n: int, rng: np.random.Generator) -> BivariateSample:
         """Draw n bivariate observations; n must be a positive integer."""

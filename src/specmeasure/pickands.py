@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .empirical import DiscreteSpectralMeasure, _merge_duplicates
-from .lp_geometry import _geometry
+from .lp_geometry import _geometry, _unwrap
 
 __all__ = ["PickandsFunction", "pickands_function"]
 
@@ -53,12 +53,10 @@ class PickandsFunction:
         object.__setattr__(self, "values", values)
 
     def __call__(self, v):
-        scalar = np.ndim(v) == 0
         v = np.asarray(v, dtype=float)
         if v.size and not (v.min() >= 0.0 and v.max() <= 1.0):  # NaN fails
             raise ValueError("the dependence function is defined on [0, 1]")
-        out = np.interp(v, self.knots, self.values)
-        return float(out) if scalar else out
+        return _unwrap(np.interp(v, self.knots, self.values))
 
     @property
     def slopes(self) -> np.ndarray:

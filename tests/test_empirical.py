@@ -140,6 +140,12 @@ class TestSelection:
         with pytest.raises((ValueError, TypeError)):
             select_extremes(sample, k, 1.0)
 
+    @pytest.mark.parametrize("ks", [[], [[10]], 10], ids=["empty", "2-d", "0-d"])
+    def test_grid_must_be_nonempty_and_1d(self, ks):
+        # the one check of a grid's shape, with its check of each k
+        with pytest.raises(ValueError, match="k grid must be a nonempty 1-d sequence"):
+            _grid(ks, 30)
+
 
 def boundary_rich_ranks(n, ks, p, rng):
     """Rank m2 per row (row i has m1 = i + 1) placed on or next to the boundary.

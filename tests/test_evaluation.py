@@ -1,6 +1,5 @@
 """Integrated squared error and the Monte Carlo replication harness."""
 
-import io
 import math
 import re
 import tracemalloc
@@ -20,7 +19,6 @@ from specmeasure.empirical import (
 )
 from specmeasure.evaluation import (
     ESTIMATORS,
-    MiseTable,
     _scored,
     _TailGrid,
     integrated_squared_error,
@@ -410,11 +408,19 @@ class TestGridPass:
             patch.setattr(evaluation, "_CELLS", cells)
             blocks = evaluation._blocks(np.array(size), rows)
         covered = []
+        step = blocks[0][3]  # the rows of a slice
         for r0, r1, first, stop in blocks:
             assert 0 <= r0 < r1 <= len(size) and 0 <= first < stop <= rows
             assert (first, stop) == (0, rows) or r1 == r0 + 1
             span = (r1 - r0) * (stop - first)
             assert span == 1 or span * max(size) <= cells
+            # and as large as fit: a block short of the last sample could
+            # not take one more at a slice's rows, one short of its sample's
+            # last row could not take one more row
+            if r1 < len(size):
+                assert (r1 - r0 + 1) * step * max(size) > cells
+            if stop < rows:
+                assert (r1 - r0) * (stop - first + 1) * max(size) > cells
             covered += [(r, k) for r in range(r0, r1) for k in range(first, stop)]
         assert covered == [(r, k) for r in range(len(size)) for k in range(rows)]
 
@@ -708,14 +714,6 @@ class TestMiseTable:
         table = mise_sweep(model, 100, 3, [10, 20], seed=13)
         parsed = parse_rows(table.to_text())
         assert parsed == list(table.rows())
-
-    def test_write_to_stream(self):
-        model = cauchy_quadrant_model(1.0)
-        table = mise_sweep(model, 80, 1, [10], seed=0)
-        buf = io.StringIO()
-        table.write(buf)
-        assert buf.getvalue() == table.to_text()
-        assert buf.getvalue().startswith(MiseTable.HEADER)
 
     def test_parse_rejects_bad_header(self):
         with pytest.raises(ValueError, match="header"):

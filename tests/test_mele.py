@@ -195,9 +195,10 @@ class TestSolveMultiplier:
 
 
 class TestSolverContract:
-    """Both constraints hold to the normalizer's 1e-8 contract however
-    lopsided the scores: sum(w) - 1 = -mu Psi grows with |mu|, which is
-    huge when a few tiny scores balance many near +-1."""
+    """Both constraints hold to 1e-8, and the measure passes the
+    normalizer's ``NORMALIZER_TOL`` checks, however lopsided the scores:
+    sum(w) - 1 = -mu Psi grows with |mu|, which is huge when a few tiny
+    scores balance many near +-1."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -458,14 +459,28 @@ class TestNormalizer:
 
     def test_rejects_mass_a_millionth_off(self):
         # a MELE Q scaled by 1 + 1e-6 still meets the moment constraint, so
-        # only the 1e-8 mass check tells it from a probability measure
-        sample = asym_logistic_model(2.0, p=2.5).sample(500, np.random.default_rng(7))
-        q = mele_spectral_prob(select_extremes(sample, 40, 2.5))
-        scaled = DiscreteSpectralMeasure(q.angles, q.weights * (1.0 + 1e-6), 2.5)
-        sin_sum, cos_sum = scaled.moment_sums()
-        assert abs(sin_sum - cos_sum) <= 1e-12
+        # only the mass check tells it from a probability measure
         with pytest.raises(ValueError, match="probability"):
-            spectral_normalizer(scaled)
+            spectral_normalizer(scaled_mele_q(1.0 + 1e-6))
+
+    def test_rejects_mass_off_by_more_than_normalizer_tol(self):
+        # mass and moments share NORMALIZER_TOL: mass 1 + 5e-9 is refused,
+        # 1 + 5e-10 is not
+        with pytest.raises(ValueError, match="probability"):
+            spectral_normalizer(scaled_mele_q(1.0 + 5e-9))
+        q = scaled_mele_q(1.0 + 5e-10)
+        assert spectral_normalizer(q) == pytest.approx(q.moment_sums()[1], rel=1e-12)
+
+
+def scaled_mele_q(factor):
+    """A MELE Q (p = 2.5, n = 500, k = 40) with its weights times ``factor``,
+    checked to still meet the moment constraint to 1e-12."""
+    sample = asym_logistic_model(2.0, p=2.5).sample(500, np.random.default_rng(7))
+    q = mele_spectral_prob(select_extremes(sample, 40, 2.5))
+    scaled = DiscreteSpectralMeasure(q.angles, q.weights * factor, 2.5)
+    sin_sum, cos_sum = scaled.moment_sums()
+    assert abs(sin_sum - cos_sum) <= 1e-12
+    return scaled
 
 
 class TestSpectralMeasure:

@@ -1,6 +1,7 @@
 """The package namespace re-exports exactly the library modules' names,
-every import of the library is used, the library runs on numpy alone, the
-CLI reads without numpy.random, and its records compare by identity."""
+every import and module-level name of the library is used, the library
+runs on numpy alone, the CLI reads without numpy.random, and its records
+compare by identity."""
 
 import ast
 import importlib
@@ -51,6 +52,36 @@ def test_every_import_of_the_library_is_used():
         name = "specmeasure" if path.stem == "__init__" else f"specmeasure.{path.stem}"
         exported = set(getattr(importlib.import_module(name), "__all__", ()))
         assert imported <= used | exported, (path.name, sorted(imported - used - exported))
+
+
+def test_every_module_level_name_of_the_library_is_used():
+    # a function, class or name that a module defines at its top level is
+    # read somewhere in the library (an import of it counts) or exported by
+    # its module's __all__
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(Path(specmeasure.__file__).parent.glob("*.py"))
+    }
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    for stem, tree in trees.items():
+        defined = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(t.id for t in targets if isinstance(t, ast.Name))
+        name = "specmeasure" if stem == "__init__" else f"specmeasure.{stem}"
+        exported = set(getattr(importlib.import_module(name), "__all__", ())) | {"__all__"}
+        assert defined <= read | exported, (stem, sorted(defined - read - exported))
 
 
 def test_library_never_imports_scipy(tmp_path):
