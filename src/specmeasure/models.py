@@ -46,11 +46,25 @@ __all__ = [
     "moment_sums",
 ]
 
-_LEGENDRE = np.polynomial.legendre
-_GL_NODES, _GL_WEIGHTS = _LEGENDRE.leggauss(16)
+#: the 16-point Gauss-Legendre rule on [-1, 1], bitwise leggauss(16) of
+#: np.polynomial.legendre, written out so that no LAPACK call is made at
+#: import; the rule is symmetric, so its upper nodes and weights are enough
+_GL_UPPER = np.array([
+    [0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+     0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499],
+    [0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+     0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176],
+])
+_GL_NODES = np.concatenate([-_GL_UPPER[0, ::-1], _GL_UPPER[0]])
+_GL_WEIGHTS = np.concatenate([_GL_UPPER[1, ::-1], _GL_UPPER[1]])
+#: P_0 .. P_15 at the nodes, a row each, by legvander's recurrence: bitwise its transpose
+_VANDER = np.empty((16, 16))
+_VANDER[0], _VANDER[1] = 1.0, _GL_NODES
+for _i in range(2, 16):
+    _VANDER[_i] = (_VANDER[_i - 1] * _GL_NODES * (2 * _i - 1) - _VANDER[_i - 2] * (_i - 1)) / _i
 #: values at the 16 nodes -> coefficients of the degree-15 Legendre
 #: series through them (discrete orthogonality of the Gauss rule)
-_TO_LEGENDRE = (np.arange(16) + 0.5)[:, None] * _LEGENDRE.legvander(_GL_NODES, 15).T * _GL_WEIGHTS
+_TO_LEGENDRE = (np.arange(16) + 0.5)[:, None] * _VANDER * _GL_WEIGHTS
 
 #: panel knots of the by-parts tables: 32 uniform panels (pi/4, the
 #: max-norm kink, is one of their knots) plus geometric grading toward
@@ -86,6 +100,22 @@ def _prefix_sums(row) -> list:
     return [s / scale for s in sums]
 
 
+def _legint(c: np.ndarray) -> np.ndarray:
+    """The antiderivative from -1 of the Legendre series of 16 coefficients along axis 0
+    of ``c``: bitwise legint(c, lbnd=-1.0), its steps in numpy's order, signed zeros too."""
+    out = np.empty((17,) + c.shape[1:])
+    out[0], out[1], out[2] = c[0] * 0, c[0], c[1] / 3
+    for j in range(2, 16):
+        out[j + 1] = t = c[j] / (2 * j + 1)
+        out[j - 1] -= t
+    # the series at x = -1, by legval's Clenshaw recursion
+    x, c0, c1 = -1.0, out[-2], out[-1]
+    for nd in range(16, 1, -1):
+        c0, c1 = out[nd - 2] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+    out[0] += 0 - (c0 + c1 * x)
+    return out
+
+
 def _panel_antiderivatives(values) -> Callable:
     """Antiderivatives from 0 of functions sampled at ``_NODES``.
 
@@ -103,7 +133,7 @@ def _panel_antiderivatives(values) -> Callable:
     if not np.all(np.isfinite(values)):
         raise ValueError("the sampled functions are not finite at every panel node")
     legendre = np.einsum("kj,fpj->kpf", _TO_LEGENDRE, values)
-    anti = _LEGENDRE.legint(legendre, lbnd=-1.0) * _HALF[:, None]
+    anti = _legint(legendre) * _HALF[:, None]
     power = np.einsum("dk,kpf->pfd", _TO_POWER, anti, order="C")
     # panel totals by the Gauss rule and prefix sums, each correctly
     # rounded, so that differences between nearby angles keep their digits

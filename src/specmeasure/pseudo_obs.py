@@ -220,15 +220,16 @@ def _read_stream(stream: IO[str], size: int) -> BivariateSample:
     its pages resident in the heap, so a file's buffer is sized once."""
     records = iter(stream)
     records = itertools.chain([next(records, "").removeprefix("\ufeff")], records)
+    header = False  # the fast path's delimiter is the first data record's, not a header's
     for lineno, line in enumerate(records, start=1):
         parts, comma = _fields(line)
-        if parts:
+        if parts and (header or _is_number(parts[0])):
             break
+        header = header or bool(parts)  # a first record whose first field is not numeric
     else:
         raise InputError("no data rows found")
-    if _is_number(parts[0]):  # not a header: the first batch starts at this record
-        records = itertools.chain([line], records)
-        lineno -= 1
+    records = itertools.chain([line], records)  # the first batch starts at this record
+    lineno -= 1
     buffer, filled = np.empty((size, 2)), 0
     while batch := list(itertools.islice(records, _BATCH)):
         try:
@@ -244,8 +245,6 @@ def _read_stream(stream: IO[str], size: int) -> BivariateSample:
         buffer[filled : filled + len(values)] = values
         filled += len(values)
         lineno += len(batch)
-    if not filled:
-        raise InputError("no data rows found")
     return BivariateSample(buffer[:filled])
 
 

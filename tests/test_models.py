@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from numpy.polynomial import legendre
 from scipy import integrate
 
 from specmeasure.empirical import DiscreteSpectralMeasure
@@ -15,6 +17,10 @@ from specmeasure.evaluation import integrated_squared_error
 from specmeasure.lp_geometry import lp_norm
 from specmeasure.models import (
     _CHUNK,
+    _GL_NODES,
+    _GL_WEIGHTS,
+    _VANDER,
+    _legint,
     _invert_mixture_conditional,
     _prefix_sums,
     SpectralModel,
@@ -571,6 +577,22 @@ class TestPanelTables:
     def test_prefix_sums_are_fsum_prefixes(self, row):
         want = [math.fsum(row[:i]) for i in range(len(row) + 1)]
         assert np.array(_prefix_sums(row)).tobytes() == np.array(want).tobytes()
+
+    def test_rule_and_recurrence_are_numpys_bitwise(self):
+        # the written-out rule is leggauss(16), and the recurrence is legvander's
+        nodes, weights = legendre.leggauss(16)
+        assert _GL_NODES.tobytes() == nodes.tobytes()
+        assert _GL_WEIGHTS.tobytes() == weights.tobytes()
+        assert _VANDER.tobytes() == legendre.legvander(nodes, 15).T.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        c=st.tuples(st.integers(1, 4), st.integers(1, 3)).flatmap(
+            lambda shape: arrays(np.float64, (16, *shape), elements=panel_totals)
+        )
+    )
+    def test_legint_is_numpys_bitwise(self, c):
+        assert _legint(c).tobytes() == legendre.legint(c, lbnd=-1.0).tobytes()
 
     def test_cdf_not_finite_at_a_node_fails(self):
         # a cdf gone NaN above theta = 1: the ISE tables (p = 1) and the

@@ -1,7 +1,7 @@
 """The package namespace re-exports exactly the library modules' names,
 every import and module-level name of the library is used, the library
-runs on numpy alone, the CLI reads without numpy.random, and its records
-compare by identity."""
+runs on numpy alone and never loads numpy.polynomial, the CLI reads
+without numpy.random, and its records compare by identity."""
 
 import ast
 import importlib
@@ -84,21 +84,28 @@ def test_every_module_level_name_of_the_library_is_used():
         assert defined <= read | exported, (stem, sorted(defined - read - exported))
 
 
-def test_library_never_imports_scipy(tmp_path):
-    # the test extra installs scipy, so only a fresh process shows an import
+@pytest.mark.parametrize("module", ["scipy", "numpy.polynomial"])
+def test_library_never_imports(module, tmp_path):
+    # the test extra installs scipy, and numpy loads numpy.polynomial on
+    # first use, so only a fresh process shows an import
     code = (
         "import sys\n"
         "import specmeasure, specmeasure.cli\n"
         "from specmeasure import cauchy_quadrant_model, mise_sweep\n"
         "for p in (1.0, 3.0):  # a closed-form truth, and one integrated by parts\n"
         "    mise_sweep(cauchy_quadrant_model(p), 200, 2, [10, 20], seed=1)\n"
+        "from specmeasure import asym_logistic_model, cauchy_fullplane_model, mixture_model\n"
+        "for p in (1.0, 3.0, float('inf')):  # every family's tables\n"
+        "    for model in (asym_logistic_model(1.5, p=p), cauchy_fullplane_model(p),\n"
+        "                  mixture_model(0.5, p=p)):\n"
+        "        model.cdf_integrals(0.5)\n"
         "data, out = sys.argv[1:]\n"
         "run = specmeasure.cli.run_cli\n"
         "assert run(['simulate', '--model', 'cauchy-quadrant', '--n', '200', '--seed', '3',\n"
         "            '--output', data]) == 0\n"
         "for command in ('estimate', 'pickands'):\n"
         "    assert run([command, '--k', '20', '--input', data, '--output', out]) == 0\n"
-        "print('scipy' in sys.modules)\n"
+        f"print({module!r} in sys.modules)\n"
     )
     assert _fresh_interpreter(code, tmp_path) == "False"
 

@@ -518,6 +518,19 @@ def small_batch_outcome(stream):
             return InputError
 
 
+def line_parsed(text):
+    """small_batch_outcome of ``text``, and the offsets of the batches that
+    np.loadtxt rejected and the line parser read."""
+    parse_lines, offsets = pseudo_obs._parse_lines, []
+
+    def counted(batch, offset):
+        offsets.append(offset)
+        return parse_lines(batch, offset)
+
+    with mock.patch.object(pseudo_obs, "_parse_lines", counted):
+        return small_batch_outcome(io.StringIO(text)), offsets
+
+
 def numbered_rows(count):
     return [f"{i},{i / 7!r}" for i in range(count)]
 
@@ -566,16 +579,15 @@ class TestBatchedRead:
         lines = numbered_rows(20)
         lines.insert(where, odd)
         text = "\n".join(lines) + "\n"
-        parse_lines = pseudo_obs._parse_lines
-        offsets = []
+        assert line_parsed(text) == (oracle_outcome(text), [where // 3 * 3])
 
-        def counted(batch, offset):
-            offsets.append(offset)
-            return parse_lines(batch, offset)
-
-        with mock.patch.object(pseudo_obs, "_parse_lines", counted):
-            assert small_batch_outcome(io.StringIO(text)) == oracle_outcome(text)
-        assert offsets == [where // 3 * 3]
+    @pytest.mark.parametrize(
+        "header, sep", [("x1,x2", " "), ("x1 x2", ",")], ids=["comma-header", "whitespace-header"]
+    )
+    def test_header_delimiter_costs_no_batch(self, header, sep):
+        # the fast path takes its delimiter from the first data record, not the header
+        text = header + "\n\n# rows\n" + "\n".join(f"{i}{sep}{i / 7!r}" for i in range(20)) + "\n"
+        assert line_parsed(text) == (oracle_outcome(text), [])
 
     @pytest.mark.parametrize("header", ["", "x1,x2\n"], ids=["no-header", "header"])
     def test_byte_order_mark_ignored(self, header, tmp_path):
