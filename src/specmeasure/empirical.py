@@ -164,9 +164,9 @@ def _select(batch: Iterable[BivariateSample], ks: np.ndarray, p: float):
         entry = np.searchsorted(ks, least * (1.0 - 2.0 * MARGIN))
         at = ks.take(entry, mode="clip")
         near = np.flatnonzero(at < least * (1.0 + 2.0 * MARGIN))
-        # for p > k the integer rule is the max-norm rule: a term (k/m)^p is
-        # >= 1 when m <= k and at most (k/(k+1))^(k+1) < 1/e when m > k
-        q = int(p) if p <= ks[-1] else None
+        # for p > k the integer rule is the max-norm rule, so k**q is never formed
+        # there: a term (k/m)^p is >= 1 when m <= k, at most (k/(k+1))^(k+1) < 1/e when m > k
+        q = int(p)
         member = [
             min(a, b) <= k if p > k else k**q * (a**q + b**q) >= (a * b) ** q
             for k, (a, b) in zip(at[near].tolist(), m[rows[near]].tolist())

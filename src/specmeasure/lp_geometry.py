@@ -5,9 +5,9 @@ a user-chosen norm order p.  Everything downstream (extreme selection,
 angular scores, spectral masses) depends on p only through the functions
 collected here.
 
-The order p is an ordinary float; ``math.inf`` selects the max norm and
-is handled by an explicit branch in every formula, never by a large
-finite exponent.
+The order p is an ordinary float; ``math.inf`` selects the max norm.
+Only :func:`lp_norm` branches on it, for speed; every other formula gets
+the max norm through lp_norm, and none uses a large finite exponent.
 """
 
 from __future__ import annotations

@@ -277,12 +277,9 @@ def _norm_ratio(theta, p: float):
     """rho = ||(sin, cos)||_p / (sin + cos) and its derivative rho'."""
     s = np.sin(theta)
     c = np.cos(theta)
-    if math.isinf(p):
-        norm = np.maximum(s, c)
-        slope = np.where(s > c, c, -s)
-    else:
-        norm = lp_norm(s, c, p)
-        slope = c * (s / norm) ** (p - 1.0) - s * (c / norm) ** (p - 1.0)
+    norm = lp_norm(s, c, p)
+    # at p = inf the powers are 1 or 0: c where s > c, -s where s < c (no float angle has s == c)
+    slope = c * (s / norm) ** (p - 1.0) - s * (c / norm) ** (p - 1.0)
     rho = norm / (s + c)
     return rho, (slope - rho * (c - s)) / (s + c)
 
@@ -290,11 +287,11 @@ def _norm_ratio(theta, p: float):
 def _by_parts_cdf(phi1: Callable, p: float) -> Callable:
     """Interior cdf under the norm order p from the sum-norm one, phi1.
 
-    Phi_p = rho Phi_1 - int_0^theta rho' Phi_1, which is phi1 itself at
-    p = 1.  The bounded integrand is sampled once at ``_NODES``, and the
-    integral comes from its panel antiderivatives.
+    Phi_p = rho Phi_1 - int_0^theta rho' Phi_1.  The bounded integrand is
+    sampled once at ``_NODES``, and the integral comes from its panel
+    antiderivatives.
     """
-    if p == 1.0:
+    if p == 1.0:  # rho = 1 and rho' = 0 exactly, so the formula gives phi1; skipped for speed
         return phi1
     integral = _panel_antiderivatives([_norm_ratio(_NODES, p)[1] * phi1(_NODES)])
     return lambda t: _norm_ratio(t, p)[0] * phi1(t) - integral(t)[0]
@@ -486,7 +483,7 @@ def _invert_mixture_conditional(x: np.ndarray, q: np.ndarray) -> np.ndarray:
     c = 1.0 + q * x * x
     y = (q * x + np.sqrt((q * x) ** 2 + 4.0 * p)) / (2.0 * p)
     live = np.arange(x.size)
-    for _ in range(100):  # the clipped q need at most 51
+    for _ in range(100):  # x in [1, 2**53] with the clipped q took at most 53, at q = 1 - 1e-16
         xo, po, co, yo = x[live], p[live], c[live], y[live]
         g = ((po * yo + 2.0 * xo * po) * yo - co) * yo - 2.0 * xo
         slope = (3.0 * po * yo + 4.0 * xo * po) * yo - co

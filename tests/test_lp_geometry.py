@@ -75,6 +75,21 @@ class TestLpNorm:
             assert lp_norm(x, y, p) == math.inf
         assert np.array_equal(lp_norm([math.inf, 0.0], [math.inf, 0.0], p), [math.inf, 0.0])
 
+    def test_max_norm_is_the_general_expression(self):
+        # the branch at p = inf gives the bytes of hi (1 + r**p)**(1/p) at p = inf:
+        # zeros, subnormals, equal components, infinities, 1e-300 to 1e300
+        rng = np.random.default_rng(11)
+        spread = 10.0 ** rng.uniform(-300.0, 300.0, 400)
+        edges = [0.0, -0.0, 5e-324, 2e-310, 1e-300, 1.0, 1e300, math.inf, -math.inf]
+        x, y = (np.array(v).ravel() for v in np.meshgrid(edges, edges))
+        x = np.concatenate([x, spread, spread, -spread[::-1]])
+        y = np.concatenate([y, spread[::-1], spread, spread])
+        hi = np.maximum(np.abs(x), np.abs(y))
+        lo = np.minimum(np.abs(x), np.abs(y))
+        r = np.where(lo < hi, lo / np.where(lo < hi, hi, 1.0), 1.0)
+        want = hi * (1.0 + r**math.inf) ** (1.0 / math.inf)
+        assert lp_norm(x, y, math.inf).tobytes() == want.tobytes()
+
     def test_scalar_in_scalar_out(self):
         assert isinstance(lp_norm(1.0, 2.0, 3.0), float)
 

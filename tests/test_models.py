@@ -19,9 +19,13 @@ from specmeasure.models import (
     _CHUNK,
     _GL_NODES,
     _GL_WEIGHTS,
+    _NODES,
     _VANDER,
+    _by_parts_cdf,
     _legint,
     _invert_mixture_conditional,
+    _norm_ratio,
+    _panel_antiderivatives,
     _prefix_sums,
     SpectralModel,
     asym_logistic_model,
@@ -294,10 +298,12 @@ class TestMixture:
             mixture_model(1.5)
 
     def test_conditional_inversion_in_exact_arithmetic(self):
-        # the extremes of x and of the sampler's clipped q; at x = 1 and
-        # q = 1e-16 the root is 1 + 6.7e-17, and the nearest double is 1
+        # the extremes of the sampler's x = 1/g, g >= 2**-53, and of its
+        # clipped q; at x = 1 and q = 1e-16 the root is 1 + 6.7e-17, and the
+        # nearest double is 1
         x, q = (np.array(v).ravel() for v in np.meshgrid(
-            [1.0, 1.5, 10.0, 1e3, 1e6], [1e-16, 1e-8, 0.5, 1.0 - 1e-8, 1.0 - 1e-16]))
+            [1.0, 1.5, 10.0, 1e3, 1e6, 1e9, 1e15, 2.0**53],
+            [1e-16, 1e-8, 0.5, 1.0 - 1e-8, 1.0 - 1e-16]))
         y = _invert_mixture_conditional(x, q)
         for xi, yi, qi in zip(x.tolist(), y.tolist(), q.tolist()):
             a, b = Fraction(xi), Fraction(yi)
@@ -475,6 +481,39 @@ class TestExactCdfs:
             "logistic": lambda p: asym_logistic_model(1.5, p=p),
         }[family]
         assert_matches_split_quad(make(p), 1e-10)
+
+    def test_max_norm_ratio_is_the_closed_form(self):
+        # at p = inf, rho is max(s, c) / (s + c), and rho' follows from the
+        # slope c where s > c and -s elsewhere, byte for byte
+        theta = np.concatenate([np.linspace(0.0, HALF_PI, 20001), [QUARTER_PI], _NODES.ravel()])
+        s, c = np.sin(theta), np.cos(theta)
+        rho, drho = _norm_ratio(theta, math.inf)
+        want = np.maximum(s, c) / (s + c)
+        slope = np.where(s > c, c, -s)
+        assert rho.tobytes() == want.tobytes()
+        assert drho.tobytes() == ((slope - want * (c - s)) / (s + c)).tobytes()
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            asym_logistic_model(2.0),
+            asym_logistic_model(1.5),
+            asym_logistic_model(3.0, psi1=0.7, psi2=0.9),
+            cauchy_quadrant_model(),
+            cauchy_fullplane_model(),
+            mixture_model(0.5),
+        ],
+        ids=lambda model: model.name,
+    )
+    def test_sum_norm_shortcut_is_the_by_parts_formula(self, model):
+        # at p = 1, rho = 1 and rho' = 0 exactly, so phi1 returned as it is
+        # equals the by-parts formula byte for byte
+        phi1 = model.sum_norm_cdf
+        draws = np.random.default_rng(3).uniform(0.0, HALF_PI, 20001)
+        theta = np.concatenate([[0.0, HALF_PI], draws])
+        integral = _panel_antiderivatives([_norm_ratio(_NODES, 1.0)[1] * phi1(_NODES)])
+        want = _norm_ratio(theta, 1.0)[0] * phi1(theta) - integral(theta)[0]
+        assert _by_parts_cdf(phi1, 1.0)(theta).tobytes() == want.tobytes()
 
     def test_singular_sum_norm_cdf_reaches_full_mass(self):
         # r = 1.2 has infinite slope at both ends; the float pi/2 stands
