@@ -46,8 +46,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _norm_order(text: str) -> float:
     try:
-        value = math.inf if text.strip().lower() == "inf" else float(text)
-        return check_norm_order(value)
+        return check_norm_order(float(text))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 

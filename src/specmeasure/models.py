@@ -478,21 +478,18 @@ def _invert_mixture_conditional(x: np.ndarray, q: np.ndarray) -> np.ndarray:
     that a tiny 1 - q does not cancel.  It is convex for y > 0 and
     negative at 1, and the start, the root of (1 - q) y**2 - q x y - 1,
     lies at or above its root: each draw descends until a step no longer
-    lowers it."""
+    lowers it, and a settled draw takes that same step again and stays."""
     p = 1.0 - q
     c = 1.0 + q * x * x
     y = (q * x + np.sqrt((q * x) ** 2 + 4.0 * p)) / (2.0 * p)
-    live = np.arange(x.size)
     for _ in range(100):  # x in [1, 2**53] with the clipped q took at most 53, at q = 1 - 1e-16
-        xo, po, co, yo = x[live], p[live], c[live], y[live]
-        g = ((po * yo + 2.0 * xo * po) * yo - co) * yo - 2.0 * xo
-        slope = (3.0 * po * yo + 4.0 * xo * po) * yo - co
-        step = yo - g / slope
-        lower = step < yo
-        live = live[lower]
-        y[live] = step[lower]
-        if not live.size:
+        g = ((p * y + 2.0 * x * p) * y - c) * y - 2.0 * x
+        slope = (3.0 * p * y + 4.0 * x * p) * y - c
+        step = y - g / slope
+        lower = step < y
+        if not lower.any():
             return y
+        np.copyto(y, step, where=lower)
     raise ArithmeticError("mixture inversion did not settle in 100 Newton steps")
 
 
@@ -501,9 +498,8 @@ def _sample_mixture(n: int, rng: np.random.Generator, r: float) -> BivariateSamp
     g = 1.0 - rng.random((n, 2))
     x = 1.0 / g[:, 0]
     y = 1.0 / g[:, 1]
-    if dependent.any():
-        q = np.clip(g[dependent, 1], 1e-16, 1.0 - 1e-16)
-        y[dependent] = _invert_mixture_conditional(x[dependent], q)
+    q = np.clip(g[dependent, 1], 1e-16, 1.0 - 1e-16)
+    y[dependent] = _invert_mixture_conditional(x[dependent], q)
     return BivariateSample(np.column_stack([x, y]))
 
 

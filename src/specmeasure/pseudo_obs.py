@@ -123,9 +123,8 @@ def _tail_in_pieces(sample: BivariateSample, m: int) -> tuple[np.ndarray, np.nda
     """:func:`_tails` of one sample of more than ``_PIECE`` rows, no whole
     column copied: R = ``#{l : x_lj <= x_ij}`` counted over :func:`_pieces`."""
     n, values = sample.n, sample.values
-    at = n - min(m, n)
     walks = [_pieces(values[:, j]) for j in (0, 1)]
-    cut0, cut1 = (_largest(values[:, j], n - at) for j in (0, 1))
+    cut0, cut1 = (_largest(values[:, j], min(m, n)) for j in (0, 1))
     blocks = ((i, values[i : i + _CHUNK]) for i in range(0, n, _CHUNK))
     high = [i + np.flatnonzero((b[:, 0] >= cut0) | (b[:, 1] >= cut1)) for i, b in blocks]
     rows = np.concatenate(high)

@@ -1,15 +1,19 @@
 """Independent reference implementations used to validate the package.
 
 Everything here recomputes a quantity through a different algorithm
-than the production code: direct constrained optimization instead of a
-multiplier root find, quadratic-time counting instead of sorting,
-exact integer or 50-digit arithmetic instead of floats, library
-quadrature instead of the package's integrators, and plain string
-handling instead of batched C parsing.
+than the production code: direct constrained optimization, or the dual
+root in 40-digit mpmath, instead of the float multiplier root find,
+quadratic-time counting instead of sorting, exact integer or 50-digit
+arithmetic instead of floats, library quadrature instead of the
+package's integrators, and plain string handling instead of batched C
+parsing.
 """
 
 import math
 import types
+from collections import Counter
+from fractions import Fraction
+from typing import NamedTuple
 
 import mpmath
 import numpy as np
@@ -67,6 +71,64 @@ def mele_oracle(scores) -> np.ndarray:
             step *= 0.5
         w = w + step * direction
     return w
+
+
+class DualFit(NamedTuple):
+    """:func:`dual_mele_oracle`'s fit, one entry per distinct ratio m2/m1."""
+
+    ratios: list  # the distinct ratios, as fractions in increasing order
+    counts: list  # the members of each ratio
+    scores: list  # (r - 1) / ||(1, r)||_p
+    prob: list  # the probability weights c / (N (1 + mu A))
+    normalizer: mpmath.mpf  # sum of prob / ||(1, r)||_p
+    weights: list  # the spectral weights prob / normalizer
+
+
+def dual_mele_oracle(rank_pairs, p: float, digits: int = 40) -> DualFit:
+    """The MELE fit of members with integer ranks (m1, m2), exact by its dual.
+
+    A ratio r = m2/m1 with c members has the score A = (r - 1)/||(1, r)||_p
+    and the cosine factor cos/||(sin, cos)||_p = 1/||(1, r)||_p, in
+    ``digits``-digit mpmath.  The root mu of Psi(mu) = sum c A / (1 + mu A),
+    which falls from +inf to -inf between -1/max A and -1/min A, is found
+    by Newton steps kept inside a sign bracket, bisecting where a step
+    leaves it, until a step moves mu by less than 10**(5 - digits)
+    relative.  It uses none of the library's floats, scores or solver, and
+    shares only the dual form of the weights.  Raises if the scores do not
+    straddle 0.
+    """
+    counts = Counter(Fraction(m2, m1) for m1, m2 in rank_pairs)
+    ratios = sorted(counts)
+    c = [counts[r] for r in ratios]
+    with mpmath.workdps(digits):
+        x = [mpmath.mpf(r.numerator) / r.denominator for r in ratios]
+        if math.isinf(p):
+            norm = [max(1, xi) for xi in x]
+        else:
+            norm = [(1 + xi ** mpmath.mpf(p)) ** (1 / mpmath.mpf(p)) for xi in x]
+        a = [(xi - 1) / ni for xi, ni in zip(x, norm)]
+        mu = mpmath.mpf(0)
+        if any(a):
+            if not min(a) < 0 < max(a):
+                raise ValueError("the scores do not straddle 0: no MELE fit")
+            lo, hi, tol = -1 / max(a), -1 / min(a), mpmath.mpf(10) ** (5 - digits)
+            for _ in range(500):
+                terms = [ci * ai / (1 + mu * ai) for ci, ai in zip(c, a)]
+                value = mpmath.fsum(terms)
+                if not value:
+                    break
+                lo, hi = (mu, hi) if value > 0 else (lo, mu)
+                step = mu + value / mpmath.fsum(t * t / ci for t, ci in zip(terms, c))
+                step = step if lo < step < hi else (lo + hi) / 2
+                moved, mu = abs(step - mu), step
+                if moved <= tol * (1 + abs(mu)):
+                    break
+            else:
+                raise ArithmeticError("the dual root did not settle in 500 steps")
+        total = sum(c)
+        prob = [ci / (total * (1 + mu * ai)) for ci, ai in zip(c, a)]
+        normalizer = mpmath.fsum(q / ni for q, ni in zip(prob, norm))
+        return DualFit(ratios, c, a, prob, normalizer, [q / normalizer for q in prob])
 
 
 def rank_oracle(column, keys=None) -> np.ndarray:

@@ -270,6 +270,23 @@ class TestEstimate:
                    "--output", str(out)) == 0
         assert "# p = inf" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["INF", " Inf ", "infinity", "+inf"])
+    def test_every_spelling_of_inf_is_the_max_norm(self, tmp_path, capsys, text):
+        data = simulate_file(tmp_path, n=300, seed=2)
+        assert run("estimate", "--k", "30", "--p", "inf", "--input", str(data)) == 0
+        want = capsys.readouterr().out
+        assert run("estimate", "--k", "30", f"--p={text}", "--input", str(data)) == 0
+        assert capsys.readouterr().out == want
+
+    @pytest.mark.parametrize("text, message", [
+        ("-inf", "norm order must satisfy p >= 1 (inf allowed), got -inf"),
+        ("nan", "norm order must satisfy p >= 1 (inf allowed), got nan"),
+        ("abc", "could not convert string to float: 'abc'"),
+    ])
+    def test_rejected_norm_order(self, capsys, text, message):
+        assert run("estimate", "--k", "30", f"--p={text}") == 2
+        assert capsys.readouterr().err == f"specmeasure: error: argument --p: {message}\n"
+
     @pytest.mark.parametrize("p", ["1", "2.5", "inf"])
     def test_multiplier_is_the_library_solve(self, tmp_path, capsys, p):
         data = simulate_file(tmp_path, n=400, seed=8)

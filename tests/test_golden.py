@@ -2,20 +2,32 @@
 stdout and stderr, byte for byte on the numpy build that recorded them,
 else as parsed values.  Each test id names the comparison it ran."""
 
+import bisect
+import functools
 import gzip
+import itertools
 import json
-from collections import Counter
-from fractions import Fraction
+import math
+import operator
 
 import mpmath
 import numpy as np
 import pytest
 
+from specmeasure.empirical import select_extremes
 from specmeasure.evaluation import ESTIMATORS
+from specmeasure.mele import mele_spectral_measure, mele_spectral_prob, spectral_normalizer
 from specmeasure.models import cauchy_quadrant_model
+from specmeasure.pseudo_obs import read_sample
 
 from golden.regenerate import COMMANDS, HERE, INDEX, fingerprint, run, values_match, write_inputs
-from oracles import membership_oracle, mise_oracle, rank_oracle, sample_text_oracle
+from oracles import (
+    dual_mele_oracle,
+    membership_oracle,
+    mise_oracle,
+    rank_oracle,
+    sample_text_oracle,
+)
 from test_evaluation import TestMiseOracle as MiseOracle
 
 RECORDS = json.loads(INDEX.read_text(encoding="utf-8"))
@@ -72,42 +84,92 @@ def ranks(workdir):
     return out
 
 
-@pytest.mark.parametrize("name", RANKED)
-def test_record_agrees_with_exact_ranks(name, ranks):
-    # the committed stdout against the members' ratios m2/m1 as fractions:
-    # each theta within 2 ulps of the arctangent of one ratio, every ratio
-    # with a row, its empirical weight multiplicity / k over its rows, and
-    # score_f within 2 eps absolute of (m2 - m1) / ||(m1, m2)||_p (formed
-    # from the float angle, it is not within a few ulps near pi/4); the
-    # pickands knots 0, 1 and one within 4 ulps of m2 / (m1 + m2) per ratio
-    args = COMMANDS[name].split()
-    k = int(args[args.index("--k") + 1])
-    p = float(args[args.index("--p") + 1]) if "--p" in args else 1.0
-    m1, m2 = ranks[args[args.index("--input") + 1]]
-    count = Counter(
-        Fraction(b, a) for a, b in zip(m1.tolist(), m2.tolist()) if membership_oracle(a, b, k, p)
-    )
-    ratios = sorted(count)
-    text = gzip.decompress((HERE / f"{name}.out.gz").read_bytes()).decode()
-    table = np.array([line.split(",") for line in text.splitlines()[1:]], dtype=float)
-    if name.startswith("pickands_"):
-        points = np.array([float(r / (1 + r)) for r in ratios])
-        knots = table[:, 0]
-        assert knots.size == points.size + 2 and knots[0] == 0.0 and knots[-1] == 1.0
-        assert np.all(np.abs(knots[1:-1] - points) <= 4 * np.spacing(points))
-        return
-    theta, weight, _, score = table.T
+@pytest.fixture(scope="module")
+def exact(ranks):
+    """The exact dual MELE fit of an input's members at (k, p), each formed once."""
+
+    @functools.cache
+    def fit(source, k, p):
+        m1, m2 = ranks[source]
+        pairs = zip(m1.tolist(), m2.tolist())
+        return dual_mele_oracle([(a, b) for a, b in pairs if membership_oracle(a, b, k, p)], p)
+
+    return fit
+
+
+def _atoms(theta, ratios):
+    """The index of each angle's ratio m2/m1: the ratio whose arctangent lies
+    within 2 ulps of it.  Every ratio takes at least one angle."""
     with mpmath.workdps(40):
-        exact = [mpmath.mpf(r.numerator) / r.denominator for r in ratios]
-        angle = np.array([float(mpmath.atan(x)) for x in exact])
-        norm = [max(1, x) if p == np.inf else (1 + x**p) ** (1 / mpmath.mpf(p)) for x in exact]
-        exact_score = np.array([float((x - 1) / y) for x, y in zip(exact, norm)])
+        angle = np.array([mpmath.atan(mpmath.mpf(r.numerator) / r.denominator)
+                          for r in ratios], dtype=float)
     atom = np.abs(theta[:, None] - angle).argmin(axis=1)
     assert np.all(np.abs(theta - angle[atom]) <= 2 * np.spacing(angle[atom]))
     assert np.array_equal(np.unique(atom), np.arange(len(ratios)))
-    mass = np.array([count[r] / k for r in ratios])
-    np.testing.assert_allclose(np.bincount(atom, weight), mass, rtol=1e-15, atol=0)
+    return atom
+
+
+#: relative bound of a MELE weight summed per ratio against the dual oracle's;
+#: the records and the library measured 1.8e-16 to 3.6e-16
+MELE_RTOL = 1e-15
+
+
+@pytest.mark.parametrize("name", RANKED)
+def test_record_agrees_with_exact_ranks(name, exact):
+    # the committed stdout against the members' ratios m2/m1 as fractions:
+    # each theta within 2 ulps of the arctangent of one ratio, every ratio
+    # with a row, its empirical weight multiplicity / k and its MELE weight
+    # the dual oracle's, each summed over its rows, and score_f within 2 eps
+    # absolute of (m2 - m1) / ||(m1, m2)||_p (formed from the float angle, it
+    # is not within a few ulps near pi/4); the pickands knots 0, 1 and one
+    # within 4 ulps of w = m2 / (m1 + m2) per ratio, and each value within 32
+    # ulps of A(v) = 1 - v + sum_j weight_j max(v - w_j, 0) (measured 17 and 6)
+    args = COMMANDS[name].split()
+    k = int(args[args.index("--k") + 1])
+    p = float(args[args.index("--p") + 1]) if "--p" in args else 1.0
+    fit = exact(args[args.index("--input") + 1], k, p)
+    text = gzip.decompress((HERE / f"{name}.out.gz").read_bytes()).decode()
+    table = np.array([line.split(",") for line in text.splitlines()[1:]], dtype=float)
+    if name.startswith("pickands_"):
+        knots, values = table.T
+        with mpmath.workdps(40):
+            w = [mpmath.mpf(r.numerator) / (r.numerator + r.denominator) for r in fit.ratios]
+            # the weight of the points below v, and their first moment
+            mass = list(itertools.accumulate(fit.weights, initial=0))
+            moment = list(itertools.accumulate(map(operator.mul, fit.weights, w), initial=0))
+            below = [bisect.bisect_right(w, v) for v in knots.tolist()]
+            pickands = [1 - v + v * mass[j] - moment[j] for v, j in zip(knots.tolist(), below)]
+            points, pickands = np.array(w, dtype=float), np.array(pickands, dtype=float)
+        assert knots.size == points.size + 2 and knots[0] == 0.0 and knots[-1] == 1.0
+        assert np.all(np.abs(knots[1:-1] - points) <= 4 * np.spacing(points))
+        assert np.all(np.abs(values - pickands) <= 32 * np.spacing(pickands))
+        return
+    theta, weight, mele, score = table.T
+    atom = _atoms(theta, fit.ratios)
+    np.testing.assert_allclose(np.bincount(atom, weight), np.array(fit.counts) / k,
+                               rtol=1e-15, atol=0)
+    np.testing.assert_allclose(np.bincount(atom, mele), np.array(fit.weights, dtype=float),
+                               rtol=MELE_RTOL, atol=0)
+    exact_score = np.array(fit.scores, dtype=float)
     assert np.all(np.abs(score - exact_score[atom]) <= 2 * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 2.5, 3.0, math.inf])
+@pytest.mark.parametrize("source", ["logistic.csv", "tied.csv"])
+def test_library_fit_is_the_exact_dual(source, p, exact):
+    # the library's MELE fit of a golden input at k = 200, per ratio m2/m1,
+    # against the dual oracle's: the probability weights and the spectral
+    # weights within MELE_RTOL, and the normalizer within 5e-16 relative
+    # (measured at most 2.2e-16)
+    ang = select_extremes(read_sample(source), 200, p)
+    fit = exact(source, 200, p)
+    q, phi = mele_spectral_prob(ang), mele_spectral_measure(ang)
+    atom = _atoms(phi.angles, fit.ratios)
+    np.testing.assert_allclose(np.bincount(atom, q.weights), np.array(fit.prob, dtype=float),
+                               rtol=MELE_RTOL, atol=0)
+    assert spectral_normalizer(q) == pytest.approx(float(fit.normalizer), rel=5e-16, abs=0)
+    np.testing.assert_allclose(np.bincount(atom, phi.weights),
+                               np.array(fit.weights, dtype=float), rtol=MELE_RTOL, atol=0)
 
 
 def test_infeasible_benchmark_record_agrees_with_the_oracle():

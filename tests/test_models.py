@@ -310,6 +310,41 @@ class TestMixture:
             cdf = (1 - 1 / b) * (1 + 1 / (a + b) - a * (a - 1) / (a + b) ** 2)
             assert yi >= 1.0 and abs(cdf - Fraction(qi)) <= 4e-16, (xi, qi, yi)
 
+    def test_conditional_inversion_is_the_per_draw_newton(self):
+        # each draw alone, in plain floats with the same expressions, until a
+        # step no longer lowers it: x geometric on [1, 2**53] by q geometric
+        # toward both ends of the sampler's clip, at most 53 passes each
+        ends = np.geomspace(1e-16, 0.5, 100)
+        x, q = (v.ravel() for v in np.meshgrid(np.geomspace(1.0, 2.0**53, 202),
+                                               np.concatenate([ends, 1.0 - ends[::-1]])))
+
+        def newton(x, q):
+            p = 1.0 - q
+            c = 1.0 + q * x * x
+            y = (q * x + math.sqrt((q * x) * (q * x) + 4.0 * p)) / (2.0 * p)
+            while True:
+                g = ((p * y + 2.0 * x * p) * y - c) * y - 2.0 * x
+                step = y - g / ((3.0 * p * y + 4.0 * x * p) * y - c)
+                if not step < y:
+                    return y
+                y = step
+
+        want = [newton(xi, qi) for xi, qi in zip(x.tolist(), q.tolist())]
+        assert _invert_mixture_conditional(x, q).tolist() == want
+
+    def test_conditional_inversion_of_no_draws(self):
+        y = _invert_mixture_conditional(np.empty(0), np.empty(0))
+        assert y.shape == (0,) and y.dtype == np.float64
+
+    @pytest.mark.parametrize("seed", [0, 1, 5])
+    def test_independent_draw_is_the_inverse_uniform(self, seed):
+        # r = 0 has no dependent draw: after its first rng.random(n), the
+        # pairs are 1 / (1 - U) of the next (n, 2) uniforms
+        rng = np.random.default_rng(seed)
+        values = mixture_model(0.0).sample(1000, np.random.default_rng(seed)).values
+        rng.random(1000)
+        assert np.array_equal(values, 1.0 / (1.0 - rng.random((1000, 2))))
+
 
 class TestSamplers:
     def test_deterministic_given_seed(self):
