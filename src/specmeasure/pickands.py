@@ -91,8 +91,7 @@ def pickands_function(phi: DiscreteSpectralMeasure) -> PickandsFunction:
         cluster = np.cumsum(np.concatenate(([True], np.diff(points) > MERGE_TOL))) - 1
         mass = np.bincount(cluster, weights)
         points, weights = np.bincount(cluster, weights * points) / mass, mass
-    # the plain np.unique would import numpy.ma on a first call, about 10 ms
-    knots = np.unique(np.concatenate(([0.0, 1.0], points)), return_inverse=True)[0]
+    knots = np.concatenate(([0.0], points[(0.0 < points) & (points < 1.0)], [1.0]))
     cum_w = np.concatenate(([0.0], np.cumsum(weights)))
     cum_xw = np.concatenate(([0.0], np.cumsum(weights * points)))
     idx = np.searchsorted(points, knots, side="right")

@@ -86,9 +86,9 @@ def _tails(batch: list, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     cut goes in whole; m > n keeps every row) and their int64 n + 1 - R, all
     concatenated, and each sample's number of rows; each sample records its
     ``tie_flag``.  At n <= ``_PIECE`` the batch is ranked as one array: one
-    argsort of every column, whose cut is read off the sorted values and where
-    R is 1 + the position of the last value equal to x_ij; a longer column is
-    ranked in pieces, a sample at a time (:func:`_tail_in_pieces`)."""
+    argsort of every column, where R is 1 + the position of the last value
+    equal to x_ij and a row is in the tail when R > n - m in either column; a
+    longer column is ranked in pieces, a sample at a time (:func:`_tail_in_pieces`)."""
     n = batch[0].n
     if n > _PIECE:
         rows, ranks = zip(*(_tail_in_pieces(sample, m) for sample in batch))
@@ -97,9 +97,6 @@ def _tails(batch: list, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # each column in increasing order, as flat positions into columns
     order = np.argsort(columns, axis=-1)
     order += np.arange(0, columns.size, n).reshape(-1, 2, 1)
-    above = columns >= np.take(columns, order[:, :, n - min(m, n), None])
-    hit = np.flatnonzero(above[:, 0] | above[:, 1])  # sample * n + row
-    del above
     columns.sort(axis=-1)
     last = np.ones(order.size, dtype=bool)  # the last of its equal values in a column
     np.not_equal(columns.ravel()[1:], columns.ravel()[:-1], out=last[:-1])
@@ -112,7 +109,9 @@ def _tails(batch: list, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if tied.size:
         ends = np.flatnonzero(last)
         ranks[order.ravel()[tied]] = ends[np.searchsorted(ends, tied)] % n + 1
-    del order
+    del order, last
+    above = ranks.reshape(-1, 2, n) > n - min(m, n)  # x is at least the m-th largest
+    hit = np.flatnonzero(above[:, 0] | above[:, 1])  # sample * n + row
     sample = hit // n
     at = hit + sample * n  # the row's flat position in column 0, n more in column 1
     top = np.stack([n + 1 - np.take(ranks, at + j * n) for j in (0, 1)], axis=1)

@@ -3,14 +3,19 @@
 ``COMMANDS``, run in process through ``run_cli``, and the fingerprint of
 the numpy build that printed them.  ``zcat`` shows a stdout record.
 
-Run from anywhere to rewrite the records from this tree::
+It also writes ``asymptotics.csv``, the √k table: the scaled pointwise
+errors of both estimators over ``ASYMPTOTICS`` (see
+:func:`asymptotic_rows`), in about 2.5 minutes of one core.
+
+Run from anywhere to rewrite the records and the table from this tree::
 
     python tests/golden/regenerate.py
 
-``tests/test_golden.py`` reruns the commands and compares against the
-records: byte for byte when the fingerprint matches, else as parsed
-values (see ``values_match``).  A regenerated record changes the design
-contract, so name each changed file and its largest relative change.
+``tests/test_golden.py`` reruns the commands, and the table's ``RERUN``
+row, and compares against the records: byte for byte when the
+fingerprint matches, else as parsed values (see ``values_match``).  A
+regenerated record changes the design contract, so name each changed
+file and its largest relative change.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import contextlib
 import gzip
 import io
 import json
+import math
 import os
 import re
 import sys
@@ -33,6 +39,15 @@ if __name__ == "__main__":  # the records come from this tree, not an installed 
 
 import numpy as np  # noqa: E402
 
+from specmeasure import (  # noqa: E402
+    ConstraintInfeasible,
+    asym_logistic_model,
+    cauchy_quadrant_model,
+    empirical_spectral_measure,
+    mele_spectral_measure,
+    mixture_model,
+    select_extremes,
+)
 from specmeasure.cli import run_cli  # noqa: E402
 from specmeasure.pseudo_obs import read_sample  # noqa: E402
 
@@ -75,6 +90,73 @@ COMMANDS = {
     "fails_infeasible": "estimate --input cauchy60.csv --k 2 --estimator mele",  # exit 3
     "fails_missing_input": "estimate --input missing.csv --k 5",  # exit 4
 }
+
+
+TABLE = HERE / "asymptotics.csv"
+
+#: the √k table's models and their norm orders; logistic r = 1 is tail
+#: independent, its truth at an interior angle the atom at 0
+MODELS = {
+    "logistic r=2": (lambda p: asym_logistic_model(2.0, p=p), (1.0, 2.0, 2.5, math.inf)),
+    "cauchy-quadrant": (cauchy_quadrant_model, (1.0, 2.0, math.inf)),
+    "mixture r=0.5": (lambda p: mixture_model(0.5, p=p), (1.0, 2.0, math.inf)),
+    "logistic r=1": (lambda p: asym_logistic_model(1.0, p=p), (1.0, 2.0, math.inf)),
+}
+#: (n, the k at that n, replications); the k of one n share their samples
+ASYMPTOTICS = ((1000, (30,), 1000), (10_000, (100,), 1000), (100_000, (300, 1000), 400))
+#: the angles, inside every model's default ISE interval
+THETA = (0.5, math.pi / 4, 1.1)
+#: the cell that tests/test_golden.py reruns in full: model, p, n, k, replications
+RERUN = ("cauchy-quadrant", 1.0, 10_000, 100, 200)
+
+TABLE_HEADER = (
+    "model,p,n,k,reps,theta,truth,empirical_mean,empirical_sd,mele_mean,mele_sd,"
+    "difference_sd,infeasible"
+)
+
+
+def asymptotic_rows(label: str, p: float, n: int, ks, reps: int) -> list[str]:
+    """The table's lines for one model at norm order p and one n: per k and
+    theta, the truth cdf(theta), and the mean and sd of each estimator's
+    sqrt(k) * (cdf(theta) - truth) over replications 0 to reps - 1, each
+    drawn on the stream ``default_rng([1, rep])``; the MELE columns and the
+    sd of the paired difference MELE - empirical are over the replications
+    whose MELE fit is feasible, and ``infeasible`` counts the others."""
+    model = MODELS[label][0](p)
+    truth = model.cdf(THETA)
+    cdfs = np.full((reps, len(ks), 2, len(THETA)), np.nan)
+    for rep in range(reps):
+        sample = model.sample(n, np.random.default_rng([1, rep]))
+        for i, k in enumerate(ks):
+            ang = select_extremes(sample, k, p)
+            cdfs[rep, i, 0] = empirical_spectral_measure(ang).cdf(THETA)
+            try:
+                cdfs[rep, i, 1] = mele_spectral_measure(ang).cdf(THETA)
+            except ConstraintInfeasible:
+                pass
+    lines = []
+    for i, k in enumerate(ks):
+        scaled = math.sqrt(k) * (cdfs[:, i] - truth)  # (rep, estimator, theta)
+        feasible = ~np.isnan(scaled[:, 1, 0])
+        for j, theta in enumerate(THETA):
+            empirical, mele = scaled[:, 0, j], scaled[feasible, 1, j]
+            difference = mele - empirical[feasible]
+            row = [label, p, n, k, reps, theta, truth[j], empirical.mean(),
+                   empirical.std(ddof=1), mele.mean(), mele.std(ddof=1),
+                   difference.std(ddof=1), reps - int(feasible.sum())]
+            lines.append(",".join(map(str, row)))
+    return lines
+
+
+def asymptotics_lines() -> list[str]:
+    """The whole table: every model, norm order and n, then the ``RERUN`` row."""
+    lines = [TABLE_HEADER]
+    for label, (_, orders) in MODELS.items():
+        for p in orders:
+            for n, ks, reps in ASYMPTOTICS:
+                lines += asymptotic_rows(label, p, n, ks, reps)
+    label, p, n, k, reps = RERUN
+    return lines + asymptotic_rows(label, p, n, (k,), reps)
 
 
 def fingerprint() -> dict:
@@ -160,6 +242,9 @@ def main() -> None:
     INDEX.write_text(json.dumps(index, indent=1) + "\n", encoding="utf-8")
     size = sum(path.stat().st_size for path in [INDEX, *HERE.glob("*.out.gz"), *HERE.glob("*.err")])
     print(f"{len(records)} records, {size} bytes in {HERE}")
+    lines = asymptotics_lines()
+    TABLE.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    print(f"{len(lines) - 1} rows in {TABLE}")
 
 
 if __name__ == "__main__":

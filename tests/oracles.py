@@ -241,11 +241,10 @@ def mise_oracle(model, n: int, reps: int, k_grid, seed: int, interval):
 
     Only ``model.sample`` (on the stream ``default_rng([seed, rep])``) and
     the model's truth cdf come from the package.  Ranks are counted,
-    membership is the integer rule, and the angle arctan(m2 / m1) of a
-    member with integer ranks m = n*u has the score
-    (m2 - m1) / ||(m1, m2)||_p and the normalizer term m1 / ||(m1, m2)||_p;
-    the MELE weights come from direct maximization and the ISE from
-    library quadrature of the squared step-cdf gap.
+    membership is the integer rule, and a member with integer ranks m = n*u
+    has the angle arctan(m2 / m1); the MELE weight of each ratio m2/m1
+    comes from :func:`dual_mele_oracle`, shared equally among its members,
+    and the ISE from library quadrature of the squared step-cdf gap.
     """
     p, (a, b) = model.p, interval
     ises = np.empty((reps, len(k_grid), 2))
@@ -258,17 +257,16 @@ def mise_oracle(model, n: int, reps: int, k_grid, seed: int, interval):
                 for m1, m2 in zip(m1s.tolist(), m2s.tolist())
                 if membership_oracle(m1, m2, k, p)
             ]
-            norms = [max(m1, m2) if math.isinf(p) else (m1**p + m2**p) ** (1.0 / p)
-                     for m1, m2 in ranks]
             angles = [math.atan2(m2, m1) for m1, m2 in ranks]
-            scores = [(m2 - m1) / norm for (m1, m2), norm in zip(ranks, norms)]
             ises[rep, i, 0] = _step_ise(angles, [1.0 / k] * len(ranks), model, a, b)
-            if not scores_feasible(scores):
+            try:
+                fit = dual_mele_oracle(ranks, p)
+            except ValueError:  # the scores do not straddle 0
                 ises[rep, i, 1] = math.nan
                 continue
-            q = mele_oracle(scores)
-            normalizer = math.fsum(w * m1 / norm for w, (m1, _), norm in zip(q, ranks, norms))
-            ises[rep, i, 1] = _step_ise(angles, q / normalizer, model, a, b)
+            share = {r: float(w / c) for r, c, w in zip(fit.ratios, fit.counts, fit.weights)}
+            weights = [share[Fraction(m2, m1)] for m1, m2 in ranks]
+            ises[rep, i, 1] = _step_ise(angles, weights, model, a, b)
     mise = np.empty((len(k_grid), 2))
     stderr = np.zeros((len(k_grid), 2))
     infeasible = np.zeros((len(k_grid), 2), dtype=np.int64)

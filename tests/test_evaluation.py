@@ -499,11 +499,11 @@ class TestMiseOracle:
     sampler and the truth cdf with the package (oracles.mise_oracle), at
     one row per block and at the default cell budget."""
 
-    # mele_oracle's weights are good to 1e-8 (test_acceptance), which bounds
-    # the relative error of each MELE ISE; the worst measured over these
-    # cases is 3.0e-12 relative for mise, and 2.3e-12 of the largest mise
-    # for stderr
-    RTOL = 1e-8
+    # the oracle's MELE weights are exact (dual_mele_oracle), so its ISE
+    # quadrature, at epsrel 1e-11, bounds the agreement; the worst measured
+    # over these cases is 3.0e-12 relative for mise, and 2.27e-12 of the
+    # largest mise for stderr, the same as with SLSQP weights
+    RTOL = 1e-11
 
     def check(self, monkeypatch, model, n, reps, k_grid, seed):
         interval = model.default_ise_interval

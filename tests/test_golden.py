@@ -20,7 +20,22 @@ from specmeasure.mele import mele_spectral_measure, mele_spectral_prob, spectral
 from specmeasure.models import cauchy_quadrant_model
 from specmeasure.pseudo_obs import read_sample
 
-from golden.regenerate import COMMANDS, HERE, INDEX, fingerprint, run, values_match, write_inputs
+from golden.regenerate import (
+    ASYMPTOTICS,
+    COMMANDS,
+    HERE,
+    INDEX,
+    MODELS,
+    RERUN,
+    TABLE,
+    TABLE_HEADER,
+    THETA,
+    asymptotic_rows,
+    fingerprint,
+    run,
+    values_match,
+    write_inputs,
+)
 from oracles import (
     dual_mele_oracle,
     membership_oracle,
@@ -194,6 +209,62 @@ def test_infeasible_benchmark_record_agrees_with_the_oracle():
     np.testing.assert_allclose(table[..., 1], stderr, rtol=rtol, atol=rtol * np.nanmax(mise))
     err = (HERE / f"{name}.err").read_text(encoding="utf-8")
     assert f"# infeasible mele fits = {infeasible.sum()}\n" in err
+
+
+#: the committed sqrt(k) table, by (model, p, n, k, reps, theta) as text
+TABLE_ROWS = {tuple(line.split(",")[:6]): line
+              for line in TABLE.read_text(encoding="utf-8").splitlines()[1:]}
+
+
+def _key(*cell):
+    """The key of a table row: (model, p, n, k, reps, theta) as written."""
+    return tuple(map(str, cell))
+
+
+def test_asymptotics_rerun_matches_its_rows():
+    # the table's 200-replication cell recomputed in full (about 0.4 s)
+    label, p, n, k, reps = RERUN
+    got = "\n".join(asymptotic_rows(label, p, n, (k,), reps))
+    want = "\n".join(TABLE_ROWS[_key(*RERUN, t)] for t in THETA)
+    assert values_match(got, want)
+    if COMPARISON == "bytes":
+        assert got == want
+
+
+def test_asymptotic_sd_is_flat_in_n():
+    # the table covers every cell; then, for each tail-dependent model, p,
+    # theta and estimator, the sqrt(k)-scaled sd at n = 1e4 (k = 100) and at
+    # n = 1e5 (k = 300 and 1000) agree within 4 combined standard errors,
+    # sd / sqrt(2 (reps - 1)) each for a normal law.  The largest gap of the
+    # 120 is 2.47 (mixture r = 0.5, p = 2, pi/4, empirical, k = 1000).
+    # Logistic r = 1 is tail independent: its scaled sd falls with n, and
+    # is reported, not gated
+    assert TABLE.read_text(encoding="utf-8").splitlines()[0] == TABLE_HEADER
+    cells = {_key(label, p, n, k, reps, t)
+             for label, (_, orders) in MODELS.items() for p in orders
+             for n, ks, reps in ASYMPTOTICS for k in ks for t in THETA}
+    cells |= {_key(*RERUN, t) for t in THETA}
+    assert set(TABLE_ROWS) == cells, "stale table: run tests/golden/regenerate.py"
+    column = TABLE_HEADER.split(",")
+    rows = {key: dict(zip(column, line.split(","))) for key, line in TABLE_ROWS.items()}
+
+    def sd(row, estimator):
+        """A row's scaled sd of one estimator, and its standard error."""
+        count = int(row["reps"]) - (int(row["infeasible"]) if estimator == "mele" else 0)
+        value = float(row[f"{estimator}_sd"])
+        return value, value / math.sqrt(2 * (count - 1))
+
+    gaps = []
+    for (label, p, n, k, reps, theta), row in rows.items():
+        if label == "logistic r=1" or (n, k, reps) != ("10000", "100", "1000"):
+            continue
+        for far in ("300", "1000"):
+            for estimator in ESTIMATORS:
+                (sd1, se1), (sd2, se2) = (
+                    sd(r, estimator) for r in (row, rows[(label, p, "100000", far, "400", theta)])
+                )
+                gaps.append(abs(sd1 - sd2) / math.hypot(se1, se2))
+    assert len(gaps) == 120 and max(gaps) <= 4.0, max(gaps)
 
 
 class TestValuesMatch:
